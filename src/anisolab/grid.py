@@ -11,6 +11,7 @@ discrete energy gradient agree to machine precision, and everything in
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,20 +310,16 @@ def make_cutoff(spec: CutoffSpec, grid: Grid) -> GridField:
 # interior operators (shared by solver and stability)
 # ---------------------------------------------------------------------------
 
-_MATRIX_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=12)
 def interior_difference_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
     """Sparse forward-difference map from interior nodes to the faces of
     `axis` whose transverse position is interior.
 
     Row order matches row-major flattening of the restricted face array
-    (shape: interior on transverse axes, all cells along `axis`).
+    (shape: interior on transverse axes, all cells along `axis`).  The
+    result is cached for the last few (grid, axis) pairs and shared between
+    callers, which must not modify it.
     """
-    key = (grid, axis)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
     blocks = []
     for j in range(grid.dim):
         r, h = grid.res[j], grid.h[j]
@@ -335,9 +332,7 @@ def interior_difference_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
     mat = blocks[0]
     for b in blocks[1:]:
         mat = sp.kron(mat, b)
-    mat = mat.tocsr()
-    _MATRIX_CACHE[key] = mat
-    return mat
+    return mat.tocsr()
 
 
 def interior_face_slices(grid: Grid, axis: int) -> tuple[slice, ...]:

@@ -284,6 +284,7 @@ def stability_index(
     x /= np.linalg.norm(x)
     rho_prev = math.inf
     rho = 0.0
+    change = math.inf
     for it in range(1, max_iter + 1):
         y = lu.solve(x)
         norm = np.linalg.norm(y)
@@ -293,7 +294,8 @@ def stability_index(
             continue
         y /= norm
         rho = float(y @ (pencil @ y))
-        if abs(rho - rho_prev) <= tol * max(1.0, abs(rho)):
+        change = abs(rho - rho_prev)
+        if change <= tol * max(1.0, abs(rho)):
             x = y
             break
         rho_prev = rho
@@ -301,7 +303,7 @@ def stability_index(
     else:
         raise NonConvergenceError(
             "inverse power iteration stagnated",
-            residual=abs(rho - rho_prev),
+            residual=change,
             diagnostics={"rho": rho, "iterations": max_iter},
         )
     minimizer = embed_interior(grid, x)

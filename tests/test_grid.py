@@ -222,6 +222,16 @@ def test_interior_matrix_matches_axis_diff():
         assert np.allclose(got, want, atol=1e-13)
 
 
+def test_interior_matrix_cache_stays_bounded():
+    maxsize = interior_difference_matrix.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for res in range(4, 54):
+        g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(res, 3))
+        interior_difference_matrix(g, 0)
+        interior_difference_matrix(g, 1)
+        assert interior_difference_matrix.cache_info().currsize <= maxsize
+
+
 def test_field_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     g = Grid(box=((0.0, 1.0), (-1.0, 1.0)), res=(6, 9))

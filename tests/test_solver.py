@@ -1,14 +1,19 @@
 """Inner solves against analytic and brute-force oracles, the fixed-point
 ladder properties, and the level-set extinction calculator."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from anisolab.errors import ValidationError
 from anisolab.exponents import ExponentData
-from anisolab.grid import Grid, GridField, level_set_measure
+from anisolab.cli import main
+from anisolab.grid import Grid, GridField, level_set_measure, p_laplacian_apply
 from anisolab.solver import (
     RegularizationLevel,
     WeightSpec,
@@ -167,6 +172,71 @@ def test_solve_inner_energy_strictly_decreasing():
     assert strict >= len(energies) - 2  # ties only at float resolution
     for a, b in zip(energies, energies[1:]):
         assert b <= a + 32 * EPS * (1 + abs(a))
+    # one linear solve per Newton step; 1D steps are direct banded solves
+    assert info["linear_iterations"] == [0] * (info["iterations"] - 1)
+
+
+def sparse_newton_reference(grid, p, rhs_int, tol=1e-12, max_newton=200):
+    """Minimize sum_i (1/p_i) |K_i x|^{p_i} - rhs.x by damped Newton with
+    sparse direct solves of the floored Jacobian (test-local difference
+    matrices, independent of the package solver)."""
+    mats = []
+    for axis in range(grid.dim):
+        blocks = []
+        for j, (r, h) in enumerate(zip(grid.res, grid.h)):
+            if j == axis:
+                d = sp.lil_matrix((r, r - 1))
+                for i in range(r - 1):
+                    d[i, i] = 1.0 / h
+                    d[i + 1, i] = -1.0 / h
+                blocks.append(d.tocsr())
+            else:
+                blocks.append(sp.identity(r - 1, format="csr"))
+        mat = blocks[0]
+        for blk in blocks[1:]:
+            mat = sp.kron(mat, blk, format="csr")
+        mats.append(mat)
+
+    def energy(x):
+        return sum(np.sum(np.abs(k @ x) ** q) / q for k, q in zip(mats, p)) - rhs_int @ x
+
+    def gradient(x):
+        return sum(k.T @ (np.abs(k @ x) ** (q - 2) * (k @ x)) for k, q in zip(mats, p)) - rhs_int
+
+    x = np.zeros_like(rhs_int)
+    for _ in range(max_newton):
+        g = gradient(x)
+        if np.max(np.abs(g)) <= tol:
+            return x
+        jac = sum(
+            k.T @ sp.diags((q - 1) * np.maximum(np.abs(k @ x), 1e-8) ** (q - 2)) @ k
+            for k, q in zip(mats, p)
+        )
+        d = spla.spsolve(jac.tocsc(), -g)
+        step, f0 = 1.0, energy(x)
+        while energy(x + step * d) > f0 + 1e-4 * step * (g @ d) + 1e-13 * (1 + abs(f0)):
+            step *= 0.5
+        x = x + step * d
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize(
+    "p, res",
+    [((2.0, 3.0), (24, 20)), ((2.0, 3.0, 4.0), (10, 9, 8))],
+)
+def test_solve_inner_matches_sparse_newton_reference(p, res):
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    rhs = GridField.from_function(
+        g, lambda *xs: 1.0 + 0.5 * np.prod([np.sin(3.0 * x) for x in xs], axis=0)
+    )
+    info = {}
+    u = solve_inner(rhs, ExponentData.from_p(p), info=info)
+    ref = sparse_newton_reference(g, p, rhs.values[g.interior_slices()].ravel())
+    assert np.max(np.abs(u.values[g.interior_slices()].ravel() - ref)) <= 1e-9
+    assert u.is_zero_on_boundary()
+    # 2D/3D Newton systems are solved by preconditioned CG
+    assert len(info["linear_iterations"]) == info["iterations"] - 1
+    assert all(its > 0 for its in info["linear_iterations"])
 
 
 def test_solve_inner_uniqueness_proxy():
@@ -300,6 +370,42 @@ def test_run_ladder_exploratory_singular_weight():
     sups = [r.sup_norm for r in rep.levels]
     assert all(b >= a for a, b in zip(sups, sups[1:]))
     assert rep.sup_increment_ratio is not None
+
+
+def test_run_ladder_3d_anisotropic():
+    g = Grid(box=((0.0, 1.0),) * 3, res=(12, 12, 12))
+    p = (2.0, 2.0, 3.0)
+    e = ExponentData.from_p(p)
+    tol_fix = 1e-8
+    n_max = 3
+    rep = run_ladder(n_max, WeightSpec(g=GridField.constant(g, 1.0)), e, tol_fix=tol_fix)
+    assert len(rep.levels) == n_max
+    for r in rep.levels:
+        assert r.residual <= tol_fix
+        assert r.interior_min > 0
+        assert r.mono_defect <= 1e-6
+    # the final field solves the level-n_max equation (g_n = min(1, n) = 1)
+    # on interior nodes, recomputed with the full-array operator
+    u = rep.final_field
+    rhs = np.exp(1.0 / (np.abs(u.values) + 1.0 / n_max))
+    inner = g.interior_slices()
+    resid = np.max(np.abs(p_laplacian_apply(u, e).values[inner] - rhs[inner]))
+    assert resid <= tol_fix * (1.0 + np.max(rhs[inner]) * n_max ** 2)
+
+
+def test_run_ladder_zero_weight_reports_nan_limit_residual(tmp_path):
+    # u = 0 for a zero weight, so the limit integrand is 0 * exp(1/0) = nan
+    g = grid1d(32)
+    rep = run_ladder(3, WeightSpec(g=GridField.zeros(g)), ExponentData.from_p([3]))
+    assert np.isnan(rep.weak_residual_limit_max)
+    assert rep.weak_residual_level_max == 0.0
+
+    out = tmp_path / "zero"
+    assert main(["solve", "--p", "3", "--box", "0,1", "--res", "32",
+                 "--weight", "constant:0", "--nmax", "3", "--outdir", str(out)]) == 0
+    doc = json.loads((out / "ladder_report.json").read_text())
+    assert doc["weakResidualLimitMax"] is None
+    assert doc["weakResidualLevelMax"] == 0.0
 
 
 def test_run_ladder_validation():

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from anisolab.errors import (
     GeometryError,
     HypothesisNotApplicableError,
+    NonConvergenceError,
     OutOfWindowError,
     SingularityError,
     ValidationError,
@@ -241,6 +242,19 @@ def test_stability_index_minimizer_reproduces_gap():
         u, phi, nl, ones, (2.0,), StabilityVariant.AS_WRITTEN
     ) / integrate(GridField(g, phi.values ** 2))
     assert recomputed == pytest.approx(rep.gap, rel=1e-8)
+
+
+def test_stability_index_stagnation_reports_last_change():
+    g = Grid(box=((0.0, np.pi),), res=(64,))
+    u = GridField.constant(g, 1.0)
+    ones = GridField.constant(g, 1.0)
+    with pytest.raises(NonConvergenceError) as exc:
+        stability_index(
+            u, NonlinearityEval.constant_slope(0.5), ones, (2.0,),
+            variant=StabilityVariant.AS_WRITTEN, max_iter=3,
+        )
+    assert exc.value.residual > 0
+    assert exc.value.diagnostics["iterations"] == 3
 
 
 # --- a priori estimate -------------------------------------------------------------
