@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -191,6 +192,18 @@ def _prepare_outdir(resolved: dict[str, str]) -> Path:
     return outdir
 
 
+@contextlib.contextmanager
+def _diagnostics_on_failure(outdir: Path):
+    """Write `nonconvergence.json` (message, residual, diagnostics) into the
+    run's outdir when the body raises NonConvergenceError, then re-raise."""
+    try:
+        yield
+    except NonConvergenceError as exc:
+        doc = {"message": str(exc), "residual": exc.residual, "diagnostics": exc.diagnostics}
+        _write_json(doc, outdir / "nonconvergence.json")
+        raise
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -296,15 +309,16 @@ def _run_solve(args) -> int:
     w = WeightSpec(g=g, m=float(m_text) if m_text else None)
     inner_text = resolved.get("solve.innerTol", "")
     outdir = _prepare_outdir(resolved)
-    report = run_ladder(
-        int(resolved["solve.nmax"]),
-        w,
-        e,
-        tol_fix=float(resolved["solve.tolFix"]),
-        inner_tol=float(inner_text) if inner_text else None,
-        max_outer=int(resolved["solve.maxOuter"]),
-        seed=int(resolved["run.seed"]),
-    )
+    with _diagnostics_on_failure(outdir):
+        report = run_ladder(
+            int(resolved["solve.nmax"]),
+            w,
+            e,
+            tol_fix=float(resolved["solve.tolFix"]),
+            inner_tol=float(inner_text) if inner_text else None,
+            max_outer=int(resolved["solve.maxOuter"]),
+            seed=int(resolved["run.seed"]),
+        )
     _write_json(report.to_dict(), outdir / "ladder_report.json")
     save_field(report.final_field, outdir / "u_final.txt")
     export_field_csv(report.final_field, outdir / "u_final.csv")
@@ -353,9 +367,10 @@ def _run_stability(args) -> int:
     nl = NonlinearityEval.from_problem(spec)
     variant = StabilityVariant(resolved["stability.variant"])
     outdir = _prepare_outdir(resolved)
-    report = stability_index(
-        u, nl, g, spec.exponents.p, variant=variant, seed=int(resolved["run.seed"])
-    )
+    with _diagnostics_on_failure(outdir):
+        report = stability_index(
+            u, nl, g, spec.exponents.p, variant=variant, seed=int(resolved["run.seed"])
+        )
     _write_json(report.to_dict(), outdir / "stability_report.json")
     save_field(report.minimizer, outdir / "minimizer.txt")
     print(f"stability index = {report.gap:.9g} ({'stable' if report.stable else 'unstable'})")

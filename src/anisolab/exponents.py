@@ -30,8 +30,6 @@ from .errors import (
     ValidationError,
 )
 
-IDENTITY_TOL = 1e-12
-
 # select_beta starts this fraction of the window below the upper endpoint;
 # the candidate then bisects toward the midpoint if the decay test fails.
 _BETA_ENDPOINT_OFFSET = 1e-6

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
-
-# sup |grad psi_R| * R for the smoothstep annulus profile
-CUTOFF_GRADIENT_CONSTANT = 1.5
 
 
 @dataclass(frozen=True)
@@ -393,16 +391,29 @@ def save_field(f: GridField, path) -> None:
 
 
 def load_field(path) -> GridField:
+    """Read a `save_field` snapshot; a malformed header, a value count that
+    differs from the header's grid, or a non-finite value is a
+    ValidationError."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != _FIELD_MAGIC:
             raise ValidationError(f"{path} is not a field snapshot")
-        dim = int(header[1])
-        res = tuple(int(x) for x in header[2 : 2 + dim])
-        flat_box = [float(x) for x in header[2 + dim : 2 + 3 * dim]]
-        box = tuple((flat_box[2 * i], flat_box[2 * i + 1]) for i in range(dim))
-        values = np.loadtxt(fh)
+        try:
+            dim = int(header[1])
+            res = tuple(int(x) for x in header[2 : 2 + dim])
+            flat_box = [float(x) for x in header[2 + dim : 2 + 3 * dim]]
+            box = tuple((flat_box[2 * i], flat_box[2 * i + 1]) for i in range(dim))
+            values = np.loadtxt(fh)
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"{path} is a malformed field snapshot: {exc}") from exc
     grid = Grid(box=box, res=res)
+    expected = math.prod(grid.shape)
+    if values.size != expected:
+        raise ValidationError(
+            f"{path} holds {values.size} values, its header needs {expected}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path} holds non-finite values")
     return GridField(grid, values.reshape(grid.shape))
 
 

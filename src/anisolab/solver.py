@@ -9,13 +9,18 @@ The inner problem minimizes the strictly convex energy
 over zero-boundary fields (damped Newton with an Armijo line search; the
 energies decrease strictly until tolerance).  The Newton systems are solved
 without factorizations: the type-I discrete sine transform diagonalizes the
-zero-Dirichlet stiffness sum_i c_i K_i^T K_i exactly, so it is the direct
-solve when all p_i = 2 and the preconditioner of a matrix-free conjugate
-gradient solve otherwise; in 1D the tridiagonal Jacobian is solved exactly
-as a band.  The level-n problem feeds the
-bounded right-hand side g_n * exp(1/(|v| + 1/n)) through that solve; its
-fixed point is the level solution.  The ladder runs levels n = 1..n_max and
-records monotonicity defects, interior minima, and sup norms.
+zero-Dirichlet stiffness sum_i c_i K_i^T K_i (plus a constant shift)
+exactly, so it is the direct solve when all p_i = 2 and the preconditioner
+of a matrix-free conjugate gradient solve otherwise; in 1D the tridiagonal
+Jacobian is solved exactly as a band.
+
+The level-n problem Op(u) = g_n exp(1/(u^+ + 1/n)) is the Euler-Lagrange
+equation of a convex energy too, and `solve_level` minimizes it with one
+damped Newton-Krylov loop whose Jacobian adds a nonnegative diagonal to the
+inner one.  The fixed-point map A of the paper (`apply_A`: one inner solve
+with right-hand side g_n exp(1/(|v| + 1/n))) certifies each level solution.
+The ladder runs levels n = 1..n_max and records monotonicity defects,
+interior minima, and sup norms.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class WeightSpec:
     m: float | None = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.g.values)):
+            raise ValidationError("weight g must be finite")
         if np.any(self.g.values < 0):
             raise ValidationError("weight g must be nonnegative")
 
@@ -109,17 +116,18 @@ def _interior_matrices(grid: Grid) -> list:
     return [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
 
 
-def _dst_solver(grid: Grid, c):
-    """Exact inverse of sum_i c_i K_i^T K_i on interior vectors.
+def _dst_solver(grid: Grid, c, shift: float = 0.0):
+    """Exact inverse of sum_i c_i K_i^T K_i + shift * I on interior vectors.
 
     Each K_i^T K_i is the zero-Dirichlet second difference along axis i,
     whose eigenvectors are the type-I sine modes with eigenvalues
     (4/h_i^2) sin^2(k pi / (2 r_i)), k = 1..r_i - 1; the orthonormal DST-I is
     its own inverse, so the solve is two transforms and a division (fast
-    diagonalization, Lynch, Rice & Thomas 1964).
+    diagonalization, Lynch, Rice & Thomas 1964).  A constant shift only
+    moves every eigenvalue.
     """
     shape = grid.interior_shape()
-    lam = np.zeros(shape)
+    lam = np.full(shape, float(shift))
     for axis, (c_i, r, h) in enumerate(zip(c, grid.res, grid.h)):
         mode = 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, r) / r) ** 2
         bshape = [1] * grid.dim
@@ -133,16 +141,33 @@ def _dst_solver(grid: Grid, c):
     return solve
 
 
-def _newton_direction(grid: Grid, mats, weights, b) -> tuple[np.ndarray, int]:
-    """Solve sum_i K_i^T diag(w_i) K_i d = b; returns d and the number of
-    CG iterations (0 for the direct solve).
+def _flux_weights(faces, p) -> list[np.ndarray]:
+    """Linearized flux weights (p_i - 1)|D_i u|^{p_i - 2} from the face
+    differences D_i u, floored to keep the Newton system positive definite
+    where a p_i > 2 flux degenerates; the floor only shapes the direction."""
+    weights = []
+    for f, p_i in zip(faces, p):
+        scale = float(np.max(np.abs(f))) if f.size else 0.0
+        floor = 1e-8 * (1.0 + scale)
+        weights.append((p_i - 1.0) * np.maximum(np.abs(f), floor) ** (p_i - 2.0))
+    return weights
+
+
+def _newton_direction(
+    grid: Grid, mats, weights, b, diag=None, rtol: float = _CG_RTOL
+) -> tuple[np.ndarray, int]:
+    """Solve (sum_i K_i^T diag(w_i) K_i + diag(diag)) d = b; returns d and the
+    number of CG iterations (0 for the direct solve).  `diag` is a
+    nonnegative diagonal, zero when omitted.
 
     In 1D the system is tridiagonal and solved exactly as a band.  In 2D and
-    3D it is solved matrix-free by CG to relative residual _CG_RTOL,
-    preconditioned by the DST inverse of sum_i mean(w_i) K_i^T K_i.  CG
-    started from zero keeps g.d < 0 at every iterate, so an inexact or
-    unconverged step is still a descent direction and the CG status is not
-    checked; the Newton loop's residual test decides convergence.
+    3D it is solved matrix-free by CG to relative residual `rtol`,
+    preconditioned by the DST inverse of sum_i mean(w_i) K_i^T K_i +
+    median(diag) I, which is exact when the weights and the diagonal are
+    constant.  CG started from zero keeps g.d < 0 at every iterate (g = -b),
+    so an inexact or unconverged step is still a descent direction and the
+    CG status is not checked; the Newton loop's residual test decides
+    convergence.
     """
     if grid.dim == 1:
         (w,) = weights
@@ -150,18 +175,21 @@ def _newton_direction(grid: Grid, mats, weights, b) -> tuple[np.ndarray, int]:
         band = np.zeros((2, b.size))
         band[0, 1:] = -w[1:-1] * inv_h2
         band[1] = (w[:-1] + w[1:]) * inv_h2
+        if diag is not None:
+            band[1] += diag
         return scipy.linalg.solveh_banded(band, b), 0
 
     blocks = [(k, k.T, w) for k, w in zip(mats, weights)]
 
     def jac(v):
-        out = np.zeros_like(v)
+        out = np.zeros_like(v) if diag is None else diag * v
         for k, kt, w in blocks:
             out += kt @ (w * (k @ v))
         return out
 
     n = b.size
-    precond = _dst_solver(grid, [float(np.mean(w)) for w in weights])
+    shift = 0.0 if diag is None else float(np.median(diag))
+    precond = _dst_solver(grid, [float(np.mean(w)) for w in weights], shift)
     iterations = 0
 
     def count(_):
@@ -171,7 +199,7 @@ def _newton_direction(grid: Grid, mats, weights, b) -> tuple[np.ndarray, int]:
     d, _ = spla.cg(
         spla.LinearOperator((n, n), matvec=jac, dtype=float),
         b,
-        rtol=_CG_RTOL,
+        rtol=rtol,
         M=spla.LinearOperator((n, n), matvec=precond, dtype=float),
         callback=count,
     )
@@ -255,14 +283,7 @@ def solve_inner(
         if all_two:
             d, its = linear_solve(-g), 0
         else:
-            weights = []
-            for k, p_i in zip(mats, p):
-                f = k @ x
-                scale = float(np.max(np.abs(f))) if f.size else 0.0
-                # floor keeps the linearized system positive definite where
-                # a p_i > 2 flux degenerates; it only shapes the direction
-                floor = 1e-8 * (1.0 + scale)
-                weights.append((p_i - 1.0) * np.maximum(np.abs(f), floor) ** (p_i - 2.0))
+            weights = _flux_weights([k @ x for k in mats], p)
             d, its = _newton_direction(grid, mats, weights, -g)
         linear_iterations.append(its)
         gd = float(g @ d)
@@ -308,12 +329,11 @@ def apply_A(
     level: RegularizationLevel,
     e: ExponentData,
     tol: float | None = None,
-    x0: GridField | None = None,
 ) -> GridField:
     """One application of the level map: solve with right-hand side
     g_n * exp(1/(|v| + 1/n)), which is bounded by g_n * e^n."""
     rhs_vals = level.g_n.values * np.exp(1.0 / (np.abs(v.values) + level.shift))
-    return solve_inner(GridField(v.grid, rhs_vals), e, tol=tol, x0=x0)
+    return solve_inner(GridField(v.grid, rhs_vals), e, tol=tol)
 
 
 def solve_level(
@@ -325,49 +345,113 @@ def solve_level(
     u0: GridField | None = None,
     info: dict | None = None,
 ) -> GridField:
-    """Iterate u <- A(u) from u = 0 until the residual sup|A(u) - u| <= tol_fix.
+    """Solve the level equation Op(u) = g_n exp(1/(u^+ + 1/n)) from u0, then
+    certify the solution with one application of A.  Without u0 the start is
+    0 for all p_i = 2 and the linear (p = 2) solve otherwise, where a p_i > 2
+    flux would degenerate at zero gradient.
 
-    The map is order-reversing in u, so plain iterates oscillate around the
-    fixed point and the oscillation contracts only while the linearized map
-    is mild.  The update therefore mixes with an adaptive weight: the
-    dominant eigenvalue of the damped map is estimated from consecutive
-    residual fields and the weight is set to its optimal relaxation value,
-    which keeps the sweep convergent even when the plain iteration is not.
+    The equation is the Euler-Lagrange equation of the convex energy
+
+        sum_i (1/p_i) int |D_i u|^{p_i}  -  int g_n G(u),   G' = exp(1/(u^+ + s)),
+
+    with s = 1/n, minimized by damped Newton-Krylov.  The Newton system is
+    the floored Jacobian of `solve_inner` plus the nonnegative diagonal
+    g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0.  It is solved as a band in
+    1D and by CG with the shifted DST preconditioner in 2D and 3D, to the
+    relative residual eta = min(1e-2, sup|F|) of the current gradient F, so
+    that Newton converges superlinearly.  A step t of the direction d is
+    accepted once ||F(u + t d)||_2 <= (1 - 1e-4 t (1 - eta)) ||F(u)||_2 (the
+    inexact-Newton backtracking test of Eisenstat & Walker 1994).
+
+    The energy uses u^+ where the map A uses |u|, so that it stays convex.
+    The level solution is nonnegative (its right-hand side is), and there
+    u^+ = |u|: the fixed points of A are the same.
+
+    Newton stops when sup|F| <= inner_tol (default 1e-10 for all p_i = 2,
+    1e-8 otherwise), after at most `max_outer` steps.  The certificate is
+    A(u) solved cold, not started at u: its gap sup|A(u) - u| must be
+    <= tol_fix, and A(u) is returned.
+
+    `info`, when given, receives the certified gap as `residual`, the number
+    of `iterations` (gradient residual checks), the gradient sup norms
+    `residuals`, and `linear_iterations`: CG iterations per Newton step, 0
+    in 1D.  A NonConvergenceError carries the last residuals and step
+    lengths in its diagnostics.
     """
     grid = level.g_n.grid
-    u = u0 if u0 is not None else GridField.zeros(grid)
-    omega = 1.0
-    f_prev: np.ndarray | None = None
-    gaps: list[float] = []
-    for _ in range(max_outer):
-        au = apply_A(u, level, e, tol=inner_tol, x0=u)
-        f_k = au.values - u.values
-        gap = float(np.max(np.abs(f_k)))
-        gaps.append(gap)
-        if gap <= tol_fix:
-            if info is not None:
-                info["gaps"] = gaps
-                info["iterations"] = len(gaps)
-                info["residual"] = gap
-                info["omega"] = omega
-            return au
-        if f_prev is not None:
-            denom = float(np.dot(f_prev.ravel(), f_prev.ravel()))
-            if denom > 0:
-                lam = float(np.dot(f_k.ravel(), f_prev.ravel())) / denom
-                lam = min(lam, 0.999)
-                # damped-map eigenvalue lam = 1 - omega*(1 + t) for the
-                # dominant mode t of the order-reversing linearization
-                t_dom = max((1.0 - lam) / omega - 1.0, 0.0)
-                omega_new = 2.0 / (2.0 + t_dom)
-                omega = min(1.0, max(1.0 / 256.0, 0.5 * omega + 0.5 * omega_new))
-        u = GridField(grid, u.values + omega * f_k)
-        f_prev = f_k
-    raise NonConvergenceError(
-        f"fixed-point iteration did not reach {tol_fix} in {max_outer} sweeps",
-        residual=gaps[-1],
-        diagnostics={"gaps": gaps[-10:], "omega": omega},
-    )
+    if e.N != grid.dim:
+        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
+    p = e.p
+    all_two = all(p_i == 2.0 for p_i in p)
+    tol = inner_tol
+    if tol is None:
+        tol = 1e-10 if all_two else 1e-8
+    mats = _interior_matrices(grid)
+    g_n = extract_interior(level.g_n)
+    s = level.shift
+    if u0 is not None:
+        x = extract_interior(u0)
+    elif all_two:
+        x = np.zeros(g_n.size)
+    else:
+        x = _dst_solver(grid, [1.0] * grid.dim)(g_n * np.exp(1.0 / s))
+
+    def gradient(x):
+        source = g_n * np.exp(1.0 / (np.maximum(x, 0.0) + s))
+        return _vec_gradient(x, mats, p, source), source
+
+    residuals: list[float] = []
+    steps: list[float] = []
+    linear_iterations: list[int] = []
+
+    def failure(message, residual):
+        return NonConvergenceError(
+            message,
+            residual=residual,
+            diagnostics={"residuals": residuals[-10:], "steps": steps[-10:]},
+        )
+
+    f, source = gradient(x)
+    norm = float(np.linalg.norm(f))
+    while True:
+        res = float(np.max(np.abs(f))) if f.size else 0.0
+        residuals.append(res)
+        if res <= tol:
+            break
+        if len(steps) >= max_outer:
+            raise failure(
+                f"level solve did not reach tol={tol} in {max_outer} Newton steps", res
+            )
+        diag = np.where(x > 0.0, source / (np.maximum(x, 0.0) + s) ** 2, 0.0)
+        eta = min(_CG_RTOL, res)
+        d, its = _newton_direction(
+            grid, mats, _flux_weights([k @ x for k in mats], p), -f, diag=diag, rtol=eta
+        )
+        linear_iterations.append(its)
+        t = 1.0
+        while t >= 1e-14:
+            x_new = x + t * d
+            f_new, source_new = gradient(x_new)
+            norm_new = float(np.linalg.norm(f_new))
+            if norm_new <= (1.0 - 1e-4 * t * (1.0 - eta)) * norm:
+                break
+            t *= 0.5
+        else:
+            raise failure("line search failed in the level solve", res)
+        steps.append(t)
+        x, f, source, norm = x_new, f_new, source_new, norm_new
+
+    u = embed_interior(grid, x)
+    au = apply_A(u, level, e, tol=inner_tol)
+    gap = float(np.max(np.abs(au.values - u.values)))
+    if gap > tol_fix:
+        raise failure(f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap)
+    if info is not None:
+        info["residual"] = gap
+        info["iterations"] = len(residuals)
+        info["residuals"] = residuals
+        info["linear_iterations"] = linear_iterations
+    return au
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +622,8 @@ def run_ladder(
 ) -> LadderReport:
     """Solve levels n = 1..n_max and record the ladder properties.
 
-    Per level: fixed-point residual, sup norm, interior minimum over the
-    centered half box, and the monotonicity defect max(u_{n-1} - u_n)^+.
+    Per level: certified gap sup|A(u) - u|, sup norm, interior minimum over
+    the centered half box, and the monotonicity defect max(u_{n-1} - u_n)^+.
     The final level also gets a weak-form residual battery (against both the
     level equation and the unregularized one) and a level-set decay fit.
     """

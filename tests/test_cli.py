@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from anisolab.cli import main
+from anisolab.errors import ValidationError
 from anisolab.grid import Grid, GridField, load_field, save_field
 
 
@@ -139,3 +141,43 @@ def test_config_file_merging(tmp_path):
                  "--outdir", str(out2)]) == 0
     doc2 = json.loads((out2 / "thresholds.json").read_text())
     assert doc2["theoremApplicable"] == "None"
+
+
+def test_non_finite_weight_exit_code(tmp_path):
+    grid = Grid(box=((0.0, 1.0),) * 2, res=(8, 8))
+    vals = np.ones(grid.shape)
+    vals[4, 4] = np.nan
+    wpath = tmp_path / "w.txt"
+    save_field(GridField(grid, vals), wpath)
+    base = ["solve", "--p", "2,2", "--box", "0,1,0,1", "--res", "8,8", "--nmax", "2"]
+    assert main(base + ["--weight", f"file:{wpath}", "--outdir", str(tmp_path / "a")]) == 2
+    assert main(base + ["--weight", "constant:inf", "--outdir", str(tmp_path / "b")]) == 2
+
+
+def test_truncated_snapshot_exit_code(tmp_path):
+    grid = Grid(box=((0.0, 1.0),) * 2, res=(8, 8))
+    upath = tmp_path / "u.txt"
+    save_field(GridField.constant(grid, 0.5), upath)
+    lines = upath.read_text().splitlines()
+    upath.write_text("\n".join(lines[:30]) + "\n")  # header + 29 of 81 values
+    with pytest.raises(ValidationError, match="29 values"):
+        load_field(upath)
+    bad_header = tmp_path / "bad.txt"
+    bad_header.write_text("anisofield 2 8\n" + "\n".join(lines[1:]) + "\n")
+    with pytest.raises(ValidationError, match="malformed"):
+        load_field(bad_header)
+    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1",
+                 "--res", "8,8", "--u", f"file:{upath}",
+                 "--outdir", str(tmp_path / "s")]) == 2
+
+
+def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
+    out = tmp_path / "nc"
+    code = main(["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "16,16",
+                 "--nmax", "2", "--max-outer", "2", "--outdir", str(out)])
+    assert code == 3
+    doc = json.loads((out / "nonconvergence.json").read_text())
+    assert "Newton steps" in doc["message"]
+    assert doc["residual"] == doc["diagnostics"]["residuals"][-1] > 1e-8
+    assert len(doc["diagnostics"]["steps"]) == 2
+    assert (out / "resolved_config.txt").exists()

@@ -310,6 +310,38 @@ def test_solve_level_against_collocation_oracle():
     assert np.max(np.abs(u.values - oracle[::8])) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "p, res",
+    [((2.0, 3.0), (24, 20)), ((2.0, 2.0, 3.0), (10, 9, 8))],
+)
+def test_solve_level_certified_gap_and_level_equation(p, res):
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    w = WeightSpec(g=GridField.from_function(
+        g, lambda *xs: 1.5 + np.prod([np.sin(3.0 * x) for x in xs], axis=0)
+    ))
+    e = ExponentData.from_p(p)
+    tol_fix = 1e-8
+    inner = g.interior_slices()
+    u = None
+    for n in (1, 2, 3):
+        level = RegularizationLevel.from_weight(n, w)
+        info = {}
+        u = solve_level(level, e, tol_fix=tol_fix, u0=u, info=info)
+        # the reported gap is certified, not zero by construction
+        assert 0.0 < info["residual"] <= tol_fix
+        assert info["residuals"][-1] <= 1e-8
+        assert len(info["residuals"]) == info["iterations"]
+        assert len(info["linear_iterations"]) == info["iterations"] - 1
+        assert all(its > 0 for its in info["linear_iterations"])
+        # an independent cold application of the map at the returned field
+        cold_gap = np.max(np.abs(apply_A(u, level, e).values - u.values))
+        assert cold_gap <= tol_fix
+        # the level equation on interior nodes, with the full-array operator
+        rhs = level.g_n.values * np.exp(1.0 / (np.abs(u.values) + level.shift))
+        resid = np.max(np.abs(p_laplacian_apply(u, e).values[inner] - rhs[inner]))
+        assert resid <= tol_fix * (1.0 + np.max(rhs[inner]) * n ** 2)
+
+
 def test_solve_level_interior_positivity():
     g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(24, 24))
     e = ExponentData.from_p([2, 2])
@@ -415,6 +447,8 @@ def test_run_ladder_validation():
         run_ladder(1, w, ExponentData.from_p([2]))
     with pytest.raises(ValidationError):
         WeightSpec(g=GridField.constant(g, -1.0))
+    with pytest.raises(ValidationError):
+        WeightSpec(g=GridField.constant(g, float("nan")))
 
 
 def test_weight_spec_mass_flag():
