@@ -117,11 +117,6 @@ class ExpSingular:
 class ProblemSpec:
     kind: MixedPower | ExpSingular
     exponents: ExponentData
-    weight_floor: float = 1.0
-
-    def __post_init__(self):
-        if not self.weight_floor > 0:
-            raise ValidationError("weight floor c must be positive")
 
 
 @dataclass(frozen=True)

@@ -699,10 +699,7 @@ def run_ladder(
     interior_min_final = records[-1].interior_min
     eps = 0.5 * max(interior_min_final, 0.0)
     shifted = GridField(grid, np.maximum(final.values - eps, 0.0))
-    eps_energy = sum(
-        face_integral(np.abs(axis_diff(shifted, a)) ** p_i, grid, a) / p_i
-        for a, p_i in enumerate(e.p)
-    )
+    eps_energy = inner_energy(shifted, GridField.zeros(grid), e)
     support_cells = shifted.values > 0
     if np.any(support_cells):
         margin = math.inf

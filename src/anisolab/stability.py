@@ -61,7 +61,7 @@ from .grid import (
     integrate,
     interior_difference_matrix,
     interior_face_slices,
-    weighted_integrate,
+    weak_form_gap,
 )
 from .truncations import TruncationPair, b_eval
 
@@ -84,6 +84,27 @@ class CorollaryCase(Enum):
     C5_2_2 = "C5_2_2"
     C5_2_3 = "C5_2_3"
     C5_3 = "C5_3"
+
+
+# candidate range each theorem assumes (closed ends get a 1e-12 slack)
+_THEOREM_RANGES = {
+    ApplicableTheorem.THM3_2: lambda vals, spec: bool(
+        np.all((vals > 0) & (vals <= 1.0 + 1e-12))
+    ),
+    ApplicableTheorem.THM3_3: lambda vals, spec: bool(np.all(vals >= 1.0 - 1e-12)),
+    ApplicableTheorem.THM3_4: lambda vals, spec: bool(np.all(vals > 0)),
+    ApplicableTheorem.THM3_5: lambda vals, spec: bool(
+        np.all((vals > 0) & (vals <= spec.kind.cap + 1e-12))
+    ),
+}
+
+# the theorem whose candidate range each cutoff corollary assumes
+_CASE_THEOREM = {
+    CorollaryCase.C5_2_1: ApplicableTheorem.THM3_2,
+    CorollaryCase.C5_2_2: ApplicableTheorem.THM3_3,
+    CorollaryCase.C5_2_3: ApplicableTheorem.THM3_4,
+    CorollaryCase.C5_3: ApplicableTheorem.THM3_5,
+}
 
 
 @dataclass(frozen=True)
@@ -165,18 +186,12 @@ def weak_residual(
     `phi` must vanish on the boundary ring and u must be positive on its
     support (the nonlinearity is singular at zero).
     """
-    grid = u.grid
     _require_compact_support(phi)
     support = phi.values != 0
     _require_positive_on_support(u, support)
-    lhs = 0.0
-    for axis, p_i in enumerate(p):
-        du = axis_diff(u, axis)
-        dphi = axis_diff(phi, axis)
-        lhs += face_integral(np.abs(du) ** (p_i - 2.0) * du * dphi, grid, axis)
-    rhs_vals = np.zeros(grid.shape)
+    rhs_vals = np.zeros(u.grid.shape)
     rhs_vals[support] = g.values[support] * nl.f(u.values[support])
-    return lhs - weighted_integrate(GridField(grid, rhs_vals), phi)
+    return weak_form_gap(u, phi, GridField(u.grid, rhs_vals), p)
 
 
 def stability_gap(
@@ -436,15 +451,13 @@ def apriori_sides(
 # ---------------------------------------------------------------------------
 
 def _case_setup(case: CorollaryCase, beta: float, spec: ProblemSpec):
-    """Return (E, theta_prime per axis, range predicate) for the case."""
+    """Return (E, theta_prime per axis) for the case."""
     e = spec.exponents
     if case is CorollaryCase.C5_3:
         if not isinstance(spec.kind, ExpSingular):
             raise ValidationError("case C5_3 needs an exponential problem")
         big_e = lhs_power(beta, spec)
         theta_p = tuple(theta_exponents(beta, spec, i)[1] for i in range(e.N))
-        cap = spec.kind.cap
-        range_pred = lambda vals: bool(np.all((vals > 0) & (vals <= cap + 1e-12)))
     else:
         if not isinstance(spec.kind, MixedPower):
             raise ValidationError(f"case {case.value} needs a mixed-power problem")
@@ -455,23 +468,22 @@ def _case_setup(case: CorollaryCase, beta: float, spec: ProblemSpec):
         theta_p = tuple(
             theta_exponents(beta, spec, i, use_gamma=use_gamma)[1] for i in range(e.N)
         )
-        if case is CorollaryCase.C5_2_1:
-            range_pred = lambda vals: bool(np.all((vals > 0) & (vals <= 1.0 + 1e-12)))
-        elif case is CorollaryCase.C5_2_2:
-            range_pred = lambda vals: bool(np.all(vals >= 1.0 - 1e-12))
-        else:
-            range_pred = lambda vals: bool(np.all(vals > 0))
-    return big_e, theta_p, range_pred
+    return big_e, theta_p
 
 
 def _log_quotient_integral(
     grid: Grid, g_vals, psi_vals, u_vals, big_e: float, extra_mask=None
 ) -> float:
-    """int g (psi/u)^E via log-space accumulation (E can be large)."""
+    """int g (psi/u)^E via log-space accumulation (E can be large).
+
+    A non-finite g or u where the integral lives is a ValidationError."""
     w = _node_weight_tensor(grid)
-    mask = (psi_vals > 0) & (g_vals > 0) & (w > 0)
+    mask = (psi_vals > 0) & (w > 0)
     if extra_mask is not None:
         mask &= extra_mask
+    if not (np.all(np.isfinite(g_vals[mask])) and np.all(np.isfinite(u_vals[mask]))):
+        raise ValidationError("weight and candidate must be finite where the cutoff lives")
+    mask &= g_vals > 0
     if not np.any(mask):
         return 0.0
     if np.any(u_vals[mask] <= 0):
@@ -505,7 +517,8 @@ def corollary_sides(
         raise OutOfWindowError(f"beta = {beta} outside the window ({l1}, {upper})")
     if np.any(psi.values < 0) or np.any(psi.values > 1):
         raise ValidationError("psi must take values in [0, 1]")
-    big_e, theta_p, range_pred = _case_setup(case, beta, spec)
+    big_e, theta_p = _case_setup(case, beta, spec)
+    in_range = _THEOREM_RANGES[_CASE_THEOREM[case]]
     g_vals = g.values if g is not None else np.ones(grid.shape)
 
     lhs = _log_quotient_integral(grid, g_vals, psi.values, u.values, big_e)
@@ -524,7 +537,7 @@ def corollary_sides(
         beta=beta,
         k=None,
         satisfied=lhs <= rhs,
-        range_ok=range_pred(u.values[psi.values > 0]) if np.any(psi.values > 0) else None,
+        range_ok=in_range(u.values[psi.values > 0], spec) if np.any(psi.values > 0) else None,
         case=case.value,
     )
 
@@ -638,17 +651,6 @@ def radius_sweep(
         beta=beta,
     )
 
-
-_THEOREM_RANGES = {
-    ApplicableTheorem.THM3_2: lambda vals, spec: bool(
-        np.all((vals > 0) & (vals <= 1.0 + 1e-12))
-    ),
-    ApplicableTheorem.THM3_3: lambda vals, spec: bool(np.all(vals >= 1.0 - 1e-12)),
-    ApplicableTheorem.THM3_4: lambda vals, spec: bool(np.all(vals > 0)),
-    ApplicableTheorem.THM3_5: lambda vals, spec: bool(
-        np.all((vals > 0) & (vals <= spec.kind.cap + 1e-12))
-    ),
-}
 
 
 @dataclass

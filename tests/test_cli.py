@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from anisolab import cli
 from anisolab.cli import main
-from anisolab.errors import ValidationError
+from anisolab.errors import HypothesisViolatedError, ValidationError
 from anisolab.grid import Grid, GridField, load_field, save_field
 
 
@@ -181,3 +182,93 @@ def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
     assert doc["residual"] == doc["diagnostics"]["residuals"][-1] > 1e-8
     assert len(doc["diagnostics"]["steps"]) == 2
     assert (out / "resolved_config.txt").exists()
+
+
+_SOLVE = ["solve", "--p", "2,2", "--box", "0,1,0,1", "--res", "8,8"]
+_STAB = ["stability", "--p", "2,2", "--delta", "1", "--res", "8,8", "--u", "constant:1"]
+_SWEEP = ["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8,-8,8", "--res", "8,8,8",
+          "--u", "constant:1.0"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_SOLVE + ["--nmax", "abc"], None),
+    (_SOLVE + ["--weight", "constant:abc"], None),
+    (_SOLVE + ["--seed", "x"], None),
+    (["truncation-check", "--k", "2", "--alpha", "x"], None),
+    (_SWEEP + ["--radii", "a:2:3"], None),
+    (["thresholds", "--delta", "10"], None),
+    (_STAB, None),
+    (["solve", "--p", "2,2", "--res", "8,8"], None),
+    (_STAB + ["--box", "0,3,0,3"], "stability.variant = Bogus\n"),
+    (_SWEEP + ["--weight", "constant:nan"], None),
+    (_SWEEP[:-1] + ["constant:nan"], None),
+], ids=["nmax", "weight", "seed", "alpha", "radii", "no-p", "stability-no-box",
+        "solve-no-box", "variant", "nan-weight", "nan-candidate"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("exponents.p = 2,2\nsolve.tolfix = 1e-3\n")
+    code = main(["solve", "--config", str(cfg), "--box", "0,1,0,1", "--res", "8,8",
+                 "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert "solve.tolfix" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_weight_floor_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["thresholds", "--p", "2,3,4", "--delta", "10", "--weight-floor", "1",
+              "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_hypothesis_violated_exit_code(tmp_path, capsys, monkeypatch):
+    def violated(spec):
+        raise HypothesisViolatedError("no beta with all decay exponents negative")
+
+    monkeypatch.setattr(cli, "region_memberships", violated)
+    code = main(["thresholds", "--p", "2.5,2.5,3", "--delta", "3",
+                 "--outdir", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "no beta" in err[0]
+
+
+# resolved_config.txt as written for a solve run before the key table
+_LEGACY_SOLVE_CONFIG = """\
+exponents.p = 2,3
+grid.box = 0,1,0,1
+grid.res = 12,12
+run.outdir = legacy
+run.seed = 0
+run.subcommand = solve
+solve.innerTol = 
+solve.maxOuter = 200
+solve.nmax = 3
+solve.tolFix = 1e-8
+weight.descriptor = power:0.8
+weight.m = 
+"""
+
+
+def test_legacy_solve_config_replays_identically(tmp_path):
+    cfg = tmp_path / "legacy.cfg"
+    cfg.write_text(_LEGACY_SOLVE_CONFIG)
+    replay = tmp_path / "replay"
+    assert main(["solve", "--config", str(cfg), "--outdir", str(replay)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "12,12",
+                 "--weight", "power:0.8", "--nmax", "3", "--outdir", str(fresh)]) == 0
+    for name in ("ladder_report.json", "u_final.txt", "u_final.csv"):
+        assert (replay / name).read_bytes() == (fresh / name).read_bytes()
+    written = (replay / "resolved_config.txt").read_text()
+    assert written == _LEGACY_SOLVE_CONFIG.replace("legacy", str(replay))

@@ -488,6 +488,22 @@ def test_radius_sweep_exploratory_outside_region():
     assert sweep.slope is not None and sweep.slope > 0
 
 
+@pytest.mark.parametrize("target", ["weight", "candidate"])
+def test_radius_sweep_rejects_non_finite_inputs(target):
+    # a NaN fails `g > 0` and an inf candidate contributes exp(-inf) = 0:
+    # both would vanish from the integral without a word
+    e = ExponentData.from_p([2, 2])
+    spec = ProblemSpec(kind=MixedPower(6.0, 6.0), exponents=e)
+    g = Grid(box=((-2.0, 2.0), (-2.0, 2.0)), res=(16, 16))
+    bad = np.ones(g.shape)
+    bad[8, 8] = np.nan if target == "weight" else np.inf
+    u = GridField(g, bad) if target == "candidate" else GridField.constant(g, 1.0)
+    w = GridField(g, bad) if target == "weight" else GridField.constant(g, 1.0)
+    beta, _ = select_beta(spec)
+    with pytest.raises(ValidationError, match="finite"):
+        radius_sweep(u, w, spec, beta, [0.5, 0.9])
+
+
 # --- certificates -------------------------------------------------------------------
 
 def test_certificate_bounded_candidate():
