@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse rejected argv (2) or printed --help (0)
+        return exc.code
+    try:
         values, outdir = _configure(args.subcommand, args)
         return SUBCOMMANDS[args.subcommand].run(values, outdir)
     except ValidationError as exc:

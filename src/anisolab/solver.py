@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
@@ -39,6 +38,7 @@ from .grid import (
     GridField,
     Grid,
     cutoff_profile,
+    dst_solver,
     extract_interior,
     embed_interior,
     face_integral,
@@ -116,31 +116,6 @@ def _interior_matrices(grid: Grid) -> list:
     return [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
 
 
-def _dst_solver(grid: Grid, c, shift: float = 0.0):
-    """Exact inverse of sum_i c_i K_i^T K_i + shift * I on interior vectors.
-
-    Each K_i^T K_i is the zero-Dirichlet second difference along axis i,
-    whose eigenvectors are the type-I sine modes with eigenvalues
-    (4/h_i^2) sin^2(k pi / (2 r_i)), k = 1..r_i - 1; the orthonormal DST-I is
-    its own inverse, so the solve is two transforms and a division (fast
-    diagonalization, Lynch, Rice & Thomas 1964).  A constant shift only
-    moves every eigenvalue.
-    """
-    shape = grid.interior_shape()
-    lam = np.full(shape, float(shift))
-    for axis, (c_i, r, h) in enumerate(zip(c, grid.res, grid.h)):
-        mode = 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, r) / r) ** 2
-        bshape = [1] * grid.dim
-        bshape[axis] = r - 1
-        lam = lam + c_i * mode.reshape(bshape)
-
-    def solve(b):
-        y = scipy.fft.dstn(np.reshape(b, shape), type=1, norm="ortho")
-        return scipy.fft.dstn(y / lam, type=1, norm="ortho").ravel()
-
-    return solve
-
-
 def _flux_weights(faces, p) -> list[np.ndarray]:
     """Linearized flux weights (p_i - 1)|D_i u|^{p_i - 2} from the face
     differences D_i u, floored to keep the Newton system positive definite
@@ -189,7 +164,7 @@ def _newton_direction(
 
     n = b.size
     shift = 0.0 if diag is None else float(np.median(diag))
-    precond = _dst_solver(grid, [float(np.mean(w)) for w in weights], shift)
+    precond = dst_solver(grid, [float(np.mean(w)) for w in weights], shift)
     iterations = 0
 
     def count(_):
@@ -255,7 +230,7 @@ def solve_inner(
         tol = 1e-10 if all_two else 1e-8
     mats = _interior_matrices(grid)
     rhs_int = extract_interior(rhs)
-    linear_solve = _dst_solver(grid, [1.0] * grid.dim)
+    linear_solve = dst_solver(grid, [1.0] * grid.dim)
 
     if x0 is not None:
         x = extract_interior(x0)
@@ -394,7 +369,7 @@ def solve_level(
     elif all_two:
         x = np.zeros(g_n.size)
     else:
-        x = _dst_solver(grid, [1.0] * grid.dim)(g_n * np.exp(1.0 / s))
+        x = dst_solver(grid, [1.0] * grid.dim)(g_n * np.exp(1.0 / s))
 
     def gradient(x):
         source = g_n * np.exp(1.0 / (np.maximum(x, 0.0) + s))

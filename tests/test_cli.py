@@ -1,5 +1,6 @@
 """End-to-end subcommand runs: outputs, exit codes, reproducibility."""
 
+import functools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from anisolab import cli
 from anisolab.cli import main
 from anisolab.errors import HypothesisViolatedError, ValidationError
 from anisolab.grid import Grid, GridField, load_field, save_field
+from anisolab.stability import stability_index
 
 
 def test_thresholds_json_content(tmp_path, capsys):
@@ -89,6 +91,22 @@ def test_stability_subcommand(tmp_path):
     # f'(1) = 2 with the first 2D eigenvalue near 2: index = lam1 - 2 < 0
     assert doc["stable"] is False
     assert (out / "minimizer.txt").exists()
+    # the sign carries its error bar: residual and the second Ritz value
+    assert 0 <= doc["residual"] <= 1e-7 * abs(doc["shift"])
+    assert doc["residual"] < abs(doc["gap"])
+    assert doc["secondRitzValue"] > doc["gap"]
+
+
+def test_stability_nonconvergence_leaves_diagnostics(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "stability_index", functools.partial(stability_index, max_iter=2))
+    out = tmp_path / "nc"
+    code = main(["stability", "--p", "2,3", "--delta", "1", "--box", "0,3,0,3",
+                 "--res", "24,24", "--u", "constant:1.0", "--outdir", str(out)])
+    assert code == 3
+    doc = json.loads((out / "nonconvergence.json").read_text())
+    assert doc["residual"] > doc["diagnostics"]["bound"]
+    assert doc["diagnostics"]["iterations"] == 2
+    assert np.isfinite(doc["diagnostics"]["rho"])
 
 
 def test_sweep_subcommand_and_gate(tmp_path):
@@ -225,10 +243,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_removed_weight_floor_flag_is_rejected(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["thresholds", "--p", "2,3,4", "--delta", "10", "--weight-floor", "1",
-              "--outdir", str(tmp_path / "out")])
-    assert exc.value.code == 2
+    assert main(["thresholds", "--p", "2,3,4", "--delta", "10", "--weight-floor", "1",
+                 "--outdir", str(tmp_path / "out")]) == 2
+
+
+def test_argparse_exits_are_returned(capsys):
+    assert main([]) == 2
+    assert main(["stability", "--help"]) == 0
+    assert "--variant" in capsys.readouterr().out
 
 
 def test_hypothesis_violated_exit_code(tmp_path, capsys, monkeypatch):

@@ -257,6 +257,109 @@ def test_stability_index_stagnation_reports_last_change():
     assert exc.value.diagnostics["iterations"] == 3
 
 
+def dense_gap_pencil(u, nl, g, p, variant):
+    """Dense interior matrix of the gap form, assembled from dense 1D
+    difference matrices (independent of the sparse assembly under test)."""
+    grid = u.grid
+    eyes = [np.eye(r - 1) for r in grid.res]
+    mat = 0.0
+    for axis, p_i in enumerate(p):
+        r, h = grid.res[axis], grid.h[axis]
+        d1 = (np.eye(r + 1)[1:] - np.eye(r + 1)[:-1])[:, 1:-1] / h
+        factors = [d1 if j == axis else eyes[j] for j in range(grid.dim)]
+        d = factors[0]
+        for f in factors[1:]:
+            d = np.kron(d, f)
+        transverse = tuple(
+            slice(None) if j == axis else slice(1, -1) for j in range(grid.dim)
+        )
+        du = (np.diff(u.values, axis=axis) / h)[transverse].ravel()
+        w = (p_i - 1.0) * np.abs(du) ** (p_i - 2.0)
+        mat = mat + d.T @ (w[:, None] * d)
+    pot = nl.fprime(u.values)
+    if variant is StabilityVariant.WEIGHTED_BY_G:
+        pot = pot * g.values
+    return mat - np.diag(pot[grid.interior_slices()].ravel())
+
+
+def test_stability_index_3d_anisotropic_matches_dense_eigensolve():
+    # p = (2,3,4) on an unequal box, nonconstant candidate and weight
+    g = Grid(box=((0.0, 1.0), (0.0, 1.5), (0.0, 2.0)), res=(8, 8, 8))
+    u = GridField.from_function(
+        g, lambda x, y, z: 1.5 + np.sin(np.pi * x) * y * (2.0 - z) + 0.3 * x
+    )
+    gw = GridField.from_function(g, lambda x, y, z: 1.0 + 0.5 * x * y + 0.2 * z)
+    nl = NonlinearityEval.mixed_power(1.0, 2.0)
+    p = (2.0, 3.0, 4.0)
+    rep = stability_index(u, nl, gw, p, variant=StabilityVariant.WEIGHTED_BY_G)
+    eigs = scipy.linalg.eigvalsh(
+        dense_gap_pencil(u, nl, gw, p, StabilityVariant.WEIGHTED_BY_G)
+    )
+    assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
+    assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
+    assert rep.second_ritz >= eigs[1] - 1e-8
+
+
+def test_stability_index_resolves_clustered_spectrum():
+    # the p = (2,3,4) point at 12^3 whose two lowest eigenvalues are 4e-4
+    # apart, where a Rayleigh-quotient-change stop used to stagnate
+    g = Grid(box=((0.0, np.pi),) * 3, res=(12, 12, 12))
+    u = GridField.from_function(
+        g, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(y) * np.sin(z)
+    )
+    ones = GridField.constant(g, 1.0)
+    nl = NonlinearityEval.mixed_power(1.0, 1.0)
+    p = (2.0, 3.0, 4.0)
+    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
+    eigs = scipy.linalg.eigvalsh(
+        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN),
+        subset_by_index=[0, 1],
+    )
+    assert eigs[1] - eigs[0] < 1e-3
+    assert rep.gap == pytest.approx(eigs[0], abs=1e-8)
+    assert rep.second_ritz == pytest.approx(eigs[1], abs=1e-8)
+    assert not rep.stable
+
+
+def test_stability_index_minimizer_is_reproducible():
+    g = Grid(box=((0.0, np.pi), (0.0, np.pi)), res=(24, 20))
+    u = GridField.from_function(g, lambda x, y: 1.0 + 0.2 * np.sin(x + 0.1) * np.sin(y))
+    ones = GridField.constant(g, 1.0)
+    nl = NonlinearityEval.mixed_power(1.0, 1.0)
+
+    def minimizer(seed):
+        return stability_index(
+            u, nl, ones, (2.0, 3.0), variant=StabilityVariant.AS_WRITTEN, seed=seed
+        ).minimizer.values
+
+    first = minimizer(0)
+    assert first.tobytes() == minimizer(0).tobytes()
+    # unit mass norm, sign fixed by the largest-magnitude entry
+    assert integrate(GridField(g, first ** 2)) == pytest.approx(1.0, rel=1e-12)
+    assert first.ravel()[np.argmax(np.abs(first))] > 0
+    assert np.max(np.abs(minimizer(7) - first)) <= 1e-5
+
+
+@pytest.mark.parametrize("res", [(4, 4), (2,)])
+def test_stability_index_small_grid_takes_dense_path(res):
+    dim = len(res)
+    g = Grid(box=((0.0, 1.0),) * dim, res=res)
+    u = GridField.from_function(g, lambda *xs: 1.0 + 0.3 * np.prod(xs, axis=0))
+    ones = GridField.constant(g, 1.0)
+    nl = NonlinearityEval.mixed_power(1.0, 2.0)
+    p = (2.0,) * dim
+    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
+    eigs = scipy.linalg.eigvalsh(
+        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN)
+    )
+    assert rep.iterations == 0
+    assert rep.gap == pytest.approx(eigs[0], abs=1e-10 * max(1.0, abs(eigs[0])))
+    if eigs.size > 1:
+        assert rep.second_ritz == pytest.approx(eigs[1], abs=1e-10 * abs(eigs[1]))
+    else:
+        assert rep.second_ritz is None
+
+
 # --- a priori estimate -------------------------------------------------------------
 
 def test_epsilon_coefficient_monotone_and_limit():
