@@ -227,7 +227,8 @@ def theta_exponents(
     if beta <= l1:
         raise OutOfWindowError(f"beta = {beta} must exceed l1 = {l1}")
     p_i = e.p[i]
-    den = 2.0 * beta + e.q - p_i
+    # 2 beta + q - p_i, summed so that beta > l1 keeps it positive in floats
+    den = 2.0 * (beta - l1) + (e.p_max - p_i)
     big_e = lhs_power(beta, spec, use_gamma=use_gamma)
     return big_e / den, big_e / (big_e - den)
 

@@ -21,6 +21,13 @@ import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
 
+# Largest admitted node count, about a 256^3-cell grid (255^3 cells fit).
+# One float64 field of 2^24 nodes takes 128 MiB.  A 3D level solve keeps an
+# estimated 30 such vectors (fields, Newton, line-search and CG work vectors)
+# and three CSR difference matrices of about 28 bytes per node each, so it
+# needs roughly 5 GiB at the limit: about all a laptop-class machine has.
+MAX_NODES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -42,6 +49,11 @@ class Grid:
             raise ValidationError("need at least 2 cells per axis")
         if any(b <= a for a, b in box):
             raise ValidationError("each box axis needs lo < hi")
+        nodes = math.prod(r + 1 for r in res)
+        if nodes > MAX_NODES:
+            raise ValidationError(
+                f"a grid of {nodes} nodes exceeds the limit of {MAX_NODES} nodes"
+            )
 
     @property
     def dim(self) -> int:
@@ -417,9 +429,9 @@ def save_field(f: GridField, path) -> None:
 
 
 def load_field(path) -> GridField:
-    """Read a `save_field` snapshot; a malformed header, a value count that
-    differs from the header's grid, or a non-finite value is a
-    ValidationError."""
+    """Read a `save_field` snapshot; a malformed header, a grid that `Grid`
+    refuses (checked before any value is read), a value count that differs
+    from the header's grid, or a non-finite value is a ValidationError."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != _FIELD_MAGIC:
@@ -429,10 +441,10 @@ def load_field(path) -> GridField:
             res = tuple(int(x) for x in header[2 : 2 + dim])
             flat_box = [float(x) for x in header[2 + dim : 2 + 3 * dim]]
             box = tuple((flat_box[2 * i], flat_box[2 * i + 1]) for i in range(dim))
+            grid = Grid(box=box, res=res)
             values = np.loadtxt(fh)
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"{path} is a malformed field snapshot: {exc}") from exc
-    grid = Grid(box=box, res=res)
     expected = math.prod(grid.shape)
     if values.size != expected:
         raise ValidationError(

@@ -6,19 +6,20 @@ The inner problem minimizes the strictly convex energy
 
     E(u) = sum_i (1/p_i) int |D_i u|^{p_i}  -  int rhs * u
 
-over zero-boundary fields (damped Newton with an Armijo line search; the
-energies decrease strictly until tolerance).  The Newton systems are solved
-without factorizations: the type-I discrete sine transform diagonalizes the
-zero-Dirichlet stiffness sum_i c_i K_i^T K_i (plus a constant shift)
-exactly, so it is the direct solve when all p_i = 2 and the preconditioner
-of a matrix-free conjugate gradient solve otherwise; in 1D the tridiagonal
-Jacobian is solved exactly as a band.
+over zero-boundary fields.  The level-n problem Op(u) = g_n exp(1/(u^+ + 1/n))
+is the Euler-Lagrange equation of the same energy with a convex nonlinear
+source.  Both are minimized by one damped Newton-Krylov routine
+(`_newton_krylov`): its step solves the floored Newton system to a
+superlinear forcing eta ~ min(1e-2, sup|F|) of the gradient F, and it
+backtracks on ||F||_2 (the inexact-Newton test of Eisenstat & Walker 1994).  The Newton systems are
+solved without factorizations: the type-I discrete sine transform
+diagonalizes the zero-Dirichlet stiffness sum_i c_i K_i^T K_i (plus a
+constant shift) exactly, so it preconditions a matrix-free conjugate
+gradient solve in 2D and 3D (exactly, in one iteration, when all p_i = 2);
+in 1D the tridiagonal Jacobian is solved exactly as a band.
 
-The level-n problem Op(u) = g_n exp(1/(u^+ + 1/n)) is the Euler-Lagrange
-equation of a convex energy too, and `solve_level` minimizes it with one
-damped Newton-Krylov loop whose Jacobian adds a nonnegative diagonal to the
-inner one.  The fixed-point map A of the paper (`apply_A`: one inner solve
-with right-hand side g_n exp(1/(|v| + 1/n))) certifies each level solution.
+The fixed-point map A of the paper (`apply_A`: one inner solve with
+right-hand side g_n exp(1/(|v| + 1/n))) certifies each level solution.
 The ladder runs levels n = 1..n_max and records monotonicity defects,
 interior minima, and sup norms.
 """
@@ -50,8 +51,9 @@ from .grid import (
     weighted_integrate,
 )
 
-# relative residual at which the preconditioned CG solve of a Newton system
-# stops; the Newton loop, not the linear solve, decides convergence
+# largest relative residual (forcing) at which the preconditioned CG solve of
+# a Newton system stops; the Newton loop, not the linear solve, decides
+# convergence
 _CG_RTOL = 1e-2
 
 
@@ -110,10 +112,6 @@ def inner_energy(u: GridField, rhs: GridField, e: ExponentData) -> float:
         d = axis_diff(u, axis)
         total += face_integral(np.abs(d) ** p_i, grid, axis) / p_i
     return total - weighted_integrate(rhs, u)
-
-
-def _interior_matrices(grid: Grid) -> list:
-    return [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
 
 
 def _flux_weights(faces, p) -> list[np.ndarray]:
@@ -181,19 +179,97 @@ def _newton_direction(
     return d, iterations
 
 
-def _vec_energy(x, mats, p, rhs_int):
-    total = 0.0
-    for k, p_i in zip(mats, p):
-        total += np.sum(np.abs(k @ x) ** p_i) / p_i
-    return total - float(rhs_int @ x)
+def _nonconvergence(message: str, residual: float, record: dict) -> NonConvergenceError:
+    """The error of a failed solve, carrying its last 10 gradient residuals
+    and Newton step lengths."""
+    return NonConvergenceError(
+        message,
+        residual=residual,
+        diagnostics={"residuals": record["residuals"][-10:], "steps": record["steps"][-10:]},
+    )
 
 
-def _vec_gradient(x, mats, p, rhs_int):
-    g = -rhs_int.copy()
-    for k, p_i in zip(mats, p):
-        f = k @ x
-        g += k.T @ (np.abs(f) ** (p_i - 2.0) * f)
-    return g
+def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
+                   what: str, energy=None) -> tuple[np.ndarray, dict]:
+    """Minimize sum_i (1/p_i) |K_i x|^{p_i} - G(x) over interior vectors x,
+    for a convex G given by `source(x) = (G'(x), -G''(x))`: the gradient of
+    G and its nonnegative curvature diagonal (None when G is linear).
+
+    The start is `x`, else 0 when all p_i = 2 or G'(0) = 0, else the linear
+    (p = 2) solve with right-hand side G'(0), since a p_i > 2 flux
+    degenerates at zero gradient.  Each damped Newton step solves the
+    floored Jacobian system (`_flux_weights`, `_newton_direction`) to the
+    relative residual eta = min(1e-2, max(sup|F|, tol / (2 ||F||_2))) of the
+    current gradient F.  The term sup|F| makes Newton converge
+    superlinearly; the floor keeps the last step from oversolving, since a
+    linear residual below tol/2 is all it needs (the safeguard of Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 6).  A
+    step t of the direction d is accepted once
+    ||F(x + t d)||_2 <= (1 - 1e-4 t (1 - eta)) ||F(x)||_2, the inexact-Newton
+    backtracking test of Eisenstat & Walker (1994).  The loop stops when
+    sup|F| <= tol (default 1e-10 for all p_i = 2, 1e-8 otherwise).
+
+    Returns x and a record of the gradient sup norm `residuals` at each
+    check, the step lengths `steps`, the CG `linear_iterations` per step (0
+    in 1D) and, when `energy(x) = G(x)` is given, the `energies` at each
+    check.  A failed line search, or more than `max_steps` steps, raises a
+    NonConvergenceError that names the solve by `what`.
+    """
+    if e.N != grid.dim:
+        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
+    p = e.p
+    all_two = all(p_i == 2.0 for p_i in p)
+    if tol is None:
+        tol = 1e-10 if all_two else 1e-8
+    mats = [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
+
+    def evaluate(x):
+        """The gradient F(x), the diagonal -G''(x) and the energy."""
+        g, diag = source(x)
+        f = -g
+        stored = 0.0
+        for k, p_i in zip(mats, p):
+            kx = k @ x
+            flux = np.abs(kx) ** (p_i - 2.0) * kx
+            f += k.T @ flux
+            stored += float(flux @ kx) / p_i
+        return f, diag, None if energy is None else stored - energy(x)
+
+    if x is None:
+        b = source(np.zeros(math.prod(grid.interior_shape())))[0]
+        linear = all_two or not np.any(b)
+        x = np.zeros(b.size) if linear else dst_solver(grid, [1.0] * grid.dim)(b)
+
+    record = {"residuals": [], "steps": [], "linear_iterations": [], "energies": []}
+    f, diag, fx = evaluate(x)
+    norm = float(np.linalg.norm(f))
+    while True:
+        res = float(np.max(np.abs(f)))
+        record["residuals"].append(res)
+        if energy is not None:
+            record["energies"].append(fx)
+        if res <= tol:
+            return x, record
+        if len(record["steps"]) >= max_steps:
+            raise _nonconvergence(
+                f"{what} did not reach tol={tol} in {max_steps} Newton steps", res, record
+            )
+        eta = min(_CG_RTOL, max(res, 0.5 * tol / norm))
+        weights = _flux_weights([k @ x for k in mats], p)
+        d, its = _newton_direction(grid, mats, weights, -f, diag=diag, rtol=eta)
+        record["linear_iterations"].append(its)
+        t = 1.0
+        while t >= 1e-14:
+            x_new = x + t * d
+            f_new, diag_new, fx_new = evaluate(x_new)
+            norm_new = float(np.linalg.norm(f_new))
+            if norm_new <= (1.0 - 1e-4 * t * (1.0 - eta)) * norm:
+                break
+            t *= 0.5
+        else:
+            raise _nonconvergence(f"line search failed in the {what}", res, record)
+        record["steps"].append(t)
+        x, f, diag, fx, norm = x_new, f_new, diag_new, fx_new, norm_new
 
 
 def solve_inner(
@@ -207,91 +283,31 @@ def solve_inner(
     """Minimize the inner energy; returns the zero-boundary field whose
     energy-gradient sup norm is <= tol.
 
-    Damped Newton: the linearized flux weights (p_i - 1)|D_i u|^{p_i - 2}
-    are floored to keep the system positive definite where a p_i > 2 flux
-    degenerates, and an Armijo backtracking line search guarantees strictly
-    decreasing energies.  For all p_i = 2 the step is the exact DST solve of
-    the constant-coefficient system (which is also the starting guess when
-    some p_i > 2).  Otherwise the step solves the Newton system exactly in
-    1D (banded) and, in 2D and 3D, matrix-free by DST-preconditioned CG to a
-    relative residual of 1e-2; the Newton iteration still runs until the
-    gradient sup norm is <= tol.
+    One `_newton_krylov` minimization with the linear source G(x) = rhs.x,
+    started from x0 (else 0 for all p_i = 2 or a zero rhs, else the linear
+    solve), to tol (default 1e-10 for all p_i = 2, 1e-8 otherwise) in at
+    most `max_iter` Newton steps.  For all p_i = 2 the DST preconditioner is
+    the exact inverse, so CG takes one iteration per step in 2D and 3D.
 
-    `info`, when given, receives the per-step `energies` and gradient
-    `residuals`, the number of `iterations` (residual checks), and
-    `linear_iterations`: CG iterations per Newton step, 0 for direct solves.
+    `info`, when given, receives the `energies` and gradient `residuals` at
+    each residual check, the number of `iterations` (residual checks), and
+    `linear_iterations`: CG iterations per Newton step, 0 in 1D.  The line
+    search watches the gradient norm; the energies are recorded to be
+    inspected.  A NonConvergenceError carries the last residuals and step
+    lengths in its diagnostics.
     """
     grid = rhs.grid
-    if e.N != grid.dim:
-        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
-    p = e.p
-    all_two = all(p_i == 2.0 for p_i in p)
-    if tol is None:
-        tol = 1e-10 if all_two else 1e-8
-    mats = _interior_matrices(grid)
     rhs_int = extract_interior(rhs)
-    linear_solve = dst_solver(grid, [1.0] * grid.dim)
-
-    if x0 is not None:
-        x = extract_interior(x0)
-    elif all_two or not np.any(rhs_int):
-        x = np.zeros_like(rhs_int)
-    else:
-        # p > 2 flux degenerates at zero gradient; start from the linear solve
-        x = linear_solve(rhs_int)
-
-    energies: list[float] = []
-    residuals: list[float] = []
-    linear_iterations: list[int] = []
-    fx = _vec_energy(x, mats, p, rhs_int)
-    g = _vec_gradient(x, mats, p, rhs_int)
-
-    converged = False
-    res = float(np.max(np.abs(g))) if g.size else 0.0
-    for _ in range(max_iter):
-        res = float(np.max(np.abs(g))) if g.size else 0.0
-        energies.append(fx)
-        residuals.append(res)
-        if res <= tol:
-            converged = True
-            break
-        if all_two:
-            d, its = linear_solve(-g), 0
-        else:
-            weights = _flux_weights([k @ x for k in mats], p)
-            d, its = _newton_direction(grid, mats, weights, -g)
-        linear_iterations.append(its)
-        gd = float(g @ d)
-        if gd >= 0.0:
-            d = -g
-            gd = float(g @ d)
-        # near the minimum the true decrease drops below the resolution of
-        # the energy; the eps slack lets the (exact) Newton step through
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fx))
-        step = 1.0
-        while step >= 1e-14:
-            x_new = x + step * d
-            f_new = _vec_energy(x_new, mats, p, rhs_int)
-            if f_new <= fx + 1e-4 * step * gd + slack:
-                break
-            step *= 0.5
-        else:
-            raise NonConvergenceError(
-                "line search failed in the inner solve", residual=res
-            )
-        x = x_new
-        fx = f_new
-        g = _vec_gradient(x, mats, p, rhs_int)
-    if not converged:
-        raise NonConvergenceError(
-            f"inner solve did not reach tol={tol} in {max_iter} iterations",
-            residual=res,
-        )
+    x, record = _newton_krylov(
+        grid, e, None if x0 is None else extract_interior(x0),
+        lambda x: (rhs_int, None), tol, max_iter, "inner solve",
+        energy=lambda x: float(rhs_int @ x),
+    )
     if info is not None:
-        info["energies"] = energies
-        info["residuals"] = residuals
-        info["iterations"] = len(energies)
-        info["linear_iterations"] = linear_iterations
+        info["energies"] = record["energies"]
+        info["residuals"] = record["residuals"]
+        info["iterations"] = len(record["residuals"])
+        info["linear_iterations"] = record["linear_iterations"]
     return embed_interior(grid, x)
 
 
@@ -320,112 +336,59 @@ def solve_level(
     u0: GridField | None = None,
     info: dict | None = None,
 ) -> GridField:
-    """Solve the level equation Op(u) = g_n exp(1/(u^+ + 1/n)) from u0, then
-    certify the solution with one application of A.  Without u0 the start is
-    0 for all p_i = 2 and the linear (p = 2) solve otherwise, where a p_i > 2
-    flux would degenerate at zero gradient.
+    """Solve the level equation Op(u) = g_n exp(1/(u^+ + 1/n)), then certify
+    the solution with one application of A.
 
     The equation is the Euler-Lagrange equation of the convex energy
 
         sum_i (1/p_i) int |D_i u|^{p_i}  -  int g_n G(u),   G' = exp(1/(u^+ + s)),
 
-    with s = 1/n, minimized by damped Newton-Krylov.  The Newton system is
-    the floored Jacobian of `solve_inner` plus the nonnegative diagonal
-    g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0.  It is solved as a band in
-    1D and by CG with the shifted DST preconditioner in 2D and 3D, to the
-    relative residual eta = min(1e-2, sup|F|) of the current gradient F, so
-    that Newton converges superlinearly.  A step t of the direction d is
-    accepted once ||F(u + t d)||_2 <= (1 - 1e-4 t (1 - eta)) ||F(u)||_2 (the
-    inexact-Newton backtracking test of Eisenstat & Walker 1994).
+    with s = 1/n, minimized by one `_newton_krylov` solve: the same start
+    rule as `solve_inner` (u0, else 0 for all p_i = 2 or a zero weight, else
+    the linear solve), to inner_tol (default 1e-10 for all p_i = 2, 1e-8
+    otherwise) in at most `max_outer` Newton steps.  Its Newton system adds
+    the nonnegative diagonal g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0 to
+    the inner one.
 
     The energy uses u^+ where the map A uses |u|, so that it stays convex.
     The level solution is nonnegative (its right-hand side is), and there
     u^+ = |u|: the fixed points of A are the same.
 
-    Newton stops when sup|F| <= inner_tol (default 1e-10 for all p_i = 2,
-    1e-8 otherwise), after at most `max_outer` steps.  The certificate is
-    A(u) solved cold, not started at u: its gap sup|A(u) - u| must be
-    <= tol_fix, and A(u) is returned.
+    The certificate is A(u) solved cold, not started at u: its gap
+    sup|A(u) - u| must be <= tol_fix, and A(u) is returned.
 
     `info`, when given, receives the certified gap as `residual`, the number
     of `iterations` (gradient residual checks), the gradient sup norms
     `residuals`, and `linear_iterations`: CG iterations per Newton step, 0
     in 1D.  A NonConvergenceError carries the last residuals and step
-    lengths in its diagnostics.
+    lengths in its diagnostics: those of the level solve, or of the
+    certificate's inner solve when that one fails.
     """
     grid = level.g_n.grid
-    if e.N != grid.dim:
-        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
-    p = e.p
-    all_two = all(p_i == 2.0 for p_i in p)
-    tol = inner_tol
-    if tol is None:
-        tol = 1e-10 if all_two else 1e-8
-    mats = _interior_matrices(grid)
     g_n = extract_interior(level.g_n)
     s = level.shift
-    if u0 is not None:
-        x = extract_interior(u0)
-    elif all_two:
-        x = np.zeros(g_n.size)
-    else:
-        x = dst_solver(grid, [1.0] * grid.dim)(g_n * np.exp(1.0 / s))
 
-    def gradient(x):
-        source = g_n * np.exp(1.0 / (np.maximum(x, 0.0) + s))
-        return _vec_gradient(x, mats, p, source), source
+    def source(x):
+        shifted = np.maximum(x, 0.0) + s
+        g = g_n * np.exp(1.0 / shifted)
+        return g, np.where(x > 0.0, g / shifted ** 2, 0.0)
 
-    residuals: list[float] = []
-    steps: list[float] = []
-    linear_iterations: list[int] = []
-
-    def failure(message, residual):
-        return NonConvergenceError(
-            message,
-            residual=residual,
-            diagnostics={"residuals": residuals[-10:], "steps": steps[-10:]},
-        )
-
-    f, source = gradient(x)
-    norm = float(np.linalg.norm(f))
-    while True:
-        res = float(np.max(np.abs(f))) if f.size else 0.0
-        residuals.append(res)
-        if res <= tol:
-            break
-        if len(steps) >= max_outer:
-            raise failure(
-                f"level solve did not reach tol={tol} in {max_outer} Newton steps", res
-            )
-        diag = np.where(x > 0.0, source / (np.maximum(x, 0.0) + s) ** 2, 0.0)
-        eta = min(_CG_RTOL, res)
-        d, its = _newton_direction(
-            grid, mats, _flux_weights([k @ x for k in mats], p), -f, diag=diag, rtol=eta
-        )
-        linear_iterations.append(its)
-        t = 1.0
-        while t >= 1e-14:
-            x_new = x + t * d
-            f_new, source_new = gradient(x_new)
-            norm_new = float(np.linalg.norm(f_new))
-            if norm_new <= (1.0 - 1e-4 * t * (1.0 - eta)) * norm:
-                break
-            t *= 0.5
-        else:
-            raise failure("line search failed in the level solve", res)
-        steps.append(t)
-        x, f, source, norm = x_new, f_new, source_new, norm_new
-
+    x, record = _newton_krylov(
+        grid, e, None if u0 is None else extract_interior(u0),
+        source, inner_tol, max_outer, "level solve",
+    )
     u = embed_interior(grid, x)
     au = apply_A(u, level, e, tol=inner_tol)
     gap = float(np.max(np.abs(au.values - u.values)))
     if gap > tol_fix:
-        raise failure(f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap)
+        raise _nonconvergence(
+            f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap, record
+        )
     if info is not None:
         info["residual"] = gap
-        info["iterations"] = len(residuals)
-        info["residuals"] = residuals
-        info["linear_iterations"] = linear_iterations
+        info["iterations"] = len(record["residuals"])
+        info["residuals"] = record["residuals"]
+        info["linear_iterations"] = record["linear_iterations"]
     return au
 
 

@@ -299,6 +299,12 @@ def stability_index(
     as diagnostics) unless ||P x - rho x|| <= tol * max(1, |shift|) after
     at most `max_iter` LOBPCG iterations.  The minimizer is x on the grid,
     scaled to int phi^2 = 1 with its largest-magnitude entry positive.
+
+    When `second_ritz - gap` is within that residual bound, the lowest
+    eigenvalue may be multiple (a candidate constant along an axis with
+    p_i > 2 has zero flux weights there, so its lines decouple).  The
+    minimizer is then one vector of a possibly multiple eigenspace and may
+    change with `seed`; the index does not.
     """
     grid = u.grid
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -190,6 +190,35 @@ def test_truncated_snapshot_exit_code(tmp_path):
                  "--outdir", str(tmp_path / "s")]) == 2
 
 
+def test_forged_snapshot_header_is_refused_before_reading(tmp_path, capsys):
+    # the header declares 4096^3 cells; the grid size guard refuses it
+    # before any value is read
+    path = tmp_path / "forged.txt"
+    path.write_text("anisofield 3 4096 4096 4096 -8 8 -8 8 -8 8\n1.0\n")
+    assert main(_SWEEP[:-1] + [f"file:{path}", "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert "exceeds the limit" in err[0]
+
+
+def test_stability_degenerate_spectrum_gap_is_seed_independent(tmp_path):
+    # constant along the p = 3 axis, whose flux weights then vanish: the
+    # lowest eigenvalue is multiple, so the minimizer may change with the
+    # seed but the index may not
+    docs = []
+    for seed in (0, 1):
+        out = tmp_path / f"seed{seed}"
+        assert main(["stability", "--p", "2,3", "--delta", "1", "--box", "0,3,0,3",
+                     "--res", "24,24", "--u", "constant:1.0", "--seed", str(seed),
+                     "--outdir", str(out)]) == 0
+        docs.append(json.loads((out / "stability_report.json").read_text()))
+    bound = 1e-7 * max(1.0, abs(docs[0]["shift"]))
+    assert abs(docs[0]["gap"] - docs[1]["gap"]) <= bound
+    for doc in docs:
+        assert doc["residual"] <= bound
+        assert doc["secondRitzValue"] - doc["gap"] <= bound
+
+
 def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
     out = tmp_path / "nc"
     code = main(["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "16,16",
@@ -220,8 +249,9 @@ _SWEEP = ["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8,-8,8", "--r
     (_STAB + ["--box", "0,3,0,3"], "stability.variant = Bogus\n"),
     (_SWEEP + ["--weight", "constant:nan"], None),
     (_SWEEP[:-1] + ["constant:nan"], None),
+    (_SOLVE[:-1] + ["100000,100000"], None),
 ], ids=["nmax", "weight", "seed", "alpha", "radii", "no-p", "stability-no-box",
-        "solve-no-box", "variant", "nan-weight", "nan-candidate"])
+        "solve-no-box", "variant", "nan-weight", "nan-candidate", "res-too-large"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, config):
     if config is not None:
         cfg = tmp_path / "run.cfg"

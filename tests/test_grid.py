@@ -46,6 +46,15 @@ def test_grid_validation():
         GridField(Grid(box=((0, 1),), res=(4,)), np.zeros(7))
 
 
+def test_grid_size_guard():
+    # only the node count is checked; no array is allocated here
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        Grid(box=((0, 1), (0, 1)), res=(100000, 100000))
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        Grid(box=((0, 1),) * 3, res=(256,) * 3)
+    Grid(box=((0, 1),) * 3, res=(255,) * 3)  # 256^3 nodes, within the limit
+
+
 def test_axis_diff_basics():
     g = Grid(box=((0.0, 1.0),), res=(10,))
     const = GridField.constant(g, 3.0)

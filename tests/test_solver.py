@@ -10,7 +10,7 @@ import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from anisolab.errors import ValidationError
+from anisolab.errors import NonConvergenceError, ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.cli import main
 from anisolab.grid import Grid, GridField, level_set_measure, p_laplacian_apply
@@ -222,7 +222,7 @@ def sparse_newton_reference(grid, p, rhs_int, tol=1e-12, max_newton=200):
 
 @pytest.mark.parametrize(
     "p, res",
-    [((2.0, 3.0), (24, 20)), ((2.0, 3.0, 4.0), (10, 9, 8))],
+    [((2.0, 3.0), (24, 20)), ((2.0, 3.0, 4.0), (10, 9, 8)), ((2.0, 2.0), (24, 20))],
 )
 def test_solve_inner_matches_sparse_newton_reference(p, res):
     g = Grid(box=((0.0, 1.0),) * len(p), res=res)
@@ -237,6 +237,18 @@ def test_solve_inner_matches_sparse_newton_reference(p, res):
     # 2D/3D Newton systems are solved by preconditioned CG
     assert len(info["linear_iterations"]) == info["iterations"] - 1
     assert all(its > 0 for its in info["linear_iterations"])
+    if all(p_i == 2.0 for p_i in p):
+        # the DST preconditioner is the exact inverse of the p = 2 Jacobian
+        assert info["linear_iterations"] == [1] * (info["iterations"] - 1)
+
+
+def test_solve_inner_failure_carries_diagnostics():
+    g = grid1d(64)
+    with pytest.raises(NonConvergenceError, match="in 1 Newton steps") as exc:
+        solve_inner(GridField.constant(g, 1.0), ExponentData.from_p([4]), max_iter=1)
+    diagnostics = exc.value.diagnostics
+    assert len(diagnostics["residuals"]) == 2 and len(diagnostics["steps"]) == 1
+    assert exc.value.residual == diagnostics["residuals"][-1] > 1e-8
 
 
 def test_solve_inner_uniqueness_proxy():
