@@ -14,6 +14,11 @@ the existence machinery in `solver`:
 
 plus the open regions A, B, C, I, J whose membership decides which
 nonexistence case (if any) applies to a parameter point.
+
+The region endpoints and the beta window are computed in exact rationals
+from `Fraction` copies of the float inputs (every float is a binary
+rational), so that a point on an endpoint is never admitted by round-off;
+they become floats only in reports.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .errors import (
     HypothesisNotApplicableError,
@@ -121,10 +127,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval; `upper` may be math.inf.  Endpoints are never members."""
+    """Open interval with exact rational endpoints; `upper` may be math.inf.
+    Endpoints are never members: a float is compared with them exactly."""
 
-    lower: float
-    upper: float
+    lower: Fraction
+    upper: Fraction | float
 
     def contains(self, x: float) -> bool:
         return self.lower < x < self.upper
@@ -150,29 +157,39 @@ class ApplicableTheorem(Enum):
     NONE = "None"
 
 
+def _exact(e: ExponentData) -> tuple[tuple[Fraction, ...], int, Fraction]:
+    """p, N and q = mean(p) as exact rationals."""
+    p = tuple(Fraction(p_i) for p_i in e.p)
+    return p, e.N, sum(p) / e.N
+
+
 def region_A(e: ExponentData) -> Interval:
-    return Interval(e.N * (e.q - 1) * (e.p_max - 1) / 4.0, math.inf)
+    p, n, q = _exact(e)
+    return Interval(n * (q - 1) * (p[-1] - 1) / 4, math.inf)
 
 
 def region_B(e: ExponentData) -> Interval:
-    return Interval(0.0, 4.0 / (e.N * (e.q - 1) * (e.p_max - 1)))
+    p, n, q = _exact(e)
+    return Interval(Fraction(0), 4 / (n * (q - 1) * (p[-1] - 1)))
 
 
 def region_C(e: ExponentData) -> Interval:
-    if e.N == 1:
-        return Interval(0.0, math.inf)
-    return Interval(0.0, 4.0 / (e.N * (e.N - 1) * (e.q - 1)))
+    _, n, q = _exact(e)
+    if n == 1:
+        return Interval(Fraction(0), math.inf)
+    return Interval(Fraction(0), 4 / (n * (n - 1) * (q - 1)))
 
 
-def region_I_axis_bounds(e: ExponentData) -> tuple[float | None, ...]:
+def region_I_axis_bounds(e: ExponentData) -> tuple[Fraction | None, ...]:
     """Per-axis lower endpoints of I_i; None where the denominator degenerates."""
+    p, n, q = _exact(e)
     bounds = []
-    for p_i in e.p:
-        den = p_i * (e.N * (e.q - 1) + 4.0) - e.N ** 2 * (e.q - 1)
+    for p_i in p:
+        den = p_i * (n * (q - 1) + 4) - n ** 2 * (q - 1)
         if den <= 0:
             bounds.append(None)
         else:
-            bounds.append(e.N ** 2 * (e.q - 1) * (p_i - 1) / den)
+            bounds.append(n ** 2 * (q - 1) * (p_i - 1) / den)
     return tuple(bounds)
 
 
@@ -189,19 +206,21 @@ def region_J(e: ExponentData) -> Interval:
     return Interval(max(b.lower, c.lower), min(b.upper, c.upper))
 
 
-def beta_window(spec: ProblemSpec) -> tuple[float, float]:
-    """(l1, l2) for mixed-power problems, (l1, l3) for exponential ones.
+def beta_window(spec: ProblemSpec) -> tuple[Fraction, Fraction]:
+    """(l1, l2) for mixed-power problems, (l1, l3) for exponential ones, as
+    exact rationals.
 
     An empty window (upper <= lower) is returned as-is, never raised.
     """
     e = spec.exponents
-    if e.q <= 1:
+    p, n, q = _exact(e)
+    if q <= 1:
         raise ValidationError(f"window endpoints need q > 1, got q = {e.q}")
-    l1 = (e.p_max - e.q) / 2.0
+    l1 = (p[-1] - q) / 2
     if isinstance(spec.kind, MixedPower):
-        upper = 2.0 * spec.kind.delta / (e.N * (e.q - 1)) - (e.q - 1) / 2.0
+        upper = 2 * Fraction(spec.kind.delta) / (n * (q - 1)) - (q - 1) / 2
     else:
-        upper = 2.0 / (spec.kind.cap * e.N * (e.q - 1)) - (e.q - 1) / 2.0
+        upper = 2 / (Fraction(spec.kind.cap) * n * (q - 1)) - (q - 1) / 2
     return l1, upper
 
 
@@ -222,13 +241,12 @@ def theta_exponents(
     theta_i = E/(2*beta + q - p_i) where E is the total cutoff power; the
     conjugate satisfies 1/theta + 1/theta' = 1 exactly.  Requires beta > l1.
     """
-    e = spec.exponents
-    l1 = (e.p_max - e.q) / 2.0
-    if beta <= l1:
-        raise OutOfWindowError(f"beta = {beta} must exceed l1 = {l1}")
-    p_i = e.p[i]
-    # 2 beta + q - p_i, summed so that beta > l1 keeps it positive in floats
-    den = 2.0 * (beta - l1) + (e.p_max - p_i)
+    p, _, q = _exact(spec.exponents)
+    l1 = (p[-1] - q) / 2
+    if not beta > l1:
+        raise OutOfWindowError(f"beta = {beta} must exceed l1 = {float(l1)}")
+    # 2 beta + q - p_i in exact rationals, so that beta > l1 keeps it positive
+    den = float(2 * (Fraction(beta) - l1) + (p[-1] - p[i]))
     big_e = lhs_power(beta, spec, use_gamma=use_gamma)
     return big_e / den, big_e / (big_e - den)
 
@@ -259,6 +277,7 @@ def _gamma_decay_negative_near_endpoint(spec: ProblemSpec) -> bool:
     l1, upper = beta_window(spec)
     if not upper > l1:
         return False
+    l1, upper = float(l1), float(upper)
     beta = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
     return all(d < 0 for d in decay_exponents(beta, spec, use_gamma=True))
 
@@ -294,7 +313,9 @@ def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
     """Pick a beta strictly inside the window with all decay exponents < 0.
 
     Starts just below the upper endpoint (where the decay is most negative)
-    and bisects toward the midpoint; the first all-negative candidate wins.
+    and bisects toward the midpoint; the first candidate inside the exact
+    window with all-negative decay wins.  A window too narrow to hold a
+    float has no candidate.
     """
     thm = _applicable_theorem(spec)
     if thm is ApplicableTheorem.NONE:
@@ -304,18 +325,20 @@ def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
     l1, upper = beta_window(spec)
     if not upper > l1:
         raise HypothesisViolatedError(
-            f"certified point has an empty beta window ({l1}, {upper})"
+            f"certified point has an empty beta window ({float(l1)}, {float(upper)})"
         )
+    lo, hi = float(l1), float(upper)
     use_gamma = thm is ApplicableTheorem.THM3_3
-    beta = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
-    mid = 0.5 * (l1 + upper)
+    beta = hi - _BETA_ENDPOINT_OFFSET * (hi - lo)
+    mid = 0.5 * (lo + hi)
     for _ in range(200):
-        decay = decay_exponents(beta, spec, use_gamma=use_gamma)
-        if all(d < 0 for d in decay):
-            return beta, decay
+        if l1 < beta < upper:
+            decay = decay_exponents(beta, spec, use_gamma=use_gamma)
+            if all(d < 0 for d in decay):
+                return beta, decay
         beta = 0.5 * (beta + mid)
     raise HypothesisViolatedError(
-        f"no admissible beta found in ({l1}, {upper}) although case {thm.value} applies"
+        f"no admissible beta found in ({lo}, {hi}) although case {thm.value} applies"
     )
 
 
@@ -365,7 +388,7 @@ class ThresholdReport:
     regionB: Interval
     regionC: Interval
     regionI: Interval | None
-    regionI_axis_bounds: tuple[float | None, ...]
+    regionI_axis_bounds: tuple[Fraction | None, ...]
     regionJ: Interval
     delta_in_A: bool | None
     delta_in_I: bool | None
@@ -433,7 +456,7 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     a, b, c, j = region_A(e), region_B(e), region_C(e), region_J(e)
     i_int = region_I(e)
     i_bounds = region_I_axis_bounds(e)
-    l1, upper = beta_window(spec)
+    l1, upper = (float(x) for x in beta_window(spec))
 
     if isinstance(spec.kind, MixedPower):
         d, g = spec.kind.delta, spec.kind.gamma

@@ -431,7 +431,8 @@ def save_field(f: GridField, path) -> None:
 def load_field(path) -> GridField:
     """Read a `save_field` snapshot; a malformed header, a grid that `Grid`
     refuses (checked before any value is read), a value count that differs
-    from the header's grid, or a non-finite value is a ValidationError."""
+    from the header's grid (read no further than one row past it), or a
+    non-finite value is a ValidationError."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != _FIELD_MAGIC:
@@ -442,14 +443,14 @@ def load_field(path) -> GridField:
             flat_box = [float(x) for x in header[2 + dim : 2 + 3 * dim]]
             box = tuple((flat_box[2 * i], flat_box[2 * i + 1]) for i in range(dim))
             grid = Grid(box=box, res=res)
-            values = np.loadtxt(fh)
+            expected = math.prod(grid.shape)
+            # one row past the header's count is enough to refuse a longer body
+            values = np.loadtxt(fh, max_rows=expected + 1)
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"{path} is a malformed field snapshot: {exc}") from exc
-    expected = math.prod(grid.shape)
     if values.size != expected:
-        raise ValidationError(
-            f"{path} holds {values.size} values, its header needs {expected}"
-        )
+        count = f"more than {expected}" if values.size > expected else values.size
+        raise ValidationError(f"{path} holds {count} values, its header needs {expected}")
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{path} holds non-finite values")
     return GridField(grid, values.reshape(grid.shape))

@@ -9,18 +9,22 @@ The inner problem minimizes the strictly convex energy
 over zero-boundary fields.  The level-n problem Op(u) = g_n exp(1/(u^+ + 1/n))
 is the Euler-Lagrange equation of the same energy with a convex nonlinear
 source.  Both are minimized by one damped Newton-Krylov routine
-(`_newton_krylov`): its step solves the floored Newton system to a
-superlinear forcing eta ~ min(1e-2, sup|F|) of the gradient F, and it
-backtracks on ||F||_2 (the inexact-Newton test of Eisenstat & Walker 1994).  The Newton systems are
-solved without factorizations: the type-I discrete sine transform
-diagonalizes the zero-Dirichlet stiffness sum_i c_i K_i^T K_i (plus a
-constant shift) exactly, so it preconditions a matrix-free conjugate
-gradient solve in 2D and 3D (exactly, in one iteration, when all p_i = 2);
-in 1D the tridiagonal Jacobian is solved exactly as a band.
+(`_newton_krylov`): its step solves the floored Newton system to the
+relative residual eta = min(1e-2, max(sup|F|, tol/(2 ||F||_2))) of the
+gradient F (superlinear, without oversolving the last step), and it
+backtracks on ||F||_2 (the inexact-Newton test of Eisenstat & Walker
+1994).  The Newton systems are solved without factorizations: the type-I
+discrete sine transform diagonalizes the zero-Dirichlet stiffness
+sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it preconditions a
+matrix-free conjugate gradient solve in 2D and 3D (exactly, in one
+iteration, when all p_i = 2); in 1D the tridiagonal Jacobian is solved
+exactly as a band.
 
-The fixed-point map A of the paper (`apply_A`: one inner solve with
-right-hand side g_n exp(1/(|v| + 1/n))) certifies each level solution.
-The ladder runs levels n = 1..n_max and records monotonicity defects,
+Each level solution u is certified to lie within tol_fix of A(u), the
+fixed-point map of the paper (`apply_A`: one inner solve with right-hand
+side g_n exp(1/(|v| + 1/n))): by a discrete comparison bound that costs
+one operator evaluation when some p_k = 2, else by solving A(u).  The
+ladder runs levels n = 1..n_max and records monotonicity defects,
 interior minima, and sup norms.
 """
 
@@ -189,6 +193,25 @@ def _nonconvergence(message: str, residual: float, record: dict) -> NonConvergen
     )
 
 
+def _default_tol(p) -> float:
+    """Default gradient tolerance of a Newton-Krylov solve: 1e-10 when all
+    p_i = 2, else 1e-8."""
+    return 1e-10 if all(p_i == 2.0 for p_i in p) else 1e-8
+
+
+def _gradient(mats, p, x, g) -> tuple[np.ndarray, float]:
+    """Op(x) - g = sum_i K_i^T |K_i x|^{p_i - 2} K_i x - g on interior
+    vectors, and the stored energy sum_i (1/p_i) |K_i x|^{p_i}."""
+    f = -g
+    stored = 0.0
+    for k, p_i in zip(mats, p):
+        kx = k @ x
+        flux = np.abs(kx) ** (p_i - 2.0) * kx
+        f += k.T @ flux
+        stored += float(flux @ kx) / p_i
+    return f, stored
+
+
 def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
                    what: str, energy=None) -> tuple[np.ndarray, dict]:
     """Minimize sum_i (1/p_i) |K_i x|^{p_i} - G(x) over interior vectors x,
@@ -220,19 +243,13 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
     p = e.p
     all_two = all(p_i == 2.0 for p_i in p)
     if tol is None:
-        tol = 1e-10 if all_two else 1e-8
+        tol = _default_tol(p)
     mats = [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
 
     def evaluate(x):
         """The gradient F(x), the diagonal -G''(x) and the energy."""
         g, diag = source(x)
-        f = -g
-        stored = 0.0
-        for k, p_i in zip(mats, p):
-            kx = k @ x
-            flux = np.abs(kx) ** (p_i - 2.0) * kx
-            f += k.T @ flux
-            stored += float(flux @ kx) / p_i
+        f, stored = _gradient(mats, p, x, g)
         return f, diag, None if energy is None else stored - energy(x)
 
     if x is None:
@@ -336,8 +353,8 @@ def solve_level(
     u0: GridField | None = None,
     info: dict | None = None,
 ) -> GridField:
-    """Solve the level equation Op(u) = g_n exp(1/(u^+ + 1/n)), then certify
-    the solution with one application of A.
+    """Solve the level equation Op(u) = g_n exp(1/(u^+ + 1/n)) and certify
+    that u is within tol_fix of A(u) in sup norm; returns u.
 
     The equation is the Euler-Lagrange equation of the convex energy
 
@@ -346,7 +363,8 @@ def solve_level(
     with s = 1/n, minimized by one `_newton_krylov` solve: the same start
     rule as `solve_inner` (u0, else 0 for all p_i = 2 or a zero weight, else
     the linear solve), to inner_tol (default 1e-10 for all p_i = 2, 1e-8
-    otherwise) in at most `max_outer` Newton steps.  Its Newton system adds
+    otherwise; tightened below for the bound) in at most `max_outer` Newton
+    steps.  Its Newton system adds
     the nonnegative diagonal g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0 to
     the inner one.
 
@@ -354,11 +372,27 @@ def solve_level(
     The level solution is nonnegative (its right-hand side is), and there
     u^+ = |u|: the fixed points of A are the same.
 
-    The certificate is A(u) solved cold, not started at u: its gap
-    sup|A(u) - u| must be <= tol_fix, and A(u) is returned.
+    The certificate bounds the gap sup|A(u) - u|, where A(u) is the exact
+    discrete solution of Op(w) = b(u) = g_n exp(1/(|u| + s)).
 
-    `info`, when given, receives the certified gap as `residual`, the number
-    of `iterations` (gradient residual checks), the gradient sup norms
+    - When some axis k has p_k = 2, the gap is bounded without a second
+      solve.  Let F = Op(u) - b(u), A's own inner gradient at u.  Then
+      Op(u) - Op(A(u)) = J (u - A(u)) = F with J = sum_i K_i^T diag(m_i) K_i,
+      where m_i >= 0 is the secant slope of t -> |t|^{p_i - 2} t between
+      K_i u and K_i A(u), and m_k = 1.  So J is a symmetric positive
+      definite Z-matrix, hence an M-matrix, and J^{-1} >= 0 entrywise.  The
+      discrete torsion v = x_k (L_k - x_k)/2 of axis k (box length L_k)
+      satisfies J v >= 1, so |u - A(u)| = |J^{-1} F| <= sup|F| J^{-1} 1
+      <= sup|F| v <= sup|F| L_k^2 / 8, with the smallest L_k over the
+      p_k = 2 axes.  The Newton loop stops at
+      sup|F| <= min(inner_tol, 8 tol_fix / L_k^2) so that the bound
+      certifies; on the unit box that changes nothing.
+    - Otherwise A(u) is solved cold (from the linear start, not from u) and
+      the gap is measured.
+
+    The gap must be <= tol_fix.  `info`, when given, receives it as
+    `residual`, the `certificate` used ("bound" or "solve"), the number of
+    `iterations` (gradient residual checks), the gradient sup norms
     `residuals`, and `linear_iterations`: CG iterations per Newton step, 0
     in 1D.  A NonConvergenceError carries the last residuals and step
     lengths in its diagnostics: those of the level solve, or of the
@@ -367,6 +401,12 @@ def solve_level(
     grid = level.g_n.grid
     g_n = extract_interior(level.g_n)
     s = level.shift
+    # sup of the discrete torsion v of the shortest p_k = 2 axis, if any
+    lengths = [hi - lo for (lo, hi), p_k in zip(grid.box, e.p) if p_k == 2.0]
+    v_sup = min(lengths) ** 2 / 8.0 if lengths else None
+    tol = _default_tol(e.p) if inner_tol is None else inner_tol
+    if v_sup is not None:
+        tol = min(tol, tol_fix / v_sup)
 
     def source(x):
         shifted = np.maximum(x, 0.0) + s
@@ -375,21 +415,27 @@ def solve_level(
 
     x, record = _newton_krylov(
         grid, e, None if u0 is None else extract_interior(u0),
-        source, inner_tol, max_outer, "level solve",
+        source, tol, max_outer, "level solve",
     )
     u = embed_interior(grid, x)
-    au = apply_A(u, level, e, tol=inner_tol)
-    gap = float(np.max(np.abs(au.values - u.values)))
+    if v_sup is not None:
+        mats = [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
+        f, _ = _gradient(mats, e.p, x, g_n * np.exp(1.0 / (np.abs(x) + s)))
+        gap, certificate = float(np.max(np.abs(f))) * v_sup, "bound"
+    else:
+        au = apply_A(u, level, e, tol=inner_tol)
+        gap, certificate = float(np.max(np.abs(au.values - u.values))), "solve"
     if gap > tol_fix:
         raise _nonconvergence(
             f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap, record
         )
     if info is not None:
         info["residual"] = gap
+        info["certificate"] = certificate
         info["iterations"] = len(record["residuals"])
         info["residuals"] = record["residuals"]
         info["linear_iterations"] = record["linear_iterations"]
-    return au
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +450,7 @@ class LevelRecord:
     interior_min: float
     mono_defect: float
     outer_iterations: int
+    certificate: str
 
 
 @dataclass
@@ -449,6 +496,7 @@ class LadderReport:
                     "interiorMin": r.interior_min,
                     "monoDefect": r.mono_defect,
                     "outerIterations": r.outer_iterations,
+                    "certificate": r.certificate,
                 }
                 for r in self.levels
             ],
@@ -560,7 +608,8 @@ def run_ladder(
 ) -> LadderReport:
     """Solve levels n = 1..n_max and record the ladder properties.
 
-    Per level: certified gap sup|A(u) - u|, sup norm, interior minimum over
+    Per level: the certified bound on sup|A(u) - u| and the certificate
+    that gave it (see `solve_level`), sup norm, interior minimum over
     the centered half box, and the monotonicity defect max(u_{n-1} - u_n)^+.
     The final level also gets a weak-form residual battery (against both the
     level equation and the unregularized one) and a level-set decay fit.
@@ -593,6 +642,7 @@ def run_ladder(
                 interior_min=float(np.min(u_n.values[omega_mask])),
                 mono_defect=defect,
                 outer_iterations=inf["iterations"],
+                certificate=inf["certificate"],
             )
         )
         u_prev = u_n

@@ -551,7 +551,9 @@ def corollary_sides(
     e = spec.exponents
     l1, upper = beta_window(spec)
     if not l1 < beta < upper:
-        raise OutOfWindowError(f"beta = {beta} outside the window ({l1}, {upper})")
+        raise OutOfWindowError(
+            f"beta = {beta} outside the window ({float(l1)}, {float(upper)})"
+        )
     if np.any(psi.values < 0) or np.any(psi.values > 1):
         raise ValidationError("psi must take values in [0, 1]")
     big_e, theta_p = _case_setup(case, beta, spec)
@@ -650,7 +652,9 @@ def radius_sweep(
             )
     l1, upper = beta_window(spec)
     if not l1 < beta < upper:
-        raise OutOfWindowError(f"beta = {beta} outside the window ({l1}, {upper})")
+        raise OutOfWindowError(
+            f"beta = {beta} outside the window ({float(l1)}, {float(upper)})"
+        )
     big_e = lhs_power(beta, spec, use_gamma=use_gamma)
     if big_e <= 0:
         raise ValidationError(f"degenerate total power E = {big_e}")

@@ -37,6 +37,18 @@ def test_thresholds_exp_kind(tmp_path):
     assert doc["regionJ.upper"] == pytest.approx(2 / 9)
 
 
+def test_thresholds_on_region_I_endpoint_is_not_applicable(tmp_path):
+    # delta = 3 is the open lower endpoint of I for p = (2.5, 2.5, 3)
+    out = tmp_path / "thr"
+    assert main(["thresholds", "--p", "2.5,2.5,3", "--delta", "3",
+                 "--outdir", str(out)]) == 0
+    doc = json.loads((out / "thresholds.json").read_text())
+    assert doc["regionI.lower"] == 3.0
+    assert doc["regionI.member"] is False
+    assert doc["theoremApplicable"] == "None"
+    assert doc["selectedBeta"] is None
+
+
 def test_validation_exit_code(tmp_path):
     assert main(["thresholds", "--p", "2,3,4", "--delta", "-1",
                  "--outdir", str(tmp_path / "x")]) == 2
@@ -66,6 +78,7 @@ def test_solve_outputs_and_reproducibility(tmp_path):
     report = json.loads((out / "ladder_report.json").read_text())
     assert len(report["levels"]) == 3
     assert all(r["monoDefect"] <= 1e-6 for r in report["levels"])
+    assert all(r["certificate"] == "bound" for r in report["levels"])
     field = load_field(out / "u_final.txt")
     assert field.values.max() == pytest.approx(report["levels"][-1]["supNorm"])
     assert (out / "u_final.csv").exists()
@@ -199,6 +212,19 @@ def test_forged_snapshot_header_is_refused_before_reading(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("validation error:")
     assert "exceeds the limit" in err[0]
+
+
+def test_forged_snapshot_body_is_refused_without_reading_it(tmp_path, capsys):
+    # the header declares 81 nodes; the body holds 2,000,000 values, of
+    # which only one row past the header's count is read
+    path = tmp_path / "forged.txt"
+    path.write_text("anisofield 2 8 8 0 1 0 1\n" + "1.0\n" * 2_000_000)
+    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1",
+                 "--res", "8,8", "--u", f"file:{path}",
+                 "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert "holds more than 81 values, its header needs 81" in err[0]
 
 
 def test_stability_degenerate_spectrum_gap_is_seed_independent(tmp_path):

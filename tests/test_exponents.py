@@ -1,6 +1,7 @@
 """Threshold algebra against independent rational arithmetic, plus the
 window/membership properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,8 @@ def frac_harmonic(p):
 
 
 def frac_thresholds(p):
-    """All derived scalars for an integer exponent vector, in exact rationals."""
+    """All derived scalars for an exponent vector of ints or floats (both
+    exact binary rationals), in exact rationals."""
     n = len(p)
     pbar = frac_harmonic(p)
     q = sum(Fraction(x) for x in p) / n
@@ -179,7 +181,53 @@ def test_boundary_membership_is_excluded():
     e = ExponentData.from_p([2, 3, 4])
     assert not region_A(e).contains(4.5)
     assert region_A(e).contains(4.5 + 1e-9)
-    assert not region_J(e).contains(2 / 9)
+    # the endpoint is the rational 2/9; the float 2 / 9 lies 1.2e-17 below it
+    assert not region_J(e).contains(Fraction(2, 9))
+    assert region_J(e).contains(2 / 9)
+
+
+def float_below(x: Fraction) -> float:
+    """The largest float strictly below x."""
+    f = float(x)
+    return f if Fraction(f) < x else math.nextafter(f, -math.inf)
+
+
+def float_above(x: Fraction) -> float:
+    """The smallest float strictly above x."""
+    f = float(x)
+    return f if Fraction(f) > x else math.nextafter(f, math.inf)
+
+
+_ENDPOINTS = {
+    "A": (region_A, lambda o: o["A_lower"], "lower"),
+    "I": (region_I, lambda o: max(o["I_bounds"]), "lower"),
+    "B": (region_B, lambda o: o["B_upper"], "upper"),
+    "C": (region_C, lambda o: o["C_upper"], "upper"),
+    "J": (region_J, lambda o: min(o["B_upper"], o["C_upper"]), "upper"),
+}
+
+
+# float arithmetic gave A = (1.3124999999999998, inf) for an endpoint 21/16,
+# I = (2.9999999999999987, inf) for 3, and the floats nearest 2/3 and 4/3 as
+# the upper endpoints of B, C and J, which put the float next to each
+# endpoint on the wrong side
+@pytest.mark.parametrize("name, p", [
+    ("A", [2.0, 2.0, 2.5]),
+    ("I", [2.5, 2.5, 3.0]),
+    ("B", [2.0, 3.0]),
+    ("C", [2.0, 3.0]),
+    ("J", [2.0, 3.0]),
+])
+def test_region_endpoint_membership_is_exact(name, p):
+    region, endpoint, side = _ENDPOINTS[name]
+    interval = region(ExponentData.from_p(p))
+    x = endpoint(frac_thresholds(p))
+    below, above = float_below(x), float_above(x)
+    assert not interval.contains(x)
+    if side == "lower":
+        assert not interval.contains(below) and interval.contains(above)
+    else:
+        assert interval.contains(below) and not interval.contains(above)
 
 
 # --- memberships and theorem selection ---------------------------------------
@@ -377,6 +425,9 @@ def test_endpoint_blowup_on_I_boundary():
     delta=st.floats(1.0, 200.0),
     gamma_extra=st.floats(0.0, 50.0),
 )
+# delta on the open lower endpoint 3 of I, which float arithmetic put at
+# 2.9999999999999987: Thm3_4 was admitted and no beta had negative decay
+@example(p=[2.5, 2.5, 3.0], delta=3.0, gamma_extra=0.0)
 def test_consistency_applicable_implies_selectable(p, delta, gamma_extra):
     e = ExponentData.from_p(p)
     spec = ProblemSpec(kind=MixedPower(delta, delta + gamma_extra), exponents=e)

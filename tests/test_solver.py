@@ -354,6 +354,59 @@ def test_solve_level_certified_gap_and_level_equation(p, res):
         assert resid <= tol_fix * (1.0 + np.max(rhs[inner]) * n ** 2)
 
 
+@pytest.mark.parametrize(
+    "p, box, res, tol_fix",
+    [
+        ((2.0, 3.0), ((0.0, 2.0), (0.0, 1.5)), (24, 18), 1e-8),
+        ((2.0, 2.0, 4.0), ((0.0, 1.0),) * 3, (8, 8, 8), 1e-8),
+        # L_k = 3: the Newton stop tightens from 1e-8 to 8 tol_fix / 9
+        ((2.0, 3.0), ((0.0, 3.0), (0.0, 1.0)), (30, 10), 1e-9),
+    ],
+)
+def test_solve_level_comparison_bound_dominates_cold_gap(p, box, res, tol_fix):
+    g = Grid(box=box, res=res)
+    w = WeightSpec(g=GridField.from_function(
+        g, lambda *xs: 1.5 + np.prod([np.sin(3.0 * x) for x in xs], axis=0)
+    ))
+    e = ExponentData.from_p(p)
+    length = box[0][1] - box[0][0]  # axis 0 is the shortest p_k = 2 axis
+    u = None
+    for n in (1, 2, 3):
+        level = RegularizationLevel.from_weight(n, w)
+        info = {}
+        u = solve_level(level, e, tol_fix=tol_fix, u0=u, info=info)
+        assert info["certificate"] == "bound"
+        assert info["residuals"][-1] <= min(1e-8, 8.0 * tol_fix / length ** 2)
+        cold_gap = np.max(np.abs(apply_A(u, level, e, tol=1e-12).values - u.values))
+        assert cold_gap <= info["residual"] <= tol_fix
+
+
+def test_solve_level_comparison_bound_is_attained_at_zero():
+    # at u = 0 the gradient F = -g_n e^n is constant, and A(0) is the
+    # discrete torsion g_n e^n x (L - x)/2 with its maximum at the centre
+    # node: the bound sup|F| L^2/8 equals the gap
+    g = Grid(box=((0.0, 3.0),), res=(30,))
+    e = ExponentData.from_p([2])
+    level = RegularizationLevel.from_weight(1, WeightSpec(g=GridField.constant(g, 1.0)))
+    info = {}
+    u = solve_level(level, e, tol_fix=4.0, inner_tol=3.0, u0=GridField.zeros(g), info=info)
+    assert np.all(u.values == 0.0) and info["certificate"] == "bound"
+    cold_gap = np.max(np.abs(apply_A(u, level, e).values))
+    assert info["residual"] == pytest.approx(np.e * 9.0 / 8.0, rel=1e-12)
+    assert info["residual"] == pytest.approx(cold_gap, rel=1e-9)
+
+
+def test_solve_level_without_p2_axis_certifies_by_cold_solve():
+    g = grid1d(64)
+    e = ExponentData.from_p([4])
+    w = WeightSpec(g=GridField.constant(g, 1.0))
+    level = RegularizationLevel.from_weight(2, w)
+    info = {}
+    solve_level(level, e, info=info)
+    assert info["certificate"] == "solve"
+    assert 0.0 < info["residual"] <= 1e-8
+
+
 def test_solve_level_interior_positivity():
     g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(24, 24))
     e = ExponentData.from_p([2, 2])
@@ -449,6 +502,7 @@ def test_run_ladder_zero_weight_reports_nan_limit_residual(tmp_path):
                  "--weight", "constant:0", "--nmax", "3", "--outdir", str(out)]) == 0
     doc = json.loads((out / "ladder_report.json").read_text())
     assert doc["weakResidualLimitMax"] is None
+    assert all(lv["certificate"] == "solve" for lv in doc["levels"])
     assert doc["weakResidualLevelMax"] == 0.0
 
 
