@@ -5,13 +5,16 @@ Forward differences live on faces; the negative face divergence is the
 exact adjoint of the forward difference for zero-boundary fields.  That
 summation-by-parts identity is what makes the discrete weak form and the
 discrete energy gradient agree to machine precision, and everything in
-`solver` and `stability` relies on it.
+`solver` and `stability` relies on it.  It is the only difference
+operator: `p_flux` applies the anisotropic operator with it, and
+`stiffness` assembles every linear system (Newton Jacobian, stability
+pencil) from its stencil, with the DST preconditioner.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,8 +27,8 @@ from .errors import GeometryError, ValidationError
 # Largest admitted node count, about a 256^3-cell grid (255^3 cells fit).
 # One float64 field of 2^24 nodes takes 128 MiB.  A 3D level solve keeps an
 # estimated 30 such vectors (fields, Newton, line-search and CG work vectors)
-# and three CSR difference matrices of about 28 bytes per node each, so it
-# needs roughly 5 GiB at the limit: about all a laptop-class machine has.
+# and one CSR stiffness matrix of 7 entries per row, about 88 bytes per node,
+# so it needs roughly 5 GiB at the limit: about all a laptop-class machine has.
 MAX_NODES = 2 ** 24
 
 
@@ -196,22 +199,30 @@ def face_divergence(faces: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
+def p_flux(values: np.ndarray, grid: Grid, p):
+    """The operator on a node array, building no field: returns
+    - sum_i face_divergence(flux_i) on the interior nodes (interior shape),
+    the differences D_i u (as `axis_diff`) and fluxes |D_i u|^(p_i-2) D_i u."""
+    diffs = [np.diff(values, axis=axis) / h for axis, h in enumerate(grid.h)]
+    fluxes = [np.abs(d) ** (p_i - 2.0) * d for d, p_i in zip(diffs, p)]
+    out = np.zeros(grid.shape)
+    for axis, flux in enumerate(fluxes):
+        out -= face_divergence(flux, grid, axis)
+    return out[grid.interior_slices()], diffs, fluxes
+
+
 def p_laplacian_apply(u: GridField, e) -> GridField:
     """Apply the anisotropic operator - sum_i d/dx_i(|u_i|^(p_i-2) u_i).
 
     Per axis: face flux |D_i u|^(p_i-2) D_i u, then the negative discrete
-    divergence.  Output is zero on the boundary ring.  For all p_i = 2 this
-    reduces to the standard (2N+1)-point negative Laplacian.
+    divergence (`p_flux`).  Output is zero on the boundary ring.  For all
+    p_i = 2 this reduces to the standard (2N+1)-point negative Laplacian.
     """
     grid = u.grid
     if e.N != grid.dim:
         raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
     out = np.zeros(grid.shape)
-    for axis, p_i in enumerate(e.p):
-        d = axis_diff(u, axis)
-        flux = np.abs(d) ** (p_i - 2.0) * d
-        out -= face_divergence(flux, grid, axis)
-    out[grid.boundary_mask()] = 0.0
+    out[grid.interior_slices()] = p_flux(u.values, grid, e.p)[0]
     return GridField(grid, out)
 
 
@@ -318,33 +329,8 @@ def make_cutoff(spec: CutoffSpec, grid: Grid) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# interior operators (shared by solver and stability)
+# linearizations: the interior stiffness matrix and its DST inverse
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=12)
-def interior_difference_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Sparse forward-difference map from interior nodes to the faces of
-    `axis` whose transverse position is interior.
-
-    Row order matches row-major flattening of the restricted face array
-    (shape: interior on transverse axes, all cells along `axis`).  The
-    result is cached for the last few (grid, axis) pairs and shared between
-    callers, which must not modify it.
-    """
-    blocks = []
-    for j in range(grid.dim):
-        r, h = grid.res[j], grid.h[j]
-        if j == axis:
-            main = np.full(r - 1, 1.0 / h)
-            sub = np.full(r - 1, -1.0 / h)
-            blocks.append(sp.diags([main, sub], [0, -1], shape=(r, r - 1)))
-        else:
-            blocks.append(sp.identity(r - 1))
-    mat = blocks[0]
-    for b in blocks[1:]:
-        mat = sp.kron(mat, b)
-    return mat.tocsr()
-
 
 def dst_solver(grid: Grid, c, shift: float = 0.0):
     """Exact inverse of sum_i c_i K_i^T K_i + shift * I on interior vectors.
@@ -371,14 +357,6 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     return solve
 
 
-def interior_face_slices(grid: Grid, axis: int) -> tuple[slice, ...]:
-    """Slices restricting a full face array of `axis` to interior transverse
-    positions (matching `interior_difference_matrix` row order)."""
-    return tuple(
-        slice(None) if j == axis else slice(1, -1) for j in range(grid.dim)
-    )
-
-
 def extract_interior(f: GridField) -> np.ndarray:
     return f.values[f.grid.interior_slices()].ravel()
 
@@ -389,6 +367,53 @@ def embed_interior(grid: Grid, vec: np.ndarray) -> GridField:
         grid.interior_shape()
     )
     return GridField(grid, vals)
+
+
+def _stencil(grid: Grid, weights, diag=None):
+    """Stencil of sum_i K_i^T diag(w_i) K_i + diag(diag) on interior nodes in
+    row-major order, K_i being `axis_diff` on zero-boundary fields.  Axis i
+    adds (w_left + w_right)/h_i^2 to the main diagonal and the link -w/h_i^2
+    from each node to its successor along axis i (0 at the last one); only
+    faces of the full face arrays `weights[i]` at interior transverse
+    positions enter.  Returns the flat main diagonal, links and mean weights.
+    """
+    shape = grid.interior_shape()
+    main = np.zeros(shape)
+    links, means = [], []
+    for axis, (w, h) in enumerate(zip(weights, grid.h)):
+        # views with axis i last; the faces at interior transverse positions
+        w = w.swapaxes(axis, -1)[(slice(1, -1),) * (grid.dim - 1)]
+        means.append(float(np.mean(w)))
+        w = w / h ** 2
+        main.swapaxes(axis, -1)[...] += w[..., :-1] + w[..., 1:]
+        link = np.zeros(shape)
+        link.swapaxes(axis, -1)[..., :-1] = -w[..., 1:-1]
+        links.append(link.ravel())
+    return main.ravel() + (0.0 if diag is None else diag), links, means
+
+
+def stiffness(grid: Grid, weights, diag=None):
+    """The `_stencil` matrix in CSR form (links at offsets +-stride_i) and its
+    preconditioner, the DST inverse of sum_i mean(w_i) K_i^T K_i +
+    median(diag) I: exact when weights and diagonal (0 if omitted) are constant.
+    """
+    main, links, means = _stencil(grid, weights, diag)
+    n = main.size
+    data, offsets = [main], [0]
+    for axis, link in enumerate(links):
+        stride = math.prod(grid.interior_shape()[axis + 1:])
+        data += [link[: n - stride]] * 2
+        offsets += [stride, -stride]
+    matrix = sp.diags(data, offsets, shape=(n, n), format="csr")
+    shift = 0.0 if diag is None else float(np.median(diag))
+    return matrix, dst_solver(grid, means, shift)
+
+
+def stiffness_band(grid: Grid, weights, diag=None) -> np.ndarray:
+    """The 1D `stiffness` matrix in the upper band form of
+    `scipy.linalg.solveh_banded`, built from the stencil without CSR."""
+    main, (link,), _ = _stencil(grid, weights, diag)
+    return np.stack([np.concatenate(([0.0], link[:-1])), main])
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +455,9 @@ def save_field(f: GridField, path) -> None:
 
 def load_field(path) -> GridField:
     """Read a `save_field` snapshot; a malformed header, a grid that `Grid`
-    refuses (checked before any value is read), a value count that differs
-    from the header's grid (read no further than one row past it), or a
+    refuses (checked before any value is read), a body row that is not one
+    value (refused as soon as it is read), a value count that differs from
+    the header's grid (read no further than one row past it), or a
     non-finite value is a ValidationError."""
     with open(path) as fh:
         header = fh.readline().split()
@@ -443,11 +469,16 @@ def load_field(path) -> GridField:
             flat_box = [float(x) for x in header[2 + dim : 2 + 3 * dim]]
             box = tuple((flat_box[2 * i], flat_box[2 * i + 1]) for i in range(dim))
             grid = Grid(box=box, res=res)
-            expected = math.prod(grid.shape)
-            # one row past the header's count is enough to refuse a longer body
-            values = np.loadtxt(fh, max_rows=expected + 1)
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"{path} is a malformed field snapshot: {exc}") from exc
+        expected = math.prod(grid.shape)
+        try:
+            # one row past the header's count is enough to refuse a longer body
+            values = np.fromiter(map(float, itertools.islice(fh, expected + 1)), float)
+        except ValueError as exc:  # the row is left out of the message: it may be huge
+            raise ValidationError(
+                f"{path} is a malformed field snapshot: a body row is not one value"
+            ) from exc
     if values.size != expected:
         count = f"more than {expected}" if values.size > expected else values.size
         raise ValidationError(f"{path} holds {count} values, its header needs {expected}")

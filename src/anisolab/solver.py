@@ -13,12 +13,13 @@ source.  Both are minimized by one damped Newton-Krylov routine
 relative residual eta = min(1e-2, max(sup|F|, tol/(2 ||F||_2))) of the
 gradient F (superlinear, without oversolving the last step), and it
 backtracks on ||F||_2 (the inexact-Newton test of Eisenstat & Walker
-1994).  The Newton systems are solved without factorizations: the type-I
-discrete sine transform diagonalizes the zero-Dirichlet stiffness
-sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it preconditions a
-matrix-free conjugate gradient solve in 2D and 3D (exactly, in one
-iteration, when all p_i = 2); in 1D the tridiagonal Jacobian is solved
-exactly as a band.
+1994).  The gradient is `grid.p_flux`; each Newton system is assembled
+from its stencil by `grid.stiffness` and solved without factorizations:
+the type-I discrete sine transform diagonalizes the zero-Dirichlet
+stiffness sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it
+preconditions conjugate gradients on the assembled matrix in 2D and 3D
+(exactly, in one iteration, when all p_i = 2); in 1D the tridiagonal
+Jacobian is solved exactly as a band.
 
 Each level solution u is certified to lie within tol_fix of A(u), the
 fixed-point map of the paper (`apply_A`: one inner solve with right-hand
@@ -49,8 +50,10 @@ from .grid import (
     face_integral,
     axis_diff,
     integrate,
-    interior_difference_matrix,
     level_set_measure,
+    p_flux,
+    stiffness,
+    stiffness_band,
     weak_form_gap,
     weighted_integrate,
 )
@@ -131,42 +134,23 @@ def _flux_weights(faces, p) -> list[np.ndarray]:
 
 
 def _newton_direction(
-    grid: Grid, mats, weights, b, diag=None, rtol: float = _CG_RTOL
+    grid: Grid, weights, b, diag=None, rtol: float = _CG_RTOL
 ) -> tuple[np.ndarray, int]:
-    """Solve (sum_i K_i^T diag(w_i) K_i + diag(diag)) d = b; returns d and the
-    number of CG iterations (0 for the direct solve).  `diag` is a
-    nonnegative diagonal, zero when omitted.
+    """Solve (sum_i K_i^T diag(w_i) K_i + diag(diag)) d = b for full face
+    weight arrays w_i; returns d and the number of CG iterations (0 for the
+    direct solve).  `diag` is a nonnegative diagonal, zero when omitted.
 
-    In 1D the system is tridiagonal and solved exactly as a band.  In 2D and
-    3D it is solved matrix-free by CG to relative residual `rtol`,
-    preconditioned by the DST inverse of sum_i mean(w_i) K_i^T K_i +
-    median(diag) I, which is exact when the weights and the diagonal are
-    constant.  CG started from zero keeps g.d < 0 at every iterate (g = -b),
-    so an inexact or unconverged step is still a descent direction and the
-    CG status is not checked; the Newton loop's residual test decides
-    convergence.
+    In 1D the system is solved exactly as a band (`stiffness_band`).  In 2D
+    and 3D CG runs on the `stiffness` matrix to relative residual `rtol`,
+    preconditioned by its DST inverse.  CG started from zero keeps g.d < 0
+    at every iterate (g = -b), so an inexact or unconverged step is still a
+    descent direction and the CG status is not checked; the Newton loop's
+    residual test decides convergence.
     """
     if grid.dim == 1:
-        (w,) = weights
-        inv_h2 = 1.0 / grid.h[0] ** 2
-        band = np.zeros((2, b.size))
-        band[0, 1:] = -w[1:-1] * inv_h2
-        band[1] = (w[:-1] + w[1:]) * inv_h2
-        if diag is not None:
-            band[1] += diag
-        return scipy.linalg.solveh_banded(band, b), 0
-
-    blocks = [(k, k.T, w) for k, w in zip(mats, weights)]
-
-    def jac(v):
-        out = np.zeros_like(v) if diag is None else diag * v
-        for k, kt, w in blocks:
-            out += kt @ (w * (k @ v))
-        return out
-
+        return scipy.linalg.solveh_banded(stiffness_band(grid, weights, diag), b), 0
+    matrix, precond = stiffness(grid, weights, diag)
     n = b.size
-    shift = 0.0 if diag is None else float(np.median(diag))
-    precond = dst_solver(grid, [float(np.mean(w)) for w in weights], shift)
     iterations = 0
 
     def count(_):
@@ -174,9 +158,7 @@ def _newton_direction(
         iterations += 1
 
     d, _ = spla.cg(
-        spla.LinearOperator((n, n), matvec=jac, dtype=float),
-        b,
-        rtol=rtol,
+        matrix, b, rtol=rtol,
         M=spla.LinearOperator((n, n), matvec=precond, dtype=float),
         callback=count,
     )
@@ -199,17 +181,12 @@ def _default_tol(p) -> float:
     return 1e-10 if all(p_i == 2.0 for p_i in p) else 1e-8
 
 
-def _gradient(mats, p, x, g) -> tuple[np.ndarray, float]:
-    """Op(x) - g = sum_i K_i^T |K_i x|^{p_i - 2} K_i x - g on interior
-    vectors, and the stored energy sum_i (1/p_i) |K_i x|^{p_i}."""
-    f = -g
-    stored = 0.0
-    for k, p_i in zip(mats, p):
-        kx = k @ x
-        flux = np.abs(kx) ** (p_i - 2.0) * kx
-        f += k.T @ flux
-        stored += float(flux @ kx) / p_i
-    return f, stored
+def _gradient(grid: Grid, p, x, g) -> tuple[np.ndarray, float, list]:
+    """Op(x) - g on interior vectors, the stored energy
+    sum_i (1/p_i) sum |D_i x|^{p_i}, and the face differences D_i x."""
+    op, diffs, fluxes = p_flux(embed_interior(grid, x).values, grid, p)
+    stored = sum(float(np.vdot(fl, d)) / p_i for fl, d, p_i in zip(fluxes, diffs, p))
+    return op.ravel() - g, stored, diffs
 
 
 def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
@@ -244,13 +221,12 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
     all_two = all(p_i == 2.0 for p_i in p)
     if tol is None:
         tol = _default_tol(p)
-    mats = [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
 
     def evaluate(x):
-        """The gradient F(x), the diagonal -G''(x) and the energy."""
+        """F(x), the diagonal -G''(x), the energy and the differences D_i x."""
         g, diag = source(x)
-        f, stored = _gradient(mats, p, x, g)
-        return f, diag, None if energy is None else stored - energy(x)
+        f, stored, diffs = _gradient(grid, p, x, g)
+        return f, diag, None if energy is None else stored - energy(x), diffs
 
     if x is None:
         b = source(np.zeros(math.prod(grid.interior_shape())))[0]
@@ -258,7 +234,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
         x = np.zeros(b.size) if linear else dst_solver(grid, [1.0] * grid.dim)(b)
 
     record = {"residuals": [], "steps": [], "linear_iterations": [], "energies": []}
-    f, diag, fx = evaluate(x)
+    f, diag, fx, diffs = evaluate(x)
     norm = float(np.linalg.norm(f))
     while True:
         res = float(np.max(np.abs(f)))
@@ -272,13 +248,12 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
                 f"{what} did not reach tol={tol} in {max_steps} Newton steps", res, record
             )
         eta = min(_CG_RTOL, max(res, 0.5 * tol / norm))
-        weights = _flux_weights([k @ x for k in mats], p)
-        d, its = _newton_direction(grid, mats, weights, -f, diag=diag, rtol=eta)
+        d, its = _newton_direction(grid, _flux_weights(diffs, p), -f, diag=diag, rtol=eta)
         record["linear_iterations"].append(its)
         t = 1.0
         while t >= 1e-14:
             x_new = x + t * d
-            f_new, diag_new, fx_new = evaluate(x_new)
+            f_new, diag_new, fx_new, diffs_new = evaluate(x_new)
             norm_new = float(np.linalg.norm(f_new))
             if norm_new <= (1.0 - 1e-4 * t * (1.0 - eta)) * norm:
                 break
@@ -286,7 +261,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
         else:
             raise _nonconvergence(f"line search failed in the {what}", res, record)
         record["steps"].append(t)
-        x, f, diag, fx, norm = x_new, f_new, diag_new, fx_new, norm_new
+        x, f, diag, fx, diffs, norm = x_new, f_new, diag_new, fx_new, diffs_new, norm_new
 
 
 def solve_inner(
@@ -419,8 +394,7 @@ def solve_level(
     )
     u = embed_interior(grid, x)
     if v_sup is not None:
-        mats = [interior_difference_matrix(grid, axis) for axis in range(grid.dim)]
-        f, _ = _gradient(mats, e.p, x, g_n * np.exp(1.0 / (np.abs(x) + s)))
+        f = _gradient(grid, e.p, x, g_n * np.exp(1.0 / (np.abs(x) + s)))[0]
         gap, certificate = float(np.max(np.abs(f))) * v_sup, "bound"
     else:
         au = apply_A(u, level, e, tol=inner_tol)

@@ -16,9 +16,10 @@ is nonnegative over all discrete test functions; `stability_index` returns
 the smallest Rayleigh quotient of that gap (mass-normalized), so stability
 is exactly index >= 0.  W is 1 for the literal inequality and g for the
 weighted variant the cutoff estimates use.  The index is computed by LOBPCG
-on the gap pencil shifted to be positive definite, preconditioned by the
-fast-diagonalization (DST) inverse of a constant-coefficient version of
-it, and certified by its eigen residual rather than by a stagnation test.
+on the gap pencil shifted to be positive definite, assembled by
+`grid.stiffness` like the solver's Newton systems and preconditioned by
+its fast-diagonalization (DST) inverse, and certified by its eigen
+residual rather than by a stagnation test.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
 
@@ -59,13 +59,11 @@ from .grid import (
     Grid,
     axis_diff,
     ball_fraction_weights,
-    dst_solver,
     embed_interior,
     face_average,
     face_integral,
     integrate,
-    interior_difference_matrix,
-    interior_face_slices,
+    stiffness,
     weak_form_gap,
 )
 from .truncations import TruncationPair, b_eval
@@ -284,14 +282,13 @@ def stability_index(
 
     On a uniform grid the interior mass matrix is a multiple of the
     identity, so the index is the smallest eigenvalue of the symmetric
-    pencil P = sum_i K_i^T diag((p_i - 1)|D_i u|^{p_i-2}) K_i - diag(W f'(u)).
-    LOBPCG (Knyazev 2001) computes the two lowest eigenpairs of P - shift*I
-    from a block seeded by `seed`.  The shift -max(0, max W f'(u)) - 1 puts
-    the spectrum of P - shift*I at or above 1, so the pencil is positive
-    definite; the preconditioner is the DST inverse of
-    sum_i mean(w_i) K_i^T K_i + median(-W f'(u) - shift) I, exact when the
-    flux weights and the potential are constant.  Grids with fewer than
-    ten interior nodes are solved densely inside LOBPCG (0 iterations).
+    pencil P = sum_i K_i^T diag(w_i) K_i - diag(W f'(u)), w_i = (p_i - 1)
+    |D_i u|^{p_i-2}.  The shift -max(0, max W f'(u)) - 1 puts the spectrum
+    of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
+    (diagonal -W f'(u) - shift) and its DST preconditioner, and LOBPCG
+    (Knyazev 2001) computes its two lowest eigenpairs from a block seeded
+    by `seed`.  Grids with fewer than ten interior nodes are solved densely
+    inside LOBPCG (0 iterations).
 
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:
@@ -315,21 +312,14 @@ def stability_index(
     if not np.all(np.isfinite(pot)):
         raise SingularityError("potential W*f'(u) is not finite on the interior")
 
-    a = None
-    means = []
-    for axis, p_i in enumerate(p):
-        k = interior_difference_matrix(grid, axis)
-        du = axis_diff(u, axis)[interior_face_slices(grid, axis)].ravel()
-        w = (p_i - 1.0) * np.abs(du) ** (p_i - 2.0)
-        means.append(float(np.mean(w)))
-        block = k.T @ sp.diags(w) @ k
-        a = block if a is None else a + block
-    pencil = (a - sp.diags(pot)).tocsr()
-
-    n = pencil.shape[0]
+    weights = [
+        (p_i - 1.0) * np.abs(axis_diff(u, axis)) ** (p_i - 2.0) for axis, p_i in enumerate(p)
+    ]
     shift = -max(0.0, float(np.max(pot))) - 1.0
     bound = tol * max(1.0, abs(shift))
-    precond = dst_solver(grid, means, float(np.median(-pot - shift)))
+    # the shifted pencil P - shift*I and its DST preconditioner
+    shifted, precond = stiffness(grid, weights, -pot - shift)
+    n = pot.size
     iterations = 0
 
     def precondition(block):
@@ -343,11 +333,10 @@ def stability_index(
         warnings.simplefilter("ignore", UserWarning)
         # LOBPCG runs maxiter + 1 preconditioned iterations
         ritz, vecs = spla.lobpcg(
-            pencil - shift * sp.identity(n, format="csr"), x0, M=precondition,
-            tol=bound, maxiter=max_iter - 1, largest=False,
+            shifted, x0, M=precondition, tol=bound, maxiter=max_iter - 1, largest=False
         )
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    px = pencil @ x
+    px = shifted @ x + shift * x
     rho = float(x @ px)
     residual = float(np.linalg.norm(px - rho * x))
     if not residual <= bound:

@@ -227,6 +227,19 @@ def test_forged_snapshot_body_is_refused_without_reading_it(tmp_path, capsys):
     assert "holds more than 81 values, its header needs 81" in err[0]
 
 
+def test_forged_snapshot_row_of_many_values_is_refused(tmp_path, capsys):
+    # the header declares 81 nodes; the body is one row of 2,000,000 values,
+    # refused as soon as that row is read
+    path = tmp_path / "forged.txt"
+    path.write_text("anisofield 2 8 8 0 1 0 1\n" + "1.0 " * 2_000_000 + "\n")
+    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1",
+                 "--res", "8,8", "--u", f"file:{path}",
+                 "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert err[0].endswith("a body row is not one value")
+
+
 def test_stability_degenerate_spectrum_gap_is_seed_independent(tmp_path):
     # constant along the p = 3 axis, whose flux weights then vanish: the
     # lowest eigenvalue is multiple, so the minimizer may change with the

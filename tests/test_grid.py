@@ -3,6 +3,8 @@ quadrature, cutoffs, level sets, and serialization."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from anisolab.errors import GeometryError, ValidationError
 from anisolab.exponents import ExponentData
@@ -13,17 +15,16 @@ from anisolab.grid import (
     axis_diff,
     ball_fraction_weights,
     export_field_csv,
-    extract_interior,
     face_divergence,
     face_integral,
     integrate,
-    interior_difference_matrix,
-    interior_face_slices,
     level_set_measure,
     load_field,
     make_cutoff,
     p_laplacian_apply,
     save_field,
+    stiffness,
+    stiffness_band,
     weighted_integrate,
 )
 from anisolab.solver import inner_energy
@@ -216,29 +217,60 @@ def test_ball_fraction_weights_volume():
     assert vol == pytest.approx(np.pi, rel=2e-3)
 
 
-def test_interior_matrix_matches_axis_diff():
-    rng = np.random.default_rng(9)
-    g = Grid(box=((0.0, 1.0), (0.0, 2.0)), res=(8, 6))
-    f = rand_zero_boundary(g, rng)
-    for axis in range(2):
-        mat = interior_difference_matrix(g, axis)
-        got = (mat @ extract_interior(f)).reshape(
-            tuple(
-                g.res[j] if j == axis else g.res[j] - 1 for j in range(g.dim)
-            )
-        )
-        want = axis_diff(f, axis)[interior_face_slices(g, axis)]
-        assert np.allclose(got, want, atol=1e-13)
+def kron_difference_matrix(grid, axis):
+    """Forward differences along `axis` from interior nodes to the faces of
+    that axis at interior transverse positions (test-local, by Kronecker
+    products)."""
+    blocks = []
+    for j, (r, h) in enumerate(zip(grid.res, grid.h)):
+        if j == axis:
+            blocks.append(sp.diags([np.full(r - 1, 1.0 / h), np.full(r - 1, -1.0 / h)],
+                                   [0, -1], shape=(r, r - 1)))
+        else:
+            blocks.append(sp.identity(r - 1))
+    mat = blocks[0]
+    for blk in blocks[1:]:
+        mat = sp.kron(mat, blk)
+    return mat.tocsr()
 
 
-def test_interior_matrix_cache_stays_bounded():
-    maxsize = interior_difference_matrix.cache_parameters()["maxsize"]
-    assert maxsize is not None
-    for res in range(4, 54):
-        g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(res, 3))
-        interior_difference_matrix(g, 0)
-        interior_difference_matrix(g, 1)
-        assert interior_difference_matrix.cache_info().currsize <= maxsize
+@pytest.mark.parametrize(
+    "box, res",
+    [
+        (((0.0, 1.0),), (9,)),
+        (((0.0, 1.0), (0.0, 2.5)), (8, 6)),
+        (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (5, 7, 4)),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_stiffness_matches_kronecker_assembly(box, res):
+    rng = np.random.default_rng(11)
+    g = Grid(box=box, res=res)
+    weights, want = [], None
+    for axis in range(g.dim):
+        faces = rng.uniform(0.5, 2.0, axis_diff(GridField.zeros(g), axis).shape)
+        # faces at transverse-boundary positions must not enter
+        inner = tuple(slice(None) if j == axis else slice(1, -1) for j in range(g.dim))
+        garbage = np.full(faces.shape, 1e6)
+        garbage[inner] = faces[inner]
+        weights.append(garbage)
+        k = kron_difference_matrix(g, axis)
+        block = k.T @ sp.diags(faces[inner].ravel()) @ k
+        want = block if want is None else want + block
+    diag = rng.uniform(0.0, 3.0, want.shape[0])
+    want = (want + sp.diags(diag)).toarray()
+    matrix, _ = stiffness(g, weights, diag)
+    got = matrix.toarray()
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    assert np.array_equal(got, got.T)
+    b = rng.standard_normal(want.shape[0])
+    if g.dim == 1:
+        x = scipy.linalg.solveh_banded(stiffness_band(g, weights, diag), b)
+        assert np.allclose(want @ x, b, rtol=0.0, atol=1e-10)
+    # with constant weights and diagonal the DST preconditioner is the inverse
+    const = [np.full(w.shape, c) for w, c in zip(weights, (1.0, 2.0, 3.0))]
+    matrix, precond = stiffness(g, const, np.full(b.size, 0.5))
+    assert np.allclose(precond(matrix @ b), b, rtol=0.0, atol=1e-10)
 
 
 def test_field_serialization_roundtrip(tmp_path):
