@@ -13,7 +13,6 @@ pencil) from its stencil, with the DST preconditioner.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +29,14 @@ from .errors import GeometryError, ValidationError
 # and one CSR stiffness matrix of 7 entries per row, about 88 bytes per node,
 # so it needs roughly 5 GiB at the limit: about all a laptop-class machine has.
 MAX_NODES = 2 ** 24
+# Longest body row `load_field` accepts, newline not counted: `save_field`
+# writes at most 24 characters a row ("%.17g" of a float), so a longer row
+# is refused as soon as it is read, before the reader holds more of it.
+MAX_ROW_CHARS = 128
+# Characters `load_field` reads at a time, and values `save_field` and
+# `export_field_csv` format at a time: the text held stays well under 1 MB.
+_READ_CHARS = 2 ** 16
+_WRITE_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -443,22 +450,25 @@ _FIELD_MAGIC = "anisofield"
 
 def save_field(f: GridField, path) -> None:
     """Text snapshot: one header line (dim, res, box), then node values in
-    row-major order, one per line."""
+    row-major order, one per line ("%.17g")."""
     header = [_FIELD_MAGIC, str(f.grid.dim)]
     header += [str(r) for r in f.grid.res]
     header += [f"{v!r}" for pair in f.grid.box for v in pair]
+    flat = f.values.ravel()
     with open(path, "w") as fh:
         fh.write(" ".join(header) + "\n")
-        for v in f.values.ravel():
-            fh.write(f"{v:.17g}\n")
+        for start in range(0, flat.size, _WRITE_VALUES):
+            chunk = flat[start : start + _WRITE_VALUES].tolist()
+            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
 
 
 def load_field(path) -> GridField:
     """Read a `save_field` snapshot; a malformed header, a grid that `Grid`
     refuses (checked before any value is read), a body row that is not one
-    value (refused as soon as it is read), a value count that differs from
-    the header's grid (read no further than one row past it), or a
-    non-finite value is a ValidationError."""
+    value or is longer than `MAX_ROW_CHARS` (refused as soon as it is read),
+    a value count that differs from the header's grid (read no further than
+    one block of `_READ_CHARS` characters past it), or a non-finite value is
+    a ValidationError."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != _FIELD_MAGIC:
@@ -472,26 +482,54 @@ def load_field(path) -> GridField:
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"{path} is a malformed field snapshot: {exc}") from exc
         expected = math.prod(grid.shape)
-        try:
-            # one row past the header's count is enough to refuse a longer body
-            values = np.fromiter(map(float, itertools.islice(fh, expected + 1)), float)
-        except ValueError as exc:  # the row is left out of the message: it may be huge
-            raise ValidationError(
-                f"{path} is a malformed field snapshot: a body row is not one value"
-            ) from exc
-    if values.size != expected:
-        count = f"more than {expected}" if values.size > expected else values.size
-        raise ValidationError(f"{path} holds {count} values, its header needs {expected}")
+        # the row is left out of the message: it may be huge
+        not_one_value = f"{path} is a malformed field snapshot: a body row is not one value"
+        # one row past the header's count is enough to refuse a longer body
+        values = np.empty(expected + 1)
+        count, pending = 0, ""
+        while count <= expected:
+            block = fh.read(_READ_CHARS)
+            text = pending + block
+            if block:  # the text after the last newline starts the next row
+                rows = text.split("\n")
+                pending = rows.pop()
+            else:  # at the end of the file a last row may lack its newline
+                rows, pending = ([text] if text else []), ""
+            # the longest row, the pending one included, is the largest gap
+            # between newlines; the encoding gives one byte per character
+            codes = np.frombuffer(text.encode("latin-1", "replace"), np.uint8)
+            gaps = np.diff(np.flatnonzero(codes == 10), prepend=-1, append=codes.size)
+            keep = expected + 1 - count
+            if len(rows) >= keep:  # the last block: later rows are never parsed
+                rows, gaps = rows[:keep], gaps[:keep]
+            if gaps.max() > MAX_ROW_CHARS + 1:
+                raise ValidationError(not_one_value)
+            try:
+                values[count : count + len(rows)] = np.fromiter(map(float, rows), float, len(rows))
+            except ValueError as exc:
+                raise ValidationError(not_one_value) from exc
+            count += len(rows)
+            if not block:
+                break
+    if count != expected:
+        shown = f"more than {expected}" if count > expected else count
+        raise ValidationError(f"{path} holds {shown} values, its header needs {expected}")
+    values = values[:expected]
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{path} holds non-finite values")
     return GridField(grid, values.reshape(grid.shape))
 
 
 def export_field_csv(f: GridField, path) -> None:
-    coords = f.grid.meshgrid()
+    """CSV of the nodes in row-major order: coordinates x1.., value ("%.17g"),
+    with `csv.writer`'s comma and CRLF; no field needs quoting."""
+    axes = [["%.17g" % x for x in axis.tolist()] for axis in f.grid.axes()]
+    coords = map(",".join, itertools.product(*axes))
+    flat = f.values.ravel()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(f.grid.dim)] + ["value"])
-        flat = [c.ravel() for c in coords] + [f.values.ravel()]
-        for row in zip(*flat):
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join([f"x{i + 1}" for i in range(f.grid.dim)] + ["value"]) + "\r\n")
+        for start in range(0, flat.size, _WRITE_VALUES):
+            chunk = flat[start : start + _WRITE_VALUES].tolist()
+            # the value chunk first: zip stops on it without taking one
+            # coordinate row past its end
+            fh.write("".join(["%s,%.17g\r\n" % (xs, v) for v, xs in zip(chunk, coords)]))

@@ -162,12 +162,15 @@ def _require_positive_on_support(u: GridField, support: np.ndarray) -> None:
         raise SingularityError("u must be positive wherever the test function lives")
 
 
-def _node_weight_tensor(grid: Grid) -> np.ndarray:
+def _node_weight_tensor(grid: Grid, window=None) -> np.ndarray:
+    """Tensor-product trapezoid node weights, on the sub-box `window` (one
+    slice per axis) when given."""
+    window = (slice(None),) * grid.dim if window is None else window
     w = None
-    for axis, w1 in enumerate(grid.node_weights_1d()):
+    for axis, (w1, s) in enumerate(zip(grid.node_weights_1d(), window)):
         shape = [1] * grid.dim
-        shape[axis] = w1.size
-        w = w1.reshape(shape) if w is None else w * w1.reshape(shape)
+        shape[axis] = -1
+        w = w1[s].reshape(shape) if w is None else w * w1[s].reshape(shape)
     return w
 
 
@@ -497,27 +500,23 @@ def _case_setup(case: CorollaryCase, beta: float, spec: ProblemSpec):
     return big_e, theta_p
 
 
-def _log_quotient_integral(
-    grid: Grid, g_vals, psi_vals, u_vals, big_e: float, extra_mask=None
-) -> float:
-    """int g (psi/u)^E via log-space accumulation (E can be large).
+def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
+    """int g (psi/u)^E via log-space accumulation (E can be large), from the
+    node weights `w` and the values at the nodes where the integral lives
+    (w > 0 and psi > 0).
 
-    A non-finite g or u where the integral lives is a ValidationError."""
-    w = _node_weight_tensor(grid)
-    mask = (psi_vals > 0) & (w > 0)
-    if extra_mask is not None:
-        mask &= extra_mask
-    if not (np.all(np.isfinite(g_vals[mask])) and np.all(np.isfinite(u_vals[mask]))):
+    A non-finite g or u there is a ValidationError."""
+    if not (np.all(np.isfinite(g_vals)) and np.all(np.isfinite(u_vals))):
         raise ValidationError("weight and candidate must be finite where the cutoff lives")
-    mask &= g_vals > 0
-    if not np.any(mask):
+    keep = g_vals > 0
+    if not np.any(keep):
         return 0.0
-    if np.any(u_vals[mask] <= 0):
+    if np.any(u_vals[keep] <= 0):
         raise SingularityError("u must be positive where the cutoff lives")
     logs = (
-        np.log(w[mask])
-        + np.log(g_vals[mask])
-        + big_e * (np.log(psi_vals[mask]) - np.log(u_vals[mask]))
+        np.log(w[keep])
+        + np.log(g_vals[keep])
+        + big_e * (np.log(psi_vals[keep]) - np.log(u_vals[keep]))
     )
     return float(np.exp(logsumexp(logs)))
 
@@ -549,7 +548,9 @@ def corollary_sides(
     in_range = _THEOREM_RANGES[_CASE_THEOREM[case]]
     g_vals = g.values if g is not None else np.ones(grid.shape)
 
-    lhs = _log_quotient_integral(grid, g_vals, psi.values, u.values, big_e)
+    w = _node_weight_tensor(grid)
+    at = (psi.values > 0) & (w > 0)
+    lhs = _log_quotient_integral(w[at], g_vals[at], psi.values[at], u.values[at], big_e)
     rhs = 0.0
     for axis, (p_i, t_p) in enumerate(zip(e.p, theta_p)):
         dpsi = np.abs(axis_diff(psi, axis))
@@ -649,15 +650,37 @@ def radius_sweep(
         raise ValidationError(f"degenerate total power E = {big_e}")
     decay = decay_exponents(beta, spec, use_gamma=use_gamma)
 
-    distances = grid.node_distances(c)
+    # `ball_fraction_weights` refuses r <= 0 too, but the window needs r_max
+    if not all(r > 0 for r in radii):
+        raise ValidationError("ball radius must be positive")
+    # A node is in a ball of radius r <= r_max only if its distance is below
+    # r_max + width/2, so every ball lies in the sub-box `window` of nodes
+    # within r_max + width of c along each axis.  The quadrature runs there
+    # on the same node values as over the whole grid, so each lhs is bitwise
+    # the full-grid value.  The distances are summed there as `node_distances`
+    # sums them: on a 97^3 grid that takes 0.5 ms, slicing the full-grid
+    # distance and weight tensors 14 ms.
+    width = max(grid.h)
+    window, sq = [], 0.0
+    for axis, (x, ci) in enumerate(zip(grid.axes(), c)):
+        near = np.flatnonzero(np.abs(x - ci) <= r_max + width)
+        window.append(slice(near[0], near[-1] + 1))
+        shape = [1] * grid.dim
+        shape[axis] = -1
+        sq = sq + ((x[window[-1]] - ci) ** 2).reshape(shape)
+    window = tuple(window)
+    distances = np.sqrt(sq)
+    w = _node_weight_tensor(grid, window)
+    g_vals, u_vals = g.values[window], u.values[window]
+    live = w > 0
+    ones = np.ones(distances.shape)  # psi = 1: the ball scales g
+
     rows: list[SweepRow] = []
     first_violating = None
     for r in radii:
         ball = ball_fraction_weights(grid, r, center=c, distances=distances)
-        lhs = _log_quotient_integral(
-            grid, g.values * ball, np.ones(grid.shape), u.values, big_e,
-            extra_mask=ball > 0,
-        )
+        at = (ball > 0) & live
+        lhs = _log_quotient_integral(w[at], g_vals[at] * ball[at], ones[at], u_vals[at], big_e)
         rhs = c_const * sum(r ** d for d in decay)
         rows.append(SweepRow(R=r, lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0 else math.inf))
         if first_violating is None and lhs > rhs:

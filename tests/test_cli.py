@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ def test_truncated_snapshot_exit_code(tmp_path):
                  "--outdir", str(tmp_path / "s")]) == 2
 
 
+
+@pytest.mark.parametrize("radii", ["-1", "-2,-1", "nan"])
+def test_sweep_nonpositive_radii_are_refused(tmp_path, capsys, radii):
+    # the radii parser checks no sign: the sweep refuses them
+    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
+                 "--u", "constant:1", f"--radii={radii}",
+                 "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert err[0].endswith("ball radius must be positive")
+
 def test_forged_snapshot_header_is_refused_before_reading(tmp_path, capsys):
     # the header declares 4096^3 cells; the grid size guard refuses it
     # before any value is read
@@ -238,6 +250,25 @@ def test_forged_snapshot_row_of_many_values_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("validation error:")
     assert err[0].endswith("a body row is not one value")
+
+
+def test_forged_snapshot_row_without_newline_is_refused_in_bounded_memory(tmp_path, capsys):
+    # the body is one 8 MB row with no newline: refused once the reader
+    # holds MAX_ROW_CHARS characters of it, so memory stays one read block
+    path = tmp_path / "forged.txt"
+    path.write_text("anisofield 2 8 8 0 1 0 1\n" + "1.0 " * 2_000_000)
+    argv = ["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
+            "--u", f"file:{path}", "--outdir", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith("a body row is not one value")
+    assert peak < 2 * 2 ** 20
 
 
 def test_stability_degenerate_spectrum_gap_is_seed_independent(tmp_path):

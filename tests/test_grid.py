@@ -1,6 +1,8 @@
 """Discretization contracts: adjoint consistency, operator correctness,
 quadrature, cutoffs, level sets, and serialization."""
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,8 @@ import scipy.sparse as sp
 from anisolab.errors import GeometryError, ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.grid import (
+    _WRITE_VALUES,
+    MAX_ROW_CHARS,
     CutoffSpec,
     Grid,
     GridField,
@@ -287,3 +291,91 @@ def test_field_serialization_roundtrip(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "x1,x2,value"
     assert len(lines) == 1 + f.values.size
+
+
+def _reference_snapshot(f, path):
+    # one formatted value per line, as the snapshot format defines it
+    header = ["anisofield", str(f.grid.dim)] + [str(r) for r in f.grid.res]
+    header += [f"{v!r}" for pair in f.grid.box for v in pair]
+    with open(path, "w") as fh:
+        fh.write(" ".join(header) + "\n")
+        for v in f.values.ravel():
+            fh.write(f"{v:.17g}\n")
+
+
+def _reference_csv(f, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(f.grid.dim)] + ["value"])
+        flat = [c.ravel() for c in f.grid.meshgrid()] + [f.values.ravel()]
+        for row in zip(*flat):
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+@pytest.mark.parametrize("box, res", [
+    (((-1.3, 2.7),), (9000,)),
+    (((0.1, 1.0), (-1.0, np.pi)), (70, 91)),
+    (((-4.2, 4.25), (0.3, 7.0), (-1e-3, 1e3)), (17, 19, 23)),
+])
+def test_writers_match_reference_byte_for_byte(tmp_path, box, res):
+    # grids of more than one write chunk, so a chunk that takes one
+    # coordinate row too many shifts every later CSV row
+    g = Grid(box=box, res=res)
+    assert np.prod(g.shape) > _WRITE_VALUES
+    rng = np.random.default_rng(len(res))
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 301, g.shape)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1 / 3]
+    vals.ravel()[: len(specials)] = specials
+    vals.ravel()[_WRITE_VALUES - 1 : _WRITE_VALUES + 1] = [-0.0, 5e-324]
+    f = GridField(g, vals)
+    for write, reference, name in ((save_field, _reference_snapshot, "field.txt"),
+                                   (export_field_csv, _reference_csv, "field.csv")):
+        write(f, tmp_path / name)
+        reference(f, tmp_path / f"ref-{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+    loaded = load_field(tmp_path / "field.txt")
+    assert loaded.grid == g
+    # bit for bit, so -0.0 and subnormals count
+    assert np.array_equal(loaded.values.view(np.int64), vals.view(np.int64))
+
+
+@pytest.mark.parametrize("before", [0, 10_000, 16_375])
+def test_load_field_row_length_cap(tmp_path, before):
+    # a row of MAX_ROW_CHARS characters is read, one more is refused,
+    # wherever the row falls: in the first block, inside one, or across the
+    # boundary between the first two (body characters 65500 to 65630)
+    head = "anisofield 1 20000 0.0 1.0\n"
+    for width, ok in ((MAX_ROW_CHARS, True), (MAX_ROW_CHARS + 1, False)):
+        rows = ["0.5"] * 20001
+        rows[before] = "0.25".rjust(width)
+        path = tmp_path / f"w{width}.txt"
+        path.write_text(head + "".join(r + "\n" for r in rows))
+        if ok:
+            assert load_field(path).values[before] == 0.25
+        else:
+            with pytest.raises(ValidationError, match="a body row is not one value"):
+                load_field(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1.0\n" * 3, "holds 3 values, its header needs 9"),
+    ("1.0\n" * 9 + "\n", "a body row is not one value"),
+    ("1.0\n" * 10, "holds more than 9 values"),
+    ("1.0\n" * 10 + "x\n", "holds more than 9 values"),
+    # a long row past the one row read beyond the count is never looked at
+    pytest.param("1.0\n" * 10 + "x" * 200 + "\n", "holds more than 9 values", id="long-row-past-count"),
+    pytest.param("1.0\n" * 10 + "1" * 200, "holds more than 9 values", id="long-tail-past-count"),
+    pytest.param("1.0\n" * 9 + "1" * 200 + "\n", "a body row is not one value", id="long-row-past-count-is-read"),
+    ("1.0\n" * 8 + "nan\n", "holds non-finite values"),
+])
+def test_load_field_body_errors(tmp_path, body, message):
+    path = tmp_path / "f.txt"
+    path.write_text("anisofield 2 2 2 0.0 1.0 0.0 1.0\n" + body)
+    with pytest.raises(ValidationError, match=message):
+        load_field(path)
+
+
+def test_load_field_last_row_without_newline(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("anisofield 1 2 0.0 1.0\n1.0\n2.0\n3.0")
+    assert load_field(path).values.tolist() == [1.0, 2.0, 3.0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from anisolab.errors import (
     GeometryError,
@@ -19,9 +20,19 @@ from anisolab.exponents import (
     ExpSingular,
     MixedPower,
     ProblemSpec,
+    beta_window,
+    decay_exponents,
+    lhs_power,
     select_beta,
 )
-from anisolab.grid import CutoffSpec, Grid, GridField, integrate, make_cutoff
+from anisolab.grid import (
+    CutoffSpec,
+    Grid,
+    GridField,
+    ball_fraction_weights,
+    integrate,
+    make_cutoff,
+)
 from anisolab.stability import (
     CorollaryCase,
     NonlinearityEval,
@@ -575,6 +586,11 @@ def test_radius_sweep_validation():
         radius_sweep(u, ones, spec, beta, [0.5, 0.4])
     with pytest.raises(OutOfWindowError):
         radius_sweep(u, ones, spec, 1e6, [0.2, 0.4])
+    # every radius is refused before the quadrature window is built from
+    # the largest; a NaN passes the order check and fails `r > 0`
+    for radii in ([-1.0], [-2.0, -1.0], [0.0, 0.5], [float("nan")], [0.2, float("nan")]):
+        with pytest.raises(ValidationError, match="ball radius must be positive"):
+            radius_sweep(u, ones, spec, beta, radii)
 
 
 def test_radius_sweep_exploratory_outside_region():
@@ -605,6 +621,94 @@ def test_radius_sweep_rejects_non_finite_inputs(target):
     beta, _ = select_beta(spec)
     with pytest.raises(ValidationError, match="finite"):
         radius_sweep(u, w, spec, beta, [0.5, 0.9])
+
+
+def _reference_sweep_rows(u, g, big_e, decay, radii, center):
+    # every radius on the full grid: int g*ball (1/u)^E in log space, node
+    # weights, checks and log terms in the order of the sweep's definition
+    grid = u.grid
+    w = np.ones(grid.shape)
+    for axis, w1 in enumerate(grid.node_weights_1d()):
+        shape = [1] * grid.dim
+        shape[axis] = -1
+        w = w * w1.reshape(shape) if axis else w1.reshape(shape)
+    rows = []
+    for r in radii:
+        ball = ball_fraction_weights(grid, r, center=center)
+        g_ball = g.values * ball
+        mask = (w > 0) & (ball > 0)
+        if not (np.all(np.isfinite(g_ball[mask])) and np.all(np.isfinite(u.values[mask]))):
+            raise ValidationError("weight and candidate must be finite")
+        mask &= g_ball > 0
+        lhs = 0.0
+        if np.any(mask):
+            if np.any(u.values[mask] <= 0):
+                raise SingularityError("u must be positive")
+            logs = (np.log(w[mask]) + np.log(g_ball[mask])
+                    + big_e * (np.log(np.ones(grid.shape)[mask]) - np.log(u.values[mask])))
+            lhs = float(np.exp(logsumexp(logs)))
+        rhs = sum(r ** d for d in decay)
+        rows.append((r, lhs, rhs, lhs / rhs))
+    return rows
+
+
+def _sweep_setup(dim):
+    # odd cell counts, unequal steps, non-constant u and g, an off-centre
+    # centre; the largest radius is the 2R fit limit, 4.75, exactly
+    box = ((-10.0, 10.0), (-11.0, 9.5), (-10.0, 10.5))[:dim]
+    grid = Grid(box=box, res=(33, 35, 31)[:dim])
+    center = (0.5, -1.0, 0.25)[:dim]
+    x = grid.meshgrid()
+    u = GridField(grid, 0.9 + 0.2 * np.cos(x[0]) * np.sin(sum(x)) ** 2)
+    g = GridField(grid, 1.0 + 0.5 * np.sin(x[0] * x[-1]) + 0.01 * x[-1])
+    radii = list(np.geomspace(0.3, 4.75, 9))
+    return grid, center, u, g, radii
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", [MixedPower(12.0, 15.0), ExpSingular(0.2)])
+def test_radius_sweep_matches_full_grid_reference(dim, kind):
+    grid, center, u, g, radii = _sweep_setup(dim)
+    spec = ProblemSpec(kind=kind, exponents=ExponentData.from_p([2, 3, 4][:dim]))
+    beta = 0.5 * sum(float(b) for b in beta_window(spec))  # any beta in the window
+    sweep = radius_sweep(u, g, spec, beta, radii, center=center)
+    expected = _reference_sweep_rows(u, g, lhs_power(beta, spec),
+                                     decay_exponents(beta, spec), radii, center)
+    assert [(r.R, r.lhs, r.rhs, r.ratio) for r in sweep.rows] == expected
+
+
+@pytest.mark.parametrize("bad", ["nan-weight", "nonpositive-candidate"])
+def test_radius_sweep_checks_reach_exactly_the_balls(bad):
+    # a bad node that only the largest ball reaches is refused; the same
+    # node just outside every ball (inside the quadrature sub-box or far
+    # from it) is not, and the sweep equals the reference
+    grid, center, u, g, radii = _sweep_setup(3)
+    spec = ProblemSpec(kind=MixedPower(12.0, 15.0), exponents=ExponentData.from_p([2, 3, 4]))
+    beta, _ = select_beta(spec)
+    d = grid.node_distances(center)
+    half_cell = 0.5 * max(grid.h)
+    only_largest = (d >= radii[-2] + half_cell) & (d < radii[-1] + half_cell)
+    near_outside = (d >= radii[-1] + half_cell) & (d < radii[-1] + 2 * half_cell)
+    far_outside = d >= 2 * radii[-1]
+    error = ValidationError if bad == "nan-weight" else SingularityError
+    for where, raises in ((only_largest, True), (near_outside, False), (far_outside, False)):
+        node = np.unravel_index(np.flatnonzero(where)[0], grid.shape)
+        g_bad, u_bad = g.values.copy(), u.values.copy()
+        if bad == "nan-weight":
+            g_bad[node] = np.nan
+        else:
+            u_bad[node] = -1.0
+        args = (GridField(grid, u_bad), GridField(grid, g_bad))
+        if raises:
+            with pytest.raises(error):
+                radius_sweep(*args, spec, beta, radii, center=center)
+            with pytest.raises(error):
+                _reference_sweep_rows(*args, 1.0, (0.0,), radii, center)
+        else:
+            sweep = radius_sweep(*args, spec, beta, radii, center=center)
+            assert [(r.R, r.lhs) for r in sweep.rows] == [
+                row[:2] for row in _reference_sweep_rows(
+                    *args, lhs_power(beta, spec), (0.0,), radii, center)]
 
 
 # --- certificates -------------------------------------------------------------------
