@@ -36,6 +36,7 @@ from .exponents import (
     region_memberships,
 )
 from .grid import (
+    MAX_NODES,
     Grid,
     GridField,
     export_field_csv,
@@ -64,6 +65,15 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
 
+def _count(text: str) -> int:
+    """A number of points to allocate: at least 1, at most `MAX_NODES`, so
+    that a huge count is refused before it is allocated."""
+    n = int(text)
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"count must lie in 1..{MAX_NODES}")
+    return n
+
+
 def _box(text: str) -> tuple[tuple[float, float], ...]:
     vals = _floats(text)
     if len(vals) % 2 != 0:
@@ -77,9 +87,9 @@ def _radii(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("radii range must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if lo <= 0 or hi <= lo or count < 1:
-        raise ValueError("radii range needs 0 < lo < hi and count >= 1")
+    lo, hi, count = float(parts[0]), float(parts[1]), _count(parts[2])
+    if lo <= 0 or hi <= lo:
+        raise ValueError("radii range needs 0 < lo < hi")
     return tuple(np.geomspace(lo, hi, count))
 
 
@@ -138,7 +148,7 @@ KEYS: dict[str, Key] = {
     "weight.m": Key("--weight-m", float, "claimed integrability exponent of g"),
     "truncation.k": Key("--k", int),
     "truncation.alpha": Key("--alpha", float),
-    "truncation.samples": Key("--samples", int),
+    "truncation.samples": Key("--samples", _count),
     "truncation.tmax": Key("--t-max", float),
     "solve.nmax": Key("--nmax", int),
     "solve.tolFix": Key("--tol-fix", float),

@@ -8,7 +8,10 @@ discrete energy gradient agree to machine precision, and everything in
 `solver` and `stability` relies on it.  It is the only difference
 operator: `p_flux` applies the anisotropic operator with it, and
 `stiffness` assembles every linear system (Newton Jacobian, stability
-pencil) from its stencil, with the DST preconditioner.
+pencil) from its stencil, with the DST preconditioner `dst_solver`.  That
+preconditioner is an exact inverse: it transforms by dense sine matrices
+(BLAS) on interior axes of at most `DENSE_DST_MAX` = 32 nodes and by
+pocketfft on longer ones.
 """
 
 from __future__ import annotations
@@ -33,10 +36,19 @@ MAX_NODES = 2 ** 24
 # writes at most 24 characters a row ("%.17g" of a float), so a longer row
 # is refused as soon as it is read, before the reader holds more of it.
 MAX_ROW_CHARS = 128
+# Longest header line `load_field` accepts, newline not counted: `save_field`
+# writes at most about 190 characters (magic, dim, 3 counts, 6 floats).
+MAX_HEADER_CHARS = 512
 # Characters `load_field` reads at a time, and values `save_field` and
 # `export_field_csv` format at a time: the text held stays well under 1 MB.
 _READ_CHARS = 2 ** 16
 _WRITE_VALUES = 4096
+# Longest interior axis (in nodes) on which `dst_solver` transforms by a
+# dense sine-matrix product rather than pocketfft: at 11-31 nodes the product
+# costs 0.23-0.55x a `scipy.fft.dstn` in 3D.  Longer axes gain less, and with
+# AVX2 BLAS kernels they lose (2D: 0.80x at 63 nodes, 1.21x at 95); see
+# ROADMAP item 7 for a larger cap.
+DENSE_DST_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -339,6 +351,24 @@ def make_cutoff(spec: CutoffSpec, grid: Grid) -> GridField:
 # linearizations: the interior stiffness matrix and its DST inverse
 # ---------------------------------------------------------------------------
 
+def sine_matrix(m: int) -> np.ndarray:
+    """The orthonormal DST-I of length m as a dense symmetric orthogonal
+    matrix sqrt(2/(m+1)) sin(pi j k/(m+1)), j, k = 1..m.  The integer jk is
+    reduced mod 2(m+1) first, so every sine argument stays below 2 pi."""
+    k = np.arange(1, m + 1)
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * (np.outer(k, k) % (2 * (m + 1))))
+
+
+def _along(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """The symmetric `mat` applied along `axis` of the C-contiguous `y`, as
+    one GEMM (last axis) or a stack of them (earlier axes)."""
+    shape = y.shape
+    pre, m, post = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+    if post == 1:
+        return (y.reshape(pre, m) @ mat).reshape(shape)
+    return np.matmul(mat, y.reshape(pre, m, post)).reshape(shape)
+
+
 def dst_solver(grid: Grid, c, shift: float = 0.0):
     """Exact inverse of sum_i c_i K_i^T K_i + shift * I on interior vectors.
 
@@ -348,6 +378,12 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     its own inverse, so the solve is two transforms and a division (fast
     diagonalization, Lynch, Rice & Thomas 1964).  A constant shift only
     moves every eigenvalue.
+
+    The transform is a product with the dense `sine_matrix` (BLAS) along
+    every interior axis of at most `DENSE_DST_MAX` nodes, and one pocketfft
+    `scipy.fft.dstn` call over the longer axes; both are the same exact
+    orthonormal DST-I.  `solve` takes one interior vector (n,) or a stack
+    of them (k, n) and returns the same shape.
     """
     shape = grid.interior_shape()
     lam = np.full(shape, float(shift))
@@ -356,10 +392,25 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
         bshape = [1] * grid.dim
         bshape[axis] = r - 1
         lam = lam + c_i * mode.reshape(bshape)
+    dense = {axis: sine_matrix(m) for axis, m in enumerate(shape) if m <= DENSE_DST_MAX}
+    fft_axes = [axis for axis in range(grid.dim) if axis not in dense]
+
+    def transform(y):
+        lead = y.ndim - len(shape)  # 1 for a stack
+        for axis, mat in dense.items():
+            y = _along(mat, y, lead + axis)
+        if not fft_axes:
+            return y
+        if lead or dense:
+            return scipy.fft.dstn(y, type=1, norm="ortho", axes=[lead + a for a in fft_axes])
+        # a single vector on a grid of long axes only: no `axes`, which costs
+        # a few microseconds a call
+        return scipy.fft.dstn(y, type=1, norm="ortho")
 
     def solve(b):
-        y = scipy.fft.dstn(np.reshape(b, shape), type=1, norm="ortho")
-        return scipy.fft.dstn(y / lam, type=1, norm="ortho").ravel()
+        stack = np.shape(b)[:-1]
+        y = transform(np.reshape(b, stack + shape))
+        return transform(y / lam).reshape(stack + (-1,))
 
     return solve
 
@@ -463,18 +514,27 @@ def save_field(f: GridField, path) -> None:
 
 
 def load_field(path) -> GridField:
-    """Read a `save_field` snapshot; a malformed header, a grid that `Grid`
-    refuses (checked before any value is read), a body row that is not one
-    value or is longer than `MAX_ROW_CHARS` (refused as soon as it is read),
-    a value count that differs from the header's grid (read no further than
-    one block of `_READ_CHARS` characters past it), or a non-finite value is
-    a ValidationError."""
+    """Read a `save_field` snapshot; a malformed header (longer than
+    `MAX_HEADER_CHARS`, read no further than that, or with tokens past the
+    box), a grid that `Grid` refuses (checked before any value is read), a
+    body row that is not one value or is longer than `MAX_ROW_CHARS`
+    (refused as soon as it is read), a value count that differs from the
+    header's grid (read no further than one block of `_READ_CHARS`
+    characters past it), or a non-finite value is a ValidationError."""
     with open(path) as fh:
-        header = fh.readline().split()
+        line = fh.readline(MAX_HEADER_CHARS + 1)
+        header = line.split()
         if not header or header[0] != _FIELD_MAGIC:
             raise ValidationError(f"{path} is not a field snapshot")
+        if len(line.rstrip("\n")) > MAX_HEADER_CHARS:
+            raise ValidationError(
+                f"{path} is a malformed field snapshot: "
+                f"its header is longer than {MAX_HEADER_CHARS} characters"
+            )
         try:
             dim = int(header[1])
+            if len(header) > 2 + 3 * dim:
+                raise ValueError(f"header tokens past the box of a {dim}D grid")
             res = tuple(int(x) for x in header[2 : 2 + dim])
             flat_box = [float(x) for x in header[2 + dim : 2 + 3 * dim]]
             box = tuple((flat_box[2 * i], flat_box[2 * i + 1]) for i in range(dim))

@@ -19,7 +19,9 @@ the type-I discrete sine transform diagonalizes the zero-Dirichlet
 stiffness sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it
 preconditions conjugate gradients on the assembled matrix in 2D and 3D
 (exactly, in one iteration, when all p_i = 2); in 1D the tridiagonal
-Jacobian is solved exactly as a band.
+Jacobian is solved exactly as a band.  The transform is a dense
+sine-matrix product on axes of at most 32 interior nodes and pocketfft on
+longer ones (`grid.dst_solver`), an exact inverse either way.
 
 Each level solution u is certified to lie within tol_fix of A(u), the
 fixed-point map of the paper (`apply_A`: one inner solve with right-hand

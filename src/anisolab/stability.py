@@ -290,8 +290,9 @@ def stability_index(
     of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
     (diagonal -W f'(u) - shift) and its DST preconditioner, and LOBPCG
     (Knyazev 2001) computes its two lowest eigenpairs from a block seeded
-    by `seed`.  Grids with fewer than ten interior nodes are solved densely
-    inside LOBPCG (0 iterations).
+    by `seed`, preconditioning the whole block in one call.  Grids with
+    fewer than ten interior nodes are solved densely inside LOBPCG (0
+    iterations).
 
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:
@@ -328,7 +329,7 @@ def stability_index(
     def precondition(block):
         nonlocal iterations
         iterations += 1
-        return np.column_stack([precond(col) for col in block.T])
+        return precond(block.T).T
 
     x0 = np.random.default_rng(seed).standard_normal((n, min(2, n)))
     with warnings.catch_warnings():

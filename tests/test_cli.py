@@ -10,7 +10,7 @@ import pytest
 from anisolab import cli
 from anisolab.cli import main
 from anisolab.errors import HypothesisViolatedError, ValidationError
-from anisolab.grid import Grid, GridField, load_field, save_field
+from anisolab.grid import MAX_HEADER_CHARS, MAX_NODES, Grid, GridField, load_field, save_field
 from anisolab.stability import stability_index
 
 
@@ -271,6 +271,36 @@ def test_forged_snapshot_row_without_newline_is_refused_in_bounded_memory(tmp_pa
     assert peak < 2 * 2 ** 20
 
 
+def test_forged_snapshot_header_of_many_tokens_is_refused_in_bounded_memory(tmp_path, capsys):
+    # the header line carries 2,000,000 tokens past its box and no newline:
+    # refused once the reader holds MAX_HEADER_CHARS characters of it
+    path = tmp_path / "forged.txt"
+    path.write_text("anisofield 2 8 8 0 1 0 1" + " 1.0" * 2_000_000)
+    argv = ["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
+            "--u", f"file:{path}", "--outdir", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert err[0].endswith(f"its header is longer than {MAX_HEADER_CHARS} characters")
+    assert peak < 2 * 2 ** 20
+
+
+def test_snapshot_header_tokens_past_the_box_are_refused(tmp_path, capsys):
+    path = tmp_path / "forged.txt"
+    path.write_text("anisofield 2 8 8 0 1 0 1 7\n" + "0.0\n" * 81)
+    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
+                 "--u", f"file:{path}", "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert err[0].endswith("header tokens past the box of a 2D grid")
+
+
 def test_stability_degenerate_spectrum_gap_is_seed_independent(tmp_path):
     # constant along the p = 3 axis, whose flux weights then vanish: the
     # lowest eigenvalue is multiple, so the minimizer may change with the
@@ -330,6 +360,38 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, config):
     assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("validation error:")
+
+
+_TRUNCATION = ["truncation-check", "--k", "2", "--alpha", "4"]
+
+
+# each count is refused before anything is allocated; without the check the
+# huge ones would fail at once in numpy, so no case can allocate gigabytes
+@pytest.mark.parametrize("argv, config", [
+    (_SWEEP + ["--radii", "1:2:1000000000000"], None),
+    (_SWEEP + ["--radii", "1:2:0"], None),
+    (_TRUNCATION + ["--samples", "1000000000000"], None),
+    (_TRUNCATION + ["--samples=-5"], None),
+    (_TRUNCATION + ["--samples", "0"], None),
+    (_TRUNCATION, "truncation.samples = -5\n"),
+], ids=["radii-huge", "radii-zero", "samples-huge", "samples-negative",
+        "samples-zero", "samples-config"])
+def test_out_of_range_counts_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error:")
+    assert err[0].endswith(f"count must lie in 1..{MAX_NODES}")
+
+
+def test_count_limits_are_inclusive():
+    assert cli._count("1") == 1
+    assert cli._count(str(MAX_NODES)) == MAX_NODES
+    with pytest.raises(ValueError):
+        cli._count(str(MAX_NODES + 1))
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -2,9 +2,11 @@
 quadrature, cutoffs, level sets, and serialization."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -12,6 +14,7 @@ from anisolab.errors import GeometryError, ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.grid import (
     _WRITE_VALUES,
+    DENSE_DST_MAX,
     MAX_ROW_CHARS,
     CutoffSpec,
     Grid,
@@ -23,10 +26,12 @@ from anisolab.grid import (
     face_integral,
     integrate,
     level_set_measure,
+    dst_solver,
     load_field,
     make_cutoff,
     p_laplacian_apply,
     save_field,
+    sine_matrix,
     stiffness,
     stiffness_band,
     weighted_integrate,
@@ -275,6 +280,66 @@ def test_stiffness_matches_kronecker_assembly(box, res):
     const = [np.full(w.shape, c) for w, c in zip(weights, (1.0, 2.0, 3.0))]
     matrix, precond = stiffness(g, const, np.full(b.size, 0.5))
     assert np.allclose(precond(matrix @ b), b, rtol=0.0, atol=1e-10)
+
+
+def dst_reference(grid, c, shift, b):
+    """The fast-diagonalization solve by two pocketfft `dstn` calls."""
+    shape = grid.interior_shape()
+    lam = np.full(shape, shift)
+    for axis, (c_i, r, h) in enumerate(zip(c, grid.res, grid.h)):
+        modes = 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, r) / r) ** 2
+        lam = lam + c_i * np.expand_dims(modes, [j for j in range(grid.dim) if j != axis])
+    y = scipy.fft.dstn(b.reshape(shape), type=1, norm="ortho")
+    return scipy.fft.dstn(y / lam, type=1, norm="ortho").ravel()
+
+
+# interior axes of at most DENSE_DST_MAX nodes take the dense sine matrix,
+# longer ones pocketfft: all short, all long and mixed, with both sides of
+# the cap (32 and 33 interior nodes)
+_DST_RES = {
+    "1d-short": (9,), "1d-cap": (33,), "1d-long": (34,),
+    "2d-short": (8, 6), "2d-long": (48, 40), "2d-mixed": (12, 50),
+    "3d-short": (16, 5, 7), "3d-long": (34, 35, 34), "3d-mixed": (8, 40, 12),
+}
+
+
+@pytest.mark.parametrize("res", _DST_RES.values(), ids=_DST_RES.keys())
+def test_dst_solver_matches_dstn_reference(res):
+    rng = np.random.default_rng(5)
+    g = Grid(box=tuple((0.0, 1.0 + 0.5 * i) for i in range(len(res))), res=res)
+    c, shift = (1.0, 2.5, 0.7)[: g.dim], 0.3
+    solve = dst_solver(g, c, shift)
+    b = rng.standard_normal((2, math.prod(g.interior_shape())))
+    want = np.stack([dst_reference(g, c, shift, col) for col in b])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(solve(b[0]) - want[0])) <= 1e-13 * scale
+    # a (2, n) stack is solved as each vector on its own
+    stacked = solve(b)
+    assert stacked.shape == b.shape
+    assert np.max(np.abs(stacked - np.stack([solve(col) for col in b]))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("res", [(40, 6), (8, 40, 12)], ids=["2d", "3d"])
+def test_dst_preconditioner_inverts_constant_stiffness_on_long_axes(res):
+    # an axis longer than DENSE_DST_MAX goes through pocketfft
+    g = Grid(box=tuple((0.0, 1.0 + i) for i in range(len(res))), res=res)
+    assert max(g.interior_shape()) > DENSE_DST_MAX
+    rng = np.random.default_rng(3)
+    const = [np.full(axis_diff(GridField.zeros(g), axis).shape, c)
+             for axis, c in zip(range(g.dim), (1.0, 2.0, 3.0))]
+    b = rng.standard_normal(math.prod(g.interior_shape()))
+    matrix, precond = stiffness(g, const, np.full(b.size, 0.5))
+    assert np.allclose(precond(matrix @ b), b, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 11, 31, DENSE_DST_MAX])
+def test_sine_matrix_is_symmetric_and_orthonormal(m):
+    s = sine_matrix(m)
+    assert np.array_equal(s, s.T)
+    assert np.max(np.abs(s @ s - np.eye(m))) <= 1e-14
+    # it is the orthonormal DST-I; reducing jk mod 2(m+1) keeps each entry
+    # within 1e-15 (unreduced arguments up to 32 pi are off by 3e-15)
+    assert np.max(np.abs(s - scipy.fft.dst(np.eye(m), type=1, norm="ortho", axis=0))) <= 1e-15
 
 
 def test_field_serialization_roundtrip(tmp_path):
