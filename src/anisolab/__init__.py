@@ -65,7 +65,6 @@ from .solver import (
 )
 from .stability import (
     CaccioppoliReport,
-    CorollaryCase,
     NonlinearityEval,
     StabilityReport,
     StabilityVariant,

@@ -66,12 +66,21 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _count(text: str) -> int:
-    """A number of points to allocate: at least 1, at most `MAX_NODES`, so
-    that a huge count is refused before it is allocated."""
+    """A number of points or steps: at least 1, at most `MAX_NODES`, so
+    that a huge count of points is refused before it is allocated."""
     n = int(text)
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"count must lie in 1..{MAX_NODES}")
     return n
+
+
+def _positive(text: str) -> float:
+    """A tolerance or range bound: finite and > 0 (a NaN tolerance would pass
+    every `gap > tol` test)."""
+    x = float(text)
+    if not 0 < x < np.inf:
+        raise ValueError("must be finite and > 0")
+    return x
 
 
 def _box(text: str) -> tuple[tuple[float, float], ...]:
@@ -149,11 +158,11 @@ KEYS: dict[str, Key] = {
     "truncation.k": Key("--k", int),
     "truncation.alpha": Key("--alpha", float),
     "truncation.samples": Key("--samples", _count),
-    "truncation.tmax": Key("--t-max", float),
+    "truncation.tmax": Key("--t-max", _positive),
     "solve.nmax": Key("--nmax", int),
-    "solve.tolFix": Key("--tol-fix", float),
-    "solve.innerTol": Key("--inner-tol", float),
-    "solve.maxOuter": Key("--max-outer", int),
+    "solve.tolFix": Key("--tol-fix", _positive),
+    "solve.innerTol": Key("--inner-tol", _positive),
+    "solve.maxOuter": Key("--max-outer", _count),
     "stability.u": Key("--u", _descriptor("constant", "file"), "constant:c | file:path"),
     "stability.variant": Key("--variant", StabilityVariant, "AsWritten | WeightedByG"),
     "sweep.u": Key("--u", _descriptor("constant", "file"), "constant:c | file:path"),

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 
-# select_beta starts this fraction of the window below the upper endpoint;
+# the beta search starts this fraction of the window below the upper endpoint;
 # the candidate then bisects toward the midpoint if the decay test fails.
 _BETA_ENDPOINT_OFFSET = 1e-6
 
@@ -70,6 +70,8 @@ class ExponentData:
         p = tuple(float(x) for x in p)
         if not p:
             raise ValidationError("empty exponent vector")
+        if not all(math.isfinite(x) for x in p):
+            raise ValidationError("every p_i must be finite")
         if any(x < 2.0 for x in p):
             raise ValidationError("every p_i must be >= 2")
         if any(a > b for a, b in zip(p, p[1:])):
@@ -102,9 +104,10 @@ class MixedPower:
     gamma: float
 
     def __post_init__(self):
-        if not (0 < self.delta <= self.gamma):
+        if not (0 < self.delta <= self.gamma < math.inf):
             raise ValidationError(
-                f"mixed-power parameters need 0 < delta <= gamma, got ({self.delta}, {self.gamma})"
+                "mixed-power parameters need 0 < delta <= gamma < inf, "
+                f"got ({self.delta}, {self.gamma})"
             )
 
 
@@ -115,8 +118,8 @@ class ExpSingular:
     cap: float
 
     def __post_init__(self):
-        if not self.cap > 0:
-            raise ValidationError(f"cap M must be positive, got {self.cap}")
+        if not 0 < self.cap < math.inf:
+            raise ValidationError(f"cap M must be positive and finite, got {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -265,64 +268,17 @@ def decay_exponents(
     )
 
 
-def _gamma_decay_negative_near_endpoint(spec: ProblemSpec) -> bool:
-    """Probe whether the gamma-family decay exponents all turn negative just
-    inside the window.
-
-    For candidates bounded below by one the cutoff estimate carries the
-    conjugates built from gamma while the window upper endpoint comes from
-    delta, so (unlike the other cases) region membership alone does not
-    decide the sign; it has to be checked numerically.
-    """
-    l1, upper = beta_window(spec)
-    if not upper > l1:
-        return False
-    l1, upper = float(l1), float(upper)
-    beta = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
-    return all(d < 0 for d in decay_exponents(beta, spec, use_gamma=True))
-
-
-def _applicable_theorem(spec: ProblemSpec) -> ApplicableTheorem:
-    e = spec.exponents
-    if isinstance(spec.kind, ExpSingular):
-        if region_J(e).contains(spec.kind.cap):
-            return ApplicableTheorem.THM3_5
-        return ApplicableTheorem.NONE
-
-    d, g = spec.kind.delta, spec.kind.gamma
-    a = region_A(e)
-    i_int = region_I(e)
-    d_in_i = i_int.contains(d) if i_int is not None else False
-    g_in_i = i_int.contains(g) if i_int is not None else False
-    if d >= 1 and d < g and a.contains(d) and d_in_i:
-        return ApplicableTheorem.THM3_2
-    if (
-        0 < d < g
-        and a.contains(d)
-        and g >= 1
-        and g_in_i
-        and _gamma_decay_negative_near_endpoint(spec)
-    ):
-        return ApplicableTheorem.THM3_3
-    if d == g and d >= 1 and a.contains(d) and d_in_i:
-        return ApplicableTheorem.THM3_4
-    return ApplicableTheorem.NONE
-
-
-def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
-    """Pick a beta strictly inside the window with all decay exponents < 0.
+def _search_beta(
+    spec: ProblemSpec, thm: ApplicableTheorem, l1: Fraction, upper: Fraction
+) -> tuple[float, tuple[float, ...]]:
+    """Pick a beta strictly inside the exact window (l1, upper) with all
+    decay exponents < 0.
 
     Starts just below the upper endpoint (where the decay is most negative)
     and bisects toward the midpoint; the first candidate inside the exact
     window with all-negative decay wins.  A window too narrow to hold a
     float has no candidate.
     """
-    thm = _applicable_theorem(spec)
-    if thm is ApplicableTheorem.NONE:
-        raise HypothesisNotApplicableError(
-            "no certified hypothesis set holds at this parameter point"
-        )
-    l1, upper = beta_window(spec)
     if not upper > l1:
         raise HypothesisViolatedError(
             f"certified point has an empty beta window ({float(l1)}, {float(upper)})"
@@ -340,6 +296,17 @@ def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
     raise HypothesisViolatedError(
         f"no admissible beta found in ({lo}, {hi}) although case {thm.value} applies"
     )
+
+
+def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
+    """The beta and decay exponents `region_memberships` selects; refused
+    when no certified case applies."""
+    report = region_memberships(spec)
+    if report.theoremApplicable is ApplicableTheorem.NONE:
+        raise HypothesisNotApplicableError(
+            "no certified hypothesis set holds at this parameter point"
+        )
+    return report.selectedBeta, report.decayExponents
 
 
 @dataclass(frozen=True)
@@ -450,14 +417,17 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     """Compute every region endpoint, membership, and the applicable case.
 
     When a case applies, a beta is selected and the decay exponents at that
-    beta are recorded; otherwise those fields are None.
+    beta are recorded; otherwise those fields are None.  A certified point
+    whose window holds no admissible beta raises HypothesisViolatedError.
     """
     e = spec.exponents
     a, b, c, j = region_A(e), region_B(e), region_C(e), region_J(e)
     i_int = region_I(e)
     i_bounds = region_I_axis_bounds(e)
-    l1, upper = (float(x) for x in beta_window(spec))
+    exact_l1, exact_upper = beta_window(spec)
+    l1, upper = float(exact_l1), float(exact_upper)
 
+    thm = ApplicableTheorem.NONE
     if isinstance(spec.kind, MixedPower):
         d, g = spec.kind.delta, spec.kind.gamma
         delta_in_a = a.contains(d)
@@ -465,18 +435,27 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
         gamma_in_i = i_int.contains(g) if i_int is not None else False
         cap_in_b = cap_in_c = cap_in_j = None
         l2, l3 = upper, None
+        if d >= 1 and delta_in_a and delta_in_i:
+            thm = ApplicableTheorem.THM3_4 if d == g else ApplicableTheorem.THM3_2
+        elif d < g and g >= 1 and delta_in_a and gamma_in_i and exact_upper > exact_l1:
+            # For u >= 1 the estimate carries the conjugates built from gamma
+            # while the window comes from delta, so membership alone does not
+            # decide the sign of the decay: probe it where the search starts.
+            probe = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
+            if all(x < 0 for x in decay_exponents(probe, spec, use_gamma=True)):
+                thm = ApplicableTheorem.THM3_3
     else:
         delta_in_a = delta_in_i = gamma_in_i = None
         cap_in_b = b.contains(spec.kind.cap)
         cap_in_c = c.contains(spec.kind.cap)
         cap_in_j = j.contains(spec.kind.cap)
         l2, l3 = None, upper
+        if cap_in_j:
+            thm = ApplicableTheorem.THM3_5
 
-    thm = _applicable_theorem(spec)
+    beta = decay = None
     if thm is not ApplicableTheorem.NONE:
-        beta, decay = select_beta(spec)
-    else:
-        beta, decay = None, None
+        beta, decay = _search_beta(spec, thm, exact_l1, exact_upper)
 
     return ThresholdReport(
         l1=l1,

@@ -74,21 +74,6 @@ class StabilityVariant(Enum):
     WEIGHTED_BY_G = "WeightedByG"
 
 
-class CorollaryCase(Enum):
-    """Which cutoff estimate is evaluated.
-
-    C5_2_1: mixed power, candidates 0 < u <= 1, power E = 2b + delta + q - 1
-    C5_2_2: mixed power, candidates u >= 1, power E = 2b + gamma + q - 1
-    C5_2_3: mixed power, delta = gamma, candidates u > 0, delta-based power
-    C5_3:   exponential, candidates 0 < u <= M, power E = 2b + q
-    """
-
-    C5_2_1 = "C5_2_1"
-    C5_2_2 = "C5_2_2"
-    C5_2_3 = "C5_2_3"
-    C5_3 = "C5_3"
-
-
 # candidate range each theorem assumes (closed ends get a 1e-12 slack)
 _THEOREM_RANGES = {
     ApplicableTheorem.THM3_2: lambda vals, spec: bool(
@@ -99,14 +84,6 @@ _THEOREM_RANGES = {
     ApplicableTheorem.THM3_5: lambda vals, spec: bool(
         np.all((vals > 0) & (vals <= spec.kind.cap + 1e-12))
     ),
-}
-
-# the theorem whose candidate range each cutoff corollary assumes
-_CASE_THEOREM = {
-    CorollaryCase.C5_2_1: ApplicableTheorem.THM3_2,
-    CorollaryCase.C5_2_2: ApplicableTheorem.THM3_3,
-    CorollaryCase.C5_2_3: ApplicableTheorem.THM3_4,
-    CorollaryCase.C5_3: ApplicableTheorem.THM3_5,
 }
 
 
@@ -383,23 +360,8 @@ class CaccioppoliReport:
     beta: float | None
     k: int | None
     satisfied: bool
-    firstViolatingR: float | None = None
     range_ok: bool | None = None
     case: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "k": self.k,
-            "satisfied": self.satisfied,
-            "firstViolatingR": self.firstViolatingR,
-            "rangeOk": self.range_ok,
-            "case": self.case,
-        }
 
 
 def apriori_sides(
@@ -480,20 +442,20 @@ def apriori_sides(
 # cutoff corollaries
 # ---------------------------------------------------------------------------
 
-def _case_setup(case: CorollaryCase, beta: float, spec: ProblemSpec):
+def _case_setup(case: ApplicableTheorem, beta: float, spec: ProblemSpec):
     """Return (E, theta_prime per axis) for the case."""
     e = spec.exponents
-    if case is CorollaryCase.C5_3:
+    if case is ApplicableTheorem.THM3_5:
         if not isinstance(spec.kind, ExpSingular):
-            raise ValidationError("case C5_3 needs an exponential problem")
+            raise ValidationError("case Thm3_5 needs an exponential problem")
         big_e = lhs_power(beta, spec)
         theta_p = tuple(theta_exponents(beta, spec, i)[1] for i in range(e.N))
     else:
         if not isinstance(spec.kind, MixedPower):
             raise ValidationError(f"case {case.value} needs a mixed-power problem")
-        use_gamma = case is CorollaryCase.C5_2_2
-        if case is CorollaryCase.C5_2_3 and spec.kind.delta != spec.kind.gamma:
-            raise ValidationError("case C5_2_3 needs delta = gamma")
+        use_gamma = case is ApplicableTheorem.THM3_3
+        if case is ApplicableTheorem.THM3_4 and spec.kind.delta != spec.kind.gamma:
+            raise ValidationError("case Thm3_4 needs delta = gamma")
         big_e = lhs_power(beta, spec, use_gamma=use_gamma)
         theta_p = tuple(
             theta_exponents(beta, spec, i, use_gamma=use_gamma)[1] for i in range(e.N)
@@ -527,15 +489,23 @@ def corollary_sides(
     psi: GridField,
     beta: float,
     spec: ProblemSpec,
-    case: CorollaryCase,
+    case: ApplicableTheorem,
     c_const: float = 1.0,
     g: GridField | None = None,
 ) -> CaccioppoliReport:
-    """Evaluate the cutoff estimate int g (psi/u)^E <= C sum_i int |D_i psi|^{p_i theta_i'}.
+    """Evaluate the cutoff estimate int g (psi/u)^E <= C sum_i int |D_i psi|^{p_i theta_i'}
+    of the corollary to theorem `case`:
+
+        THM3_2: mixed power, candidates 0 < u <= 1, power E = 2b + delta + q - 1
+        THM3_3: mixed power, candidates u >= 1, power E = 2b + gamma + q - 1
+        THM3_4: mixed power, delta = gamma, candidates u > 0, delta-based power
+        THM3_5: exponential, candidates 0 < u <= M, power E = 2b + q
 
     The range condition on u (per case) is checked and reported, never fatal:
     out-of-range candidates are legitimate exploratory inputs.
     """
+    if case is ApplicableTheorem.NONE:
+        raise ValidationError("case None has no cutoff corollary")
     grid = u.grid
     e = spec.exponents
     l1, upper = beta_window(spec)
@@ -546,7 +516,7 @@ def corollary_sides(
     if np.any(psi.values < 0) or np.any(psi.values > 1):
         raise ValidationError("psi must take values in [0, 1]")
     big_e, theta_p = _case_setup(case, beta, spec)
-    in_range = _THEOREM_RANGES[_CASE_THEOREM[case]]
+    in_range = _THEOREM_RANGES[case]
     g_vals = g.values if g is not None else np.ones(grid.shape)
 
     w = _node_weight_tensor(grid)
@@ -555,7 +525,7 @@ def corollary_sides(
     rhs = 0.0
     for axis, (p_i, t_p) in enumerate(zip(e.p, theta_p)):
         dpsi = np.abs(axis_diff(psi, axis))
-        exponent = big_e if case is CorollaryCase.C5_3 else p_i * t_p
+        exponent = big_e if case is ApplicableTheorem.THM3_5 else p_i * t_p
         rhs += face_integral(dpsi ** exponent, grid, axis)
     rhs *= c_const
 

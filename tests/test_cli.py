@@ -387,6 +387,42 @@ def test_out_of_range_counts_exit_2(tmp_path, capsys, argv, config):
     assert err[0].endswith(f"count must lie in 1..{MAX_NODES}")
 
 
+# a NaN p_i ended in a traceback or exit 3; a NaN tolerance passed every
+# `gap > tol` test and certified each level; a nonpositive one, or a
+# Newton-step cap below 1, ended in exit 3; `--t-max inf` reported ok
+_BAD_P = "validation error: every p_i must be finite"
+_BAD = "validation error: bad "
+
+
+@pytest.mark.parametrize("argv, config, expected", [
+    (["thresholds", "--p", "nan,2", "--delta", "3"], None, _BAD_P),
+    (["thresholds", "--p", "2,inf", "--delta", "3"], None, _BAD_P),
+    (_SOLVE[:2] + ["nan,2"] + _SOLVE[3:], None, _BAD_P),
+    (_SOLVE + ["--tol-fix", "nan"], None, _BAD + "solve.tolFix "),
+    (_SOLVE + ["--tol-fix=-1"], None, _BAD + "solve.tolFix "),
+    (_SOLVE + ["--tol-fix", "inf"], None, _BAD + "solve.tolFix "),
+    (_SOLVE, "solve.tolFix = nan\n", _BAD + "solve.tolFix "),
+    (_SOLVE + ["--inner-tol", "0"], None, _BAD + "solve.innerTol "),
+    (_SOLVE + ["--inner-tol", "nan"], None, _BAD + "solve.innerTol "),
+    (_SOLVE + ["--max-outer", "0"], None, _BAD + "solve.maxOuter "),
+    (_SOLVE + ["--max-outer=-1"], None, _BAD + "solve.maxOuter "),
+    (_TRUNCATION + ["--t-max=-1"], None, _BAD + "truncation.tmax "),
+    (_TRUNCATION + ["--t-max", "inf"], None, _BAD + "truncation.tmax "),
+    (_TRUNCATION + ["--t-max", "nan"], None, _BAD + "truncation.tmax "),
+], ids=["p-nan", "p-inf", "solve-p-nan", "tol-fix-nan", "tol-fix-negative", "tol-fix-inf",
+        "tol-fix-config", "inner-tol-zero", "inner-tol-nan", "max-outer-zero",
+        "max-outer-negative", "t-max-negative", "t-max-inf", "t-max-nan"])
+def test_non_finite_or_out_of_domain_values_exit_2(tmp_path, capsys, argv, config, expected):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(expected)
+    assert not (tmp_path / "out" / "nonconvergence.json").exists()
+
+
 def test_count_limits_are_inclusive():
     assert cli._count("1") == 1
     assert cli._count(str(MAX_NODES)) == MAX_NODES

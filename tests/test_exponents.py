@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anisolab.errors import (
     HypothesisNotApplicableError,
+    HypothesisViolatedError,
     OutOfWindowError,
     UndefinedExponentError,
     ValidationError,
@@ -117,6 +118,18 @@ def test_exponent_data_validation():
         ExponentData.from_p([1.5, 2.0])
     with pytest.raises(ValidationError):
         ExponentData.from_p([])
+    for p in ([math.nan, 2.0], [2.0, math.inf], [2.0, math.nan, 3.0]):
+        with pytest.raises(ValidationError, match="every p_i must be finite"):
+            ExponentData.from_p(p)
+
+
+def test_problem_kinds_refuse_infinite_parameters():
+    with pytest.raises(ValidationError):
+        MixedPower(1.0, math.inf)
+    with pytest.raises(ValidationError):
+        MixedPower(math.inf, math.inf)
+    with pytest.raises(ValidationError):
+        ExpSingular(math.inf)
 
 
 def test_sobolev_exponent_examples():
@@ -436,6 +449,35 @@ def test_consistency_applicable_implies_selectable(p, delta, gamma_extra):
         beta, decay = select_beta(spec)
         assert all(d < 0 for d in decay)
         assert rep.selectedBeta == beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3).map(sorted),
+    delta=st.floats(0.05, 60.0),
+    gamma_extra=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    cap=st.floats(1e-3, 2.0),
+)
+@example(p=[2.0, 2.2], delta=0.9, gamma_extra=0.6, cap=0.2)  # Thm3_3 and Thm3_5
+# Thm3_5 holds one float below the J endpoint 2/9, but its window holds no float
+@example(p=[2.0, 3.0, 4.0], delta=10.0, gamma_extra=0.0, cap=0.2222222222222222)
+def test_select_beta_is_the_report_selection(p, delta, gamma_extra, cap):
+    e = ExponentData.from_p(p)
+    for kind in (MixedPower(delta, delta + gamma_extra), ExpSingular(cap)):
+        spec = ProblemSpec(kind=kind, exponents=e)
+        try:
+            rep = region_memberships(spec)
+        except HypothesisViolatedError as exc:
+            with pytest.raises(HypothesisViolatedError) as raised:
+                select_beta(spec)
+            assert str(raised.value) == str(exc)
+            continue
+        if rep.theoremApplicable is ApplicableTheorem.NONE:
+            assert rep.selectedBeta is None and rep.decayExponents is None
+            with pytest.raises(HypothesisNotApplicableError):
+                select_beta(spec)
+        else:
+            assert select_beta(spec) == (rep.selectedBeta, rep.decayExponents)
 
 
 # --- integrability thresholds --------------------------------------------------

@@ -16,6 +16,7 @@ from anisolab.errors import (
     ValidationError,
 )
 from anisolab.exponents import (
+    ApplicableTheorem,
     ExponentData,
     ExpSingular,
     MixedPower,
@@ -34,7 +35,6 @@ from anisolab.grid import (
     make_cutoff,
 )
 from anisolab.stability import (
-    CorollaryCase,
     NonlinearityEval,
     StabilityVariant,
     apriori_sides,
@@ -485,7 +485,7 @@ def test_corollary_zero_cutoff():
     e = ExponentData.from_p([2, 2])
     spec = ProblemSpec(kind=MixedPower(3.0, 4.0), exponents=e)
     rep = corollary_sides(
-        GridField.constant(g, 0.9), GridField.zeros(g), 1.0, spec, CorollaryCase.C5_2_1
+        GridField.constant(g, 0.9), GridField.zeros(g), 1.0, spec, ApplicableTheorem.THM3_2
     )
     assert rep.lhs == 0.0 and rep.satisfied
 
@@ -499,7 +499,7 @@ def test_corollary_constant_candidate_vs_radial_oracle():
     c = 0.9
     psi = make_cutoff(CutoffSpec(R=R, center=(0.0, 0.0)), g)
     rep = corollary_sides(
-        GridField.constant(g, c), psi, beta, spec, CorollaryCase.C5_2_1
+        GridField.constant(g, c), psi, beta, spec, ApplicableTheorem.THM3_2
     )
     big_e = 2 * beta + 3.0 + e.q - 1  # = 6
     int_psi_e = np.pi * R ** 2 + 2 * np.pi * quad(
@@ -530,7 +530,7 @@ def test_corollary_no_gradient_diagnostic():
     m = 0.3
     rep = corollary_sides(
         GridField.constant(g, m), GridField.constant(g, 1.0), 0.6, spec,
-        CorollaryCase.C5_3,
+        ApplicableTheorem.THM3_5,
     )
     assert rep.rhs == 0.0 and rep.lhs > 0.0 and not rep.satisfied
 
@@ -543,15 +543,17 @@ def test_corollary_case_validation():
     u = GridField.constant(g, 0.5)
     psi = make_cutoff(CutoffSpec(R=0.25, center=(0.0, 0.0)), g)
     with pytest.raises(ValidationError):
-        corollary_sides(u, psi, 1.0, mixed, CorollaryCase.C5_3)
+        corollary_sides(u, psi, 1.0, mixed, ApplicableTheorem.THM3_5)
     with pytest.raises(ValidationError):
-        corollary_sides(u, psi, 0.6, expc, CorollaryCase.C5_2_1)
+        corollary_sides(u, psi, 0.6, expc, ApplicableTheorem.THM3_2)
     with pytest.raises(ValidationError):
-        corollary_sides(u, psi, 1.0, mixed, CorollaryCase.C5_2_3)  # delta != gamma
+        corollary_sides(u, psi, 1.0, mixed, ApplicableTheorem.THM3_4)  # delta != gamma
+    with pytest.raises(ValidationError, match="case None has no cutoff corollary"):
+        corollary_sides(u, psi, 1.0, mixed, ApplicableTheorem.NONE)
     with pytest.raises(OutOfWindowError):
-        corollary_sides(u, psi, 100.0, mixed, CorollaryCase.C5_2_1)
+        corollary_sides(u, psi, 100.0, mixed, ApplicableTheorem.THM3_2)
     rep = corollary_sides(GridField.constant(g, 1.7), psi, 1.0, mixed,
-                          CorollaryCase.C5_2_1)
+                          ApplicableTheorem.THM3_2)
     assert rep.range_ok is False  # out of range is reported, not fatal
 
 
