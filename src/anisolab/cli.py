@@ -154,7 +154,7 @@ KEYS: dict[str, Key] = {
     "grid.res": Key("--res", _ints, "cells per axis, e.g. 64,64"),
     "weight.descriptor": Key("--weight", _descriptor("constant", "power", "file"),
                              "constant:c | power:s | file:path"),
-    "weight.m": Key("--weight-m", float, "claimed integrability exponent of g"),
+    "weight.m": Key("--weight-m", _positive, "claimed integrability exponent of g"),
     "truncation.k": Key("--k", int),
     "truncation.alpha": Key("--alpha", float),
     "truncation.samples": Key("--samples", _count),
@@ -167,7 +167,7 @@ KEYS: dict[str, Key] = {
     "stability.variant": Key("--variant", StabilityVariant, "AsWritten | WeightedByG"),
     "sweep.u": Key("--u", _descriptor("constant", "file"), "constant:c | file:path"),
     "sweep.radii": Key("--radii", _radii, "r1,r2,... or lo:hi:count (geometric)"),
-    "sweep.cconst": Key("--cconst", float),
+    "sweep.cconst": Key("--cconst", _positive),
     "run.outdir": Key("--outdir", str),
     "run.seed": Key("--seed", int),
 }

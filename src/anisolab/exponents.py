@@ -41,18 +41,14 @@ from .errors import (
 _BETA_ENDPOINT_OFFSET = 1e-6
 
 
-def harmonic_mean(p, n: int | None = None) -> float:
-    """Harmonic mean of a positive vector: n / sum(1/p_i)."""
+def harmonic_mean(p) -> float:
+    """Harmonic mean of a positive vector: N / sum(1/p_i), N = len(p)."""
     p = tuple(float(x) for x in p)
     if not p:
         raise ValidationError("harmonic mean of an empty vector")
     if any(x <= 0 for x in p):
         raise ValidationError("harmonic mean needs strictly positive entries")
-    if n is None:
-        n = len(p)
-    if n != len(p):
-        raise ValidationError(f"dimension {n} does not match vector length {len(p)}")
-    return n / sum(1.0 / x for x in p)
+    return len(p) / sum(1.0 / x for x in p)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ _WRITE_VALUES = 4096
 # dense sine-matrix product rather than pocketfft: at 11-31 nodes the product
 # costs 0.23-0.55x a `scipy.fft.dstn` in 3D.  Longer axes gain less, and with
 # AVX2 BLAS kernels they lose (2D: 0.80x at 63 nodes, 1.21x at 95); see
-# ROADMAP item 7 for a larger cap.
+# ROADMAP item 3 for a cap that depends on the dimension.
 DENSE_DST_MAX = 32
 
 
@@ -69,6 +69,8 @@ class Grid:
             raise ValidationError("res and box must have the same length")
         if any(r < 2 for r in res):
             raise ValidationError("need at least 2 cells per axis")
+        if not all(math.isfinite(x) for axis in box for x in axis):
+            raise ValidationError(f"box endpoints must be finite, got {box}")
         if any(b <= a for a, b in box):
             raise ValidationError("each box axis needs lo < hi")
         nodes = math.prod(r + 1 for r in res)
@@ -181,8 +183,8 @@ class GridField:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def is_zero_on_boundary(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.values[self.grid.boundary_mask()]) <= tol))
+    def is_zero_on_boundary(self) -> bool:
+        return bool(np.all(self.values[self.grid.boundary_mask()] == 0.0))
 
     def zeroed_boundary(self) -> "GridField":
         vals = self.values.copy()

@@ -64,6 +64,8 @@ from .grid import (
 # a Newton system stops; the Newton loop, not the linear solve, decides
 # convergence
 _CG_RTOL = 1e-2
+# random bumps the final ladder level is tested against in its weak form
+_N_TEST_FUNCTIONS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,8 @@ class WeightSpec:
     m: float | None = None
 
     def __post_init__(self):
+        if self.m is not None and not math.isfinite(self.m):
+            raise ValidationError(f"the integrability exponent m must be finite, got {self.m}")
         if not np.all(np.isfinite(self.g.values)):
             raise ValidationError("weight g must be finite")
         if np.any(self.g.values < 0):
@@ -523,32 +527,21 @@ def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
     return GridField(grid, cutoff_profile(np.clip(d / rho, 0.0, 1.0)))
 
 
-def level_set_decay_fit(
-    u: GridField,
-    levels=None,
-    r: float | None = None,
-    e: ExponentData | None = None,
-) -> LevelSetFit | None:
-    """Fit measure(h_{j+1}) = C * measure(h_j)^beta / (h_{j+1}-h_j)^r with r
-    fixed; returns None when the field has too little level-set structure."""
+def level_set_decay_fit(u: GridField, e: ExponentData) -> LevelSetFit | None:
+    """Fit measure(h_{j+1}) = C * measure(h_j)^beta / (h_{j+1}-h_j)^r on 8
+    levels h_j from 0.2 to 0.9 sup u, with r fixed to p* (p_N + 2 when p* is
+    not defined); returns None when the field has too little level-set
+    structure."""
     umax = float(np.max(u.values))
     if umax <= 0:
         return None
-    if levels is None:
-        levels = np.linspace(0.2, 0.9, 8) * umax
-    levels = np.asarray(sorted(levels), dtype=float)
+    levels = np.linspace(0.2, 0.9, 8) * umax
     measures = np.array([level_set_measure(u, h) for h in levels])
     keep = measures > 0
     levels, measures = levels[keep], measures[keep]
     if len(levels) < 4:
         return None
-    if r is None:
-        if e is not None and e.pstar is not None:
-            r = e.pstar
-        elif e is not None:
-            r = e.p_max + 2.0
-        else:
-            r = 2.0
+    r = e.pstar if e.pstar is not None else e.p_max + 2.0
     log_phi = np.log(measures)
     log_gap = np.log(np.diff(levels))
     # regress log phi_{j+1} + r log(dh_j) on [1, log phi_j], then push the
@@ -580,7 +573,6 @@ def run_ladder(
     inner_tol: float | None = None,
     max_outer: int = 200,
     seed: int = 0,
-    n_test_functions: int = 20,
 ) -> LadderReport:
     """Solve levels n = 1..n_max and record the ladder properties.
 
@@ -644,7 +636,7 @@ def run_ladder(
     )
     gaps_level = [0.0]
     gaps_limit = [0.0]
-    for _ in range(n_test_functions):
+    for _ in range(_N_TEST_FUNCTIONS):
         phi = random_bump(grid, rng)
         support = phi.values > 0
         limit_vals = np.zeros(grid.shape)

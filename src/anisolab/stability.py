@@ -93,7 +93,6 @@ class NonlinearityEval:
 
     f: Callable
     fprime: Callable
-    label: str = ""
 
     @classmethod
     def mixed_power(cls, delta: float, gamma: float) -> "NonlinearityEval":
@@ -102,7 +101,6 @@ class NonlinearityEval:
         return cls(
             f=lambda u: -(u ** -delta) - (u ** -gamma),
             fprime=lambda u: delta * u ** (-delta - 1.0) + gamma * u ** (-gamma - 1.0),
-            label=f"mixed_power(delta={delta}, gamma={gamma})",
         )
 
     @classmethod
@@ -110,7 +108,6 @@ class NonlinearityEval:
         return cls(
             f=lambda u: -np.exp(1.0 / u),
             fprime=lambda u: np.exp(1.0 / u) / u ** 2,
-            label="exp_singular",
         )
 
     @classmethod
@@ -125,7 +122,6 @@ class NonlinearityEval:
         return cls(
             f=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
             fprime=lambda u: np.full_like(np.asarray(u, dtype=float), lam),
-            label=f"constant_slope({lam})",
         )
 
 
@@ -597,8 +593,8 @@ def radius_sweep(
     """
     grid = u.grid
     e = spec.exponents
-    if not c_const > 0:
-        raise ValidationError("the estimate constant C must be positive")
+    if not 0 < c_const < math.inf:
+        raise ValidationError("the estimate constant C must be finite and positive")
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
@@ -649,10 +645,15 @@ def radius_sweep(
     rows: list[SweepRow] = []
     first_violating = None
     for r in radii:
+        try:
+            rhs = c_const * sum(r ** d for d in decay)
+        except OverflowError:
+            rhs = math.inf
+        if not math.isfinite(rhs):
+            raise ValidationError(f"C * sum_i R^(decay_i) overflows a float at R = {r}")
         ball = ball_fraction_weights(grid, r, center=c, distances=distances)
         at = (ball > 0) & live
         lhs = _log_quotient_integral(w[at], g_vals[at] * ball[at], ones[at], u_vals[at], big_e)
-        rhs = c_const * sum(r ** d for d in decay)
         rows.append(SweepRow(R=r, lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0 else math.inf))
         if first_violating is None and lhs > rhs:
             first_violating = r
@@ -707,12 +708,12 @@ def nonexistence_certificate(
     g: GridField,
     c_const: float = 1.0,
     radii=None,
-    center=None,
 ) -> NonexistenceCertificate:
     """Bundle hypothesis certification, beta selection, and the radius sweep
     into one verdict on a candidate stable solution.
 
-    Raises HypothesisNotApplicableError when no certified case covers the
+    The balls of the sweep are centered at the box center.  Raises
+    HypothesisNotApplicableError when no certified case covers the
     parameter point (the gate refuses rather than sweeping).
     """
     report = region_memberships(spec)
@@ -724,14 +725,11 @@ def nonexistence_certificate(
     beta = report.selectedBeta
     use_gamma = thm is ApplicableTheorem.THM3_3
     grid = u.grid
-    c = grid.center if center is None else tuple(center)
     if radii is None:
-        half = min(min(ci - lo, hi - ci) for (lo, hi), ci in zip(grid.box, c))
+        half = min(min(ci - lo, hi - ci) for (lo, hi), ci in zip(grid.box, grid.center))
         r_top = 0.499 * half
         radii = np.geomspace(r_top / 10.0, r_top, 10)
-    sweep = radius_sweep(
-        u, g, spec, beta, radii, c_const=c_const, center=c, use_gamma=use_gamma
-    )
+    sweep = radius_sweep(u, g, spec, beta, radii, c_const=c_const, use_gamma=use_gamma)
     range_ok = _THEOREM_RANGES[thm](u.values, spec)
     if sweep.firstViolatingR is not None:
         conclusion = (

@@ -15,6 +15,7 @@ Three properties are machine-checkable and load-bearing downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ IDENTITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TruncationPair:
-    """Level-k truncation with power alpha; linear-piece coefficients precomputed.
+    """Level-k truncation with power alpha, one row per function in `rows`.
 
     `exponents` optionally carries the anisotropy vector so alpha can be
     validated against p_N - 1 and property (b) evaluated per axis.
@@ -43,35 +44,51 @@ class TruncationPair:
         if self.exponents is not None:
             exps = tuple(float(x) for x in self.exponents)
             object.__setattr__(self, "exponents", exps)
+            if not exps or not all(math.isfinite(x) for x in exps):
+                raise ValidationError(f"exponents must be finite and nonempty, got {exps}")
             if not self.alpha > max(exps) - 1:
                 raise ValidationError(
                     f"alpha = {self.alpha} must exceed p_N - 1 = {max(exps) - 1}"
                 )
         if not self.alpha > 1:
             raise ValidationError(f"alpha must exceed 1 (p_i >= 2), got {self.alpha}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        try:
+            finite = all(math.isfinite(x) for row in self.rows.values() for x in row)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"k = {self.k}, alpha = {self.alpha}: the linear-piece coefficients "
+                "overflow a float"
+            )
 
     @property
     def knot(self) -> float:
         return 1.0 / self.k
 
-    # linear piece of a_k: a_slope * t + a_icept on [0, 1/k)
     @property
-    def a_slope(self) -> float:
-        return 0.5 * (1.0 - self.alpha) * self.k ** (0.5 * (self.alpha + 1.0))
+    def rows(self) -> dict[str, tuple[float, float, float, float]]:
+        """(slope, intercept, coefficient, power) of a_k, b_k, a_k' and b_k':
+        the value is slope * t + intercept on [0, 1/k) and
+        coefficient * t^power beyond.  A derivative's linear piece is the
+        constant slope of its function."""
+        al, k = self.alpha, self.k
+        a_slope = 0.5 * (1.0 - al) * k ** (0.5 * (al + 1.0))
+        b_slope = -al * k ** (al + 1.0)
+        return {
+            "a": (a_slope, 0.5 * (1.0 + al) * k ** (0.5 * (al - 1.0)), 1.0, 0.5 * (1.0 - al)),
+            "b": (b_slope, (1.0 + al) * k ** al, 1.0, -al),
+            "a'": (0.0, a_slope, 0.5 * (1.0 - al), -0.5 * (1.0 + al)),
+            "b'": (0.0, b_slope, -al, -al - 1.0),
+        }
 
-    @property
-    def a_icept(self) -> float:
-        # a_slope * (1+alpha)/(k*(1-alpha)) simplified
-        return 0.5 * (1.0 + self.alpha) * self.k ** (0.5 * (self.alpha - 1.0))
-
-    # linear piece of b_k: b_slope * t + b_icept on [0, 1/k)
-    @property
-    def b_slope(self) -> float:
-        return -self.alpha * self.k ** (self.alpha + 1.0)
-
-    @property
-    def b_icept(self) -> float:
-        return (1.0 + self.alpha) * self.k ** self.alpha
+    # the linear pieces a_slope * t + a_icept of a_k and b_slope * t + b_icept of b_k
+    a_slope = property(lambda self: self.rows["a"][0])
+    a_icept = property(lambda self: self.rows["a"][1])
+    b_slope = property(lambda self: self.rows["b"][0])
+    b_icept = property(lambda self: self.rows["b"][1])
 
     @property
     def derivative_ratio(self) -> float:
@@ -79,51 +96,38 @@ class TruncationPair:
         return (self.alpha - 1.0) ** 2 / (4.0 * self.alpha)
 
 
-def _as_nonneg_array(t):
+def _evaluate(tp: TruncationPair, name: str, t):
+    """Row `name` of `tp` at t >= 0; a scalar t gives a float.  The knot
+    value is taken from the power piece."""
+    slope, icept, coef, power = tp.rows[name]
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValidationError("truncations are defined for t >= 0 only")
-    return arr, np.ndim(t) == 0
-
-
-def _maybe_scalar(values, scalar: bool):
-    return float(values[()]) if scalar else values
+    linear = arr < tp.knot
+    # each piece is evaluated only where it is taken, so neither overflows
+    values = np.where(linear, slope * np.where(linear, arr, 0.0) + icept,
+                      coef * np.where(linear, 1.0, arr) ** power)
+    return float(values) if np.ndim(t) == 0 else values
 
 
 def a_eval(tp: TruncationPair, t):
     """a_k(t): linear on [0, 1/k), t^((1-alpha)/2) beyond."""
-    arr, scalar = _as_nonneg_array(t)
-    safe = np.where(arr > 0, arr, 1.0)
-    power = safe ** (0.5 * (1.0 - tp.alpha))
-    lin = tp.a_slope * arr + tp.a_icept
-    return _maybe_scalar(np.where(arr < tp.knot, lin, power), scalar)
+    return _evaluate(tp, "a", t)
 
 
 def a_prime(tp: TruncationPair, t):
     """a_k'(t); the knot value is taken from the power piece."""
-    arr, scalar = _as_nonneg_array(t)
-    safe = np.where(arr > 0, arr, 1.0)
-    power = 0.5 * (1.0 - tp.alpha) * safe ** (-0.5 * (1.0 + tp.alpha))
-    lin = np.full_like(arr, tp.a_slope)
-    return _maybe_scalar(np.where(arr < tp.knot, lin, power), scalar)
+    return _evaluate(tp, "a'", t)
 
 
 def b_eval(tp: TruncationPair, t):
     """b_k(t): linear on [0, 1/k), t^(-alpha) beyond."""
-    arr, scalar = _as_nonneg_array(t)
-    safe = np.where(arr > 0, arr, 1.0)
-    power = safe ** (-tp.alpha)
-    lin = tp.b_slope * arr + tp.b_icept
-    return _maybe_scalar(np.where(arr < tp.knot, lin, power), scalar)
+    return _evaluate(tp, "b", t)
 
 
 def b_prime(tp: TruncationPair, t):
     """b_k'(t); the knot value is taken from the power piece."""
-    arr, scalar = _as_nonneg_array(t)
-    safe = np.where(arr > 0, arr, 1.0)
-    power = -tp.alpha * safe ** (-tp.alpha - 1.0)
-    lin = np.full_like(arr, tp.b_slope)
-    return _maybe_scalar(np.where(arr < tp.knot, lin, power), scalar)
+    return _evaluate(tp, "b'", t)
 
 
 def default_samples(tp: TruncationPair, n: int = 1000, t_max: float = 10.0) -> np.ndarray:
@@ -146,10 +150,7 @@ class PropertyViolation:
 @dataclass
 class TruncationPropertyReport:
     ok: bool
-    knot_gap_a: float
-    knot_gap_b: float
-    knot_gap_a_prime: float
-    knot_gap_b_prime: float
+    knot_gaps: dict[str, float]  # per row of `TruncationPair.rows`
     max_c_deviation: float
     min_a_margin: float
     max_power_equality_gap: float
@@ -159,10 +160,8 @@ class TruncationPropertyReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "knotGapA": self.knot_gap_a,
-            "knotGapB": self.knot_gap_b,
-            "knotGapAPrime": self.knot_gap_a_prime,
-            "knotGapBPrime": self.knot_gap_b_prime,
+            # knotGapA, knotGapB, knotGapAPrime, knotGapBPrime
+            **{"knotGap" + n.upper().replace("'", "Prime"): g for n, g in self.knot_gaps.items()},
             "maxCDeviation": self.max_c_deviation,
             "minAMargin": self.min_a_margin,
             "maxPowerEqualityGap": self.max_power_equality_gap,
@@ -174,90 +173,66 @@ class TruncationPropertyReport:
         }
 
 
-def verify_properties(
-    tp: TruncationPair,
-    samples=None,
-    exponents: tuple[float, ...] | None = None,
-    tol: float = IDENTITY_TOL,
-) -> TruncationPropertyReport:
+def _worst(name: str, badness, t, lhs, rhs, violations: list) -> float:
+    """The largest `badness` over the samples; a value above `IDENTITY_TOL`
+    records its sample as a violation of property `name`."""
+    worst = float(np.max(badness))
+    if worst > IDENTITY_TOL:
+        i = int(np.argmax(badness))
+        violations.append(PropertyViolation(name, float(t[i]), float(lhs[i]), float(rhs[i])))
+    return worst
+
+
+def verify_properties(tp: TruncationPair, samples=None) -> TruncationPropertyReport:
     """Check properties (a), (b), (c) plus knot continuity on a sample grid.
 
-    (c) is asserted as an exact identity (relative tolerance `tol`) on both
-    pieces; (a) is asserted everywhere with exact equality on the power
-    piece; (b) is reported as a per-axis sup of the normalized ratio, only
-    required to be finite over the sampled range.
+    (c) is asserted as an exact identity (relative tolerance
+    `IDENTITY_TOL`) on both pieces; (a) is asserted everywhere with exact
+    equality on the power piece; (b) is reported per axis power of
+    `tp.exponents` as a sup of the normalized ratio, only required to be
+    finite over the sampled range.
     """
     if samples is None:
         samples = default_samples(tp)
     t = np.asarray(samples, dtype=float)
     if np.any(t < 0):
         raise ValidationError("samples must be >= 0")
-    exps = exponents or tp.exponents or ()
 
     violations: list[PropertyViolation] = []
 
-    a = a_eval(tp, t)
-    b = b_eval(tp, t)
-    ap = a_prime(tp, t)
-    bp = b_prime(tp, t)
+    a, b, ap, bp = (_evaluate(tp, name, t) for name in ("a", "b", "a'", "b'"))
 
-    # knot continuity: both closed forms evaluated exactly at 1/k
+    # knot continuity: both pieces of each row evaluated exactly at 1/k; a
+    # function's gap is relative to its power piece, a derivative's to its
+    # linear piece
     knot = tp.knot
-    lin_a = tp.a_slope * knot + tp.a_icept
-    pow_a = knot ** (0.5 * (1.0 - tp.alpha))
-    lin_b = tp.b_slope * knot + tp.b_icept
-    pow_b = knot ** (-tp.alpha)
-    gap_a = abs(lin_a - pow_a) / max(1.0, abs(pow_a))
-    gap_b = abs(lin_b - pow_b) / max(1.0, abs(pow_b))
-    gap_ap = abs(tp.a_slope - 0.5 * (1.0 - tp.alpha) * knot ** (-0.5 * (1.0 + tp.alpha)))
-    gap_ap /= max(1.0, abs(tp.a_slope))
-    gap_bp = abs(tp.b_slope - (-tp.alpha * knot ** (-tp.alpha - 1.0)))
-    gap_bp /= max(1.0, abs(tp.b_slope))
-    for name, gap in (("knot-a", gap_a), ("knot-b", gap_b),
-                      ("knot-a'", gap_ap), ("knot-b'", gap_bp)):
-        if gap > tol:
-            violations.append(PropertyViolation(name, knot, gap, tol))
+    gaps = {}
+    for name, (slope, icept, coef, power) in tp.rows.items():
+        lin, pw = slope * knot + icept, coef * knot ** power
+        gaps[name] = abs(lin - pw) / max(1.0, abs(lin if name.endswith("'") else pw))
+        if gaps[name] > IDENTITY_TOL:
+            violations.append(PropertyViolation(f"knot-{name}", knot, gaps[name], IDENTITY_TOL))
 
     # property (c): a'(t)^2 == ratio * |b'(t)|, relative to the local scale
-    ratio = tp.derivative_ratio
-    c_dev = np.abs(ap ** 2 - ratio * np.abs(bp)) / np.maximum(1.0, ratio * np.abs(bp))
-    max_c = float(np.max(c_dev))
-    if max_c > tol:
-        idx = int(np.argmax(c_dev))
-        violations.append(
-            PropertyViolation("c", float(t[idx]), float(ap[idx] ** 2),
-                              float(ratio * abs(bp[idx])))
-        )
+    ap2, rbp = ap ** 2, tp.derivative_ratio * np.abs(bp)
+    max_c = _worst("c", np.abs(ap2 - rbp) / np.maximum(1.0, rbp), t, ap2, rbp, violations)
 
     # property (a): a^2 >= t*b, equality on the power piece
-    margin = a ** 2 - t * b
-    scale_a = np.maximum(1.0, a ** 2)
-    min_margin = float(np.min(margin / scale_a))
-    if min_margin < -tol:
-        idx = int(np.argmin(margin / scale_a))
-        violations.append(
-            PropertyViolation("a", float(t[idx]), float(a[idx] ** 2), float(t[idx] * b[idx]))
-        )
+    a2, tb = a ** 2, t * b
+    rel_margin = (a2 - tb) / np.maximum(1.0, a2)
+    min_margin = -_worst("a", -rel_margin, t, a2, tb, violations)
     on_power = t >= knot
+    max_eq_gap = 0.0
     if np.any(on_power):
-        eq_gap = np.abs(margin[on_power]) / scale_a[on_power]
-        max_eq_gap = float(np.max(eq_gap))
-        if max_eq_gap > tol:
-            sub = np.flatnonzero(on_power)
-            idx = int(sub[np.argmax(eq_gap)])
-            violations.append(
-                PropertyViolation("a-equality", float(t[idx]), float(a[idx] ** 2),
-                                  float(t[idx] * b[idx]))
-            )
-    else:
-        max_eq_gap = 0.0
+        max_eq_gap = _worst("a-equality", np.abs(rel_margin[on_power]), t[on_power],
+                            a2[on_power], tb[on_power], violations)
 
     # property (b): sup over t > 0 of the normalized growth ratio, per axis
     growth: dict[float, float] = {}
     positive = t > 0
     tp_pos, a_pos, b_pos = t[positive], a[positive], b[positive]
     ap_pos, bp_pos = np.abs(ap[positive]), np.abs(bp[positive])
-    for p_i in exps:
+    for p_i in tp.exponents or ():
         num = a_pos ** p_i * ap_pos ** (2.0 - p_i) + b_pos ** p_i * bp_pos ** (1.0 - p_i)
         den = tp_pos ** (p_i - tp.alpha - 1.0)
         sup = float(np.max(num / den))
@@ -267,10 +242,7 @@ def verify_properties(
 
     return TruncationPropertyReport(
         ok=not violations,
-        knot_gap_a=gap_a,
-        knot_gap_b=gap_b,
-        knot_gap_a_prime=gap_ap,
-        knot_gap_b_prime=gap_bp,
+        knot_gaps=gaps,
         max_c_deviation=max_c,
         min_a_margin=min_margin,
         max_power_equality_gap=max_eq_gap,

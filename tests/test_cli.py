@@ -389,7 +389,11 @@ def test_out_of_range_counts_exit_2(tmp_path, capsys, argv, config):
 
 # a NaN p_i ended in a traceback or exit 3; a NaN tolerance passed every
 # `gap > tol` test and certified each level; a nonpositive one, or a
-# Newton-step cap below 1, ended in exit 3; `--t-max inf` reported ok
+# Newton-step cap below 1, ended in exit 3; `--t-max inf` reported ok; an
+# infinite alpha, a NaN `--p` entry, a NaN `weight.m` and `--cconst inf` ran
+# and exited 0; a truncation pair whose coefficients overflow, an infinite
+# box endpoint and an overflowing sweep bound ended in a traceback; a NaN
+# box endpoint ended in exit 3
 _BAD_P = "validation error: every p_i must be finite"
 _BAD = "validation error: bad "
 
@@ -409,9 +413,25 @@ _BAD = "validation error: bad "
     (_TRUNCATION + ["--t-max=-1"], None, _BAD + "truncation.tmax "),
     (_TRUNCATION + ["--t-max", "inf"], None, _BAD + "truncation.tmax "),
     (_TRUNCATION + ["--t-max", "nan"], None, _BAD + "truncation.tmax "),
+    (_TRUNCATION[:4] + ["inf"], None, "validation error: alpha must be finite"),
+    (_TRUNCATION + ["--p", "2,nan"], None, "validation error: exponents must be finite"),
+    (_TRUNCATION[:4] + ["1e308"], None, "validation error: k = 2, alpha = 1e+308: the"),
+    (["truncation-check", "--k", "1000", "--alpha", "150"], None, "validation error: k = 1000"),
+    (["truncation-check", "--k", "3", "--alpha", "700"], None, "validation error: k = 3"),
+    (_SOLVE + ["--nmax", "2", "--weight-m", "nan"], None, _BAD + "weight.m "),
+    (_SOLVE, "weight.m = inf\n", _BAD + "weight.m "),
+    (["solve", "--p", "2,2", "--box", "0,inf,0,1", "--res", "8,8"], None,
+     "validation error: box endpoints must be finite"),
+    (["stability", "--p", "2,3", "--delta", "1", "--box", "0,nan,0,3", "--res", "8,8",
+      "--u", "constant:1.0"], None, "validation error: box endpoints must be finite"),
+    (_SWEEP + ["--cconst", "inf"], None, _BAD + "sweep.cconst "),
+    (_SWEEP + ["--radii", "1e-300,1"], None, "validation error: C * sum_i R^(decay_i) overflows"),
 ], ids=["p-nan", "p-inf", "solve-p-nan", "tol-fix-nan", "tol-fix-negative", "tol-fix-inf",
         "tol-fix-config", "inner-tol-zero", "inner-tol-nan", "max-outer-zero",
-        "max-outer-negative", "t-max-negative", "t-max-inf", "t-max-nan"])
+        "max-outer-negative", "t-max-negative", "t-max-inf", "t-max-nan", "alpha-inf",
+        "truncation-p-nan", "alpha-huge", "k-1000-alpha-150", "k-3-alpha-700",
+        "weight-m-nan", "weight-m-config", "box-inf", "stability-box-nan", "cconst-inf",
+        "radii-tiny"])
 def test_non_finite_or_out_of_domain_values_exit_2(tmp_path, capsys, argv, config, expected):
     if config is not None:
         cfg = tmp_path / "run.cfg"

@@ -56,6 +56,20 @@ def test_grid_validation():
         GridField(Grid(box=((0, 1),), res=(4,)), np.zeros(7))
 
 
+@pytest.mark.parametrize("box", [((0.0, math.inf), (0.0, 1.0)), ((0.0, 1.0), (math.nan, 3.0)),
+                                 ((-math.inf, 0.0),)])
+def test_grid_refuses_non_finite_box(tmp_path, box):
+    # `lo < hi` holds for an infinite hi and fails to refuse a NaN
+    with pytest.raises(ValidationError, match="box endpoints must be finite"):
+        Grid(box=box, res=(8,) * len(box))
+    path = tmp_path / "u.txt"
+    header = " ".join(["anisofield", str(len(box))] + ["8"] * len(box)
+                      + [repr(x) for axis in box for x in axis])
+    path.write_text(header + "\n1.0\n")
+    with pytest.raises(ValidationError, match="malformed field snapshot: box endpoints"):
+        load_field(path)
+
+
 def test_grid_size_guard():
     # only the node count is checked; no array is allocated here
     with pytest.raises(ValidationError, match="exceeds the limit"):

@@ -1,6 +1,8 @@
 """Piecewise truncation values against hand-evaluated linear pieces, plus the
 three structural identities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,30 @@ def test_pair_validation():
         TruncationPair(k=2, alpha=2.5, exponents=(2, 3, 4))  # needs > p_N - 1 = 3
 
 
+@pytest.mark.parametrize("k, alpha, exponents", [
+    (2, math.inf, None),
+    (2, 4.0, (2.0, math.nan)),  # max() skips a NaN that is not first
+    (2, 4.0, (math.nan, 2.0)),
+    (2, 4.0, (2.0, math.inf)),
+    (2, 4.0, ()),
+    (2, 1e308, None),  # k ** alpha raises OverflowError
+    (1000, 150.0, None),
+    (3, 700.0, None),
+    (2, 1022.0, None),  # -alpha * k ** (alpha + 1) rounds to -inf silently
+])
+def test_pair_refuses_non_finite_or_overflowing_values(k, alpha, exponents):
+    with pytest.raises(ValidationError, match="finite|overflow"):
+        TruncationPair(k=k, alpha=alpha, exponents=exponents)
+
+
+def test_largest_pairs_verify():
+    # the linear-piece coefficients of these pairs are just below the
+    # float limit; the evaluation stays finite on both pieces
+    for k, alpha in ((2, 1000.0), (1000, 100.0)):
+        report = verify_properties(TruncationPair(k=k, alpha=alpha))
+        assert report.ok, report.violations
+
+
 def test_derivative_pieces_k2_alpha3(tp23):
     # constant-derivative linear pieces: a' = -4, |b'| = 48, ratio 1/3
     assert a_prime(tp23, 0.1) == pytest.approx(-4.0, abs=TOL)
@@ -80,8 +106,8 @@ def test_property_a_examples(tp23):
     assert 0.25 * b_eval(tp23, 0.25) == pytest.approx(5.0, abs=TOL)
 
 
-def test_verify_properties_k2_alpha3(tp23):
-    report = verify_properties(tp23, exponents=(2.0, 3.0, 4.0))
+def test_verify_properties_k2_alpha3():
+    report = verify_properties(TruncationPair(k=2, alpha=3.0, exponents=(2.0, 3.0)))
     assert report.ok, report.violations
     assert report.max_c_deviation <= TOL
     assert report.min_a_margin >= -TOL
