@@ -8,10 +8,11 @@ discrete energy gradient agree to machine precision, and everything in
 `solver` and `stability` relies on it.  It is the only difference
 operator: `p_flux` applies the anisotropic operator with it, and
 `stiffness` assembles every linear system (Newton Jacobian, stability
-pencil) from its stencil, with the DST preconditioner `dst_solver`.  That
-preconditioner is an exact inverse: it transforms by dense sine matrices
-(BLAS) on interior axes of at most `DENSE_DST_MAX` = 32 nodes and by
-pocketfft on longer ones.
+pencil) from its stencil as a DIA matrix, with its preconditioner: the
+DST inverse `dst_solver` of the mean-coefficient operator, scaled on both
+sides by the diagonal ratio sqrt(diag P / diag J).  `dst_solver` is an
+exact inverse: it transforms by dense sine matrices (BLAS) on interior axes
+of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on longer ones.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import GeometryError, ValidationError
 # Largest admitted node count, about a 256^3-cell grid (255^3 cells fit).
 # One float64 field of 2^24 nodes takes 128 MiB.  A 3D level solve keeps an
 # estimated 30 such vectors (fields, Newton, line-search and CG work vectors)
-# and one CSR stiffness matrix of 7 entries per row, about 88 bytes per node,
-# so it needs roughly 5 GiB at the limit: about all a laptop-class machine has.
+# and one DIA stiffness matrix of 7 diagonals, 56 bytes per node, so it needs
+# roughly 5 GiB at the limit: about all a laptop-class machine has.
 MAX_NODES = 2 ** 24
 # Longest body row `load_field` accepts, newline not counted: `save_field`
 # writes at most 24 characters a row ("%.17g" of a float), so a longer row
@@ -44,11 +45,15 @@ MAX_HEADER_CHARS = 512
 _READ_CHARS = 2 ** 16
 _WRITE_VALUES = 4096
 # Longest interior axis (in nodes) on which `dst_solver` transforms by a
-# dense sine-matrix product rather than pocketfft: at 11-31 nodes the product
-# costs 0.23-0.55x a `scipy.fft.dstn` in 3D.  Longer axes gain less, and with
-# AVX2 BLAS kernels they lose (2D: 0.80x at 63 nodes, 1.21x at 95); see
-# ROADMAP item 3 for a cap that depends on the dimension.
-DENSE_DST_MAX = 32
+# dense sine-matrix product rather than pocketfft.  One cap fits 2D and 3D
+# on both BLAS kernel sets (2-core Xeon, one BLAS thread).  With AVX-512
+# kernels one solve took 0.034 ms on a 48^2 grid against 0.079 at a cap of
+# 32, 0.22 against 0.43 ms on 96^2 and 1.7 against 4.7 ms on 48^3 (the 3D
+# product stops gaining near 127 nodes).  With AVX2 kernels 48^2 took
+# 0.074 against 0.114 ms and 48^3 2.7 against 3.7 ms, while 96^2 lost
+# (0.27 against 0.21 ms); the benchmark's 2D ladders, 95-node axes
+# included, still ran 16% faster there, and its stability runs 6%.
+DENSE_DST_MAX = 96
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,11 @@ class Grid:
             raise ValidationError(f"box endpoints must be finite, got {box}")
         if any(b <= a for a, b in box):
             raise ValidationError("each box axis needs lo < hi")
+        # the stencils divide by h_i^2: it and its inverse must be finite
+        if not all(0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf for h in self.h):
+            raise ValidationError(
+                f"cell widths {self.h} must have finite h_i^2 and 1/h_i^2"
+            )
         nodes = math.prod(r + 1 for r in res)
         if nodes > MAX_NODES:
             raise ValidationError(
@@ -356,9 +366,11 @@ def make_cutoff(spec: CutoffSpec, grid: Grid) -> GridField:
 def sine_matrix(m: int) -> np.ndarray:
     """The orthonormal DST-I of length m as a dense symmetric orthogonal
     matrix sqrt(2/(m+1)) sin(pi j k/(m+1)), j, k = 1..m.  The integer jk is
-    reduced mod 2(m+1) first, so every sine argument stays below 2 pi."""
+    reduced mod 2(m+1) first, so every sine argument stays below 2 pi, and
+    the entries are looked up in a table of those 2(m+1) scaled sines."""
     k = np.arange(1, m + 1)
-    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * (np.outer(k, k) % (2 * (m + 1))))
+    table = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * np.arange(2 * (m + 1)))
+    return table[np.outer(k, k) % (2 * (m + 1))]
 
 
 def _along(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -385,7 +397,8 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     every interior axis of at most `DENSE_DST_MAX` nodes, and one pocketfft
     `scipy.fft.dstn` call over the longer axes; both are the same exact
     orthonormal DST-I.  `solve` takes one interior vector (n,) or a stack
-    of them (k, n) and returns the same shape.
+    of them (k, n) and returns the same shape.  `stiffness` scales it by
+    the diagonal of the assembled matrix to precondition that matrix.
     """
     shape = grid.interior_shape()
     lam = np.full(shape, float(shift))
@@ -453,25 +466,41 @@ def _stencil(grid: Grid, weights, diag=None):
 
 
 def stiffness(grid: Grid, weights, diag=None):
-    """The `_stencil` matrix in CSR form (links at offsets +-stride_i) and its
-    preconditioner, the DST inverse of sum_i mean(w_i) K_i^T K_i +
-    median(diag) I: exact when weights and diagonal (0 if omitted) are constant.
+    """The `_stencil` matrix J in DIA form (links at offsets +-stride_i) and
+    its preconditioner b -> s * P^-1(s * b), with P = sum_i mean(w_i) K_i^T
+    K_i + median(diag) I inverted by `dst_solver` and the diagonal scaling
+    s = sqrt(diag P / diag J) (Concus & Golub, SIAM J. Numer. Anal. 10,
+    1973).  It is symmetric positive definite, so CG and LOBPCG stay valid;
+    it takes a (k, n) stack like `dst_solver`, and it is exact when weights
+    and diagonal (0 if omitted) are constant, since then s = 1.
+
+    The scaling pays on smooth coefficients, as the ladder iterates and the
+    stability candidates give: on 48^2 p = (2, 3) Jacobians of a smooth
+    field (8 seeds) CG to relative residual 1e-2 took 11-13 iterations
+    against 18-23 unscaled (about 0.6x).  On a field that is random node
+    by node it took 39-50 against 17-22 (about 2.3x).
     """
     main, links, means = _stencil(grid, weights, diag)
     n = main.size
     data, offsets = [main], [0]
     for axis, link in enumerate(links):
+        # a DIA data row holds the entry of column j at index j; a link is 0
+        # on the last plane along its axis, so rolled by the stride it is
+        # the superdiagonal row and unrolled the subdiagonal one
         stride = math.prod(grid.interior_shape()[axis + 1:])
-        data += [link[: n - stride]] * 2
+        data += [np.roll(link, stride), link]
         offsets += [stride, -stride]
-    matrix = sp.diags(data, offsets, shape=(n, n), format="csr")
+    matrix = sp.dia_matrix((np.stack(data), offsets), shape=(n, n))
     shift = 0.0 if diag is None else float(np.median(diag))
-    return matrix, dst_solver(grid, means, shift)
+    inverse = dst_solver(grid, means, shift)
+    scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / main)
+    return matrix, lambda b: scale * inverse(scale * b)
 
 
 def stiffness_band(grid: Grid, weights, diag=None) -> np.ndarray:
     """The 1D `stiffness` matrix in the upper band form of
-    `scipy.linalg.solveh_banded`, built from the stencil without CSR."""
+    `scipy.linalg.solveh_banded`, built from the stencil without a sparse
+    matrix."""
     main, (link,), _ = _stencil(grid, weights, diag)
     return np.stack([np.concatenate(([0.0], link[:-1])), main])
 

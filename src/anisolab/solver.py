@@ -18,10 +18,11 @@ from its stencil by `grid.stiffness` and solved without factorizations:
 the type-I discrete sine transform diagonalizes the zero-Dirichlet
 stiffness sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it
 preconditions conjugate gradients on the assembled matrix in 2D and 3D
-(exactly, in one iteration, when all p_i = 2); in 1D the tridiagonal
-Jacobian is solved exactly as a band.  The transform is a dense
-sine-matrix product on axes of at most 32 interior nodes and pocketfft on
-longer ones (`grid.dst_solver`), an exact inverse either way.
+(exactly, in one iteration, when all p_i = 2), scaled on both sides by
+the square root of its diagonal ratio to the Jacobian's; in 1D the
+tridiagonal Jacobian is solved exactly as a band.  The transform is a
+dense sine-matrix product on axes of at most 96 interior nodes and
+pocketfft on longer ones (`grid.dst_solver`), an exact inverse either way.
 
 Each level solution u is certified to lie within tol_fix of A(u), the
 fixed-point map of the paper (`apply_A`: one inner solve with right-hand
@@ -148,10 +149,10 @@ def _newton_direction(
 
     In 1D the system is solved exactly as a band (`stiffness_band`).  In 2D
     and 3D CG runs on the `stiffness` matrix to relative residual `rtol`,
-    preconditioned by its DST inverse.  CG started from zero keeps g.d < 0
-    at every iterate (g = -b), so an inexact or unconverged step is still a
-    descent direction and the CG status is not checked; the Newton loop's
-    residual test decides convergence.
+    preconditioned by its diagonally scaled DST inverse.  CG started from
+    zero keeps g.d < 0 at every iterate (g = -b), so an inexact or
+    unconverged step is still a descent direction and the CG status is not
+    checked; the Newton loop's residual test decides convergence.
     """
     if grid.dim == 1:
         return scipy.linalg.solveh_banded(stiffness_band(grid, weights, diag), b), 0

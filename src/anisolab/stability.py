@@ -18,8 +18,8 @@ is exactly index >= 0.  W is 1 for the literal inequality and g for the
 weighted variant the cutoff estimates use.  The index is computed by LOBPCG
 on the gap pencil shifted to be positive definite, assembled by
 `grid.stiffness` like the solver's Newton systems and preconditioned by
-its fast-diagonalization (DST) inverse, and certified by its eigen
-residual rather than by a stagnation test.
+its diagonally scaled fast-diagonalization (DST) inverse, and certified by
+its eigen residual rather than by a stagnation test.
 """
 
 from __future__ import annotations
@@ -261,11 +261,11 @@ def stability_index(
     pencil P = sum_i K_i^T diag(w_i) K_i - diag(W f'(u)), w_i = (p_i - 1)
     |D_i u|^{p_i-2}.  The shift -max(0, max W f'(u)) - 1 puts the spectrum
     of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
-    (diagonal -W f'(u) - shift) and its DST preconditioner, and LOBPCG
-    (Knyazev 2001) computes its two lowest eigenpairs from a block seeded
-    by `seed`, preconditioning the whole block in one call.  Grids with
-    fewer than ten interior nodes are solved densely inside LOBPCG (0
-    iterations).
+    (diagonal -W f'(u) - shift) and its diagonally scaled DST
+    preconditioner, and LOBPCG (Knyazev 2001) computes its two lowest
+    eigenpairs from a block seeded by `seed`, preconditioning the whole
+    block in one call.  Grids with fewer than ten interior nodes are solved
+    densely inside LOBPCG (0 iterations).
 
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:

@@ -132,7 +132,10 @@ def b_prime(tp: TruncationPair, t):
 
 def default_samples(tp: TruncationPair, n: int = 1000, t_max: float = 10.0) -> np.ndarray:
     """Sample grid covering both pieces, the knot, a near-zero point, and a
-    large-t proxy; sorted ascending."""
+    large-t proxy 100 * t_max; sorted ascending.  A t_max whose proxy
+    overflows is a ValidationError."""
+    if not t_max * 100.0 < math.inf:
+        raise ValidationError(f"t_max = {t_max}: the large-t proxy 100 * t_max overflows")
     lin_part = np.linspace(0.0, tp.knot, max(n // 4, 8), endpoint=False)
     pow_part = np.geomspace(tp.knot, t_max, max(n - len(lin_part) - 2, 8))
     pts = np.concatenate(([1e-12], lin_part, [tp.knot], pow_part, [t_max * 100.0]))
@@ -234,7 +237,10 @@ def verify_properties(tp: TruncationPair, samples=None) -> TruncationPropertyRep
     ap_pos, bp_pos = np.abs(ap[positive]), np.abs(bp[positive])
     for p_i in tp.exponents or ():
         num = a_pos ** p_i * ap_pos ** (2.0 - p_i) + b_pos ** p_i * bp_pos ** (1.0 - p_i)
-        den = tp_pos ** (p_i - tp.alpha - 1.0)
+        # t^(p_i - alpha - 1) overflows to inf only at tiny t, where the
+        # ratio is then exactly 0, as it is in the limit
+        with np.errstate(over="ignore"):
+            den = tp_pos ** (p_i - tp.alpha - 1.0)
         sup = float(np.max(num / den))
         growth[p_i] = sup
         if not np.isfinite(sup):

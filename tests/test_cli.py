@@ -393,7 +393,10 @@ def test_out_of_range_counts_exit_2(tmp_path, capsys, argv, config):
 # infinite alpha, a NaN `--p` entry, a NaN `weight.m` and `--cconst inf` ran
 # and exited 0; a truncation pair whose coefficients overflow, an infinite
 # box endpoint and an overflowing sweep bound ended in a traceback; a NaN
-# box endpoint ended in exit 3
+# box endpoint ended in exit 3; a cell width whose square overflows or
+# underflows ended in a traceback, and one whose inverse square overflows in
+# exit 3; a `--t-max` whose large-t proxy 100 * t_max overflows exited 0
+# with FAIL and numpy warnings
 _BAD_P = "validation error: every p_i must be finite"
 _BAD = "validation error: bad "
 
@@ -426,12 +429,21 @@ _BAD = "validation error: bad "
       "--u", "constant:1.0"], None, "validation error: box endpoints must be finite"),
     (_SWEEP + ["--cconst", "inf"], None, _BAD + "sweep.cconst "),
     (_SWEEP + ["--radii", "1e-300,1"], None, "validation error: C * sum_i R^(decay_i) overflows"),
+    (["solve", "--p", "2,2", "--box", "0,1e300,0,1", "--res", "8,8", "--nmax", "2"], None,
+     "validation error: cell widths"),
+    (["stability", "--p", "2,3", "--delta", "1", "--box", "0,1e-170,0,3", "--res", "8,8",
+      "--u", "constant:1.0"], None, "validation error: cell widths"),
+    (["solve", "--p", "2,2", "--box", "0,1e-160,0,1", "--res", "8,8", "--nmax", "2"], None,
+     "validation error: cell widths"),
+    (_TRUNCATION + ["--t-max", "1e307", "--p", "2,3"], None,
+     "validation error: t_max = 1e+307: the large-t proxy"),
 ], ids=["p-nan", "p-inf", "solve-p-nan", "tol-fix-nan", "tol-fix-negative", "tol-fix-inf",
         "tol-fix-config", "inner-tol-zero", "inner-tol-nan", "max-outer-zero",
         "max-outer-negative", "t-max-negative", "t-max-inf", "t-max-nan", "alpha-inf",
         "truncation-p-nan", "alpha-huge", "k-1000-alpha-150", "k-3-alpha-700",
         "weight-m-nan", "weight-m-config", "box-inf", "stability-box-nan", "cconst-inf",
-        "radii-tiny"])
+        "radii-tiny", "box-h2-overflows", "stability-box-h2-underflows",
+        "box-inverse-h2-overflows", "t-max-proxy-overflows"])
 def test_non_finite_or_out_of_domain_values_exit_2(tmp_path, capsys, argv, config, expected):
     if config is not None:
         cfg = tmp_path / "run.cfg"

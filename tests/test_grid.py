@@ -70,6 +70,22 @@ def test_grid_refuses_non_finite_box(tmp_path, box):
         load_field(path)
 
 
+@pytest.mark.parametrize("box", [((0.0, 1e300), (0.0, 1.0)), ((0.0, 1e-170), (0.0, 3.0)),
+                                 ((0.0, 1e-160), (0.0, 1.0))],
+                         ids=["h2-overflows", "h2-underflows", "inverse-h2-overflows"])
+def test_grid_refuses_cell_widths_without_finite_square(tmp_path, box):
+    # the stencils divide by h_i^2: without the check the first box ends in an
+    # OverflowError, the second in a ZeroDivisionError, the third in a level
+    # solve that does not converge
+    with pytest.raises(ValidationError, match="must have finite h_i"):
+        Grid(box=box, res=(8, 8))
+    path = tmp_path / "u.txt"
+    header = " ".join(["anisofield", "2", "8", "8"] + [repr(x) for axis in box for x in axis])
+    path.write_text(header + "\n1.0\n")
+    with pytest.raises(ValidationError, match="malformed field snapshot: cell widths"):
+        load_field(path)
+
+
 def test_grid_size_guard():
     # only the node count is checked; no array is allocated here
     with pytest.raises(ValidationError, match="exceeds the limit"):
@@ -309,11 +325,11 @@ def dst_reference(grid, c, shift, b):
 
 # interior axes of at most DENSE_DST_MAX nodes take the dense sine matrix,
 # longer ones pocketfft: all short, all long and mixed, with both sides of
-# the cap (32 and 33 interior nodes)
+# the cap (96 and 97 interior nodes)
 _DST_RES = {
-    "1d-short": (9,), "1d-cap": (33,), "1d-long": (34,),
-    "2d-short": (8, 6), "2d-long": (48, 40), "2d-mixed": (12, 50),
-    "3d-short": (16, 5, 7), "3d-long": (34, 35, 34), "3d-mixed": (8, 40, 12),
+    "1d-short": (9,), "1d-cap": (97,), "1d-long": (98,),
+    "2d-short": (8, 6), "2d-long": (100, 98), "2d-mixed": (97, 98),
+    "3d-short": (16, 5, 7), "3d-long": (98, 99, 98), "3d-mixed": (8, 97, 98),
 }
 
 
@@ -333,7 +349,7 @@ def test_dst_solver_matches_dstn_reference(res):
     assert np.max(np.abs(stacked - np.stack([solve(col) for col in b]))) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("res", [(40, 6), (8, 40, 12)], ids=["2d", "3d"])
+@pytest.mark.parametrize("res", [(120, 6), (8, 110, 12)], ids=["2d", "3d"])
 def test_dst_preconditioner_inverts_constant_stiffness_on_long_axes(res):
     # an axis longer than DENSE_DST_MAX goes through pocketfft
     g = Grid(box=tuple((0.0, 1.0 + i) for i in range(len(res))), res=res)
@@ -346,7 +362,7 @@ def test_dst_preconditioner_inverts_constant_stiffness_on_long_axes(res):
     assert np.allclose(precond(matrix @ b), b, rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("m", [1, 2, 11, 31, DENSE_DST_MAX])
+@pytest.mark.parametrize("m", [1, 2, 11, 31, 32, DENSE_DST_MAX])
 def test_sine_matrix_is_symmetric_and_orthonormal(m):
     s = sine_matrix(m)
     assert np.array_equal(s, s.T)
@@ -354,6 +370,16 @@ def test_sine_matrix_is_symmetric_and_orthonormal(m):
     # it is the orthonormal DST-I; reducing jk mod 2(m+1) keeps each entry
     # within 1e-15 (unreduced arguments up to 32 pi are off by 3e-15)
     assert np.max(np.abs(s - scipy.fft.dst(np.eye(m), type=1, norm="ortho", axis=0))) <= 1e-15
+
+
+def test_sine_matrix_equals_the_direct_formula():
+    # `sine_matrix` looks its entries up in a table of 2(m+1) sines; the
+    # direct formula takes one sine per entry, of the same reduced argument
+    for m in range(1, 98):
+        k = np.arange(1, m + 1)
+        direct = math.sqrt(2.0 / (m + 1)) * np.sin(
+            np.pi / (m + 1) * (np.outer(k, k) % (2 * (m + 1))))
+        assert np.array_equal(sine_matrix(m), direct), m
 
 
 def test_field_serialization_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 ladder properties, and the level-set extinction calculator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +14,19 @@ import scipy.sparse.linalg as spla
 from anisolab.errors import NonConvergenceError, ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.cli import main
-from anisolab.grid import Grid, GridField, level_set_measure, p_laplacian_apply
+from anisolab.grid import (
+    Grid,
+    GridField,
+    axis_diff,
+    dst_solver,
+    level_set_measure,
+    p_laplacian_apply,
+    stiffness,
+)
 from anisolab.solver import (
     RegularizationLevel,
+    _flux_weights,
+    _newton_direction,
     WeightSpec,
     apply_A,
     inner_energy,
@@ -240,6 +251,61 @@ def test_solve_inner_matches_sparse_newton_reference(p, res):
     if all(p_i == 2.0 for p_i in p):
         # the DST preconditioner is the exact inverse of the p = 2 Jacobian
         assert info["linear_iterations"] == [1] * (info["iterations"] - 1)
+
+
+def _newton_system(seed, smooth=True, res=48):
+    """Flux weights, a diagonal and a right side of a seeded 2D p = (2, 3)
+    Newton system on the unit box.  The field is smooth,
+    sin(pi x) sin(pi y) (1 + 0.3 sin(a x + b y + c)) with seeded a, b, c, or
+    random node by node; the diagonal is uniform in [0, 2) node by node."""
+    rng = np.random.default_rng(seed)
+    g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(res, res))
+    x, y = g.meshgrid()
+    if smooth:
+        a, b, c = rng.uniform(0.5, 2.0, 3)
+        u = np.sin(np.pi * x) * np.sin(np.pi * y) * (1.0 + 0.3 * np.sin(a * x + b * y + c))
+    else:
+        u = rng.uniform(0.0, 1.0, g.shape)
+        u[g.boundary_mask()] = 0.0
+    f = GridField(g, u)
+    weights = _flux_weights([axis_diff(f, axis) for axis in range(2)], (2.0, 3.0))
+    n = math.prod(g.interior_shape())
+    return g, weights, rng.uniform(0.0, 2.0, n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "rough"])
+def test_scaled_preconditioner_is_symmetric_positive_definite(smooth):
+    g, weights, diag, b = _newton_system(3, smooth=smooth, res=24)
+    _, precond = stiffness(g, weights, diag)
+    c = np.random.default_rng(4).standard_normal(b.size)
+    cmb, bmc = float(c @ precond(b)), float(b @ precond(c))
+    assert abs(cmb - bmc) <= 1e-12 * abs(cmb)
+    assert float(b @ precond(b)) > 0.0
+    # a (k, n) stack, as LOBPCG passes it, is preconditioned column by column
+    each = np.stack([precond(b), precond(c)])
+    assert np.max(np.abs(precond(np.stack([b, c])) - each)) <= 1e-14 * np.max(np.abs(each))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scaled_preconditioner_saves_cg_iterations_on_smooth_coefficients(seed):
+    # reference: CG preconditioned by the bare mean-coefficient DST inverse;
+    # measured ratios 0.56-0.63 (rtol 1e-8 and 1e-2), while on a field that
+    # is random node by node scaling costs about 2x
+    g, weights, diag, b = _newton_system(seed)
+    rtol = 1e-8
+    _, scaled = _newton_direction(g, weights, b, diag=diag, rtol=rtol)
+    means = [float(np.mean(w.swapaxes(axis, -1)[1:-1])) for axis, w in enumerate(weights)]
+    matrix, _ = stiffness(g, weights, diag)
+    bare = dst_solver(g, means, float(np.median(diag)))
+    count = 0
+
+    def tick(_):
+        nonlocal count
+        count += 1
+
+    spla.cg(matrix, b, rtol=rtol, callback=tick,
+            M=spla.LinearOperator(matrix.shape, matvec=bare, dtype=float))
+    assert scaled <= 0.8 * count, (scaled, count)
 
 
 @pytest.mark.parametrize(

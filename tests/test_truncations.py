@@ -2,6 +2,7 @@
 three structural identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,3 +156,22 @@ def test_growth_constant_matches_power_piece_closed_form():
         ratio = num / t ** (p - tp.alpha - 1)
         expected = ((tp.alpha - 1) / 2) ** (2 - p) + tp.alpha ** (1 - p)
         assert np.max(np.abs(ratio - expected)) <= 1e-10 * expected
+
+
+def test_default_samples_refuses_an_overflowing_large_t_proxy():
+    # 100 * t_max is the last sample; it overflows to inf above about 1.8e306
+    tp = TruncationPair(k=2, alpha=4.0, exponents=(2.0, 3.0))
+    with pytest.raises(ValidationError, match="100 \\* t_max overflows"):
+        default_samples(tp, t_max=1e307)
+    assert default_samples(tp, t_max=1e306)[-1] == 1e308
+
+
+def test_growth_ratio_prints_no_overflow_warning_for_large_alpha():
+    # t^(p_i - alpha - 1) overflows at the sample t = 1e-12 once alpha is
+    # above about 27; the ratio there is 0 and the sup is unaffected
+    tp = TruncationPair(k=2, alpha=40.0, exponents=(2.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_properties(tp)
+    assert report.ok, report.violations
+    assert all(0.0 < v < math.inf for v in report.growth_constants.values())
