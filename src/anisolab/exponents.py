@@ -15,10 +15,10 @@ the existence machinery in `solver`:
 plus the open regions A, B, C, I, J whose membership decides which
 nonexistence case (if any) applies to a parameter point.
 
-The region endpoints and the beta window are computed in exact rationals
-from `Fraction` copies of the float inputs (every float is a binary
-rational), so that a point on an endpoint is never admitted by round-off;
-they become floats only in reports.
+The region endpoints, the beta window and the decay threshold are computed
+in exact rationals from `Fraction` copies of the float inputs (every float
+is a binary rational), so that a point on an endpoint is never admitted by
+round-off; they become floats only in reports.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (
     HypothesisNotApplicableError,
@@ -36,8 +37,7 @@ from .errors import (
     ValidationError,
 )
 
-# the beta search starts this fraction of the window below the upper endpoint;
-# the candidate then bisects toward the midpoint if the decay test fails.
+# the candidate beta lies this fraction of the window below its upper endpoint
 _BETA_ENDPOINT_OFFSET = 1e-6
 
 
@@ -135,10 +135,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lower < x < self.upper
 
-    @property
-    def empty(self) -> bool:
-        return not (self.lower < self.upper)
-
 
 class ApplicableTheorem(Enum):
     """Which certified nonexistence case a parameter point falls under.
@@ -154,6 +150,29 @@ class ApplicableTheorem(Enum):
     THM3_4 = "Thm3_4"
     THM3_5 = "Thm3_5"
     NONE = "None"
+
+
+class Hypotheses(NamedTuple):
+    """What a certified case assumes: its problem kind, whether its cutoff
+    power E is built from gamma (else from delta, or from 1 for the
+    exponential problem), and its candidate range as a pointwise test of
+    u(x), given the spec (closed ends get a 1e-12 slack)."""
+
+    kind: type
+    use_gamma: bool
+    in_range: Callable
+
+
+HYPOTHESES = {
+    ApplicableTheorem.THM3_2: Hypotheses(
+        MixedPower, False, lambda u, _: (u > 0) & (u <= 1 + 1e-12)
+    ),
+    ApplicableTheorem.THM3_3: Hypotheses(MixedPower, True, lambda u, _: u >= 1 - 1e-12),
+    ApplicableTheorem.THM3_4: Hypotheses(MixedPower, False, lambda u, _: u > 0),
+    ApplicableTheorem.THM3_5: Hypotheses(
+        ExpSingular, False, lambda u, spec: (u > 0) & (u <= spec.kind.cap + 1e-12)
+    ),
+}
 
 
 def _exact(e: ExponentData) -> tuple[tuple[Fraction, ...], int, Fraction]:
@@ -264,34 +283,21 @@ def decay_exponents(
     )
 
 
-def _search_beta(
-    spec: ProblemSpec, thm: ApplicableTheorem, l1: Fraction, upper: Fraction
-) -> tuple[float, tuple[float, ...]]:
-    """Pick a beta strictly inside the exact window (l1, upper) with all
-    decay exponents < 0.
+def decay_threshold(spec: ProblemSpec, use_gamma: bool = False) -> Fraction:
+    """The exact beta_0 above which every decay exponent is negative.
 
-    Starts just below the upper endpoint (where the decay is most negative)
-    and bisects toward the midpoint; the first candidate inside the exact
-    window with all-negative decay wins.  A window too narrow to hold a
-    float has no candidate.
+    With E = 2 beta + s + q - 1 (s = gamma or delta, s = 1 for the
+    exponential problem) the conjugate is theta_i' = E/(s + p_i - 1), so
+    N - p_i theta_i' < 0 exactly when
+    beta > (N (s + p_i - 1)/p_i - (s + q - 1))/2; beta_0 is the largest of
+    these, (N - q)/2 for the exponential problem.
     """
-    if not upper > l1:
-        raise HypothesisViolatedError(
-            f"certified point has an empty beta window ({float(l1)}, {float(upper)})"
-        )
-    lo, hi = float(l1), float(upper)
-    use_gamma = thm is ApplicableTheorem.THM3_3
-    beta = hi - _BETA_ENDPOINT_OFFSET * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        if l1 < beta < upper:
-            decay = decay_exponents(beta, spec, use_gamma=use_gamma)
-            if all(d < 0 for d in decay):
-                return beta, decay
-        beta = 0.5 * (beta + mid)
-    raise HypothesisViolatedError(
-        f"no admissible beta found in ({lo}, {hi}) although case {thm.value} applies"
-    )
+    p, n, q = _exact(spec.exponents)
+    if isinstance(spec.kind, MixedPower):
+        s = Fraction(spec.kind.gamma if use_gamma else spec.kind.delta)
+    else:
+        s = Fraction(1)
+    return (max(n * (s + p_i - 1) / p_i for p_i in p) - (s + q - 1)) / 2
 
 
 def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
@@ -412,9 +418,15 @@ class ThresholdReport:
 def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     """Compute every region endpoint, membership, and the applicable case.
 
-    When a case applies, a beta is selected and the decay exponents at that
-    beta are recorded; otherwise those fields are None.  A certified point
-    whose window holds no admissible beta raises HypothesisViolatedError.
+    Every case is decided at one candidate beta, just below the upper
+    endpoint of the window, where the decay exponents are most negative.
+    When a case applies, the candidate is selected and its decay exponents
+    are recorded; otherwise those fields are None.  A certified point whose
+    candidate does not lie in (max(l1, beta_0), upper), beta_0 the
+    `decay_threshold`, raises HypothesisViolatedError.  For Thm3_2, Thm3_4
+    (Thm3_5), delta in A∩I (cap in J) is exactly max(l1, beta_0) < l2
+    (< l3), so that interval is not empty, but it may be too narrow to hold
+    the candidate.
     """
     e = spec.exponents
     a, b, c, j = region_A(e), region_B(e), region_C(e), region_J(e)
@@ -422,6 +434,7 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     i_bounds = region_I_axis_bounds(e)
     exact_l1, exact_upper = beta_window(spec)
     l1, upper = float(exact_l1), float(exact_upper)
+    candidate = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
 
     thm = ApplicableTheorem.NONE
     if isinstance(spec.kind, MixedPower):
@@ -433,12 +446,11 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
         l2, l3 = upper, None
         if d >= 1 and delta_in_a and delta_in_i:
             thm = ApplicableTheorem.THM3_4 if d == g else ApplicableTheorem.THM3_2
-        elif d < g and g >= 1 and delta_in_a and gamma_in_i and exact_upper > exact_l1:
+        elif d < g and g >= 1 and delta_in_a and gamma_in_i:
             # For u >= 1 the estimate carries the conjugates built from gamma
             # while the window comes from delta, so membership alone does not
-            # decide the sign of the decay: probe it where the search starts.
-            probe = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
-            if all(x < 0 for x in decay_exponents(probe, spec, use_gamma=True)):
+            # decide the sign of the decay.
+            if candidate > decay_threshold(spec, use_gamma=True):
                 thm = ApplicableTheorem.THM3_3
     else:
         delta_in_a = delta_in_i = gamma_in_i = None
@@ -451,7 +463,12 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
 
     beta = decay = None
     if thm is not ApplicableTheorem.NONE:
-        beta, decay = _search_beta(spec, thm, exact_l1, exact_upper)
+        use_gamma = HYPOTHESES[thm].use_gamma
+        if not max(exact_l1, decay_threshold(spec, use_gamma)) < candidate < exact_upper:
+            raise HypothesisViolatedError(
+                f"no admissible beta found in ({l1}, {upper}) although case {thm.value} applies"
+            )
+        beta, decay = candidate, decay_exponents(candidate, spec, use_gamma=use_gamma)
 
     return ThresholdReport(
         l1=l1,

@@ -416,11 +416,7 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
             y = _along(mat, y, lead + axis)
         if not fft_axes:
             return y
-        if lead or dense:
-            return scipy.fft.dstn(y, type=1, norm="ortho", axes=[lead + a for a in fft_axes])
-        # a single vector on a grid of long axes only: no `axes`, which costs
-        # a few microseconds a call
-        return scipy.fft.dstn(y, type=1, norm="ortho")
+        return scipy.fft.dstn(y, type=1, norm="ortho", axes=[lead + a for a in fft_axes])
 
     def solve(b):
         stack = np.shape(b)[:-1]

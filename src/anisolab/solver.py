@@ -113,6 +113,11 @@ class RegularizationLevel:
         capped = np.minimum(w.g.values, float(n))
         return cls(n=n, g_n=w.g.like(capped), shift=1.0 / n)
 
+    def rhs(self, v: GridField) -> GridField:
+        """The right-hand side g_n exp(1/(|v| + 1/n)) of the level map at v,
+        bounded by g_n e^n."""
+        return v.like(self.g_n.values * np.exp(1.0 / (np.abs(v.values) + self.shift)))
+
 
 # ---------------------------------------------------------------------------
 # inner variational problem
@@ -321,9 +326,8 @@ def apply_A(
     tol: float | None = None,
 ) -> GridField:
     """One application of the level map: solve with right-hand side
-    g_n * exp(1/(|v| + 1/n)), which is bounded by g_n * e^n."""
-    rhs_vals = level.g_n.values * np.exp(1.0 / (np.abs(v.values) + level.shift))
-    return solve_inner(GridField(v.grid, rhs_vals), e, tol=tol)
+    `level.rhs(v)`."""
+    return solve_inner(level.rhs(v), e, tol=tol)
 
 
 def solve_level(
@@ -401,7 +405,7 @@ def solve_level(
     )
     u = embed_interior(grid, x)
     if v_sup is not None:
-        f = _gradient(grid, e.p, x, g_n * np.exp(1.0 / (np.abs(x) + s)))[0]
+        f = _gradient(grid, e.p, x, extract_interior(level.rhs(u)))[0]
         gap, certificate = float(np.max(np.abs(f))) * v_sup, "bound"
     else:
         au = apply_A(u, level, e, tol=inner_tol)
@@ -631,10 +635,7 @@ def run_ladder(
         ratio = d2 / d1 if d1 > 0 else 0.0
 
     rng = np.random.default_rng(seed)
-    level = RegularizationLevel.from_weight(n_max, w)
-    rhs_level = GridField(
-        grid, level.g_n.values * np.exp(1.0 / (np.abs(final.values) + level.shift))
-    )
+    rhs_level = level.rhs(final)
     gaps_level = [0.0]
     gaps_limit = [0.0]
     for _ in range(_N_TEST_FUNCTIONS):

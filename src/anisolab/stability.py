@@ -43,6 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import (
+    HYPOTHESES,
     ApplicableTheorem,
     ExpSingular,
     MixedPower,
@@ -69,22 +70,13 @@ from .grid import (
 from .truncations import TruncationPair, b_eval
 
 
+# relative eigen residual that certifies the stability index
+EIGEN_TOL = 1e-7
+
+
 class StabilityVariant(Enum):
     AS_WRITTEN = "AsWritten"
     WEIGHTED_BY_G = "WeightedByG"
-
-
-# candidate range each theorem assumes (closed ends get a 1e-12 slack)
-_THEOREM_RANGES = {
-    ApplicableTheorem.THM3_2: lambda vals, spec: bool(
-        np.all((vals > 0) & (vals <= 1.0 + 1e-12))
-    ),
-    ApplicableTheorem.THM3_3: lambda vals, spec: bool(np.all(vals >= 1.0 - 1e-12)),
-    ApplicableTheorem.THM3_4: lambda vals, spec: bool(np.all(vals > 0)),
-    ApplicableTheorem.THM3_5: lambda vals, spec: bool(
-        np.all((vals > 0) & (vals <= spec.kind.cap + 1e-12))
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -249,7 +241,6 @@ def stability_index(
     g: GridField,
     p,
     variant: StabilityVariant = StabilityVariant.WEIGHTED_BY_G,
-    tol: float = 1e-7,
     max_iter: int = 500,
     seed: int = 0,
 ) -> StabilityReport:
@@ -270,8 +261,8 @@ def stability_index(
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:
     NonConvergenceError (with `rho`, the residual and the iteration count
-    as diagnostics) unless ||P x - rho x|| <= tol * max(1, |shift|) after
-    at most `max_iter` LOBPCG iterations.  The minimizer is x on the grid,
+    as diagnostics) unless ||P x - rho x|| <= EIGEN_TOL * max(1, |shift|)
+    after at most `max_iter` LOBPCG iterations.  The minimizer is x on the grid,
     scaled to int phi^2 = 1 with its largest-magnitude entry positive.
 
     When `second_ritz - gap` is within that residual bound, the lowest
@@ -293,7 +284,7 @@ def stability_index(
         (p_i - 1.0) * np.abs(axis_diff(u, axis)) ** (p_i - 2.0) for axis, p_i in enumerate(p)
     ]
     shift = -max(0.0, float(np.max(pot))) - 1.0
-    bound = tol * max(1.0, abs(shift))
+    bound = EIGEN_TOL * max(1.0, abs(shift))
     # the shifted pencil P - shift*I and its DST preconditioner
     shifted, precond = stiffness(grid, weights, -pot - shift)
     n = pot.size
@@ -370,18 +361,18 @@ def apriori_sides(
     e,
     g: GridField | None = None,
     c_const: float = 1.0,
-    weighted: bool = False,
     truncated: bool = True,
 ) -> CaccioppoliReport:
     """Evaluate both sides of the truncated a priori estimate:
 
-        LHS = int u f'(u) b_k(u) psi^q
+        LHS = int g u f'(u) b_k(u) psi^q
         RHS = C sum_i int u^{p_i-alpha-1} |D_i psi|^{p_i} psi^{q-p_i}
-              - eps_coef * int f(u) b_k(u) psi^q
+              - eps_coef * int g f(u) b_k(u) psi^q
 
-    With `truncated=False` the pure power u^-alpha replaces b_k(u) (the
-    inactive-truncation reference used for consistency checks).  The
-    constant C is caller-supplied: it is existential, not computable.
+    with g = 1 when no weight is given.  With `truncated=False` the pure
+    power u^-alpha replaces b_k(u) (the inactive-truncation reference used
+    for consistency checks).  The constant C is caller-supplied: it is
+    existential, not computable.
     """
     grid = u.grid
     if not alpha > e.p_max - 1:
@@ -398,7 +389,7 @@ def apriori_sides(
     else:
         bk = u_safe ** (-alpha)
     psi_q = np.where(support, psi.values, 0.0) ** e.q
-    weight = g.values if (weighted and g is not None) else 1.0
+    weight = g.values if g is not None else 1.0
 
     lhs_vals = np.where(support, u_safe * nl.fprime(u_safe) * bk * psi_q * weight, 0.0)
     f_vals = np.where(support, nl.f(u_safe) * bk * psi_q * weight, 0.0)
@@ -438,27 +429,6 @@ def apriori_sides(
 # cutoff corollaries
 # ---------------------------------------------------------------------------
 
-def _case_setup(case: ApplicableTheorem, beta: float, spec: ProblemSpec):
-    """Return (E, theta_prime per axis) for the case."""
-    e = spec.exponents
-    if case is ApplicableTheorem.THM3_5:
-        if not isinstance(spec.kind, ExpSingular):
-            raise ValidationError("case Thm3_5 needs an exponential problem")
-        big_e = lhs_power(beta, spec)
-        theta_p = tuple(theta_exponents(beta, spec, i)[1] for i in range(e.N))
-    else:
-        if not isinstance(spec.kind, MixedPower):
-            raise ValidationError(f"case {case.value} needs a mixed-power problem")
-        use_gamma = case is ApplicableTheorem.THM3_3
-        if case is ApplicableTheorem.THM3_4 and spec.kind.delta != spec.kind.gamma:
-            raise ValidationError("case Thm3_4 needs delta = gamma")
-        big_e = lhs_power(beta, spec, use_gamma=use_gamma)
-        theta_p = tuple(
-            theta_exponents(beta, spec, i, use_gamma=use_gamma)[1] for i in range(e.N)
-        )
-    return big_e, theta_p
-
-
 def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
     """int g (psi/u)^E via log-space accumulation (E can be large), from the
     node weights `w` and the values at the nodes where the integral lives
@@ -490,14 +460,10 @@ def corollary_sides(
     g: GridField | None = None,
 ) -> CaccioppoliReport:
     """Evaluate the cutoff estimate int g (psi/u)^E <= C sum_i int |D_i psi|^{p_i theta_i'}
-    of the corollary to theorem `case`:
+    of the corollary to theorem `case`, under the hypotheses `HYPOTHESES[case]`
+    (THM3_4 also needs delta = gamma); E is `lhs_power`.
 
-        THM3_2: mixed power, candidates 0 < u <= 1, power E = 2b + delta + q - 1
-        THM3_3: mixed power, candidates u >= 1, power E = 2b + gamma + q - 1
-        THM3_4: mixed power, delta = gamma, candidates u > 0, delta-based power
-        THM3_5: exponential, candidates 0 < u <= M, power E = 2b + q
-
-    The range condition on u (per case) is checked and reported, never fatal:
+    The candidate range on supp psi is checked and reported, never fatal:
     out-of-range candidates are legitimate exploratory inputs.
     """
     if case is ApplicableTheorem.NONE:
@@ -511,17 +477,26 @@ def corollary_sides(
         )
     if np.any(psi.values < 0) or np.any(psi.values > 1):
         raise ValidationError("psi must take values in [0, 1]")
-    big_e, theta_p = _case_setup(case, beta, spec)
-    in_range = _THEOREM_RANGES[case]
+    hyp = HYPOTHESES[case]
+    if not isinstance(spec.kind, hyp.kind):
+        needs = "an exponential" if hyp.kind is ExpSingular else "a mixed-power"
+        raise ValidationError(f"case {case.value} needs {needs} problem")
+    if case is ApplicableTheorem.THM3_4 and spec.kind.delta != spec.kind.gamma:
+        raise ValidationError("case Thm3_4 needs delta = gamma")
+    big_e = lhs_power(beta, spec, use_gamma=hyp.use_gamma)
     g_vals = g.values if g is not None else np.ones(grid.shape)
 
     w = _node_weight_tensor(grid)
-    at = (psi.values > 0) & (w > 0)
+    at_psi = psi.values > 0
+    at = at_psi & (w > 0)
     lhs = _log_quotient_integral(w[at], g_vals[at], psi.values[at], u.values[at], big_e)
     rhs = 0.0
-    for axis, (p_i, t_p) in enumerate(zip(e.p, theta_p)):
+    for axis, p_i in enumerate(e.p):
         dpsi = np.abs(axis_diff(psi, axis))
-        exponent = big_e if case is ApplicableTheorem.THM3_5 else p_i * t_p
+        if case is ApplicableTheorem.THM3_5:
+            exponent = big_e  # p_i theta_i' = E exactly for the exponential problem
+        else:
+            exponent = p_i * theta_exponents(beta, spec, axis, use_gamma=hyp.use_gamma)[1]
         rhs += face_integral(dpsi ** exponent, grid, axis)
     rhs *= c_const
 
@@ -533,7 +508,7 @@ def corollary_sides(
         beta=beta,
         k=None,
         satisfied=lhs <= rhs,
-        range_ok=in_range(u.values[psi.values > 0], spec) if np.any(psi.values > 0) else None,
+        range_ok=bool(np.all(hyp.in_range(u.values[at_psi], spec))) if np.any(at_psi) else None,
         case=case.value,
     )
 
@@ -723,14 +698,14 @@ def nonexistence_certificate(
             "no certified hypothesis set holds at this parameter point; certificate refused"
         )
     beta = report.selectedBeta
-    use_gamma = thm is ApplicableTheorem.THM3_3
+    hyp = HYPOTHESES[thm]
     grid = u.grid
     if radii is None:
         half = min(min(ci - lo, hi - ci) for (lo, hi), ci in zip(grid.box, grid.center))
         r_top = 0.499 * half
         radii = np.geomspace(r_top / 10.0, r_top, 10)
-    sweep = radius_sweep(u, g, spec, beta, radii, c_const=c_const, use_gamma=use_gamma)
-    range_ok = _THEOREM_RANGES[thm](u.values, spec)
+    sweep = radius_sweep(u, g, spec, beta, radii, c_const=c_const, use_gamma=hyp.use_gamma)
+    range_ok = bool(np.all(hyp.in_range(u.values, spec)))
     if sweep.firstViolatingR is not None:
         conclusion = (
             f"candidate cannot satisfy the cutoff consequence of stability beyond "

@@ -110,6 +110,15 @@ def _evaluate(tp: TruncationPair, name: str, t):
     return float(values) if np.ndim(t) == 0 else values
 
 
+def _log_abs(tp: TruncationPair, name: str, t: np.ndarray) -> np.ndarray:
+    """log |row `name`| of `tp` at t > 0, taken piece by piece, so that it
+    is finite where the value itself under- or overflows a float."""
+    slope, icept, coef, power = tp.rows[name]
+    linear = t < tp.knot
+    return np.where(linear, np.log(np.abs(slope * np.where(linear, t, 0.0) + icept)),
+                    math.log(abs(coef)) + power * np.log(np.where(linear, 1.0, t)))
+
+
 def a_eval(tp: TruncationPair, t):
     """a_k(t): linear on [0, 1/k), t^((1-alpha)/2) beyond."""
     return _evaluate(tp, "a", t)
@@ -230,18 +239,16 @@ def verify_properties(tp: TruncationPair, samples=None) -> TruncationPropertyRep
         max_eq_gap = _worst("a-equality", np.abs(rel_margin[on_power]), t[on_power],
                             a2[on_power], tb[on_power], violations)
 
-    # property (b): sup over t > 0 of the normalized growth ratio, per axis
+    # property (b): sup over t > 0 of the normalized growth ratio, per axis,
+    # in log space: b_k' underflows at large t and the normalization
+    # t^(p_i - alpha - 1) overflows at small t
     growth: dict[float, float] = {}
-    positive = t > 0
-    tp_pos, a_pos, b_pos = t[positive], a[positive], b[positive]
-    ap_pos, bp_pos = np.abs(ap[positive]), np.abs(bp[positive])
+    t_pos = t[t > 0]
+    log_t = np.log(t_pos)
+    la, lb, lap, lbp = (_log_abs(tp, name, t_pos) for name in ("a", "b", "a'", "b'"))
     for p_i in tp.exponents or ():
-        num = a_pos ** p_i * ap_pos ** (2.0 - p_i) + b_pos ** p_i * bp_pos ** (1.0 - p_i)
-        # t^(p_i - alpha - 1) overflows to inf only at tiny t, where the
-        # ratio is then exactly 0, as it is in the limit
-        with np.errstate(over="ignore"):
-            den = tp_pos ** (p_i - tp.alpha - 1.0)
-        sup = float(np.max(num / den))
+        log_num = np.logaddexp(p_i * la + (2.0 - p_i) * lap, p_i * lb + (1.0 - p_i) * lbp)
+        sup = float(np.exp(np.max(log_num - (p_i - tp.alpha - 1.0) * log_t)))
         growth[p_i] = sup
         if not np.isfinite(sup):
             violations.append(PropertyViolation("b", float("nan"), sup, float("inf")))

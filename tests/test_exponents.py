@@ -22,6 +22,7 @@ from anisolab.exponents import (
     ProblemSpec,
     beta_window,
     decay_exponents,
+    decay_threshold,
     harmonic_mean,
     integrability_thresholds,
     region_A,
@@ -476,6 +477,36 @@ def test_select_beta_is_the_report_selection(p, delta, gamma_extra, cap):
                 select_beta(spec)
         else:
             assert select_beta(spec) == (rep.selectedBeta, rep.decayExponents)
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3).map(sorted),
+    delta=st.floats(0.05, 60.0),
+    gamma_extra=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    cap=st.floats(1e-3, 2.0),
+    offset=st.one_of(st.floats(-20.0, 20.0), st.floats(-1e-6, 1e-6)),
+)
+def test_decay_threshold_decides_the_decay_sign(p, delta, gamma_extra, cap, offset):
+    """beta > beta_0 exactly when every float decay exponent at beta is
+    negative, away from rounding distance of beta_0; beta_0 = (N - q)/2 for
+    the exponential problem."""
+    e = ExponentData.from_p(p)
+    exp_spec = ProblemSpec(kind=ExpSingular(cap), exponents=e)
+    q = sum(Fraction(p_i) for p_i in e.p) / e.N
+    assert decay_threshold(exp_spec) == (e.N - q) / 2
+    mixed = ProblemSpec(kind=MixedPower(delta, delta + gamma_extra), exponents=e)
+    for spec, use_gamma in ((mixed, False), (mixed, True), (exp_spec, False)):
+        beta_0 = decay_threshold(spec, use_gamma)
+        l1 = beta_window(spec)[0]
+        beta = float(beta_0) + offset
+        if not beta > l1:
+            beta = float(l1) + abs(offset)
+        if not beta > l1 or abs(beta - beta_0) <= 1e-9 * max(1, abs(beta_0)):
+            continue
+        decay = decay_exponents(beta, spec, use_gamma=use_gamma)
+        assert (beta > beta_0) == all(d < 0 for d in decay), (beta, beta_0, decay)
 
 
 # --- integrability thresholds --------------------------------------------------

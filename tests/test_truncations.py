@@ -175,3 +175,17 @@ def test_growth_ratio_prints_no_overflow_warning_for_large_alpha():
         report = verify_properties(tp)
     assert report.ok, report.violations
     assert all(0.0 < v < math.inf for v in report.growth_constants.values())
+
+
+def test_growth_constant_is_the_closed_form_at_large_t():
+    # b_k'(t) underflows to 0 for t above about 1e44 (alpha = 6); evaluated
+    # in log space the ratio stays ((alpha-1)/2)^(2-p) + alpha^(1-p) on the
+    # power piece, with no warning
+    tp = TruncationPair(k=2, alpha=6.0, exponents=(2.0, 3.0, 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_properties(tp, np.geomspace(tp.knot, 1e62, 300))
+    assert report.ok, report.violations
+    for p, sup in report.growth_constants.items():
+        expected = ((tp.alpha - 1) / 2) ** (2 - p) + tp.alpha ** (1 - p)
+        assert sup == pytest.approx(expected, rel=1e-12)
