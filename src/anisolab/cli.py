@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -71,6 +72,14 @@ def _count(text: str) -> int:
     n = int(text)
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"count must lie in 1..{MAX_NODES}")
+    return n
+
+
+def _seed(text: str) -> int:
+    """A random seed: an integer >= 0, as `np.random.default_rng` takes."""
+    n = int(text)
+    if n < 0:
+        raise ValueError("must be an integer >= 0")
     return n
 
 
@@ -169,7 +178,7 @@ KEYS: dict[str, Key] = {
     "sweep.radii": Key("--radii", _radii, "r1,r2,... or lo:hi:count (geometric)"),
     "sweep.cconst": Key("--cconst", _positive),
     "run.outdir": Key("--outdir", str),
-    "run.seed": Key("--seed", int),
+    "run.seed": Key("--seed", _seed),
 }
 
 
@@ -388,6 +397,9 @@ SUBCOMMANDS: dict[str, Subcommand] = {
 }
 
 
+# the tables are static, so one parser serves every `main` call; it is
+# built on the first call, not at import
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anisolab",

@@ -175,6 +175,15 @@ HYPOTHESES = {
 }
 
 
+def _float(x: Fraction, name: str) -> float:
+    """The exact threshold `x` rounded to a float; a ValidationError when it
+    lies beyond the float range (for a huge p_i or delta, or a tiny cap)."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValidationError(f"the threshold {name} lies beyond the float range") from exc
+
+
 def _exact(e: ExponentData) -> tuple[tuple[Fraction, ...], int, Fraction]:
     """p, N and q = mean(p) as exact rationals."""
     p = tuple(Fraction(p_i) for p_i in e.p)
@@ -373,15 +382,13 @@ class ThresholdReport:
     def to_flat_dict(self) -> dict:
         """Flat key-value document; infinite endpoints serialize as None."""
 
-        def num(x):
-            if x is None:
-                return None
-            return None if math.isinf(x) else float(x)
+        def num(x, name: str):
+            return None if x is None or x == math.inf else _float(x, name)
 
         def iv(region: Interval | None, prefix: str, **members):
             out = {
-                f"{prefix}.lower": num(region.lower) if region else None,
-                f"{prefix}.upper": num(region.upper) if region else None,
+                f"{prefix}.lower": num(region.lower, f"{prefix}.lower") if region else None,
+                f"{prefix}.upper": num(region.upper, f"{prefix}.upper") if region else None,
             }
             for key, val in members.items():
                 out[f"{prefix}.{key}"] = val
@@ -403,7 +410,8 @@ class ThresholdReport:
                 memberGamma=self.gamma_in_I,
             )
         )
-        doc["regionI.axisBounds"] = [num(b) for b in self.regionI_axis_bounds]
+        doc["regionI.axisBounds"] = [num(b, "regionI.axisBounds")
+                                     for b in self.regionI_axis_bounds]
         doc.update(iv(self.regionJ, "regionJ", member=self.cap_in_J))
         doc["betaWindow.lower"] = self.betaWindow[0]
         doc["betaWindow.upper"] = self.betaWindow[1]
@@ -433,7 +441,7 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     i_int = region_I(e)
     i_bounds = region_I_axis_bounds(e)
     exact_l1, exact_upper = beta_window(spec)
-    l1, upper = float(exact_l1), float(exact_upper)
+    l1, upper = _float(exact_l1, "betaWindow.lower"), _float(exact_upper, "betaWindow.upper")
     candidate = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
 
     thm = ApplicableTheorem.NONE

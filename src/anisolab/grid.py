@@ -17,6 +17,7 @@ of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on longer ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -148,10 +149,12 @@ class Grid:
         c = self.center if center is None else tuple(center)
         if len(c) != self.dim:
             raise ValidationError("center dimension mismatch")
-        coords = self.meshgrid()
         sq = np.zeros(self.shape)
-        for x, ci in zip(coords, c):
-            sq += (x - ci) ** 2
+        for axis, (x, ci) in enumerate(zip(self.axes(), c)):
+            # the squared offsets of one axis, broadcast over the others
+            shape = [1] * self.dim
+            shape[axis] = x.size
+            sq += ((x - ci) ** 2).reshape(shape)
         return np.sqrt(sq)
 
 
@@ -373,6 +376,21 @@ def sine_matrix(m: int) -> np.ndarray:
     return table[np.outer(k, k) % (2 * (m + 1))]
 
 
+# At most 16 axis lengths are kept: a run uses a few grids, and one entry
+# holds at most a 96 x 96 sine matrix (72 KiB).
+@functools.lru_cache(maxsize=16)
+def _axis_modes(m: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The per-axis parts of `dst_solver` on an axis of m interior nodes,
+    read-only: sin^2(k pi / (2 (m + 1))), k = 1..m, and `sine_matrix(m)`
+    when m <= `DENSE_DST_MAX` (else None)."""
+    sin2 = np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
+    mat = sine_matrix(m) if m <= DENSE_DST_MAX else None
+    for a in (sin2, mat):
+        if a is not None:
+            a.flags.writeable = False
+    return sin2, mat
+
+
 def _along(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     """The symmetric `mat` applied along `axis` of the C-contiguous `y`, as
     one GEMM (last axis) or a stack of them (earlier axes)."""
@@ -402,12 +420,15 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     """
     shape = grid.interior_shape()
     lam = np.full(shape, float(shift))
-    for axis, (c_i, r, h) in enumerate(zip(c, grid.res, grid.h)):
-        mode = 4.0 / h ** 2 * np.sin(0.5 * np.pi * np.arange(1, r) / r) ** 2
+    dense = {}
+    for axis, (c_i, m, h) in enumerate(zip(c, shape, grid.h)):
+        sin2, mat = _axis_modes(m)
+        mode = 4.0 / h ** 2 * sin2
         bshape = [1] * grid.dim
-        bshape[axis] = r - 1
+        bshape[axis] = m
         lam = lam + c_i * mode.reshape(bshape)
-    dense = {axis: sine_matrix(m) for axis, m in enumerate(shape) if m <= DENSE_DST_MAX}
+        if mat is not None:
+            dense[axis] = mat
     fft_axes = [axis for axis in range(grid.dim) if axis not in dense]
 
     def transform(y):
@@ -461,6 +482,18 @@ def _stencil(grid: Grid, weights, diag=None):
     return main.ravel() + (0.0 if diag is None else diag), links, means
 
 
+def _median(x: np.ndarray) -> float:
+    """`np.median` of a flat array, bit for bit, from one partition where
+    np.median makes one at two or three places."""
+    k = x.size // 2
+    part = np.partition(x, k)
+    if np.isnan(part[k:]).any():  # a NaN sorts last
+        return math.nan
+    if x.size % 2:
+        return float(part[k])
+    return float((np.max(part[:k]) + part[k]) / 2)
+
+
 def stiffness(grid: Grid, weights, diag=None):
     """The `_stencil` matrix J in DIA form (links at offsets +-stride_i) and
     its preconditioner b -> s * P^-1(s * b), with P = sum_i mean(w_i) K_i^T
@@ -478,16 +511,19 @@ def stiffness(grid: Grid, weights, diag=None):
     """
     main, links, means = _stencil(grid, weights, diag)
     n = main.size
-    data, offsets = [main], [0]
+    data, offsets = np.empty((1 + 2 * grid.dim, n)), [0]
+    data[0] = main
     for axis, link in enumerate(links):
         # a DIA data row holds the entry of column j at index j; a link is 0
         # on the last plane along its axis, so rolled by the stride it is
         # the superdiagonal row and unrolled the subdiagonal one
         stride = math.prod(grid.interior_shape()[axis + 1:])
-        data += [np.roll(link, stride), link]
+        up = data[2 * axis + 1]
+        up[stride:], up[:stride] = link[:-stride], link[-stride:]
+        data[2 * axis + 2] = link
         offsets += [stride, -stride]
-    matrix = sp.dia_matrix((np.stack(data), offsets), shape=(n, n))
-    shift = 0.0 if diag is None else float(np.median(diag))
+    matrix = sp.dia_matrix((data, offsets), shape=(n, n))
+    shift = 0.0 if diag is None else _median(diag)
     inverse = dst_solver(grid, means, shift)
     scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / main)
     return matrix, lambda b: scale * inverse(scale * b)
@@ -617,6 +653,9 @@ def export_field_csv(f: GridField, path) -> None:
         fh.write(",".join([f"x{i + 1}" for i in range(f.grid.dim)] + ["value"]) + "\r\n")
         for start in range(0, flat.size, _WRITE_VALUES):
             chunk = flat[start : start + _WRITE_VALUES].tolist()
-            # the value chunk first: zip stops on it without taking one
-            # coordinate row past its end
-            fh.write("".join(["%s,%.17g\r\n" % (xs, v) for v, xs in zip(chunk, coords)]))
+            # coordinate rows and values alternate; the rows are taken one
+            # per value, so none past the chunk's end is consumed
+            row_args = [None] * (2 * len(chunk))
+            row_args[0::2] = itertools.islice(coords, len(chunk))
+            row_args[1::2] = chunk
+            fh.write("%s,%.17g\r\n" * len(chunk) % tuple(row_args))

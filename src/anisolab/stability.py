@@ -272,6 +272,8 @@ def stability_index(
     change with `seed`; the index does not.
     """
     grid = u.grid
+    if len(p) != grid.dim:
+        raise ValidationError(f"exponent dimension {len(p)} != grid dimension {grid.dim}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pot_full = np.asarray(nl.fprime(u.values), dtype=float)
         if variant is StabilityVariant.WEIGHTED_BY_G:
@@ -568,6 +570,8 @@ def radius_sweep(
     """
     grid = u.grid
     e = spec.exponents
+    if e.N != grid.dim:
+        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
     if not 0 < c_const < math.inf:
         raise ValidationError("the estimate constant C must be finite and positive")
     radii = [float(r) for r in radii]
@@ -691,6 +695,10 @@ def nonexistence_certificate(
     HypothesisNotApplicableError when no certified case covers the
     parameter point (the gate refuses rather than sweeping).
     """
+    if spec.exponents.N != u.grid.dim:
+        raise ValidationError(
+            f"exponent dimension {spec.exponents.N} != grid dimension {u.grid.dim}"
+        )
     report = region_memberships(spec)
     thm = report.theoremApplicable
     if thm is ApplicableTheorem.NONE:

@@ -209,6 +209,10 @@ def verify_properties(tp: TruncationPair, samples=None) -> TruncationPropertyRep
     t = np.asarray(samples, dtype=float)
     if np.any(t < 0):
         raise ValidationError("samples must be >= 0")
+    if t.size == 0:
+        raise ValidationError("need at least one sample")
+    if tp.exponents and not np.any(t > 0):
+        raise ValidationError("property (b) needs a sample t > 0")
 
     violations: list[PropertyViolation] = []
 

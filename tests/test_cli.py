@@ -559,3 +559,34 @@ def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate
     assert all(b < a for a, b in zip(errors, errors[1:])), errors
     assert np.all(orders >= 1.5), orders
 
+
+
+# a negative seed ended in numpy's ValueError from `default_rng` (exit 1); a
+# p of another dimension than the grid ended in numpy's AxisError (stability,
+# exit 1) or in a nonexistence verdict (sweep, exit 0); a p_i whose region A
+# endpoint overflows a float ended in an OverflowError (exit 1)
+@pytest.mark.parametrize("argv, expected", [
+    (_SOLVE + ["--seed=-1"], _BAD + "run.seed "),
+    (_STAB + ["--box", "0,3,0,3", "--seed=-1"], _BAD + "run.seed "),
+    (["stability", "--p", "2,3,4", "--delta", "1", "--box", "0,3,0,3", "--res", "8,8",
+      "--u", "constant:1.0"], "validation error: exponent dimension 3 != grid dimension 2"),
+    (["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8", "--res", "6,6",
+      "--u", "constant:1.0", "--radii", "1:3:3"],
+     "validation error: exponent dimension 3 != grid dimension 2"),
+    (["thresholds", "--p", "1e308", "--delta", "3"],
+     "validation error: the threshold regionA.lower lies beyond the float range"),
+    (["thresholds", "--p", "2,2", "--cap", "5e-324"],
+     "validation error: the threshold betaWindow.upper lies beyond the float range"),
+], ids=["solve-seed-negative", "stability-seed-negative", "stability-p-dim",
+        "sweep-p-dim", "thresholds-p-huge", "thresholds-cap-tiny"])
+def test_out_of_domain_inputs_exit_2_not_in_a_traceback(tmp_path, capsys, argv, expected):
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(expected)
+
+
+def test_parser_is_built_once(tmp_path):
+    parser = cli._build_parser()
+    assert main(["thresholds", "--p", "2,3,4", "--delta", "10",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert cli._build_parser() is parser

@@ -15,6 +15,8 @@ from anisolab.exponents import ExponentData
 from anisolab.grid import (
     _WRITE_VALUES,
     DENSE_DST_MAX,
+    _axis_modes,
+    _median,
     MAX_ROW_CHARS,
     CutoffSpec,
     Grid,
@@ -380,6 +382,59 @@ def test_sine_matrix_equals_the_direct_formula():
         direct = math.sqrt(2.0 / (m + 1)) * np.sin(
             np.pi / (m + 1) * (np.outer(k, k) % (2 * (m + 1))))
         assert np.array_equal(sine_matrix(m), direct), m
+
+
+def test_dst_axis_parts_are_memoized_read_only():
+    # `dst_solver` takes each axis's sine matrix and modes from a memo
+    # keyed on the axis length; a caller cannot alter what later ones get
+    for m in (1, 11, DENSE_DST_MAX):
+        sin2, mat = _axis_modes(m)
+        assert np.array_equal(mat, sine_matrix(m))
+        assert np.array_equal(sin2, np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2)
+        for a in (sin2, mat):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    assert _axis_modes(DENSE_DST_MAX + 1)[1] is None
+    assert _axis_modes.cache_info().maxsize == 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9024, 9025])
+def test_median_is_np_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cases = [rng.standard_normal(n), rng.integers(0, 3, n).astype(float),
+             np.full(n, 0.1), np.linspace(-1.0, 1.0, n) * 1e300]
+    with_nan = rng.standard_normal(n)
+    with_nan[n // 2] = np.nan
+    for x in cases + [with_nan]:
+        want, got = np.median(x), _median(x)
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+@pytest.mark.parametrize("res", [(9,), (6, 9), (5, 7, 4)])
+def test_node_distances_match_the_meshgrid_formula(res):
+    g = Grid(box=tuple((-1.0 + 0.3 * i, 2.0 + i) for i in range(len(res))), res=res)
+    for center in (None, tuple(0.1 * (i + 1) for i in range(len(res)))):
+        c = g.center if center is None else center
+        sq = np.zeros(g.shape)
+        for x, ci in zip(g.meshgrid(), c):
+            sq += (x - ci) ** 2
+        assert np.array_equal(g.node_distances(center), np.sqrt(sq))
+
+
+@pytest.mark.parametrize("res", [(7, 7, 63), (15, 15, 31), (17, 19, 40)],
+                         ids=["one-chunk", "two-chunks", "boundary-inside-a-row"])
+def test_csv_matches_reference_at_3d_chunk_boundaries(tmp_path, res):
+    # 4096 and 8192 nodes end on a chunk boundary; at 14760 the boundaries
+    # fall inside rows of the last axis
+    g = Grid(box=((0.0, 1.0), (-2.0, 0.5), (1e-3, 7.0)), res=res)
+    rng = np.random.default_rng(sum(res))
+    f = GridField(g, rng.standard_normal(g.shape))
+    export_field_csv(f, tmp_path / "field.csv")
+    _reference_csv(f, tmp_path / "ref.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_field_serialization_roundtrip(tmp_path):

@@ -22,6 +22,7 @@ from anisolab.grid import (
     level_set_measure,
     p_laplacian_apply,
     stiffness,
+    weak_form_gap,
 )
 from anisolab.solver import (
     RegularizationLevel,
@@ -30,6 +31,7 @@ from anisolab.solver import (
     WeightSpec,
     apply_A,
     inner_energy,
+    random_bump,
     run_ladder,
     solve_inner,
     solve_level,
@@ -656,3 +658,35 @@ def test_level_set_decay_fit_on_ladder_field():
     # a direct recomputation of one measure agrees
     mid = len(fit.levels) // 2
     assert level_set_measure(rep.final_field, fit.levels[mid]) == fit.measures[mid]
+
+
+@pytest.mark.parametrize("p, res, weight", [
+    ((2.0, 3.0), (10, 10), "power"),
+    ((2.0, 2.0, 3.0), (8, 8, 8), "constant"),
+])
+def test_run_ladder_battery_equals_weak_form_gap(p, res, weight):
+    # the battery evaluates `weak_form_gap` from shared parts; it must give
+    # the same floats as calling it per bump and right-hand side
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    if weight == "power":
+        vals = np.maximum(g.node_distances(), 0.5 * min(g.h)) ** -1.2
+    else:
+        vals = np.full(g.shape, 1.5)
+    w = WeightSpec(g=GridField(g, vals))
+    e = ExponentData.from_p(p)
+    n_max, seed = 3, 12345
+    rep = run_ladder(n_max, w, e, seed=seed)
+    u = rep.final_field
+    rhs_level = RegularizationLevel.from_weight(n_max, w).rhs(u)
+    rng = np.random.default_rng(seed)
+    gaps_level, gaps_limit = [0.0], [0.0]
+    for _ in range(20):
+        phi = random_bump(g, rng)
+        support = phi.values > 0
+        limit = np.zeros(g.shape)
+        limit[support] = w.g.values[support] * np.exp(1.0 / u.values[support])
+        gaps_level.append(abs(weak_form_gap(u, phi, rhs_level, e.p)))
+        gaps_limit.append(abs(weak_form_gap(u, phi, GridField(g, limit), e.p)))
+    assert rep.weak_residual_level_max == float(np.max(gaps_level))
+    assert rep.weak_residual_limit_max == float(np.max(gaps_limit))
+    assert rep.weak_residual_limit_max > 0.0

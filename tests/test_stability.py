@@ -741,3 +741,19 @@ def test_certificate_refused_outside_hypotheses():
         nonexistence_certificate(
             ProblemSpec(kind=MixedPower(5.0, 5.0), exponents=e), u, ones
         )
+
+
+def test_p_of_another_dimension_than_the_grid_is_refused():
+    # a 3D p on a 2D grid ended in numpy's AxisError (stability index) or
+    # swept 2D balls against 3D decay exponents and gave a verdict
+    e = ExponentData.from_p([2, 3, 4])
+    spec = ProblemSpec(kind=MixedPower(10.0, 10.0), exponents=e)
+    g = Grid(box=((-8.0, 8.0),) * 2, res=(6, 6))
+    ones = GridField.constant(g, 1.0)
+    message = "exponent dimension 3 != grid dimension 2"
+    with pytest.raises(ValidationError, match=message):
+        stability_index(ones, NonlinearityEval.mixed_power(1.0, 1.0), ones, e.p)
+    with pytest.raises(ValidationError, match=message):
+        nonexistence_certificate(spec, ones, ones, radii=[1.0, 2.0])
+    with pytest.raises(ValidationError, match=message):
+        radius_sweep(ones, ones, spec, select_beta(spec)[0], [1.0, 2.0])

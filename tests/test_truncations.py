@@ -189,3 +189,15 @@ def test_growth_constant_is_the_closed_form_at_large_t():
     for p, sup in report.growth_constants.items():
         expected = ((tp.alpha - 1) / 2) ** (2 - p) + tp.alpha ** (1 - p)
         assert sup == pytest.approx(expected, rel=1e-12)
+
+
+def test_verify_properties_refuses_samples_without_a_positive_t():
+    # property (b) is a sup over t > 0: with no such sample it ended in
+    # numpy's bare ValueError of a reduction over an empty array
+    tp = TruncationPair(k=2, alpha=4.0, exponents=(2.0, 3.0))
+    with pytest.raises(ValidationError, match="property \\(b\\) needs a sample t > 0"):
+        verify_properties(tp, [0.0])
+    with pytest.raises(ValidationError, match="need at least one sample"):
+        verify_properties(TruncationPair(k=2, alpha=4.0), [])
+    # without exponents t = 0 alone is a valid sample set
+    assert verify_properties(TruncationPair(k=2, alpha=4.0), [0.0]).ok
