@@ -16,13 +16,14 @@ plus the open regions A, B, C, I, J whose membership decides which
 nonexistence case (if any) applies to a parameter point.
 
 The region endpoints, the beta window and the decay threshold are computed
-in exact rationals from `Fraction` copies of the float inputs (every float
-is a binary rational), so that a point on an endpoint is never admitted by
-round-off; they become floats only in reports.
+in exact rationals from `ExponentData.exact`, one `Fraction` view of the
+float inputs (every float is a binary rational), so that a point on an
+endpoint is never admitted by round-off; they become floats only in reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,6 +81,12 @@ class ExponentData:
     @property
     def p_max(self) -> float:
         return self.p[-1]
+
+    @functools.cached_property
+    def exact(self) -> tuple[tuple[Fraction, ...], int, Fraction]:
+        """p, N and q = mean(p) as exact rationals."""
+        p = tuple(Fraction(p_i) for p_i in self.p)
+        return p, self.N, sum(p) / self.N
 
 
 def sobolev_exponent(e: ExponentData) -> float:
@@ -184,53 +191,25 @@ def _float(x: Fraction, name: str) -> float:
         raise ValidationError(f"the threshold {name} lies beyond the float range") from exc
 
 
-def _exact(e: ExponentData) -> tuple[tuple[Fraction, ...], int, Fraction]:
-    """p, N and q = mean(p) as exact rationals."""
-    p = tuple(Fraction(p_i) for p_i in e.p)
-    return p, e.N, sum(p) / e.N
-
-
-def region_A(e: ExponentData) -> Interval:
-    p, n, q = _exact(e)
-    return Interval(n * (q - 1) * (p[-1] - 1) / 4, math.inf)
-
-
-def region_B(e: ExponentData) -> Interval:
-    p, n, q = _exact(e)
-    return Interval(Fraction(0), 4 / (n * (q - 1) * (p[-1] - 1)))
-
-
-def region_C(e: ExponentData) -> Interval:
-    _, n, q = _exact(e)
-    if n == 1:
-        return Interval(Fraction(0), math.inf)
-    return Interval(Fraction(0), 4 / (n * (n - 1) * (q - 1)))
-
-
-def region_I_axis_bounds(e: ExponentData) -> tuple[Fraction | None, ...]:
-    """Per-axis lower endpoints of I_i; None where the denominator degenerates."""
-    p, n, q = _exact(e)
-    bounds = []
-    for p_i in p:
-        den = p_i * (n * (q - 1) + 4) - n ** 2 * (q - 1)
-        if den <= 0:
-            bounds.append(None)
-        else:
-            bounds.append(n ** 2 * (q - 1) * (p_i - 1) / den)
-    return tuple(bounds)
-
-
-def region_I(e: ExponentData) -> Interval | None:
-    """Intersection of the per-axis intervals; None when any axis degenerates."""
-    bounds = region_I_axis_bounds(e)
-    if any(b is None for b in bounds):
-        return None
-    return Interval(max(bounds), math.inf)
-
-
-def region_J(e: ExponentData) -> Interval:
-    b, c = region_B(e), region_C(e)
-    return Interval(max(b.lower, c.lower), min(b.upper, c.upper))
+def regions(e: ExponentData) -> tuple[dict[str, Interval | None], tuple[Fraction | None, ...]]:
+    """The open regions A, B, C, I, J by name, and the per-axis lower
+    endpoints of I.  An endpoint is None where its denominator degenerates,
+    and I is None when any is."""
+    p, n, q = e.exact
+    nq = n * (q - 1)
+    i_bounds = tuple(
+        n * nq * (p_i - 1) / den if (den := p_i * (nq + 4) - n * nq) > 0 else None
+        for p_i in p
+    )
+    b_upper = 4 / (nq * (p[-1] - 1))
+    c_upper = 4 / ((n - 1) * nq) if n > 1 else math.inf
+    return {
+        "A": Interval(nq * (p[-1] - 1) / 4, math.inf),
+        "B": Interval(Fraction(0), b_upper),
+        "C": Interval(Fraction(0), c_upper),
+        "I": None if None in i_bounds else Interval(max(i_bounds), math.inf),
+        "J": Interval(Fraction(0), min(b_upper, c_upper)),
+    }, i_bounds
 
 
 def beta_window(spec: ProblemSpec) -> tuple[Fraction, Fraction]:
@@ -239,10 +218,9 @@ def beta_window(spec: ProblemSpec) -> tuple[Fraction, Fraction]:
 
     An empty window (upper <= lower) is returned as-is, never raised.
     """
-    e = spec.exponents
-    p, n, q = _exact(e)
+    p, n, q = spec.exponents.exact
     if q <= 1:
-        raise ValidationError(f"window endpoints need q > 1, got q = {e.q}")
+        raise ValidationError(f"window endpoints need q > 1, got q = {spec.exponents.q}")
     l1 = (p[-1] - q) / 2
     if isinstance(spec.kind, MixedPower):
         upper = 2 * Fraction(spec.kind.delta) / (n * (q - 1)) - (q - 1) / 2
@@ -268,7 +246,7 @@ def theta_exponents(
     theta_i = E/(2*beta + q - p_i) where E is the total cutoff power; the
     conjugate satisfies 1/theta + 1/theta' = 1 exactly.  Requires beta > l1.
     """
-    p, _, q = _exact(spec.exponents)
+    p, _, q = spec.exponents.exact
     l1 = (p[-1] - q) / 2
     if not beta > l1:
         raise OutOfWindowError(f"beta = {beta} must exceed l1 = {float(l1)}")
@@ -301,7 +279,7 @@ def decay_threshold(spec: ProblemSpec, use_gamma: bool = False) -> Fraction:
     beta > (N (s + p_i - 1)/p_i - (s + q - 1))/2; beta_0 is the largest of
     these, (N - q)/2 for the exponential problem.
     """
-    p, n, q = _exact(spec.exponents)
+    p, n, q = spec.exponents.exact
     if isinstance(spec.kind, MixedPower):
         s = Fraction(spec.kind.gamma if use_gamma else spec.kind.delta)
     else:
@@ -355,25 +333,31 @@ def integrability_thresholds(e: ExponentData) -> IntegrabilityThresholds:
     )
 
 
+# The parameter each region tests, by the suffix of its report key: a
+# field of the problem kind, so a membership is None for the other kind.
+MEMBERSHIPS = {
+    "A": {"member": "delta"},
+    "B": {"member": "cap"},
+    "C": {"member": "cap"},
+    "I": {"member": "delta", "memberGamma": "gamma"},
+    "J": {"member": "cap"},
+}
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Structured outcome of hypothesis certification at one parameter point."""
+    """Structured outcome of hypothesis certification at one parameter point.
+
+    `regions` maps each region name of `MEMBERSHIPS` to its interval (I may
+    be None) and `members` maps (parameter, region name) to whether the
+    parameter lies in the region."""
 
     l1: float
     l2: float | None
     l3: float | None
-    regionA: Interval
-    regionB: Interval
-    regionC: Interval
-    regionI: Interval | None
+    regions: dict[str, Interval | None]
     regionI_axis_bounds: tuple[Fraction | None, ...]
-    regionJ: Interval
-    delta_in_A: bool | None
-    delta_in_I: bool | None
-    gamma_in_I: bool | None
-    cap_in_B: bool | None
-    cap_in_C: bool | None
-    cap_in_J: bool | None
+    members: dict[tuple[str, str], bool | None]
     betaWindow: tuple[float, float]
     selectedBeta: float | None
     decayExponents: tuple[float, ...] | None
@@ -385,34 +369,20 @@ class ThresholdReport:
         def num(x, name: str):
             return None if x is None or x == math.inf else _float(x, name)
 
-        def iv(region: Interval | None, prefix: str, **members):
-            out = {
-                f"{prefix}.lower": num(region.lower, f"{prefix}.lower") if region else None,
-                f"{prefix}.upper": num(region.upper, f"{prefix}.upper") if region else None,
-            }
-            for key, val in members.items():
-                out[f"{prefix}.{key}"] = val
-            return out
-
         doc: dict = {"l1": self.l1}
         if self.l2 is not None:
             doc["l2"] = self.l2
         if self.l3 is not None:
             doc["l3"] = self.l3
-        doc.update(iv(self.regionA, "regionA", member=self.delta_in_A))
-        doc.update(iv(self.regionB, "regionB", member=self.cap_in_B))
-        doc.update(iv(self.regionC, "regionC", member=self.cap_in_C))
-        doc.update(
-            iv(
-                self.regionI,
-                "regionI",
-                member=self.delta_in_I,
-                memberGamma=self.gamma_in_I,
-            )
-        )
+        for name, tests in MEMBERSHIPS.items():
+            region = self.regions[name]
+            for end in ("lower", "upper"):
+                key = f"region{name}.{end}"
+                doc[key] = None if region is None else num(getattr(region, end), key)
+            for suffix, param in tests.items():
+                doc[f"region{name}.{suffix}"] = self.members[param, name]
         doc["regionI.axisBounds"] = [num(b, "regionI.axisBounds")
                                      for b in self.regionI_axis_bounds]
-        doc.update(iv(self.regionJ, "regionJ", member=self.cap_in_J))
         doc["betaWindow.lower"] = self.betaWindow[0]
         doc["betaWindow.upper"] = self.betaWindow[1]
         doc["selectedBeta"] = self.selectedBeta
@@ -436,10 +406,14 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     (< l3), so that interval is not empty, but it may be too narrow to hold
     the candidate.
     """
-    e = spec.exponents
-    a, b, c, j = region_A(e), region_B(e), region_C(e), region_J(e)
-    i_int = region_I(e)
-    i_bounds = region_I_axis_bounds(e)
+    ivs, i_bounds = regions(spec.exponents)
+    members = {}
+    for name, tests in MEMBERSHIPS.items():
+        for param in tests.values():
+            x = getattr(spec.kind, param, None)
+            members[param, name] = (
+                None if x is None else ivs[name] is not None and ivs[name].contains(x)
+            )
     exact_l1, exact_upper = beta_window(spec)
     l1, upper = _float(exact_l1, "betaWindow.lower"), _float(exact_upper, "betaWindow.upper")
     candidate = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
@@ -447,26 +421,18 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     thm = ApplicableTheorem.NONE
     if isinstance(spec.kind, MixedPower):
         d, g = spec.kind.delta, spec.kind.gamma
-        delta_in_a = a.contains(d)
-        delta_in_i = i_int.contains(d) if i_int is not None else False
-        gamma_in_i = i_int.contains(g) if i_int is not None else False
-        cap_in_b = cap_in_c = cap_in_j = None
         l2, l3 = upper, None
-        if d >= 1 and delta_in_a and delta_in_i:
+        if d >= 1 and members["delta", "A"] and members["delta", "I"]:
             thm = ApplicableTheorem.THM3_4 if d == g else ApplicableTheorem.THM3_2
-        elif d < g and g >= 1 and delta_in_a and gamma_in_i:
+        elif d < g and g >= 1 and members["delta", "A"] and members["gamma", "I"]:
             # For u >= 1 the estimate carries the conjugates built from gamma
             # while the window comes from delta, so membership alone does not
             # decide the sign of the decay.
             if candidate > decay_threshold(spec, use_gamma=True):
                 thm = ApplicableTheorem.THM3_3
     else:
-        delta_in_a = delta_in_i = gamma_in_i = None
-        cap_in_b = b.contains(spec.kind.cap)
-        cap_in_c = c.contains(spec.kind.cap)
-        cap_in_j = j.contains(spec.kind.cap)
         l2, l3 = None, upper
-        if cap_in_j:
+        if members["cap", "J"]:
             thm = ApplicableTheorem.THM3_5
 
     beta = decay = None
@@ -479,23 +445,6 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
         beta, decay = candidate, decay_exponents(candidate, spec, use_gamma=use_gamma)
 
     return ThresholdReport(
-        l1=l1,
-        l2=l2,
-        l3=l3,
-        regionA=a,
-        regionB=b,
-        regionC=c,
-        regionI=i_int,
-        regionI_axis_bounds=i_bounds,
-        regionJ=j,
-        delta_in_A=delta_in_a,
-        delta_in_I=delta_in_i,
-        gamma_in_I=gamma_in_i,
-        cap_in_B=cap_in_b,
-        cap_in_C=cap_in_c,
-        cap_in_J=cap_in_j,
-        betaWindow=(l1, upper),
-        selectedBeta=beta,
-        decayExponents=decay,
-        theoremApplicable=thm,
+        l1=l1, l2=l2, l3=l3, regions=ivs, regionI_axis_bounds=i_bounds, members=members,
+        betaWindow=(l1, upper), selectedBeta=beta, decayExponents=decay, theoremApplicable=thm,
     )

@@ -94,11 +94,11 @@ class Grid:
     def dim(self) -> int:
         return len(self.box)
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((b - a) / r for (a, b), r in zip(self.box, self.res))
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(r + 1 for r in self.res)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .exponents import ExponentData
 
 IDENTITY_TOL = 1e-12
 
@@ -29,8 +30,9 @@ IDENTITY_TOL = 1e-12
 class TruncationPair:
     """Level-k truncation with power alpha, one row per function in `rows`.
 
-    `exponents` optionally carries the anisotropy vector so alpha can be
-    validated against p_N - 1 and property (b) evaluated per axis.
+    `exponents` optionally carries the anisotropy vector, validated as
+    `ExponentData.from_p` does, so alpha can be validated against p_N - 1
+    and property (b) evaluated per axis.
     """
 
     k: int
@@ -42,14 +44,10 @@ class TruncationPair:
             raise ValidationError(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
         if self.exponents is not None:
-            exps = tuple(float(x) for x in self.exponents)
+            exps = ExponentData.from_p(self.exponents).p
             object.__setattr__(self, "exponents", exps)
-            if not exps or not all(math.isfinite(x) for x in exps):
-                raise ValidationError(f"exponents must be finite and nonempty, got {exps}")
-            if not self.alpha > max(exps) - 1:
-                raise ValidationError(
-                    f"alpha = {self.alpha} must exceed p_N - 1 = {max(exps) - 1}"
-                )
+            if not self.alpha > exps[-1] - 1:
+                raise ValidationError(f"alpha = {self.alpha} must exceed p_N - 1 = {exps[-1] - 1}")
         if not self.alpha > 1:
             raise ValidationError(f"alpha must exceed 1 (p_i >= 2), got {self.alpha}")
         if not math.isfinite(self.alpha):

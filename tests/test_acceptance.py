@@ -19,9 +19,7 @@ from anisolab.exponents import (
     beta_window,
     decay_exponents,
     integrability_thresholds,
-    region_A,
-    region_I,
-    region_J,
+    regions,
     sobolev_exponent,
 )
 from anisolab.errors import HypothesisNotApplicableError
@@ -89,9 +87,10 @@ def test_criterion_01_threshold_algebra():
     assert abs(sobolev_exponent(e) - 36.0) <= 1e-12 * 36
     assert abs(e.q - 3.0) <= tol
     assert abs(beta_window(spec_mixed)[0] - float(l1)) <= tol
-    assert abs(region_A(e).lower - float(a_lower)) <= tol
-    assert abs(region_I(e).lower - float(i_lower)) <= tol
-    assert abs(region_J(e).upper - float(j_upper)) <= tol
+    ivs, _ = regions(e)
+    assert abs(ivs["A"].lower - float(a_lower)) <= tol
+    assert abs(ivs["I"].lower - float(i_lower)) <= tol
+    assert abs(ivs["J"].upper - float(j_upper)) <= tol
     assert abs(beta_window(spec_mixed)[1] - float(l2)) <= tol
     assert abs(beta_window(spec_exp)[1] - float(l3)) <= tol
     assert abs(integrability_thresholds(e).m_bounded - float(m_bounded)) <= tol

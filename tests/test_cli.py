@@ -417,7 +417,7 @@ _BAD = "validation error: bad "
     (_TRUNCATION + ["--t-max", "inf"], None, _BAD + "truncation.tmax "),
     (_TRUNCATION + ["--t-max", "nan"], None, _BAD + "truncation.tmax "),
     (_TRUNCATION[:4] + ["inf"], None, "validation error: alpha must be finite"),
-    (_TRUNCATION + ["--p", "2,nan"], None, "validation error: exponents must be finite"),
+    (_TRUNCATION + ["--p", "2,nan"], None, _BAD_P),
     (_TRUNCATION[:4] + ["1e308"], None, "validation error: k = 2, alpha = 1e+308: the"),
     (["truncation-check", "--k", "1000", "--alpha", "150"], None, "validation error: k = 1000"),
     (["truncation-check", "--k", "3", "--alpha", "700"], None, "validation error: k = 3"),
@@ -564,7 +564,8 @@ def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate
 # a negative seed ended in numpy's ValueError from `default_rng` (exit 1); a
 # p of another dimension than the grid ended in numpy's AxisError (stability,
 # exit 1) or in a nonexistence verdict (sweep, exit 0); a p_i whose region A
-# endpoint overflows a float ended in an OverflowError (exit 1)
+# endpoint overflows a float ended in an OverflowError (exit 1); a p that
+# `thresholds` refuses passed `truncation-check` (exit 0)
 @pytest.mark.parametrize("argv, expected", [
     (_SOLVE + ["--seed=-1"], _BAD + "run.seed "),
     (_STAB + ["--box", "0,3,0,3", "--seed=-1"], _BAD + "run.seed "),
@@ -577,8 +578,12 @@ def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate
      "validation error: the threshold regionA.lower lies beyond the float range"),
     (["thresholds", "--p", "2,2", "--cap", "5e-324"],
      "validation error: the threshold betaWindow.upper lies beyond the float range"),
+    (_TRUNCATION + ["--p", "1,1"], "validation error: every p_i must be >= 2"),
+    (_TRUNCATION + ["--p", "0.5"], "validation error: every p_i must be >= 2"),
+    (_TRUNCATION + ["--p", "3,2"], "validation error: p must be sorted ascending"),
 ], ids=["solve-seed-negative", "stability-seed-negative", "stability-p-dim",
-        "sweep-p-dim", "thresholds-p-huge", "thresholds-cap-tiny"])
+        "sweep-p-dim", "thresholds-p-huge", "thresholds-cap-tiny", "truncation-p-below-2",
+        "truncation-p-half", "truncation-p-unsorted"])
 def test_out_of_domain_inputs_exit_2_not_in_a_traceback(tmp_path, capsys, argv, expected):
     assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()

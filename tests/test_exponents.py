@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from anisolab.errors import (
     HypothesisNotApplicableError,
@@ -25,13 +25,8 @@ from anisolab.exponents import (
     decay_threshold,
     harmonic_mean,
     integrability_thresholds,
-    region_A,
-    region_B,
-    region_C,
-    region_I,
-    region_I_axis_bounds,
-    region_J,
     region_memberships,
+    regions,
     select_beta,
     sobolev_exponent,
     theta_exponents,
@@ -164,38 +159,38 @@ def test_beta_window_empty_is_reported_not_raised():
 def test_regions_234():
     e = ExponentData.from_p([2, 3, 4])
     oracle = frac_thresholds([2, 3, 4])
-    assert region_A(e).lower == pytest.approx(4.5, abs=TOL)
-    assert region_A(e).lower == pytest.approx(float(oracle["A_lower"]), abs=TOL)
-    bounds = region_I_axis_bounds(e)
+    ivs, bounds = regions(e)
+    assert ivs["A"].lower == pytest.approx(4.5, abs=TOL)
+    assert ivs["A"].lower == pytest.approx(float(oracle["A_lower"]), abs=TOL)
     for got, want in zip(bounds, oracle["I_bounds"]):
         assert got == pytest.approx(float(want), abs=TOL)
     assert bounds[0] == pytest.approx(9.0, abs=TOL)
     assert bounds[1] == pytest.approx(3.0, abs=TOL)
     assert bounds[2] == pytest.approx(54 / 22, abs=TOL)
-    assert region_I(e).lower == pytest.approx(9.0, abs=TOL)
-    assert region_B(e).upper == pytest.approx(2 / 9, abs=TOL)
-    assert region_C(e).upper == pytest.approx(1 / 3, abs=TOL)
-    assert region_J(e).upper == pytest.approx(2 / 9, abs=TOL)
+    assert ivs["I"].lower == pytest.approx(9.0, abs=TOL)
+    assert ivs["B"].upper == pytest.approx(2 / 9, abs=TOL)
+    assert ivs["C"].upper == pytest.approx(1 / 3, abs=TOL)
+    assert ivs["J"].upper == pytest.approx(2 / 9, abs=TOL)
 
 
 def test_region_I_degenerate_denominator():
     # N(q-1)+4 small vs N^2(q-1): need p_i(N(q-1)+4) <= N^2(q-1);
     # p=(2,2,8): q=4, per-axis denominator for p=2: 2*13-18*... = 2*(3*3+4)-9*3=26-27<0
     e = ExponentData.from_p([2, 2, 8])
-    bounds = region_I_axis_bounds(e)
+    ivs, bounds = regions(e)
     assert bounds[0] is None
-    assert region_I(e) is None
+    assert ivs["I"] is None
     spec = ProblemSpec(kind=MixedPower(100.0, 100.0), exponents=e)
     assert region_memberships(spec).theoremApplicable is ApplicableTheorem.NONE
 
 
 def test_boundary_membership_is_excluded():
-    e = ExponentData.from_p([2, 3, 4])
-    assert not region_A(e).contains(4.5)
-    assert region_A(e).contains(4.5 + 1e-9)
+    ivs, _ = regions(ExponentData.from_p([2, 3, 4]))
+    assert not ivs["A"].contains(4.5)
+    assert ivs["A"].contains(4.5 + 1e-9)
     # the endpoint is the rational 2/9; the float 2 / 9 lies 1.2e-17 below it
-    assert not region_J(e).contains(Fraction(2, 9))
-    assert region_J(e).contains(2 / 9)
+    assert not ivs["J"].contains(Fraction(2, 9))
+    assert ivs["J"].contains(2 / 9)
 
 
 def float_below(x: Fraction) -> float:
@@ -211,11 +206,11 @@ def float_above(x: Fraction) -> float:
 
 
 _ENDPOINTS = {
-    "A": (region_A, lambda o: o["A_lower"], "lower"),
-    "I": (region_I, lambda o: max(o["I_bounds"]), "lower"),
-    "B": (region_B, lambda o: o["B_upper"], "upper"),
-    "C": (region_C, lambda o: o["C_upper"], "upper"),
-    "J": (region_J, lambda o: min(o["B_upper"], o["C_upper"]), "upper"),
+    "A": (lambda o: o["A_lower"], "lower"),
+    "I": (lambda o: max(o["I_bounds"]), "lower"),
+    "B": (lambda o: o["B_upper"], "upper"),
+    "C": (lambda o: o["C_upper"], "upper"),
+    "J": (lambda o: min(o["B_upper"], o["C_upper"]), "upper"),
 }
 
 
@@ -231,8 +226,8 @@ _ENDPOINTS = {
     ("J", [2.0, 3.0]),
 ])
 def test_region_endpoint_membership_is_exact(name, p):
-    region, endpoint, side = _ENDPOINTS[name]
-    interval = region(ExponentData.from_p(p))
+    endpoint, side = _ENDPOINTS[name]
+    interval = regions(ExponentData.from_p(p))[0][name]
     x = endpoint(frac_thresholds(p))
     below, above = float_below(x), float_above(x)
     assert not interval.contains(x)
@@ -248,11 +243,11 @@ def test_applicability_examples():
     e = ExponentData.from_p([2, 3, 4])
     rep = region_memberships(ProblemSpec(kind=MixedPower(10, 10), exponents=e))
     assert rep.theoremApplicable is ApplicableTheorem.THM3_4
-    assert rep.delta_in_A and rep.delta_in_I
+    assert rep.members["delta", "A"] and rep.members["delta", "I"]
 
     rep2 = region_memberships(ProblemSpec(kind=ExpSingular(0.2), exponents=e))
     assert rep2.theoremApplicable is ApplicableTheorem.THM3_5
-    assert rep2.cap_in_J
+    assert rep2.members["cap", "J"]
 
     # delta < gamma with both in range: the bounded-by-one case wins
     rep3 = region_memberships(ProblemSpec(kind=MixedPower(10, 11), exponents=e))
@@ -282,6 +277,86 @@ def test_flat_dict_round_trip_keys():
     assert doc["regionA.upper"] is None  # +inf serializes as null
     assert doc["regionI.axisBounds"][0] == pytest.approx(9.0)
     assert doc["betaWindow.upper"] == pytest.approx(7 / 3)
+
+
+# each membership key of the report: the parameter it tests and its region
+_MEMBER_KEYS = {
+    "regionA.member": ("delta", "A"),
+    "regionB.member": ("cap", "B"),
+    "regionC.member": ("cap", "C"),
+    "regionI.member": ("delta", "I"),
+    "regionI.memberGamma": ("gamma", "I"),
+    "regionJ.member": ("cap", "J"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.lists(st.integers(8, 32).map(lambda k: k / 4), min_size=1, max_size=3).map(sorted),
+    delta=st.floats(0.05, 100.0),
+    gamma_extra=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    cap=st.one_of(st.none(), st.floats(1e-3, 2.0)),
+)
+@example(p=[2.0, 3.0, 4.0], delta=4.5, gamma_extra=0.0, cap=None)  # on the lower end of A
+@example(p=[2.0, 3.0, 4.0], delta=9.0, gamma_extra=0.0, cap=None)  # on the lower end of I
+@example(p=[2.0, 3.0, 4.0], delta=10.0, gamma_extra=0.0, cap=2 / 9)  # below the upper end of J
+@example(p=[2.0, 2.0, 8.0], delta=100.0, gamma_extra=0.0, cap=None)  # I degenerate
+@example(p=[3.0], delta=10.0, gamma_extra=0.0, cap=0.5)  # N = 1: C is unbounded
+def test_flat_dict_matches_the_rational_oracle(p, delta, gamma_extra, cap):
+    """Every region endpoint of the report is the float of the exact
+    oracle, and every membership is the exact comparison of the parameter
+    with the oracle's endpoints."""
+    n = len(p)
+    q = sum(Fraction(x) for x in p) / n
+    # frac_thresholds divides by each I_i denominator; a zero one is
+    # covered by test_region_I_zero_denominator_is_degenerate
+    assume(all(Fraction(x) * (n * (q - 1) + 4) != n * n * (q - 1) for x in p))
+    kind = MixedPower(delta, delta + gamma_extra) if cap is None else ExpSingular(cap)
+    try:
+        doc = region_memberships(ProblemSpec(kind=kind, exponents=ExponentData.from_p(p)))
+    except HypothesisViolatedError:
+        reject()  # no report: the certified case has no admissible beta
+    doc = doc.to_flat_dict()
+    oracle = frac_thresholds(p)
+    # a non-positive denominator makes the oracle's bound non-positive
+    i_bounds = [b if b > 0 else None for b in oracle["I_bounds"]]
+    c_upper = oracle.get("C_upper")  # absent for N = 1
+    ends = {
+        "A": (oracle["A_lower"], None),
+        "B": (Fraction(0), oracle["B_upper"]),
+        "C": (Fraction(0), c_upper),
+        "I": (None if None in i_bounds else max(i_bounds), None),
+        "J": (Fraction(0), min(oracle["B_upper"], c_upper or oracle["B_upper"])),
+    }
+
+    def as_float(x):
+        return None if x is None else float(x)
+
+    region_keys = {k for k in doc if k.startswith("region")}
+    assert region_keys == {f"region{r}.{end}" for r in ends for end in ("lower", "upper")} | {
+        "regionI.axisBounds"} | set(_MEMBER_KEYS)
+    for name, (lower, upper) in ends.items():
+        assert doc[f"region{name}.lower"] == as_float(lower), name
+        assert doc[f"region{name}.upper"] == as_float(upper), name
+    assert doc["regionI.axisBounds"] == [as_float(b) for b in i_bounds]
+
+    tested = {"cap": cap} if cap is not None else {"delta": delta, "gamma": delta + gamma_extra}
+    for key, (param, name) in _MEMBER_KEYS.items():
+        lower, upper = ends[name]
+        x = tested.get(param)
+        expected = None if x is None else (
+            lower is not None and lower < Fraction(x) and (upper is None or Fraction(x) < upper)
+        )
+        assert doc[key] is expected, (key, x, lower, upper)
+
+
+def test_region_I_zero_denominator_is_degenerate():
+    # p = (2, 3, 6): the axis-0 denominator 2 (3 (q - 1) + 4) - 9 (q - 1) is 0
+    e = ExponentData.from_p([2, 3, 6])
+    doc = region_memberships(ProblemSpec(kind=MixedPower(50, 50), exponents=e)).to_flat_dict()
+    assert doc["regionI.axisBounds"][0] is None
+    assert doc["regionI.lower"] is None and doc["regionI.member"] is False
+    assert doc["theoremApplicable"] == "None"
 
 
 # --- conjugate exponents ------------------------------------------------------
@@ -355,8 +430,9 @@ def test_window_ordering_iff_A(p, delta):
     e = ExponentData.from_p(p)
     spec = ProblemSpec(kind=MixedPower(delta, delta), exponents=e)
     l1, l2 = beta_window(spec)
-    in_a = region_A(e).contains(delta)
-    assert in_a == (l2 > l1 and l2 > 0), (delta, l1, l2, region_A(e))
+    region_a = regions(e)[0]["A"]
+    in_a = region_a.contains(delta)
+    assert in_a == (l2 > l1 and l2 > 0), (delta, l1, l2, region_a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -368,7 +444,7 @@ def test_window_ordering_J(p, cap):
     e = ExponentData.from_p(p)
     spec = ProblemSpec(kind=ExpSingular(cap), exponents=e)
     l1, l3 = beta_window(spec)
-    if region_J(e).contains(cap):
+    if regions(e)[0]["J"].contains(cap):
         assert l3 > l1 and l3 > 0
 
 
@@ -423,7 +499,7 @@ def test_select_beta_refuses_when_not_applicable():
 def test_endpoint_blowup_on_I_boundary():
     # delta exactly on the axis-0 lower bound of I: decay_0 -> 0 as beta -> l2
     e = ExponentData.from_p([2, 3, 4])
-    delta = region_I_axis_bounds(e)[0]
+    delta = regions(e)[1][0]
     spec = ProblemSpec(kind=MixedPower(delta, delta), exponents=e)
     l1, l2 = beta_window(spec)
     beta = l2 - 1e-9 * (l2 - l1)

@@ -70,7 +70,8 @@ def test_pair_validation():
     (2, 1022.0, None),  # -alpha * k ** (alpha + 1) rounds to -inf silently
 ])
 def test_pair_refuses_non_finite_or_overflowing_values(k, alpha, exponents):
-    with pytest.raises(ValidationError, match="finite|overflow"):
+    # an empty vector is refused by `ExponentData.from_p`, as in `thresholds`
+    with pytest.raises(ValidationError, match="empty" if exponents == () else "finite|overflow"):
         TruncationPair(k=k, alpha=alpha, exponents=exponents)
 
 
