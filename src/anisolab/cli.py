@@ -5,7 +5,9 @@
 argument parser and the merge of defaults < config file < flags are built
 from these two tables.  Every run writes its fully resolved configuration
 (`key = value` per line) next to its outputs; re-running with that file via
---config reproduces the reports bit for bit.
+--config reproduces the reports bit for bit.  The parsers check syntax only;
+the library call that takes a value checks its domain, except for the count
+of a `--radii lo:hi:count` range, which is bounded before it is allocated.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 hypothesis not applicable (or violated).
@@ -36,8 +38,8 @@ from .exponents import (
     ProblemSpec,
     region_memberships,
 )
+from . import grid as grid_module
 from .grid import (
-    MAX_NODES,
     Grid,
     GridField,
     export_field_csv,
@@ -66,32 +68,6 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
 
-def _count(text: str) -> int:
-    """A number of points or steps: at least 1, at most `MAX_NODES`, so
-    that a huge count of points is refused before it is allocated."""
-    n = int(text)
-    if not 1 <= n <= MAX_NODES:
-        raise ValueError(f"count must lie in 1..{MAX_NODES}")
-    return n
-
-
-def _seed(text: str) -> int:
-    """A random seed: an integer >= 0, as `np.random.default_rng` takes."""
-    n = int(text)
-    if n < 0:
-        raise ValueError("must be an integer >= 0")
-    return n
-
-
-def _positive(text: str) -> float:
-    """A tolerance or range bound: finite and > 0 (a NaN tolerance would pass
-    every `gap > tol` test)."""
-    x = float(text)
-    if not 0 < x < np.inf:
-        raise ValueError("must be finite and > 0")
-    return x
-
-
 def _box(text: str) -> tuple[tuple[float, float], ...]:
     vals = _floats(text)
     if len(vals) % 2 != 0:
@@ -105,9 +81,9 @@ def _radii(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("radii range must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), _count(parts[2])
-    if lo <= 0 or hi <= lo:
-        raise ValueError("radii range needs 0 < lo < hi")
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (0 < lo < hi and 1 <= count <= grid_module.MAX_NODES):
+        raise ValueError(f"needs 0 < lo < hi; count must lie in 1..{grid_module.MAX_NODES}")
     return tuple(np.geomspace(lo, hi, count))
 
 
@@ -163,22 +139,22 @@ KEYS: dict[str, Key] = {
     "grid.res": Key("--res", _ints, "cells per axis, e.g. 64,64"),
     "weight.descriptor": Key("--weight", _descriptor("constant", "power", "file"),
                              "constant:c | power:s | file:path"),
-    "weight.m": Key("--weight-m", _positive, "claimed integrability exponent of g"),
+    "weight.m": Key("--weight-m", float, "claimed integrability exponent of g"),
     "truncation.k": Key("--k", int),
     "truncation.alpha": Key("--alpha", float),
-    "truncation.samples": Key("--samples", _count),
-    "truncation.tmax": Key("--t-max", _positive),
+    "truncation.samples": Key("--samples", int),
+    "truncation.tmax": Key("--t-max", float),
     "solve.nmax": Key("--nmax", int),
-    "solve.tolFix": Key("--tol-fix", _positive),
-    "solve.innerTol": Key("--inner-tol", _positive),
-    "solve.maxOuter": Key("--max-outer", _count),
+    "solve.tolFix": Key("--tol-fix", float),
+    "solve.innerTol": Key("--inner-tol", float),
+    "solve.maxOuter": Key("--max-outer", int),
     "stability.u": Key("--u", _descriptor("constant", "file"), "constant:c | file:path"),
     "stability.variant": Key("--variant", StabilityVariant, "AsWritten | WeightedByG"),
     "sweep.u": Key("--u", _descriptor("constant", "file"), "constant:c | file:path"),
     "sweep.radii": Key("--radii", _radii, "r1,r2,... or lo:hi:count (geometric)"),
-    "sweep.cconst": Key("--cconst", _positive),
+    "sweep.cconst": Key("--cconst", float),
     "run.outdir": Key("--outdir", str),
-    "run.seed": Key("--seed", _seed),
+    "run.seed": Key("--seed", int),
 }
 
 

@@ -219,8 +219,6 @@ def beta_window(spec: ProblemSpec) -> tuple[Fraction, Fraction]:
     An empty window (upper <= lower) is returned as-is, never raised.
     """
     p, n, q = spec.exponents.exact
-    if q <= 1:
-        raise ValidationError(f"window endpoints need q > 1, got q = {spec.exponents.q}")
     l1 = (p[-1] - q) / 2
     if isinstance(spec.kind, MixedPower):
         upper = 2 * Fraction(spec.kind.delta) / (n * (q - 1)) - (q - 1) / 2

@@ -94,6 +94,11 @@ class Grid:
     def dim(self) -> int:
         return len(self.box)
 
+    def check_dim(self, p) -> None:
+        """Refuse an exponent vector p of another dimension than the grid."""
+        if len(p) != self.dim:
+            raise ValidationError(f"exponent dimension {len(p)} != grid dimension {self.dim}")
+
     @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((b - a) / r for (a, b), r in zip(self.box, self.res))
@@ -253,8 +258,7 @@ def p_laplacian_apply(u: GridField, e) -> GridField:
     p_i = 2 this reduces to the standard (2N+1)-point negative Laplacian.
     """
     grid = u.grid
-    if e.N != grid.dim:
-        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
+    grid.check_dim(e.p)
     out = np.zeros(grid.shape)
     out[grid.interior_slices()] = p_flux(u.values, grid, e.p)[0]
     return GridField(grid, out)

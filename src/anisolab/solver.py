@@ -85,12 +85,10 @@ class WeightSpec:
     m: float | None = None
 
     def __post_init__(self):
-        if self.m is not None and not math.isfinite(self.m):
-            raise ValidationError(f"the integrability exponent m must be finite, got {self.m}")
-        if not np.all(np.isfinite(self.g.values)):
-            raise ValidationError("weight g must be finite")
-        if np.any(self.g.values < 0):
-            raise ValidationError("weight g must be nonnegative")
+        if self.m is not None and not 0 < self.m < math.inf:
+            raise ValidationError(f"integrability exponent m must be finite and > 0, got {self.m}")
+        if not np.all((0 <= self.g.values) & (self.g.values < np.inf)):
+            raise ValidationError("weight g must be finite and nonnegative")
 
     @property
     def positive_mass(self) -> bool:
@@ -192,6 +190,13 @@ def _default_tol(p) -> float:
     return 1e-10 if all(p_i == 2.0 for p_i in p) else 1e-8
 
 
+def _tolerance(name: str, tol: float) -> float:
+    """`tol`, unless it is not finite and > 0 (a NaN passes every `gap > tol` test)."""
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {tol}")
+    return tol
+
+
 def _gradient(grid: Grid, p, x, g) -> tuple[np.ndarray, float, list]:
     """Op(x) - g on interior vectors, the stored energy
     sum_i (1/p_i) sum |D_i x|^{p_i}, and the face differences D_i x."""
@@ -224,14 +229,15 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
     check, the step lengths `steps`, the CG `linear_iterations` per step (0
     in 1D) and, when `energy(x) = G(x)` is given, the `energies` at each
     check.  A failed line search, or more than `max_steps` steps, raises a
-    NonConvergenceError that names the solve by `what`.
+    NonConvergenceError that names the solve by `what`.  A `tol` that is
+    not finite and > 0, or a `max_steps` below 1, is a ValidationError.
     """
-    if e.N != grid.dim:
-        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
+    grid.check_dim(e.p)
     p = e.p
     all_two = all(p_i == 2.0 for p_i in p)
-    if tol is None:
-        tol = _default_tol(p)
+    tol = _default_tol(p) if tol is None else _tolerance(f"the {what} tolerance", tol)
+    if not max_steps >= 1:
+        raise ValidationError(f"the {what} needs a Newton-step cap >= 1, got {max_steps}")
 
     def evaluate(x):
         """F(x), the diagonal -G''(x), the energy and the differences D_i x."""
@@ -381,7 +387,8 @@ def solve_level(
     `residuals`, and `linear_iterations`: CG iterations per Newton step, 0
     in 1D.  A NonConvergenceError carries the last residuals and step
     lengths in its diagnostics: those of the level solve, or of the
-    certificate's inner solve when that one fails.
+    certificate's inner solve when that one fails.  A tol_fix or inner_tol
+    that is not finite and > 0 is a ValidationError.
     """
     grid = level.g_n.grid
     g_n = extract_interior(level.g_n)
@@ -389,7 +396,8 @@ def solve_level(
     # sup of the discrete torsion v of the shortest p_k = 2 axis, if any
     lengths = [hi - lo for (lo, hi), p_k in zip(grid.box, e.p) if p_k == 2.0]
     v_sup = min(lengths) ** 2 / 8.0 if lengths else None
-    tol = _default_tol(e.p) if inner_tol is None else inner_tol
+    _tolerance("tol_fix", tol_fix)
+    tol = _default_tol(e.p) if inner_tol is None else _tolerance("inner_tol", inner_tol)
     if v_sup is not None:
         tol = min(tol, tol_fix / v_sup)
 
@@ -516,6 +524,13 @@ def _centered_half_box_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """`np.random.default_rng(seed)`, refusing a negative seed as a ValidationError."""
+    if seed < 0:
+        raise ValidationError(f"the seed must be an integer >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
     """Random compactly supported smoothstep bump vanishing near the boundary."""
     extents = [hi - lo for lo, hi in grid.box]
@@ -595,6 +610,7 @@ def run_ladder(
     """
     if n_max < 2:
         raise ValidationError("the ladder needs n_max >= 2")
+    rng = seeded_rng(seed)
     grid = w.g.grid
     if e.pstar is not None and e.pstar < e.p_max:
         raise ValidationError(
@@ -640,7 +656,6 @@ def run_ladder(
         d1, d2 = sups[-2] - sups[-3], sups[-1] - sups[-2]
         ratio = d2 / d1 if d1 > 0 else 0.0
 
-    rng = np.random.default_rng(seed)
     rhs_level = level.rhs(final)
     fluxes = p_flux(final.values, grid, e.p)[2]
     # g e^{1/u} of the limit equation, computed on a node the first time a

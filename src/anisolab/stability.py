@@ -67,6 +67,7 @@ from .grid import (
     stiffness,
     weak_form_gap,
 )
+from .solver import seeded_rng
 from .truncations import TruncationPair, b_eval
 
 
@@ -125,6 +126,17 @@ def _require_compact_support(phi: GridField) -> None:
 def _require_positive_on_support(u: GridField, support: np.ndarray) -> None:
     if np.any(u.values[support] <= 0):
         raise SingularityError("u must be positive wherever the test function lives")
+
+
+def _require_cutoff(psi: GridField) -> None:
+    if np.any(psi.values < 0) or np.any(psi.values > 1):
+        raise ValidationError("psi must take values in [0, 1]")
+
+
+def _require_in_window(beta: float, spec: ProblemSpec) -> None:
+    l1, upper = beta_window(spec)
+    if not l1 < beta < upper:
+        raise OutOfWindowError(f"beta = {beta} outside the window ({float(l1)}, {float(upper)})")
 
 
 def _node_weight_tensor(grid: Grid, window=None) -> np.ndarray:
@@ -272,8 +284,8 @@ def stability_index(
     change with `seed`; the index does not.
     """
     grid = u.grid
-    if len(p) != grid.dim:
-        raise ValidationError(f"exponent dimension {len(p)} != grid dimension {grid.dim}")
+    grid.check_dim(p)
+    rng = seeded_rng(seed)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pot_full = np.asarray(nl.fprime(u.values), dtype=float)
         if variant is StabilityVariant.WEIGHTED_BY_G:
@@ -297,7 +309,7 @@ def stability_index(
         iterations += 1
         return precond(block.T).T
 
-    x0 = np.random.default_rng(seed).standard_normal((n, min(2, n)))
+    x0 = rng.standard_normal((n, min(2, n)))
     with warnings.catch_warnings():
         # non-convergence and the small-grid dense fallback are judged below
         warnings.simplefilter("ignore", UserWarning)
@@ -380,8 +392,7 @@ def apriori_sides(
     if not alpha > e.p_max - 1:
         raise ValidationError(f"alpha = {alpha} must exceed p_N - 1 = {e.p_max - 1}")
     coef = epsilon_coefficient(alpha, epsilon, e.N, e.q)
-    if np.any(psi.values < 0) or np.any(psi.values > 1):
-        raise ValidationError("psi must take values in [0, 1]")
+    _require_cutoff(psi)
     support = psi.values > 0
     _require_positive_on_support(u, support)
 
@@ -472,13 +483,8 @@ def corollary_sides(
         raise ValidationError("case None has no cutoff corollary")
     grid = u.grid
     e = spec.exponents
-    l1, upper = beta_window(spec)
-    if not l1 < beta < upper:
-        raise OutOfWindowError(
-            f"beta = {beta} outside the window ({float(l1)}, {float(upper)})"
-        )
-    if np.any(psi.values < 0) or np.any(psi.values > 1):
-        raise ValidationError("psi must take values in [0, 1]")
+    _require_in_window(beta, spec)
+    _require_cutoff(psi)
     hyp = HYPOTHESES[case]
     if not isinstance(spec.kind, hyp.kind):
         needs = "an exponential" if hyp.kind is ExpSingular else "a mixed-power"
@@ -550,6 +556,28 @@ class SweepResult:
         }
 
 
+def _sweep_balls(grid: Grid, spec: ProblemSpec, radii, c_const: float, center=None):
+    """The radii as floats and the ball center of a radius sweep, after the
+    checks that need no beta."""
+    grid.check_dim(spec.exponents.p)
+    if not 0 < c_const < math.inf:
+        raise ValidationError("the estimate constant C must be finite and positive")
+    radii = [float(r) for r in radii]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValidationError("radii must be strictly increasing")
+    if not radii:
+        raise ValidationError("need at least one radius")
+    if not all(r > 0 for r in radii):
+        raise ValidationError("ball radius must be positive")
+    c = grid.center if center is None else tuple(center)
+    for (lo, hi), ci in zip(grid.box, c):
+        if ci - 2.0 * radii[-1] < lo or ci + 2.0 * radii[-1] > hi:
+            raise GeometryError(
+                f"2 * max radius = {2 * radii[-1]} around {c} does not fit the box {grid.box}"
+            )
+    return radii, c
+
+
 def radius_sweep(
     u: GridField,
     g: GridField,
@@ -569,36 +597,14 @@ def radius_sweep(
     eventually violated; that is the contradiction the sweep exhibits.
     """
     grid = u.grid
-    e = spec.exponents
-    if e.N != grid.dim:
-        raise ValidationError(f"exponent dimension {e.N} != grid dimension {grid.dim}")
-    if not 0 < c_const < math.inf:
-        raise ValidationError("the estimate constant C must be finite and positive")
-    radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValidationError("radii must be strictly increasing")
-    if not radii:
-        raise ValidationError("need at least one radius")
-    c = grid.center if center is None else tuple(center)
-    r_max = max(radii)
-    for (lo, hi), ci in zip(grid.box, c):
-        if ci - 2.0 * r_max < lo or ci + 2.0 * r_max > hi:
-            raise GeometryError(
-                f"2 * max radius = {2 * r_max} around {c} does not fit the box {grid.box}"
-            )
-    l1, upper = beta_window(spec)
-    if not l1 < beta < upper:
-        raise OutOfWindowError(
-            f"beta = {beta} outside the window ({float(l1)}, {float(upper)})"
-        )
+    radii, c = _sweep_balls(grid, spec, radii, c_const, center)
+    r_max = radii[-1]
+    _require_in_window(beta, spec)
     big_e = lhs_power(beta, spec, use_gamma=use_gamma)
     if big_e <= 0:
         raise ValidationError(f"degenerate total power E = {big_e}")
     decay = decay_exponents(beta, spec, use_gamma=use_gamma)
 
-    # `ball_fraction_weights` refuses r <= 0 too, but the window needs r_max
-    if not all(r > 0 for r in radii):
-        raise ValidationError("ball radius must be positive")
     # A node is in a ball of radius r <= r_max only if its distance is below
     # r_max + width/2, so every ball lies in the sub-box `window` of nodes
     # within r_max + width of c along each axis.  The quadrature runs there
@@ -693,12 +699,15 @@ def nonexistence_certificate(
 
     The balls of the sweep are centered at the box center.  Raises
     HypothesisNotApplicableError when no certified case covers the
-    parameter point (the gate refuses rather than sweeping).
+    parameter point (the gate refuses rather than sweeping); the sweep's
+    inputs are checked before the gate.
     """
-    if spec.exponents.N != u.grid.dim:
-        raise ValidationError(
-            f"exponent dimension {spec.exponents.N} != grid dimension {u.grid.dim}"
-        )
+    grid = u.grid
+    if radii is None:
+        half = min(min(ci - lo, hi - ci) for (lo, hi), ci in zip(grid.box, grid.center))
+        r_top = 0.499 * half
+        radii = np.geomspace(r_top / 10.0, r_top, 10)
+    _sweep_balls(grid, spec, radii, c_const)
     report = region_memberships(spec)
     thm = report.theoremApplicable
     if thm is ApplicableTheorem.NONE:
@@ -707,11 +716,6 @@ def nonexistence_certificate(
         )
     beta = report.selectedBeta
     hyp = HYPOTHESES[thm]
-    grid = u.grid
-    if radii is None:
-        half = min(min(ci - lo, hi - ci) for (lo, hi), ci in zip(grid.box, grid.center))
-        r_top = 0.499 * half
-        radii = np.geomspace(r_top / 10.0, r_top, 10)
     sweep = radius_sweep(u, g, spec, beta, radii, c_const=c_const, use_gamma=hyp.use_gamma)
     range_ok = bool(np.all(hyp.in_range(u.values, spec)))
     if sweep.firstViolatingR is not None:

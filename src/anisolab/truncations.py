@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grid
 from .errors import ValidationError
 from .exponents import ExponentData
 
@@ -48,10 +49,8 @@ class TruncationPair:
             object.__setattr__(self, "exponents", exps)
             if not self.alpha > exps[-1] - 1:
                 raise ValidationError(f"alpha = {self.alpha} must exceed p_N - 1 = {exps[-1] - 1}")
-        if not self.alpha > 1:
-            raise ValidationError(f"alpha must exceed 1 (p_i >= 2), got {self.alpha}")
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        if not 1 < self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and > 1 (p_i >= 2), got {self.alpha}")
         try:
             finite = all(math.isfinite(x) for row in self.rows.values() for x in row)
         except OverflowError:
@@ -139,13 +138,16 @@ def b_prime(tp: TruncationPair, t):
 
 def default_samples(tp: TruncationPair, n: int = 1000, t_max: float = 10.0) -> np.ndarray:
     """Sample grid covering both pieces, the knot, a near-zero point, and a
-    large-t proxy 100 * t_max; sorted ascending.  A t_max whose proxy
-    overflows is a ValidationError."""
-    if not t_max * 100.0 < math.inf:
-        raise ValidationError(f"t_max = {t_max}: the large-t proxy 100 * t_max overflows")
+    large-t proxy 100 * t_max; sorted ascending.  An n outside 1..MAX_NODES
+    or a proxy that is not finite and > 0 is a ValidationError."""
+    if not 1 <= n <= grid.MAX_NODES:
+        raise ValidationError(f"n = {n}: the sample count must lie in 1..{grid.MAX_NODES}")
+    proxy = t_max * 100.0
+    if not 0 < proxy < math.inf:
+        raise ValidationError(f"t_max = {t_max}: the large-t proxy {proxy} must be finite and > 0")
     lin_part = np.linspace(0.0, tp.knot, max(n // 4, 8), endpoint=False)
     pow_part = np.geomspace(tp.knot, t_max, max(n - len(lin_part) - 2, 8))
-    pts = np.concatenate(([1e-12], lin_part, [tp.knot], pow_part, [t_max * 100.0]))
+    pts = np.concatenate(([1e-12], lin_part, [tp.knot], pow_part, [proxy]))
     return np.unique(pts)
 
 

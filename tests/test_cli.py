@@ -2,16 +2,31 @@
 
 import functools
 import json
+import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from anisolab import cli
+from anisolab import grid as grid_module
 from anisolab.cli import main
 from anisolab.errors import HypothesisViolatedError, ValidationError
-from anisolab.grid import MAX_HEADER_CHARS, MAX_NODES, Grid, GridField, load_field, save_field
-from anisolab.stability import stability_index
+from anisolab.exponents import ExponentData, MixedPower, ProblemSpec
+from anisolab.grid import (
+    MAX_HEADER_CHARS,
+    MAX_NODES,
+    Grid,
+    GridField,
+    load_field,
+    p_laplacian_apply,
+    save_field,
+)
+from anisolab.solver import WeightSpec, run_ladder, solve_inner
+from anisolab.stability import NonlinearityEval, nonexistence_certificate, stability_index
+from anisolab.truncations import TruncationPair, default_samples
 
 
 def test_thresholds_json_content(tmp_path, capsys):
@@ -398,36 +413,40 @@ def test_out_of_range_counts_exit_2(tmp_path, capsys, argv, config):
 # exit 3; a `--t-max` whose large-t proxy 100 * t_max overflows exited 0
 # with FAIL and numpy warnings
 _BAD_P = "validation error: every p_i must be finite"
-_BAD = "validation error: bad "
+_BAD_TOL_FIX = "validation error: tol_fix must be finite and > 0"
+_BAD_INNER_TOL = "validation error: inner_tol must be finite and > 0"
+_BAD_MAX_OUTER = "validation error: the level solve needs a Newton-step cap >= 1"
+_BAD_T_MAX = "validation error: t_max = "
+_BAD_M = "validation error: integrability exponent m must be finite and > 0"
 
 
 @pytest.mark.parametrize("argv, config, expected", [
     (["thresholds", "--p", "nan,2", "--delta", "3"], None, _BAD_P),
     (["thresholds", "--p", "2,inf", "--delta", "3"], None, _BAD_P),
     (_SOLVE[:2] + ["nan,2"] + _SOLVE[3:], None, _BAD_P),
-    (_SOLVE + ["--tol-fix", "nan"], None, _BAD + "solve.tolFix "),
-    (_SOLVE + ["--tol-fix=-1"], None, _BAD + "solve.tolFix "),
-    (_SOLVE + ["--tol-fix", "inf"], None, _BAD + "solve.tolFix "),
-    (_SOLVE, "solve.tolFix = nan\n", _BAD + "solve.tolFix "),
-    (_SOLVE + ["--inner-tol", "0"], None, _BAD + "solve.innerTol "),
-    (_SOLVE + ["--inner-tol", "nan"], None, _BAD + "solve.innerTol "),
-    (_SOLVE + ["--max-outer", "0"], None, _BAD + "solve.maxOuter "),
-    (_SOLVE + ["--max-outer=-1"], None, _BAD + "solve.maxOuter "),
-    (_TRUNCATION + ["--t-max=-1"], None, _BAD + "truncation.tmax "),
-    (_TRUNCATION + ["--t-max", "inf"], None, _BAD + "truncation.tmax "),
-    (_TRUNCATION + ["--t-max", "nan"], None, _BAD + "truncation.tmax "),
+    (_SOLVE + ["--tol-fix", "nan"], None, _BAD_TOL_FIX),
+    (_SOLVE + ["--tol-fix=-1"], None, _BAD_TOL_FIX),
+    (_SOLVE + ["--tol-fix", "inf"], None, _BAD_TOL_FIX),
+    (_SOLVE, "solve.tolFix = nan\n", _BAD_TOL_FIX),
+    (_SOLVE + ["--inner-tol", "0"], None, _BAD_INNER_TOL),
+    (_SOLVE + ["--inner-tol", "nan"], None, _BAD_INNER_TOL),
+    (_SOLVE + ["--max-outer", "0"], None, _BAD_MAX_OUTER),
+    (_SOLVE + ["--max-outer=-1"], None, _BAD_MAX_OUTER),
+    (_TRUNCATION + ["--t-max=-1"], None, _BAD_T_MAX),
+    (_TRUNCATION + ["--t-max", "inf"], None, _BAD_T_MAX),
+    (_TRUNCATION + ["--t-max", "nan"], None, _BAD_T_MAX),
     (_TRUNCATION[:4] + ["inf"], None, "validation error: alpha must be finite"),
     (_TRUNCATION + ["--p", "2,nan"], None, _BAD_P),
     (_TRUNCATION[:4] + ["1e308"], None, "validation error: k = 2, alpha = 1e+308: the"),
     (["truncation-check", "--k", "1000", "--alpha", "150"], None, "validation error: k = 1000"),
     (["truncation-check", "--k", "3", "--alpha", "700"], None, "validation error: k = 3"),
-    (_SOLVE + ["--nmax", "2", "--weight-m", "nan"], None, _BAD + "weight.m "),
-    (_SOLVE, "weight.m = inf\n", _BAD + "weight.m "),
+    (_SOLVE + ["--nmax", "2", "--weight-m", "nan"], None, _BAD_M),
+    (_SOLVE, "weight.m = inf\n", _BAD_M),
     (["solve", "--p", "2,2", "--box", "0,inf,0,1", "--res", "8,8"], None,
      "validation error: box endpoints must be finite"),
     (["stability", "--p", "2,3", "--delta", "1", "--box", "0,nan,0,3", "--res", "8,8",
       "--u", "constant:1.0"], None, "validation error: box endpoints must be finite"),
-    (_SWEEP + ["--cconst", "inf"], None, _BAD + "sweep.cconst "),
+    (_SWEEP + ["--cconst", "inf"], None, "validation error: the estimate constant C must be finite and positive"),
     (_SWEEP + ["--radii", "1e-300,1"], None, "validation error: C * sum_i R^(decay_i) overflows"),
     (["solve", "--p", "2,2", "--box", "0,1e300,0,1", "--res", "8,8", "--nmax", "2"], None,
      "validation error: cell widths"),
@@ -455,11 +474,104 @@ def test_non_finite_or_out_of_domain_values_exit_2(tmp_path, capsys, argv, confi
     assert not (tmp_path / "out" / "nonconvergence.json").exists()
 
 
-def test_count_limits_are_inclusive():
-    assert cli._count("1") == 1
-    assert cli._count(str(MAX_NODES)) == MAX_NODES
-    with pytest.raises(ValueError):
-        cli._count(str(MAX_NODES + 1))
+def test_count_limits_are_inclusive(monkeypatch):
+    # a lowered limit, so that a count at it allocates little
+    monkeypatch.setattr(grid_module, "MAX_NODES", 40)
+    tp = TruncationPair(k=2, alpha=4.0)
+    for n in (1, 40):
+        assert default_samples(tp, n=n).size > 0
+        assert len(cli._radii(f"1:2:{n}")) == n
+    for n in (0, 41):
+        with pytest.raises(ValidationError, match="count must lie in 1..40"):
+            default_samples(tp, n=n)
+        with pytest.raises(ValueError, match="count must lie in 1..40"):
+            cli._radii(f"1:2:{n}")
+
+
+# Each input domain is checked once, by the library call that takes the value;
+# the CLI only parses the text.  Per domain: the message of its refusal, the
+# library calls that take the value, the CLI runs that pass it on, and the
+# values outside the domain.
+# Before the checks moved into the library, `run_ladder` certified every level
+# at tol_fix = nan or inf, ran 200 Newton steps and exited 3 at tol_fix = -1
+# or inner_tol = nan, accepted `WeightSpec(m=-1)`, raised numpy's bare
+# ValueError at seed = -1, and `default_samples(t_max=-1)` warned, returned a
+# NaN sample and was refused as "samples must be >= 0".
+_SMALL = Grid(box=((0.0, 1.0),) * 2, res=(4, 4))
+_ONES = GridField.constant(_SMALL, 1.0)
+_E23 = ExponentData.from_p((2.0, 3.0))
+_TP = TruncationPair(k=2, alpha=4.0)
+_SOLVE_SMALL = ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "4,4", "--nmax", "2"]
+_STAB_SMALL = ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3,0,3", "--res", "4,4",
+               "--u", "constant:1.0"]
+_SWEEP_2D = ["sweep", "--delta", "10", "--box=-8,8,-8,8", "--res", "6,6", "--u", "constant:1.0",
+             "--radii", "1:3:3"]
+
+
+def _ladder(**kwargs):
+    return run_ladder(2, WeightSpec(g=_ONES), _E23, **kwargs)
+
+
+_NON_POSITIVE = (math.nan, math.inf, 0.0, -1.0)
+_DOMAINS = {
+    "tol_fix": ("tol_fix must be finite and > 0",
+                [lambda v: _ladder(tol_fix=v)],
+                [lambda t: _SOLVE_SMALL + [f"--tol-fix={t}"]], _NON_POSITIVE),
+    "inner_tol": ("(inner_tol|the inner solve tolerance) must be finite and > 0",
+                  [lambda v: _ladder(inner_tol=v), lambda v: solve_inner(_ONES, _E23, tol=v)],
+                  [lambda t: _SOLVE_SMALL + [f"--inner-tol={t}"]], _NON_POSITIVE),
+    "max_outer": ("needs a Newton-step cap >= 1",
+                  [lambda v: _ladder(max_outer=v), lambda v: solve_inner(_ONES, _E23, max_iter=v)],
+                  [lambda t: _SOLVE_SMALL + [f"--max-outer={t}"]], (0, -1)),
+    "seed": ("the seed must be an integer >= 0",
+             [lambda v: _ladder(seed=v),
+              lambda v: stability_index(_ONES, NonlinearityEval.mixed_power(1.0, 1.0), _ONES,
+                                        _E23.p, seed=v)],
+             [lambda t: _SOLVE_SMALL + [f"--seed={t}"], lambda t: _STAB_SMALL + [f"--seed={t}"]],
+             (-1,)),
+    "weight.m": ("integrability exponent m must be finite and > 0",
+                 [lambda v: WeightSpec(g=_ONES, m=v)],
+                 [lambda t: _SOLVE_SMALL + [f"--weight-m={t}"]], _NON_POSITIVE),
+    "samples": ("the sample count must lie in 1..",
+                [lambda v: default_samples(_TP, n=v)],
+                [lambda t: ["truncation-check", "--k", "2", "--alpha", "4", f"--samples={t}"]],
+                (0, -1, MAX_NODES + 1)),
+    "t_max": ("the large-t proxy [^ ]+ must be finite and > 0",
+              [lambda v: default_samples(_TP, t_max=v)],
+              [lambda t: ["truncation-check", "--k", "2", "--alpha", "4", f"--t-max={t}"]],
+              _NON_POSITIVE + (1e307,)),
+    "dimension": ("exponent dimension [13] != grid dimension 2",
+                  [lambda v: solve_inner(_ONES, ExponentData.from_p(v)),
+                   lambda v: p_laplacian_apply(_ONES, ExponentData.from_p(v)),
+                   lambda v: stability_index(_ONES, NonlinearityEval.mixed_power(1.0, 1.0),
+                                             _ONES, v),
+                   lambda v: nonexistence_certificate(
+                       ProblemSpec(kind=MixedPower(10.0, 10.0), exponents=ExponentData.from_p(v)),
+                       _ONES, _ONES, radii=[0.1, 0.2])],
+                  [lambda t: ["solve", "--p", t, "--box", "0,1,0,1", "--res", "4,4"],
+                   lambda t: _STAB_SMALL[:1] + ["--p", t] + _STAB_SMALL[3:],
+                   lambda t: _SWEEP_2D + ["--p", t]],
+                  ((2.0,), (2.0, 3.0, 4.0))),
+}
+
+
+@pytest.mark.parametrize("domain, value", [
+    (domain, value) for domain, (*_, values) in _DOMAINS.items() for value in values
+], ids=str)
+def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, capsys, domain, value):
+    message, library, runs, _ = _DOMAINS[domain]
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for call in library:
+            with pytest.raises(ValidationError, match=message):
+                call(value)
+        for i, argv in enumerate(runs):
+            assert main(argv(text) + ["--outdir", str(tmp_path / f"out-{i}")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("validation error:"), err
+            assert re.search(message, err[0]), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -567,8 +679,8 @@ def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate
 # endpoint overflows a float ended in an OverflowError (exit 1); a p that
 # `thresholds` refuses passed `truncation-check` (exit 0)
 @pytest.mark.parametrize("argv, expected", [
-    (_SOLVE + ["--seed=-1"], _BAD + "run.seed "),
-    (_STAB + ["--box", "0,3,0,3", "--seed=-1"], _BAD + "run.seed "),
+    (_SOLVE + ["--seed=-1"], "validation error: the seed must be an integer >= 0"),
+    (_STAB + ["--box", "0,3,0,3", "--seed=-1"], "validation error: the seed must be an integer >= 0"),
     (["stability", "--p", "2,3,4", "--delta", "1", "--box", "0,3,0,3", "--res", "8,8",
       "--u", "constant:1.0"], "validation error: exponent dimension 3 != grid dimension 2"),
     (["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8", "--res", "6,6",
