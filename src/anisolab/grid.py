@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
 
@@ -441,6 +439,7 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
             y = _along(mat, y, lead + axis)
         if not fft_axes:
             return y
+        import scipy.fft
         return scipy.fft.dstn(y, type=1, norm="ortho", axes=[lead + a for a in fft_axes])
 
     def solve(b):
@@ -513,6 +512,7 @@ def stiffness(grid: Grid, weights, diag=None):
     against 18-23 unscaled (about 0.6x).  On a field that is random node
     by node it took 39-50 against 17-22 (about 2.3x).
     """
+    import scipy.sparse as sp
     main, links, means = _stencil(grid, weights, diag)
     n = main.size
     data, offsets = np.empty((1 + 2 * grid.dim, n)), [0]
@@ -551,6 +551,7 @@ def weak_form_gap(u: GridField, phi: GridField, rhs: GridField, p) -> float:
         sum_i int |D_i u|^(p_i-2) D_i u * D_i phi  -  int rhs * phi
     """
     grid = u.grid
+    grid.check_dim(p)
     lhs = 0.0
     for axis, p_i in enumerate(p):
         du = axis_diff(u, axis)

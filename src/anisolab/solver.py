@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .errors import NonConvergenceError, ValidationError
 from .exponents import ExponentData, integrability_thresholds
@@ -157,7 +155,9 @@ def _newton_direction(
     checked; the Newton loop's residual test decides convergence.
     """
     if grid.dim == 1:
+        import scipy.linalg
         return scipy.linalg.solveh_banded(stiffness_band(grid, weights, diag), b), 0
+    import scipy.sparse.linalg as spla
     matrix, precond = stiffness(grid, weights, diag)
     n = b.size
     iterations = 0

@@ -31,8 +31,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
 
 from .errors import (
     GeometryError,
@@ -193,6 +191,7 @@ def stability_gap(
     its sign is scale-invariant.
     """
     grid = u.grid
+    grid.check_dim(p)
     _require_compact_support(phi)
     support = phi.values != 0
     _require_positive_on_support(u, support)
@@ -283,6 +282,7 @@ def stability_index(
     minimizer is then one vector of a possibly multiple eigenspace and may
     change with `seed`; the index does not.
     """
+    import scipy.sparse.linalg as spla
     grid = u.grid
     grid.check_dim(p)
     rng = seeded_rng(seed)
@@ -447,6 +447,10 @@ def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
     node weights `w` and the values at the nodes where the integral lives
     (w > 0 and psi > 0).
 
+    The sum of the terms exp(log) repeats scipy's real `logsumexp` step by
+    step, so bit for bit: exp(log1p(sum / count) + log(count) + max), the
+    `count` terms tied at the max being zeroed in the shifted sum.
+
     A non-finite g or u there is a ValidationError."""
     if not (np.all(np.isfinite(g_vals)) and np.all(np.isfinite(u_vals))):
         raise ValidationError("weight and candidate must be finite where the cutoff lives")
@@ -460,7 +464,12 @@ def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
         + np.log(g_vals[keep])
         + big_e * (np.log(psi_vals[keep]) - np.log(u_vals[keep]))
     )
-    return float(np.exp(logsumexp(logs)))
+    top = np.max(logs)
+    ties = logs == top
+    count = np.count_nonzero(ties)
+    terms = np.exp(logs - top)
+    terms[ties] = 0.0
+    return float(np.exp(np.log1p(np.sum(terms) / count) + np.log(count) + top))
 
 
 def corollary_sides(

@@ -3,13 +3,18 @@
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anisolab
 from anisolab import cli
 from anisolab import grid as grid_module
 from anisolab.cli import main
@@ -707,3 +712,52 @@ def test_parser_is_built_once(tmp_path):
     assert main(["thresholds", "--p", "2,3,4", "--delta", "10",
                  "--outdir", str(tmp_path / "out")]) == 0
     assert cli._build_parser() is parser
+
+
+def _fresh_interpreter(script: str, cwd) -> subprocess.CompletedProcess:
+    """Run `script` in a new Python process that imports this checkout's
+    anisolab."""
+    src = str(Path(anisolab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_number_theoretic_subcommands_load_no_scipy(tmp_path):
+    # scipy is imported inside the functions that call it, so the
+    # nonexistence side (thresholds, truncation identities, sweeps) runs
+    # without it
+    script = """
+import sys
+import anisolab
+from anisolab import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not loaded(), ("import anisolab", loaded())
+for argv in (
+    ["thresholds", "--p", "2,3,4", "--delta", "10", "--outdir", "t"],
+    ["truncation-check", "--k", "2", "--alpha", "4", "--outdir", "tc"],
+    ["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8,-8,8", "--res", "8,8,8",
+     "--u", "constant:1.0", "--radii", "1:3:3", "--outdir", "sw"],
+):
+    code = cli.main(argv)
+    assert code == 0 and not loaded(), (argv[0], code, loaded())
+"""
+    proc = _fresh_interpreter(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sw" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "3", "--box", "0,1", "--res", "8", "--nmax", "2"],
+    ["solve", "--p", "2,2,3", "--box", "0,1,0,1,0,1", "--res", "6,6,6", "--nmax", "2"],
+    ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3.14159,0,3.14159",
+     "--res", "8,8", "--u", "constant:1.0"],
+], ids=["solve-1d", "solve-3d", "stability"])
+def test_scipy_subcommands_import_what_they_call(tmp_path, argv):
+    # each in a new process, so no other caller has loaded scipy before it
+    script = f"import sys; from anisolab import cli; sys.exit(cli.main({argv!r} + ['--outdir', 'o']))"
+    proc = _fresh_interpreter(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ oracles, and the sweep/certificate machinery."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -33,6 +34,7 @@ from anisolab.grid import (
     ball_fraction_weights,
     integrate,
     make_cutoff,
+    weak_form_gap,
 )
 from anisolab.stability import (
     NonlinearityEval,
@@ -40,6 +42,7 @@ from anisolab.stability import (
     apriori_sides,
     corollary_sides,
     epsilon_coefficient,
+    _log_quotient_integral,
     nonexistence_certificate,
     radius_sweep,
     stability_gap,
@@ -625,6 +628,36 @@ def test_radius_sweep_rejects_non_finite_inputs(target):
         radius_sweep(u, w, spec, beta, [0.5, 0.9])
 
 
+_OFFSET = st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(center=st.one_of(st.just(0.0), st.floats(-680.0, 680.0)),
+       pool=st.lists(_OFFSET, min_size=1, max_size=8),
+       picks=st.lists(st.one_of(st.integers(0, 7), _OFFSET), min_size=1, max_size=400),
+       noise=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+@example(center=0.0, pool=[1.5], picks=[0], noise=0, seed=0)  # a single term
+@example(center=-3.25, pool=[0.0], picks=[0] * 300, noise=0, seed=0)  # all equal
+@example(center=0.0, pool=[-700.0, 700.0], picks=[0, 1, 699.5, 1, -1.0, 0, 1],
+         noise=0, seed=0)  # ties at the top, values spanning +-700
+def test_log_quotient_sum_is_scipy_logsumexp_bit_for_bit(center, pool, picks, noise, seed):
+    # each int picks an offset of the pool, so the vector has ties; `noise`
+    # seeded offsets, shuffled in, give the long vectors on which a tied
+    # maximum dropped from the sum, not zeroed, would regroup numpy's
+    # pairwise summation.  With unit w, g and psi and E = 1 the node logs
+    # are -log(u).
+    rng = np.random.default_rng(seed)
+    offsets = [pool[v % len(pool)] if isinstance(v, int) else v for v in picks]
+    offsets = np.concatenate([offsets, rng.normal(scale=4.0, size=noise)])
+    x = center + (rng.permutation(offsets) if noise else offsets)
+    u = np.exp(-x)
+    ones = np.ones_like(u)
+    logs = np.log(ones) + np.log(ones) + 1.0 * (np.log(ones) - np.log(u))
+    with np.errstate(over="ignore"):
+        expected = float(np.exp(logsumexp(logs)))
+        assert _log_quotient_integral(ones, ones, ones, u, 1.0) == expected
+
+
 def _reference_sweep_rows(u, g, big_e, decay, radii, center):
     # every radius on the full grid: int g*ball (1/u)^E in log space, node
     # weights, checks and log terms in the order of the sweep's definition
@@ -757,3 +790,20 @@ def test_p_of_another_dimension_than_the_grid_is_refused():
         nonexistence_certificate(spec, ones, ones, radii=[1.0, 2.0])
     with pytest.raises(ValidationError, match=message):
         radius_sweep(ones, ones, spec, select_beta(spec)[0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("p", [(2.0,), (2.0, 3.0, 4.0)])
+def test_weak_form_and_gap_refuse_p_of_another_dimension(p):
+    # each loops over the axes of p: a shorter p would drop an axis of the
+    # grid from the form, a longer one would difference along a missing axis
+    g = Grid(box=((0.0, 1.0),) * 2, res=(6, 6))
+    u = GridField.constant(g, 1.0)
+    phi = compact_bump(g, (0.5, 0.5), 0.4)
+    nl = NonlinearityEval.mixed_power(1.0, 2.0)
+    message = f"exponent dimension {len(p)} != grid dimension 2"
+    with pytest.raises(ValidationError, match=message):
+        stability_gap(u, phi, nl, u, p)
+    with pytest.raises(ValidationError, match=message):
+        weak_residual(u, phi, nl, u, p)
+    with pytest.raises(ValidationError, match=message):
+        weak_form_gap(u, phi, u, p)
