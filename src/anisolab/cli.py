@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -50,6 +51,7 @@ from .solver import WeightSpec, run_ladder
 from .stability import (
     NonlinearityEval,
     StabilityVariant,
+    SweepRow,
     nonexistence_certificate,
     stability_index,
 )
@@ -317,10 +319,9 @@ def _run_sweep(v: dict, outdir: Path) -> int:
     _write_json(certificate.to_dict(), outdir / "certificate.json")
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["R", "lhs", "rhs", "ratio"])
+        writer.writerow([f.name for f in fields(SweepRow)])
         for row in certificate.sweep.rows:
-            writer.writerow([f"{row.R:.17g}", f"{row.lhs:.17g}",
-                             f"{row.rhs:.17g}", f"{row.ratio:.17g}"])
+            writer.writerow([f"{x:.17g}" for x in astuple(row)])
     print(certificate.conclusion)
     return 0
 

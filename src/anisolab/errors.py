@@ -26,7 +26,8 @@ class SingularityError(ValidationError):
 
 
 class HypothesisNotApplicableError(RuntimeError):
-    """The parameter point satisfies none of the certified hypothesis sets."""
+    """The parameter point satisfies none of the certified hypothesis sets,
+    or the exact beta window of the case it satisfies holds no float."""
 
 
 class HypothesisViolatedError(RuntimeError):

@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from .errors import (
     HypothesisNotApplicableError,
-    HypothesisViolatedError,
     OutOfWindowError,
     UndefinedExponentError,
     ValidationError,
@@ -391,18 +390,35 @@ class ThresholdReport:
         return doc
 
 
+def _admissible_beta(thm: ApplicableTheorem, candidate: float, lower: Fraction,
+                     upper: Fraction) -> float:
+    """The first float strictly inside the exact window (lower, upper) of case
+    `thm`: the candidate, else the float `_BETA_ENDPOINT_OFFSET` of
+    (lower, upper) below its upper end, else the float nearest the window's
+    midpoint, which lies inside whenever any float does.  A window that holds
+    no float is a HypothesisNotApplicableError."""
+    top = float(upper)
+    for beta in (candidate, top - _BETA_ENDPOINT_OFFSET * (top - float(lower)),
+                 float((lower + upper) / 2)):
+        if lower < beta < upper:
+            return beta
+    raise HypothesisNotApplicableError(
+        f"case {thm.value} applies, but its exact beta window ({lower}, {upper}) "
+        "holds no float"
+    )
+
+
 def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     """Compute every region endpoint, membership, and the applicable case.
 
     Every case is decided at one candidate beta, just below the upper
     endpoint of the window, where the decay exponents are most negative.
-    When a case applies, the candidate is selected and its decay exponents
-    are recorded; otherwise those fields are None.  A certified point whose
-    candidate does not lie in (max(l1, beta_0), upper), beta_0 the
-    `decay_threshold`, raises HypothesisViolatedError.  For Thm3_2, Thm3_4
-    (Thm3_5), delta in A∩I (cap in J) is exactly max(l1, beta_0) < l2
-    (< l3), so that interval is not empty, but it may be too narrow to hold
-    the candidate.
+    When a case applies, a beta in its exact window (max(l1, beta_0), upper),
+    beta_0 the `decay_threshold`, is selected by `_admissible_beta` and its
+    decay exponents are recorded; otherwise those fields are None.  For
+    Thm3_2, Thm3_4 (Thm3_5), delta in A∩I (cap in J) is exactly
+    max(l1, beta_0) < l2 (< l3), so that window is not empty, but it may
+    hold no float: a HypothesisNotApplicableError.
     """
     ivs, i_bounds = regions(spec.exponents)
     members = {}
@@ -436,11 +452,9 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
     beta = decay = None
     if thm is not ApplicableTheorem.NONE:
         use_gamma = HYPOTHESES[thm].use_gamma
-        if not max(exact_l1, decay_threshold(spec, use_gamma)) < candidate < exact_upper:
-            raise HypothesisViolatedError(
-                f"no admissible beta found in ({l1}, {upper}) although case {thm.value} applies"
-            )
-        beta, decay = candidate, decay_exponents(candidate, spec, use_gamma=use_gamma)
+        lower = max(exact_l1, decay_threshold(spec, use_gamma))
+        beta = _admissible_beta(thm, candidate, lower, exact_upper)
+        decay = decay_exponents(beta, spec, use_gamma=use_gamma)
 
     return ThresholdReport(
         l1=l1, l2=l2, l3=l3, regions=ivs, regionI_axis_bounds=i_bounds, members=members,

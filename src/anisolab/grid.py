@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -563,6 +564,40 @@ def weak_form_gap(u: GridField, phi: GridField, rhs: GridField, p) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word[:1].upper() + word[1:] for word in rest)
+
+
+def _report_value(value, keys: dict):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return report_dict(value, **keys)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_report_value(v, keys) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _report_value(v, keys) for k, v in value.items()}
+    return value
+
+
+def report_dict(report, **keys) -> dict:
+    """The JSON document of a report dataclass: each field under its
+    camelCase name, or under the key that `keys` gives for it (None drops
+    the field); `keys` holds at every depth.  A value with a `to_dict` gives
+    that document, a nested dataclass its own `report_dict`, an enum its
+    value, a tuple or list a list, a dict one with str keys; any other value
+    is kept as it is."""
+    doc = {}
+    for f in fields(report):
+        key = keys.get(f.name, _camel(f.name))
+        if key is not None:
+            doc[key] = _report_value(getattr(report, f.name), keys)
+    return doc
+
 
 _FIELD_MAGIC = "anisofield"
 

@@ -53,6 +53,7 @@ from .grid import (
     integrate,
     level_set_measure,
     p_flux,
+    report_dict,
     stiffness,
     stiffness_band,
     weighted_integrate,
@@ -479,38 +480,7 @@ class LadderReport:
     final_field: GridField
 
     def to_dict(self) -> dict:
-        return {
-            "levels": [
-                {
-                    "n": r.n,
-                    "residual": r.residual,
-                    "supNorm": r.sup_norm,
-                    "interiorMin": r.interior_min,
-                    "monoDefect": r.mono_defect,
-                    "outerIterations": r.outer_iterations,
-                    "certificate": r.certificate,
-                }
-                for r in self.levels
-            ],
-            "uniformBoundExpected": self.uniform_bound_expected,
-            "supIncrementRatio": self.sup_increment_ratio,
-            "weakResidualLevelMax": self.weak_residual_level_max,
-            "weakResidualLimitMax": self.weak_residual_limit_max,
-            "levelsetFit": None
-            if self.levelset_fit is None
-            else {
-                "levels": list(self.levelset_fit.levels),
-                "measures": list(self.levelset_fit.measures),
-                "r": self.levelset_fit.r,
-                "beta": self.levelset_fit.beta,
-                "logC": self.levelset_fit.log_c,
-                "maxViolation": self.levelset_fit.max_violation,
-                "residualHalfwidth": self.levelset_fit.residual_halfwidth,
-            },
-            "epsilonUsed": self.epsilon_used,
-            "epsilonSupportMargin": self.epsilon_support_margin,
-            "epsilonEnergy": self.epsilon_energy,
-        }
+        return report_dict(self, final_field=None)
 
 
 def _centered_half_box_mask(grid: Grid) -> np.ndarray:

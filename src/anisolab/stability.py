@@ -62,6 +62,7 @@ from .grid import (
     face_average,
     face_integral,
     integrate,
+    report_dict,
     stiffness,
     weak_form_gap,
 )
@@ -234,16 +235,8 @@ class StabilityReport:
         return self.gap >= 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "variant": self.variant.value,
-            "stable": self.stable,
-            "iterations": self.iterations,
-            "shift": self.shift,
-            "residual": self.residual,
-            "secondRitzValue": self.second_ritz,
-            "minimizer": self.description,
-        }
+        return report_dict(self, minimizer=None, description="minimizer",
+                           second_ritz="secondRitzValue") | {"stable": self.stable}
 
 
 def stability_index(
@@ -451,7 +444,8 @@ def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
     step, so bit for bit: exp(log1p(sum / count) + log(count) + max), the
     `count` terms tied at the max being zeroed in the shifted sum.
 
-    A non-finite g or u there is a ValidationError."""
+    A non-finite g or u there, or an integral that overflows a float, is a
+    ValidationError."""
     if not (np.all(np.isfinite(g_vals)) and np.all(np.isfinite(u_vals))):
         raise ValidationError("weight and candidate must be finite where the cutoff lives")
     keep = g_vals > 0
@@ -459,17 +453,23 @@ def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
         return 0.0
     if np.any(u_vals[keep] <= 0):
         raise SingularityError("u must be positive where the cutoff lives")
-    logs = (
-        np.log(w[keep])
-        + np.log(g_vals[keep])
-        + big_e * (np.log(psi_vals[keep]) - np.log(u_vals[keep]))
-    )
-    top = np.max(logs)
-    ties = logs == top
-    count = np.count_nonzero(ties)
-    terms = np.exp(logs - top)
-    terms[ties] = 0.0
-    return float(np.exp(np.log1p(np.sum(terms) / count) + np.log(count) + top))
+    # an infinite log or sum is refused below; the terms tied at an infinite
+    # max, where logs - top is NaN, are zeroed
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = (
+            np.log(w[keep])
+            + np.log(g_vals[keep])
+            + big_e * (np.log(psi_vals[keep]) - np.log(u_vals[keep]))
+        )
+        top = np.max(logs)
+        ties = logs == top
+        count = np.count_nonzero(ties)
+        terms = np.exp(logs - top)
+        terms[ties] = 0.0
+        total = float(np.exp(np.log1p(np.sum(terms) / count) + np.log(count) + top))
+    if total == math.inf:
+        raise ValidationError("int g (psi/u)^E overflows a float")
+    return total
 
 
 def corollary_sides(
@@ -552,17 +552,7 @@ class SweepResult:
     beta: float
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {"R": r.R, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
-                for r in self.rows
-            ],
-            "firstViolatingR": self.firstViolatingR,
-            "slope": self.slope,
-            "decayExponents": list(self.decay_exponents),
-            "E": self.big_e,
-            "beta": self.beta,
-        }
+        return report_dict(self, big_e="E")
 
 
 def _sweep_balls(grid: Grid, spec: ProblemSpec, radii, c_const: float, center=None):
@@ -684,16 +674,8 @@ class NonexistenceCertificate:
     conclusion: str
 
     def to_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds.to_flat_dict(),
-            "theoremApplicable": self.theorem.value,
-            "beta": self.beta,
-            "decayExponents": list(self.decay_exponents),
-            "sweep": self.sweep.to_dict(),
-            "rangeOk": self.range_ok,
-            "Cconst": self.c_const,
-            "conclusion": self.conclusion,
-        }
+        return report_dict(self, thresholds=None, theorem="theoremApplicable",
+                           c_const="Cconst") | {"thresholds": self.thresholds.to_flat_dict()}
 
 
 def nonexistence_certificate(

@@ -170,19 +170,10 @@ class TruncationPropertyReport:
     violations: list[PropertyViolation] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            # knotGapA, knotGapB, knotGapAPrime, knotGapBPrime
-            **{"knotGap" + n.upper().replace("'", "Prime"): g for n, g in self.knot_gaps.items()},
-            "maxCDeviation": self.max_c_deviation,
-            "minAMargin": self.min_a_margin,
-            "maxPowerEqualityGap": self.max_power_equality_gap,
-            "growthConstants": {str(p): v for p, v in self.growth_constants.items()},
-            "violations": [
-                {"property": v.prop, "t": v.t, "lhs": v.lhs, "rhs": v.rhs}
-                for v in self.violations
-            ],
-        }
+        # knotGapA, knotGapB, knotGapAPrime, knotGapBPrime
+        knot_gaps = {"knotGap" + n.upper().replace("'", "Prime"): g
+                     for n, g in self.knot_gaps.items()}
+        return grid.report_dict(self, knot_gaps=None, prop="property") | knot_gaps
 
 
 def _worst(name: str, badness, t, lhs, rhs, violations: list) -> float:

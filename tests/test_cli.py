@@ -17,6 +17,7 @@ import pytest
 import anisolab
 from anisolab import cli
 from anisolab import grid as grid_module
+from anisolab import truncations
 from anisolab.cli import main
 from anisolab.errors import HypothesisViolatedError, ValidationError
 from anisolab.exponents import ExponentData, MixedPower, ProblemSpec
@@ -579,6 +580,19 @@ def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, capsys, dom
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_overflowing_sweep_integral_exits_2(tmp_path, capsys):
+    # the left side int g (1/u)^E was written as inf to sweep.csv and as
+    # null to certificate.json, after a RuntimeWarning, with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(_SWEEP + ["--radii", "1:3:3", "--weight", "constant:1e308",
+                              "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["validation error: int g (psi/u)^E overflows a float"]
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("exponents.p = 2,2\nsolve.tolfix = 1e-3\n")
@@ -761,3 +775,65 @@ def test_scipy_subcommands_import_what_they_call(tmp_path, argv):
     script = f"import sys; from anisolab import cli; sys.exit(cli.main({argv!r} + ['--outdir', 'o']))"
     proc = _fresh_interpreter(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def _key_tree(doc):
+    """The keys of a JSON document at every depth, leaves as None; a list
+    gives the one tree all its items share."""
+    if isinstance(doc, dict):
+        return {k: _key_tree(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        trees = [_key_tree(v) for v in doc]
+        assert all(t == trees[0] for t in trees), trees
+        return trees[:1]
+    return None
+
+
+_LEVEL_KEYS = {k: None for k in ("n", "residual", "supNorm", "interiorMin", "monoDefect",
+                                 "outerIterations", "certificate")}
+_THRESHOLD_KEYS = {
+    **{k: None for k in ("l1", "l2", "betaWindow.lower", "betaWindow.upper", "selectedBeta",
+                         "theoremApplicable", "regionI.memberGamma")},
+    **{f"region{r}.{end}": None for r in "ABCIJ" for end in ("lower", "upper", "member")},
+    "regionI.axisBounds": [None],
+    "decayExponents": [None],
+}
+
+
+@pytest.mark.parametrize("name, argv, tree", [
+    ("ladder_report.json",
+     ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "8,8", "--weight", "power:1",
+      "--nmax", "3"],
+     {"levels": [_LEVEL_KEYS],
+      "levelsetFit": {"levels": [None], "measures": [None], "r": None, "beta": None,
+                      "logC": None, "maxViolation": None, "residualHalfwidth": None},
+      **{k: None for k in ("uniformBoundExpected", "supIncrementRatio", "weakResidualLevelMax",
+                           "weakResidualLimitMax", "epsilonUsed", "epsilonSupportMargin",
+                           "epsilonEnergy")}}),
+    ("stability_report.json",
+     ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3.14159,0,3.14159",
+      "--res", "6,6", "--u", "constant:1.0"],
+     {k: None for k in ("gap", "variant", "stable", "iterations", "shift", "residual",
+                        "secondRitzValue", "minimizer")}),
+    ("certificate.json",
+     ["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8,-8,8", "--res", "8,8,8",
+      "--u", "constant:1.0", "--radii", "1:3:3"],
+     {"thresholds": _THRESHOLD_KEYS, "theoremApplicable": None, "beta": None,
+      "decayExponents": [None], "rangeOk": None, "Cconst": None, "conclusion": None,
+      "sweep": {"rows": [{"R": None, "lhs": None, "rhs": None, "ratio": None}],
+                "firstViolatingR": None, "slope": None, "decayExponents": [None],
+                "E": None, "beta": None}}),
+    ("truncation_report.json",
+     ["truncation-check", "--k", "2", "--alpha", "4", "--p", "2,3"],
+     {**{k: None for k in ("ok", "knotGapA", "knotGapB", "knotGapAPrime", "knotGapBPrime",
+                           "maxCDeviation", "minAMargin", "maxPowerEqualityGap")},
+      "growthConstants": {"2.0": None, "3.0": None},
+      "violations": [{"property": None, "t": None, "lhs": None, "rhs": None}]}),
+], ids=["ladder", "stability", "certificate", "truncation"])
+def test_report_key_trees_are_pinned(tmp_path, monkeypatch, name, argv, tree):
+    # every JSON key at every depth, so a renamed attribute cannot rename a
+    # key unnoticed; a negative identity tolerance makes each truncation
+    # property record a violation, so `violations[]` has items to pin
+    monkeypatch.setattr(truncations, "IDENTITY_TOL", -1.0)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert _key_tree(json.loads((tmp_path / name).read_text())) == tree

@@ -9,7 +9,6 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from anisolab.errors import (
     HypothesisNotApplicableError,
-    HypothesisViolatedError,
     OutOfWindowError,
     UndefinedExponentError,
     ValidationError,
@@ -313,8 +312,8 @@ def test_flat_dict_matches_the_rational_oracle(p, delta, gamma_extra, cap):
     kind = MixedPower(delta, delta + gamma_extra) if cap is None else ExpSingular(cap)
     try:
         doc = region_memberships(ProblemSpec(kind=kind, exponents=ExponentData.from_p(p)))
-    except HypothesisViolatedError:
-        reject()  # no report: the certified case has no admissible beta
+    except HypothesisNotApplicableError:
+        reject()  # no report: the certified case's window holds no float
     doc = doc.to_flat_dict()
     oracle = frac_thresholds(p)
     i_bounds = oracle["I_bounds"]
@@ -540,8 +539,8 @@ def test_select_beta_is_the_report_selection(p, delta, gamma_extra, cap):
         spec = ProblemSpec(kind=kind, exponents=e)
         try:
             rep = region_memberships(spec)
-        except HypothesisViolatedError as exc:
-            with pytest.raises(HypothesisViolatedError) as raised:
+        except HypothesisNotApplicableError as exc:
+            with pytest.raises(HypothesisNotApplicableError) as raised:
                 select_beta(spec)
             assert str(raised.value) == str(exc)
             continue
@@ -552,6 +551,50 @@ def test_select_beta_is_the_report_selection(p, delta, gamma_extra, cap):
         else:
             assert select_beta(spec) == (rep.selectedBeta, rep.decayExponents)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3).map(sorted),
+    exponential=st.booleans(),
+    gamma_extra=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    ulps=st.one_of(st.integers(0, 64), st.integers(0, 2 ** 36)),
+)
+# the window (2.00000225, 2.000003) is above the candidate 2.0000015
+@example(p=[2.0, 3.0, 4.0], exponential=False, gamma_extra=0.0, ulps=5066549581)
+# the candidate's offset 1e-6 * (upper - l1) is below one ulp of upper
+@example(p=[2.0, 3.0, 4.0], exponential=True, gamma_extra=0.0, ulps=80064)
+# the window holds no float
+@example(p=[2.0, 3.0, 4.0], exponential=True, gamma_extra=0.0, ulps=0)
+def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
+                                                                 gamma_extra, ulps):
+    """delta `ulps` floats above the lower end of A∩I, or cap `ulps` floats
+    below the upper end of J: a certified point selects a beta strictly
+    inside its exact window (max(l1, beta_0), upper), or refuses a window
+    that holds no float; HypothesisViolatedError never escapes."""
+    e = ExponentData.from_p(p)
+    ivs = regions(e)[0]
+    if exponential:
+        end = float(ivs["J"].upper)
+        kind = ExpSingular(end - ulps * math.ulp(end))
+    else:
+        if ivs["I"] is None:
+            reject()
+        end = float(max(ivs["A"].lower, ivs["I"].lower))
+        delta = end + ulps * math.ulp(end)
+        kind = MixedPower(delta, delta + gamma_extra)
+    spec = ProblemSpec(kind=kind, exponents=e)
+    try:
+        rep = region_memberships(spec)
+    except HypothesisNotApplicableError as exc:
+        assert "holds no float" in str(exc)
+        return
+    if rep.theoremApplicable is ApplicableTheorem.NONE:
+        assert rep.selectedBeta is None
+        return
+    l1, upper = beta_window(spec)
+    use_gamma = rep.theoremApplicable is ApplicableTheorem.THM3_3
+    assert max(l1, decay_threshold(spec, use_gamma)) < rep.selectedBeta < upper
 
 
 @settings(max_examples=150, deadline=None)

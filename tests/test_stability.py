@@ -628,6 +628,23 @@ def test_radius_sweep_rejects_non_finite_inputs(target):
         radius_sweep(u, w, spec, beta, [0.5, 0.9])
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_quotient_integral_is_refused():
+    # a weight of 1e308: the sum of the node terms overflows a float, which
+    # was written as inf (null in the JSON report) after a RuntimeWarning
+    e = ExponentData.from_p([2, 2])
+    spec = ProblemSpec(kind=MixedPower(6.0, 6.0), exponents=e)
+    g = Grid(box=((-2.0, 2.0), (-2.0, 2.0)), res=(32, 32))
+    huge = GridField.constant(g, 1e308)
+    beta, _ = select_beta(spec)
+    with pytest.raises(ValidationError, match=r"int g \(psi/u\)\^E overflows a float"):
+        radius_sweep(GridField.constant(g, 1.0), huge, spec, beta, [0.5, 0.9])
+    psi = make_cutoff(CutoffSpec(R=0.5, center=(0.0, 0.0)), g)
+    with pytest.raises(ValidationError, match="overflows a float"):
+        corollary_sides(GridField.constant(g, 0.1), psi, beta, spec, ApplicableTheorem.THM3_4,
+                        g=huge)
+
+
 _OFFSET = st.floats(-20.0, 20.0)
 
 
