@@ -15,10 +15,11 @@ the existence machinery in `solver`:
 plus the open regions A, B, C, I, J whose membership decides which
 nonexistence case (if any) applies to a parameter point.
 
-The region endpoints, the beta window and the decay threshold are computed
-in exact rationals from `ExponentData.exact`, one `Fraction` view of the
-float inputs (every float is a binary rational), so that a point on an
-endpoint is never admitted by round-off; they become floats only in reports.
+The region endpoints, the beta window, the decay threshold and the
+beta-dependent exponents (E, theta_i, theta_i', the decay exponents) are
+computed in exact rationals from `ExponentData.exact`, one `Fraction` view
+of the float inputs (every float is a binary rational), so that a point on
+an endpoint is never admitted by round-off; each is rounded to a float once.
 """
 
 from __future__ import annotations
@@ -182,12 +183,12 @@ HYPOTHESES = {
 
 
 def _float(x: Fraction, name: str) -> float:
-    """The exact threshold `x` rounded to a float; a ValidationError when it
-    lies beyond the float range (for a huge p_i or delta, or a tiny cap)."""
+    """The exact value `x` rounded to a float, once; a ValidationError when
+    it lies beyond the float range (for a huge p_i or delta, or a tiny cap)."""
     try:
         return float(x)
     except OverflowError as exc:
-        raise ValidationError(f"the threshold {name} lies beyond the float range") from exc
+        raise ValidationError(f"{name} lies beyond the float range") from exc
 
 
 def regions(e: ExponentData) -> tuple[dict[str, Interval | None], tuple[Fraction | None, ...]]:
@@ -226,62 +227,79 @@ def beta_window(spec: ProblemSpec) -> tuple[Fraction, Fraction]:
     return l1, upper
 
 
+def cutoff_rates(spec: ProblemSpec,
+                 use_gamma: bool = False) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The shift s + q - 1 of the cutoff power E = 2 beta + s + q - 1 and
+    the per-axis rates c_i = p_i/(s + p_i - 1), as exact rationals; s is
+    gamma (`use_gamma`) or delta, and 1 for the exponential problem.
+
+    The conjugate of theta_i = E/(2 beta + q - p_i) is
+    theta_i' = E/(s + p_i - 1), so p_i theta_i' = c_i E and the decay
+    exponent N - p_i theta_i' = N - c_i E.  Every float of `lhs_power`,
+    `theta_exponents`, `axis_powers` and `decay_exponents` is one of these
+    exact values rounded once.
+    """
+    p, _, q = spec.exponents.exact
+    s = (Fraction(spec.kind.gamma if use_gamma else spec.kind.delta)
+         if isinstance(spec.kind, MixedPower) else Fraction(1))
+    return s + q - 1, tuple(p_i / (s + p_i - 1) for p_i in p)
+
+
+def _cutoff_power(beta: float, spec: ProblemSpec,
+                  use_gamma: bool) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The exact E at beta > l1, where E > p_N + s - 1 > 0, and the rates."""
+    p, _, q = spec.exponents.exact
+    if not (p[-1] - q) / 2 < beta < math.inf:
+        raise OutOfWindowError(
+            f"beta = {beta} must be finite and exceed l1 = {float((p[-1] - q) / 2)}")
+    shift, rates = cutoff_rates(spec, use_gamma)
+    return 2 * Fraction(beta) + shift, rates
+
+
 def lhs_power(beta: float, spec: ProblemSpec, use_gamma: bool = False) -> float:
-    """Total power E carried by the cutoff quotient (psi/u)^E."""
-    e = spec.exponents
-    if isinstance(spec.kind, MixedPower):
-        s = spec.kind.gamma if use_gamma else spec.kind.delta
-        return 2.0 * beta + s + e.q - 1.0
-    return 2.0 * beta + e.q
+    """Total power E carried by the cutoff quotient (psi/u)^E.  Requires beta > l1."""
+    return _float(_cutoff_power(beta, spec, use_gamma)[0], "the cutoff power E")
 
 
-def theta_exponents(
-    beta: float, spec: ProblemSpec, i: int, use_gamma: bool = False
-) -> tuple[float, float]:
+def theta_exponents(beta: float, spec: ProblemSpec, i: int,
+                    use_gamma: bool = False) -> tuple[float, float]:
     """Conjugate pair (theta_i, theta_i') for axis i at the given beta.
 
     theta_i = E/(2*beta + q - p_i) where E is the total cutoff power; the
     conjugate satisfies 1/theta + 1/theta' = 1 exactly.  Requires beta > l1.
     """
-    p, _, q = spec.exponents.exact
-    l1 = (p[-1] - q) / 2
-    if not beta > l1:
-        raise OutOfWindowError(f"beta = {beta} must exceed l1 = {float(l1)}")
-    # 2 beta + q - p_i in exact rationals, so that beta > l1 keeps it positive
-    den = float(2 * (Fraction(beta) - l1) + (p[-1] - p[i]))
-    big_e = lhs_power(beta, spec, use_gamma=use_gamma)
-    return big_e / den, big_e / (big_e - den)
+    big_e, rates = _cutoff_power(beta, spec, use_gamma)
+    conj = rates[i] * big_e / spec.exponents.exact[0][i]
+    return (_float(conj / (conj - 1), "the exponent theta_i"),
+            _float(conj, "the exponent theta_i'"))
 
 
-def decay_exponents(
-    beta: float, spec: ProblemSpec, use_gamma: bool = False
-) -> tuple[float, ...]:
+def axis_powers(beta: float, spec: ProblemSpec, use_gamma: bool = False) -> tuple[float, ...]:
+    """Per-axis powers p_i * theta_i' = c_i E of |D_i psi| in the cutoff
+    estimate at the given beta.  Requires beta > l1."""
+    big_e, rates = _cutoff_power(beta, spec, use_gamma)
+    return tuple(_float(c_i * big_e, "the power p_i theta_i'") for c_i in rates)
+
+
+def decay_exponents(beta: float, spec: ProblemSpec, use_gamma: bool = False) -> tuple[float, ...]:
     """Per-axis radial decay exponents N - p_i * theta_i' at the given beta.
 
     All-negative decay is what makes the radius sweep contradict stability.
+    Requires beta > l1.
     """
-    e = spec.exponents
-    return tuple(
-        e.N - e.p[i] * theta_exponents(beta, spec, i, use_gamma=use_gamma)[1]
-        for i in range(e.N)
-    )
+    big_e, rates = _cutoff_power(beta, spec, use_gamma)
+    return tuple(_float(spec.exponents.N - c_i * big_e, "a decay exponent") for c_i in rates)
 
 
 def decay_threshold(spec: ProblemSpec, use_gamma: bool = False) -> Fraction:
     """The exact beta_0 above which every decay exponent is negative.
 
-    With E = 2 beta + s + q - 1 (s = gamma or delta, s = 1 for the
-    exponential problem) the conjugate is theta_i' = E/(s + p_i - 1), so
-    N - p_i theta_i' < 0 exactly when
-    beta > (N (s + p_i - 1)/p_i - (s + q - 1))/2; beta_0 is the largest of
-    these, (N - q)/2 for the exponential problem.
+    N - c_i E < 0 exactly when E > N/c_i, so
+    beta_0 = (N/min_i c_i - (s + q - 1))/2 in the terms of `cutoff_rates`:
+    (N - q)/2 for the exponential problem, where every c_i is 1.
     """
-    p, n, q = spec.exponents.exact
-    if isinstance(spec.kind, MixedPower):
-        s = Fraction(spec.kind.gamma if use_gamma else spec.kind.delta)
-    else:
-        s = Fraction(1)
-    return (max(n * (s + p_i - 1) / p_i for p_i in p) - (s + q - 1)) / 2
+    shift, rates = cutoff_rates(spec, use_gamma)
+    return (spec.exponents.N / min(rates) - shift) / 2
 
 
 def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
@@ -364,7 +382,7 @@ class ThresholdReport:
         """Flat key-value document; infinite endpoints serialize as None."""
 
         def num(x, name: str):
-            return None if x is None or x == math.inf else _float(x, name)
+            return None if x is None or x == math.inf else _float(x, f"the threshold {name}")
 
         doc: dict = {"l1": self.l1}
         if self.l2 is not None:
@@ -429,7 +447,8 @@ def region_memberships(spec: ProblemSpec) -> ThresholdReport:
                 None if x is None else ivs[name] is not None and ivs[name].contains(x)
             )
     exact_l1, exact_upper = beta_window(spec)
-    l1, upper = _float(exact_l1, "betaWindow.lower"), _float(exact_upper, "betaWindow.upper")
+    l1 = _float(exact_l1, "the threshold betaWindow.lower")
+    upper = _float(exact_upper, "the threshold betaWindow.upper")
     candidate = upper - _BETA_ENDPOINT_OFFSET * (upper - l1)
 
     thm = ApplicableTheorem.NONE

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
@@ -148,18 +149,27 @@ class Grid:
     def interior_shape(self) -> tuple[int, ...]:
         return tuple(r - 1 for r in self.res)
 
-    def node_distances(self, center=None) -> np.ndarray:
-        """Euclidean distance from every node to `center` (default box center)."""
+    def _broadcast(self, vectors, window=None) -> Iterator[np.ndarray]:
+        """The per-axis node vectors `vectors`, each on its slice of `window`
+        (every node when None), shaped to broadcast along their axis."""
+        window = (slice(None),) * self.dim if window is None else window
+        for axis, (f, s) in enumerate(zip(vectors, window)):
+            yield f[s].reshape([-1 if j == axis else 1 for j in range(self.dim)])
+
+    def node_weights(self, window=None) -> np.ndarray:
+        """Tensor-product trapezoid node weights, on the sub-box `window`
+        (one slice per axis) when given."""
+        return math.prod(self._broadcast(self.node_weights_1d(), window))
+
+    def node_distances(self, center=None, window=None) -> np.ndarray:
+        """Euclidean distance from every node to `center` (default box
+        center), on the sub-box `window` (one slice per axis) when given;
+        the squared offsets are summed axis by axis."""
         c = self.center if center is None else tuple(center)
         if len(c) != self.dim:
             raise ValidationError("center dimension mismatch")
-        sq = np.zeros(self.shape)
-        for axis, (x, ci) in enumerate(zip(self.axes(), c)):
-            # the squared offsets of one axis, broadcast over the others
-            shape = [1] * self.dim
-            shape[axis] = x.size
-            sq += ((x - ci) ** 2).reshape(shape)
-        return np.sqrt(sq)
+        offsets = [x - ci for x, ci in zip(self.axes(), c)]
+        return np.sqrt(sum(x ** 2 for x in self._broadcast(offsets, window)))
 
 
 @dataclass
@@ -285,14 +295,8 @@ def face_integral(faces: np.ndarray, grid: Grid, axis: int) -> float:
     """Quadrature of a face-sampled function: midpoint along `axis`
     (weight h), trapezoid on the transverse axes.  Exact for constants."""
     v = np.asarray(faces, dtype=float)
-    weights = []
-    for j in range(grid.dim):
-        if j == axis:
-            weights.append(np.full(grid.res[j], grid.h[j]))
-        else:
-            w = np.full(grid.res[j] + 1, grid.h[j])
-            w[0] = w[-1] = 0.5 * grid.h[j]
-            weights.append(w)
+    weights = grid.node_weights_1d()
+    weights[axis] = np.full(grid.res[axis], grid.h[axis])
     for w in reversed(weights):
         v = v @ w
     return float(v)

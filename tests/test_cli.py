@@ -593,6 +593,22 @@ def test_overflowing_sweep_integral_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+def test_overflowing_ladder_limit_battery_exits_2(tmp_path, capsys):
+    # g e^{1/u} overflowed in the limit battery: a RuntimeWarning, then
+    # "weakResidualLimitMax": null in ladder_report.json and exit 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--p", "2,2", "--box", "0,1,0,1", "--res", "6,6", "--nmax", "2",
+                     "--weight", "constant:1e308", "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "validation error: the limit term g e^{1/u} or its weak-form gap overflows a float"]
+    assert not caught
+    assert not (tmp_path / "out" / "ladder_report.json").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("exponents.p = 2,2\nsolve.tolfix = 1e-3\n")

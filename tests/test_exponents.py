@@ -24,6 +24,7 @@ from anisolab.exponents import (
     decay_threshold,
     harmonic_mean,
     integrability_thresholds,
+    lhs_power,
     region_memberships,
     regions,
     select_beta,
@@ -553,25 +554,17 @@ def test_select_beta_is_the_report_selection(p, delta, gamma_extra, cap):
 
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# delta `ulps` floats above the lower end of A∩I, or cap `ulps` floats
+# below the upper end of J
+near_region_ends = given(
     p=st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3).map(sorted),
     exponential=st.booleans(),
     gamma_extra=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
     ulps=st.one_of(st.integers(0, 64), st.integers(0, 2 ** 36)),
 )
-# the window (2.00000225, 2.000003) is above the candidate 2.0000015
-@example(p=[2.0, 3.0, 4.0], exponential=False, gamma_extra=0.0, ulps=5066549581)
-# the candidate's offset 1e-6 * (upper - l1) is below one ulp of upper
-@example(p=[2.0, 3.0, 4.0], exponential=True, gamma_extra=0.0, ulps=80064)
-# the window holds no float
-@example(p=[2.0, 3.0, 4.0], exponential=True, gamma_extra=0.0, ulps=0)
-def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
-                                                                 gamma_extra, ulps):
-    """delta `ulps` floats above the lower end of A∩I, or cap `ulps` floats
-    below the upper end of J: a certified point selects a beta strictly
-    inside its exact window (max(l1, beta_0), upper), or refuses a window
-    that holds no float; HypothesisViolatedError never escapes."""
+
+
+def near_region_end_spec(p, exponential, gamma_extra, ulps):
     e = ExponentData.from_p(p)
     ivs = regions(e)[0]
     if exponential:
@@ -583,7 +576,23 @@ def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
         end = float(max(ivs["A"].lower, ivs["I"].lower))
         delta = end + ulps * math.ulp(end)
         kind = MixedPower(delta, delta + gamma_extra)
-    spec = ProblemSpec(kind=kind, exponents=e)
+    return ProblemSpec(kind=kind, exponents=e)
+
+
+@settings(max_examples=300, deadline=None)
+@near_region_ends
+# the window (2.00000225, 2.000003) is above the candidate 2.0000015
+@example(p=[2.0, 3.0, 4.0], exponential=False, gamma_extra=0.0, ulps=5066549581)
+# the candidate's offset 1e-6 * (upper - l1) is below one ulp of upper
+@example(p=[2.0, 3.0, 4.0], exponential=True, gamma_extra=0.0, ulps=80064)
+# the window holds no float
+@example(p=[2.0, 3.0, 4.0], exponential=True, gamma_extra=0.0, ulps=0)
+def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
+                                                                 gamma_extra, ulps):
+    """A certified point near a region end selects a beta strictly inside
+    its exact window (max(l1, beta_0), upper), or refuses a window that
+    holds no float; HypothesisViolatedError never escapes."""
+    spec = near_region_end_spec(p, exponential, gamma_extra, ulps)
     try:
         rep = region_memberships(spec)
     except HypothesisNotApplicableError as exc:
@@ -597,6 +606,77 @@ def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
     assert max(l1, decay_threshold(spec, use_gamma)) < rep.selectedBeta < upper
 
 
+@settings(max_examples=300, deadline=None)
+@near_region_ends
+# Thm3_4 five floats above the A∩I end: the float chain N - p_0 theta_0'
+# reported a decay of 0.0 where the exact one is -1.2e-16
+@example(p=[2.0196051142676956, 2.5740734409084998, 5.097216081281708],
+         exponential=False, gamma_extra=0.0, ulps=5)
+def test_certified_points_near_region_ends_report_negative_decay(p, exponential,
+                                                                 gamma_extra, ulps):
+    """Every certified point reports only negative decay exponents, even
+    where its exact window is a few floats wide."""
+    try:
+        rep = region_memberships(near_region_end_spec(p, exponential, gamma_extra, ulps))
+    except HypothesisNotApplicableError:
+        return
+    if rep.theoremApplicable is not ApplicableTheorem.NONE:
+        assert all(d < 0 for d in rep.decayExponents), rep.decayExponents
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3).map(sorted),
+    delta=st.floats(0.05, 60.0),
+    gamma_extra=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    cap=st.floats(1e-3, 2.0),
+    frac=st.floats(1e-9, 1.0),
+)
+@example(p=[2.0196051142676956, 2.5740734409084998, 5.097216081281708],
+         delta=13.476124285726854, gamma_extra=0.0, cap=0.2, frac=1.0)
+def test_exponents_are_their_exact_values_rounded_once(p, delta, gamma_extra, cap, frac):
+    """E, theta_i, theta_i' and every decay exponent equal float() of their
+    exact rational values at beta, computed here from their definitions:
+    E = 2 beta + s + q - 1, theta_i = E/(2 beta + q - p_i), theta_i' its
+    conjugate, decay_i = N - p_i theta_i'."""
+    e = ExponentData.from_p(p)
+    q = sum(Fraction(p_i) for p_i in e.p) / e.N
+    mixed = ProblemSpec(kind=MixedPower(delta, delta + gamma_extra), exponents=e)
+    exp_spec = ProblemSpec(kind=ExpSingular(cap), exponents=e)
+    for spec, use_gamma, s in ((mixed, False, delta), (mixed, True, delta + gamma_extra),
+                               (exp_spec, False, 1.0)):
+        l1, upper = beta_window(spec)
+        top = max(upper, l1 + 1)
+        beta = float(l1 + Fraction(frac) * (top - l1))
+        if not beta > l1:
+            continue
+        big_e = 2 * Fraction(beta) + Fraction(s) + q - 1
+        assert lhs_power(beta, spec, use_gamma) == float(big_e)
+        decay = decay_exponents(beta, spec, use_gamma)
+        for i, p_i in enumerate(map(Fraction, e.p)):
+            theta = big_e / (2 * Fraction(beta) + q - p_i)
+            conj = theta / (theta - 1)
+            assert theta_exponents(beta, spec, i, use_gamma) == (float(theta), float(conj))
+            assert decay[i] == float(e.N - p_i * conj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.floats(2.0, 1e6), min_size=3, max_size=3).map(sorted))
+@example(p=[2.0, 2.0, 2.0])
+@example(p=[2.0, 2.0, 1e6])
+def test_pstar_is_at_least_three_times_p_max_in_3d(p):
+    """1/p_1 + 1/p_2 <= 1, so N/(sum_i 1/p_i - 1) >= 3 p_3 where it is
+    defined: run_ladder's existence mode needs pstar >= p_N and gets it on
+    every grid, which has at most three axes.  The float pstar loses digits
+    to N - pbar near pbar = 3, so it keeps a margin of 2 p_3 only."""
+    e = ExponentData.from_p(p)
+    excess = sum(1 / Fraction(p_i) for p_i in p) - 1
+    assert (e.pstar is None) == (excess <= 0)
+    if e.pstar is not None:
+        assert 3 / excess >= 3 * Fraction(p[-1])
+        assert e.pstar >= 2 * e.p_max
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     p=st.lists(st.floats(2.0, 6.0), min_size=1, max_size=3).map(sorted),
@@ -607,8 +687,8 @@ def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
 )
 def test_decay_threshold_decides_the_decay_sign(p, delta, gamma_extra, cap, offset):
     """beta > beta_0 exactly when every float decay exponent at beta is
-    negative, away from rounding distance of beta_0; beta_0 = (N - q)/2 for
-    the exponential problem."""
+    negative, also within rounding distance of beta_0; beta_0 = (N - q)/2
+    for the exponential problem."""
     e = ExponentData.from_p(p)
     exp_spec = ProblemSpec(kind=ExpSingular(cap), exponents=e)
     q = sum(Fraction(p_i) for p_i in e.p) / e.N
@@ -620,7 +700,7 @@ def test_decay_threshold_decides_the_decay_sign(p, delta, gamma_extra, cap, offs
         beta = float(beta_0) + offset
         if not beta > l1:
             beta = float(l1) + abs(offset)
-        if not beta > l1 or abs(beta - beta_0) <= 1e-9 * max(1, abs(beta_0)):
+        if not beta > l1:
             continue
         decay = decay_exponents(beta, spec, use_gamma=use_gamma)
         assert (beta > beta_0) == all(d < 0 for d in decay), (beta, beta_0, decay)

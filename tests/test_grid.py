@@ -105,7 +105,8 @@ def test_axis_diff_basics():
     assert np.allclose(axis_diff(linear, 0), 1.0)
 
 
-@pytest.mark.parametrize("shape", [((0.0, 1.0),), ((0.0, 1.0), (-1.0, 2.0))])
+@pytest.mark.parametrize("shape", [((0.0, 1.0),), ((0.0, 1.0), (-1.0, 2.0)),
+                                   ((0.0, 1.0), (-1.0, 2.0), (0.5, 1.5))])
 def test_summation_by_parts(shape):
     rng = np.random.default_rng(7)
     g = Grid(box=shape, res=(12,) * len(shape))
@@ -422,6 +423,22 @@ def test_node_distances_match_the_meshgrid_formula(res):
         for x, ci in zip(g.meshgrid(), c):
             sq += (x - ci) ** 2
         assert np.array_equal(g.node_distances(center), np.sqrt(sq))
+        # on a sub-box, bit for bit the full-grid slice
+        window = tuple(slice(1, r - 1) for r in res)
+        assert np.array_equal(g.node_distances(center, window), np.sqrt(sq)[window])
+
+
+@pytest.mark.parametrize("res", [(9,), (6, 9), (5, 7, 4)])
+def test_node_weights_are_the_tensor_trapezoid_weights(res):
+    g = Grid(box=tuple((-1.0 + 0.3 * i, 2.0 + i) for i in range(len(res))), res=res)
+    full = np.ones(g.shape)
+    for axis, w1 in enumerate(g.node_weights_1d()):
+        shape = [1] * g.dim
+        shape[axis] = -1
+        full = full * w1.reshape(shape)
+    assert np.array_equal(g.node_weights(), full)
+    window = tuple(slice(2, r) for r in res)
+    assert np.array_equal(g.node_weights(window), full[window])
 
 
 @pytest.mark.parametrize("res", [(7, 7, 63), (15, 15, 31), (17, 19, 40)],

@@ -22,6 +22,7 @@ from anisolab.exponents import (
     ExpSingular,
     MixedPower,
     ProblemSpec,
+    axis_powers,
     beta_window,
     decay_exponents,
     lhs_power,
@@ -31,7 +32,9 @@ from anisolab.grid import (
     CutoffSpec,
     Grid,
     GridField,
+    axis_diff,
     ball_fraction_weights,
+    face_integral,
     integrate,
     make_cutoff,
     weak_form_gap,
@@ -536,6 +539,25 @@ def test_corollary_no_gradient_diagnostic():
         ApplicableTheorem.THM3_5,
     )
     assert rep.rhs == 0.0 and rep.lhs > 0.0 and not rep.satisfied
+
+
+@pytest.mark.parametrize("kind, case", [
+    (ExpSingular(0.2), ApplicableTheorem.THM3_5),
+    (MixedPower(10.0, 10.0), ApplicableTheorem.THM3_4),
+])
+def test_corollary_takes_every_axis_power_from_the_exact_table(kind, case):
+    # the right side sums |D_i psi|^(p_i theta_i') with the powers of
+    # `axis_powers`; for Thm3_5 every c_i is 1, so each power is E, bit for bit
+    g = Grid(box=((-1.0, 1.0),) * 3, res=(12, 12, 12))
+    spec = ProblemSpec(kind=kind, exponents=ExponentData.from_p([2, 3, 4]))
+    beta, _ = select_beta(spec)
+    powers = axis_powers(beta, spec)
+    if case is ApplicableTheorem.THM3_5:
+        assert powers == (lhs_power(beta, spec),) * 3
+    psi = make_cutoff(CutoffSpec(R=0.4, center=(0.0, 0.0, 0.0)), g)
+    rep = corollary_sides(GridField.constant(g, 0.1), psi, beta, spec, case)
+    assert rep.rhs == sum(face_integral(np.abs(axis_diff(psi, axis)) ** power, g, axis)
+                          for axis, power in enumerate(powers))
 
 
 def test_corollary_case_validation():
