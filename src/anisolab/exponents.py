@@ -74,9 +74,15 @@ class ExponentData:
         if any(a > b for a, b in zip(p, p[1:])):
             raise ValidationError("p must be sorted ascending")
         n = len(p)
-        pbar = harmonic_mean(p)
-        pstar = n * pbar / (n - pbar) if pbar < n else None
-        return cls(p=p, N=n, pbar=pbar, pstar=pstar, q=sum(p) / n)
+        # pstar = N pbar/(N - pbar) = N/(sum_i 1/p_i - 1), exact and rounded
+        # once: the float form cancels as pbar nears N, and a float pbar
+        # rounds up to N on some points just inside the regime
+        excess = sum(1 / Fraction(x) for x in p) - 1
+        try:
+            pstar = float(n / excess) if excess > 0 else None
+        except OverflowError:  # an excess below N/1.8e308, as p = (2, 2, 1e308) gives
+            pstar = None
+        return cls(p=p, N=n, pbar=harmonic_mean(p), pstar=pstar, q=sum(p) / n)
 
     @property
     def p_max(self) -> float:
@@ -90,10 +96,12 @@ class ExponentData:
 
 
 def sobolev_exponent(e: ExponentData) -> float:
-    """N*pbar/(N - pbar); only defined in the regime pbar < N."""
+    """N*pbar/(N - pbar); only defined in the regime pbar < N, and as a float
+    only below the float range."""
     if e.pstar is None:
         raise UndefinedExponentError(
-            f"pbar = {e.pbar} >= N = {e.N}: the embedding exponent is not defined; "
+            f"pbar = {e.pbar} is not below N = {e.N} in exact arithmetic, or "
+            "N*pbar/(N - pbar) overflows a float: the embedding exponent is not defined; "
             "use the r-parameterized thresholds instead"
         )
     return e.pstar
@@ -317,7 +325,7 @@ def select_beta(spec: ProblemSpec) -> tuple[float, tuple[float, ...]]:
 class IntegrabilityThresholds:
     """Integrability exponents the weight g must meet.
 
-    m_exist and m_bounded are set in the pbar < N regime.  For pbar >= N,
+    m_exist and m_bounded are set where pstar is (pbar < N).  For pbar >= N,
     existence needs any m > 1 and boundedness needs m above r/(r - p_N) for
     some r > p_N; `high_mean_threshold` evaluates that curve.
     """
@@ -329,7 +337,7 @@ class IntegrabilityThresholds:
     N: int
 
     def high_mean_threshold(self, r: float) -> float:
-        if self.pbar < self.N:
+        if self.m_exist is not None:
             raise UndefinedExponentError("r-parameterized threshold applies only for pbar >= N")
         if not r > self.p_max:
             raise ValidationError(f"need r > p_N = {self.p_max}, got r = {r}")

@@ -520,16 +520,21 @@ def stiffness(grid: Grid, weights, diag=None):
     import scipy.sparse as sp
     main, links, means = _stencil(grid, weights, diag)
     n = main.size
-    data, offsets = np.empty((1 + 2 * grid.dim, n)), [0]
+    shape = grid.interior_shape()
+    # an axis of one interior node has no links, and its stride would repeat
+    # the next axis's offset, which DIA refuses
+    axes = [axis for axis in range(grid.dim) if shape[axis] > 1]
+    data, offsets = np.empty((1 + 2 * len(axes), n)), [0]
     data[0] = main
-    for axis, link in enumerate(links):
+    for row, axis in enumerate(axes):
         # a DIA data row holds the entry of column j at index j; a link is 0
         # on the last plane along its axis, so rolled by the stride it is
         # the superdiagonal row and unrolled the subdiagonal one
-        stride = math.prod(grid.interior_shape()[axis + 1:])
-        up = data[2 * axis + 1]
+        link = links[axis]
+        stride = math.prod(shape[axis + 1:])
+        up = data[2 * row + 1]
         up[stride:], up[:stride] = link[:-stride], link[-stride:]
-        data[2 * axis + 2] = link
+        data[2 * row + 2] = link
         offsets += [stride, -stride]
     matrix = sp.dia_matrix((data, offsets), shape=(n, n))
     shift = 0.0 if diag is None else _median(diag)

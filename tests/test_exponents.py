@@ -667,14 +667,34 @@ def test_exponents_are_their_exact_values_rounded_once(p, delta, gamma_extra, ca
 def test_pstar_is_at_least_three_times_p_max_in_3d(p):
     """1/p_1 + 1/p_2 <= 1, so N/(sum_i 1/p_i - 1) >= 3 p_3 where it is
     defined: run_ladder's existence mode needs pstar >= p_N and gets it on
-    every grid, which has at most three axes.  The float pstar loses digits
-    to N - pbar near pbar = 3, so it keeps a margin of 2 p_3 only."""
+    every grid, which has at most three axes.  pstar is that quotient
+    rounded once, so the float keeps the whole margin."""
     e = ExponentData.from_p(p)
     excess = sum(1 / Fraction(p_i) for p_i in p) - 1
     assert (e.pstar is None) == (excess <= 0)
     if e.pstar is not None:
         assert 3 / excess >= 3 * Fraction(p[-1])
-        assert e.pstar >= 2 * e.p_max
+        assert e.pstar >= 3 * e.p_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.lists(st.one_of(st.floats(2.0, 10.0), st.floats(2.0, 1e300)), min_size=1,
+                  max_size=3).map(sorted))
+@example(p=[2.0, 3.0, 4.0])  # 36.000000000000064 as N pbar/(N - pbar)
+@example(p=[2.0, 2.0, 18525.0])  # 55574.99999993608
+@example(p=[2.0, 3.0, 6.0])  # sum 1/p_i = 1 exactly, 0.9999999999999999 in floats
+@example(p=[2.0, 3.4872501271577416, 4.689527421755432])  # pbar < 3, 3.0000000000000004 in floats
+@example(p=[2.0, 2.0, 1.7e308])  # 3 p_3 passes the float range
+def test_pstar_is_the_exact_quotient_rounded_once(p):
+    e = ExponentData.from_p(p)
+    excess = sum(1 / Fraction(p_i) for p_i in p) - 1
+    if excess <= 0:
+        assert e.pstar is None
+        return
+    try:
+        assert e.pstar == float(len(p) / excess)
+    except OverflowError:
+        assert e.pstar is None
 
 
 @settings(max_examples=150, deadline=None)

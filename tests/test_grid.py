@@ -282,8 +282,13 @@ def kron_difference_matrix(grid, axis):
         (((0.0, 1.0),), (9,)),
         (((0.0, 1.0), (0.0, 2.5)), (8, 6)),
         (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (5, 7, 4)),
+        # an axis of one interior node has no links, whose DIA offsets
+        # would repeat the next axis's
+        (((0.0, 1.0), (0.0, 2.5)), (8, 2)),
+        (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (5, 2, 4)),
+        (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (2, 2, 2)),
     ],
-    ids=["1d", "2d", "3d"],
+    ids=["1d", "2d", "3d", "2d-one-node-axis", "3d-one-node-axis", "3d-one-node"],
 )
 def test_stiffness_matches_kronecker_assembly(box, res):
     rng = np.random.default_rng(11)
