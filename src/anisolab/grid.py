@@ -507,9 +507,11 @@ def stiffness(grid: Grid, weights, diag=None):
     its preconditioner b -> s * P^-1(s * b), with P = sum_i mean(w_i) K_i^T
     K_i + median(diag) I inverted by `dst_solver` and the diagonal scaling
     s = sqrt(diag P / diag J) (Concus & Golub, SIAM J. Numer. Anal. 10,
-    1973).  It is symmetric positive definite, so CG and LOBPCG stay valid;
-    it takes a (k, n) stack like `dst_solver`, and it is exact when weights
-    and diagonal (0 if omitted) are constant, since then s = 1.
+    1973).  The preconditioner is symmetric positive definite, so CG and
+    LOBPCG stay valid with it; it takes a (k, n) stack like `dst_solver`,
+    and it is exact when weights and diagonal (0 if omitted) are constant,
+    since then s = 1.  `stability_index` factors the matrix itself by SuperLU
+    in 1D and 2D and uses the preconditioner only in 3D.
 
     The scaling pays on smooth coefficients, as the ladder iterates and the
     stability candidates give: on 48^2 p = (2, 3) Jacobians of a smooth

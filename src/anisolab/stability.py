@@ -15,11 +15,12 @@ A candidate u is *numerically stable* when the quadratic-form gap
 is nonnegative over all discrete test functions; `stability_index` returns
 the smallest Rayleigh quotient of that gap (mass-normalized), so stability
 is exactly index >= 0.  W is 1 for the literal inequality and g for the
-weighted variant the cutoff estimates use.  The index is computed by LOBPCG
-on the gap pencil shifted to be positive definite, assembled by
-`grid.stiffness` like the solver's Newton systems and preconditioned by
-its diagonally scaled fast-diagonalization (DST) inverse, and certified by
-its eigen residual rather than by a stagnation test.
+weighted variant the cutoff estimates use.  The index is computed on the
+gap pencil shifted to be positive definite, assembled by `grid.stiffness`
+like the solver's Newton systems: in 1D and 2D by shift-invert Lanczos on
+one sparse factor of that pencil, in 3D by LOBPCG preconditioned by its
+diagonally scaled fast-diagonalization (DST) inverse.  Either way it is
+certified by its eigen residual rather than by a stagnation test.
 """
 
 from __future__ import annotations
@@ -225,6 +226,49 @@ class StabilityReport:
         return report_dict(self, minimizer=None, description="minimizer") | {"stable": self.stable}
 
 
+class _LanczosStop(Exception):
+    """Ends a shift-invert Lanczos run from inside one of its solves."""
+
+
+def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
+    """The lowest eigenvector of the positive definite `shifted` by ARPACK's
+    shift-invert Lanczos at 0 (Ericsson & Ruhe, Math. Comp. 35, 1980) on
+    one SuperLU factor, at most `max_iter` factor solves, started from
+    `v0`.  Returns the vector, the solve count and None; on a failure
+    (the budget, a singular factor, a non-finite solve, an ARPACK error)
+    the last finite solve output or `v0`, the count and the reason.  The
+    factor goes when this returns."""
+    n = v0.size
+    x, solves = v0, 0
+
+    def solve(b):
+        nonlocal x, solves
+        if solves == max_iter:
+            raise _LanczosStop(f"shift-invert Lanczos used all {max_iter} factor solves")
+        solves += 1
+        y = lu.solve(b)
+        if not np.all(np.isfinite(y)):
+            raise _LanczosStop("a factor solve of the shifted pencil is not finite")
+        x = y
+        return y
+
+    try:
+        lu = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU reports a singular factor
+        return x, solves, f"SuperLU could not factor the shifted pencil: {exc}"
+    try:
+        _, vecs = spla.eigsh(
+            shifted, k=1, sigma=0.0, which="LM", v0=v0,
+            OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
+        )
+    except _LanczosStop as exc:
+        return x, solves, str(exc)
+    except spla.ArpackError as exc:  # ArpackNoConvergence is one
+        return x, solves, f"ARPACK failed: {exc}"
+    return vecs[:, 0], solves, None
+
+
 def stability_index(
     u: GridField,
     nl: NonlinearityEval,
@@ -242,22 +286,34 @@ def stability_index(
     pencil P = sum_i K_i^T diag(w_i) K_i - diag(W f'(u)), w_i = (p_i - 1)
     |D_i u|^{p_i-2}.  The shift -max(0, max W f'(u)) - 1 puts the spectrum
     of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
-    (diagonal -W f'(u) - shift) and its diagonally scaled DST
-    preconditioner, and LOBPCG (Knyazev 2001) computes its lowest eigenpair
-    from one column seeded by `seed`.  A block of one stops as soon as that
-    pair converges, where a block of two also waits for the second pair;
-    the 1000-iteration default keeps the budget of 500 two-column
-    iterations.  Grids with fewer than five interior nodes are solved
-    densely inside LOBPCG (0 iterations).
+    (diagonal -W f'(u) - shift), and its lowest eigenpair is computed from
+    a start vector seeded by `seed`:
+
+    * on 1D and 2D grids of at least five interior nodes, by shift-invert
+      Lanczos (ARPACK's `eigsh` at sigma 0) on one sparse SuperLU factor
+      of P - shift*I, whose solve count does not grow with the grid;
+      `max_iter` caps the factor solves and `iterations` counts them;
+    * on 3D grids, where that factor costs as much as the whole iterative
+      solve at 16^3 and ten times more at 24^3, by LOBPCG (Knyazev 2001)
+      on one column preconditioned by the diagonally scaled DST inverse of
+      `stiffness`; `max_iter` caps its iterations and `iterations` counts
+      them.  A block of one stops as soon as that pair converges, where a
+      block of two also waits for the second pair; the 1000-iteration
+      default keeps the budget of 500 two-column iterations.
+
+    Grids with fewer than five interior nodes are solved densely inside
+    LOBPCG (0 iterations).  A `max_iter` below 1 is a ValidationError.
 
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:
-    NonConvergenceError (with `rho`, the residual and the iteration count
-    as diagnostics) unless ||P x - rho x|| <= EIGEN_TOL * max(1, |shift|)
-    after at most `max_iter` LOBPCG iterations.  That norm is BLAS nrm2,
-    which scales as it sums: at a shift of -1e308 the entries of
-    P x - rho x left after cancellation are about 1e292, and their squares
-    would overflow.  The minimizer is x on the grid, scaled to
+    NonConvergenceError (with `rho`, the residual, the iteration count and
+    the bound as diagnostics) unless ||P x - rho x|| <= EIGEN_TOL *
+    max(1, |shift|).  A Lanczos run that fails (its solve budget, a
+    singular factor, a non-finite solve, an ARPACK error) raises it too,
+    with rho and the residual of its last finite solve output.  That norm
+    is BLAS nrm2, which scales as it sums: at a shift of -1e308 the entries
+    of P x - rho x left after cancellation are about 1e292, and their
+    squares would overflow.  The minimizer is x on the grid, scaled to
     int phi^2 = 1 with its largest-magnitude entry positive.
 
     The lowest eigenvalue may be multiple (a candidate constant along an
@@ -269,6 +325,8 @@ def stability_index(
     import scipy.sparse.linalg as spla
     grid = u.grid
     grid.check_dim(p)
+    if not max_iter >= 1:
+        raise ValidationError(f"the stability index needs an iteration cap >= 1, got {max_iter}")
     rng = seeded_rng(seed)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pot_full = np.asarray(nl.fprime(u.values), dtype=float)
@@ -286,28 +344,34 @@ def stability_index(
     # the shifted pencil P - shift*I and its DST preconditioner
     shifted, precond = stiffness(grid, weights, -pot - shift)
     n = pot.size
-    iterations = 0
-
-    def precondition(block):
-        nonlocal iterations
-        iterations += 1
-        return precond(block.T).T
-
     x0 = rng.standard_normal((n, 1))
-    with warnings.catch_warnings():
-        # non-convergence and the small-grid dense fallback are judged below
-        warnings.simplefilter("ignore", UserWarning)
-        # LOBPCG runs maxiter + 1 preconditioned iterations
-        _, vecs = spla.lobpcg(
-            shifted, x0, M=precondition, tol=bound, maxiter=max_iter - 1, largest=False
-        )
-    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    if grid.dim <= 2 and n >= 5:
+        x, iterations, failure = _shift_invert_lowest(spla, shifted, x0[:, 0], max_iter)
+        solver, counted = "shift-invert Lanczos", "solves"
+    else:
+        iterations, failure = 0, None
+        solver, counted = "LOBPCG", "iterations"
+
+        def precondition(block):
+            nonlocal iterations
+            iterations += 1
+            return precond(block.T).T
+
+        with warnings.catch_warnings():
+            # non-convergence and the small-grid dense fallback are judged below
+            warnings.simplefilter("ignore", UserWarning)
+            # LOBPCG runs maxiter + 1 preconditioned iterations
+            _, vecs = spla.lobpcg(
+                shifted, x0, M=precondition, tol=bound, maxiter=max_iter - 1, largest=False
+            )
+        x = vecs[:, 0]
+    x = x / np.linalg.norm(x)
     px = shifted @ x + shift * x
     rho = float(x @ px)
     residual = float(scipy.linalg.norm(px - rho * x, check_finite=False))
-    if not residual <= bound:
+    if failure is not None or not residual <= bound:
         raise NonConvergenceError(
-            "LOBPCG did not reach the eigen residual bound",
+            failure or f"{solver} did not reach the eigen residual bound",
             residual=residual,
             diagnostics={"rho": rho, "iterations": iterations, "bound": bound},
         )
@@ -319,7 +383,7 @@ def stability_index(
         iterations=iterations,
         shift=shift,
         residual=residual,
-        description=f"LOBPCG eigenvector, unit mass norm, {iterations} iterations",
+        description=f"{solver} eigenvector, unit mass norm, {iterations} {counted}",
     )
 
 

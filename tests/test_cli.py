@@ -144,6 +144,26 @@ def test_stability_nonconvergence_leaves_diagnostics(tmp_path, monkeypatch):
     assert np.isfinite(doc["diagnostics"]["rho"])
 
 
+def test_stability_arpack_failure_exits_3_with_diagnostics(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def unconverged(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", unconverged)
+    out = tmp_path / "nc"
+    code = main(["stability", "--p", "2,4", "--delta", "1", "--box", "0,3,0,3",
+                 "--res", "16,16", "--u", "constant:1.0", "--outdir", str(out)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((out / "nonconvergence.json").read_text())
+    assert doc["message"].startswith("ARPACK failed")
+    assert set(doc["diagnostics"]) == {"rho", "iterations", "bound"}
+    assert np.isfinite(doc["diagnostics"]["rho"]) and np.isfinite(doc["residual"])
+    assert not (out / "stability_report.json").exists()
+
+
 def test_sweep_subcommand_and_gate(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--p", "2,3,4", "--delta", "10", "--gamma", "10",

@@ -355,7 +355,7 @@ def test_stability_index_minimizer_is_reproducible():
     assert np.max(np.abs(minimizer(7) - first)) <= 1e-5
 
 
-@pytest.mark.parametrize("res", [(3, 3), (2,)])
+@pytest.mark.parametrize("res", [(3, 3), (2,), (5,), (2, 4), (2, 2, 3)])
 def test_stability_index_small_grid_takes_dense_path(res):
     # scipy's lobpcg solves a block of one densely below five unknowns
     dim = len(res)
@@ -380,11 +380,14 @@ def _sine_candidate(grid, amp, phases):
 
 def _random_pencil_case(seed):
     """A seeded small pencil: even seeds 2D (6..16 cells an axis), odd 3D
-    (4..8), p_i drawn from {2, 2.5, 3, 4} in any order, delta <= gamma in
-    [0.5, 2] and a sine candidate on [0, pi]^N."""
-    rng = np.random.default_rng(seed)
-    dim = 2 + seed % 2
-    res = tuple(int(r) for r in (rng.integers(6, 17, 2) if dim == 2 else rng.integers(4, 9, 3)))
+    (4..8), seeds "1d-k" 1D (6..64 cells), p_i drawn from {2, 2.5, 3, 4} in
+    any order, delta <= gamma in [0.5, 2] and a sine candidate on [0, pi]^N."""
+    if isinstance(seed, str):
+        rng, dim = np.random.default_rng([1, int(seed[3:])]), 1
+    else:
+        rng, dim = np.random.default_rng(seed), 2 + seed % 2
+    cells = {1: (6, 65, 1), 2: (6, 17, 2), 3: (4, 9, 3)}[dim]
+    res = tuple(int(r) for r in rng.integers(*cells))
     p = tuple(float(x) for x in rng.choice([2.0, 2.5, 3.0, 4.0], dim))
     delta, gamma = sorted(rng.uniform(0.5, 2.0, 2))
     grid = Grid(box=((0.0, np.pi),) * dim, res=res)
@@ -403,7 +406,7 @@ def _close_pair_case():
     return u, NonlinearityEval.mixed_power(delta, delta), (4.0, 2.0, 4.0)
 
 
-@pytest.mark.parametrize("seed", list(range(12)) + ["close-pair"])
+@pytest.mark.parametrize("seed", list(range(12)) + ["close-pair"] + [f"1d-{k}" for k in range(6)])
 def test_stability_index_matches_dense_oracle_on_seeded_pencils(seed):
     u, nl, p = _close_pair_case() if seed == "close-pair" else _random_pencil_case(seed)
     ones = GridField.constant(u.grid, 1.0)
@@ -444,6 +447,96 @@ def test_stability_index_on_a_grid_with_one_interior_node_along_an_axis(res):
     rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
     eigs = scipy.linalg.eigvalsh(dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN))
     assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
+
+
+def _sine_p24_case(n):
+    """The 2D p = (2, 4) candidate 1 + 0.2 sin(x) sin(y + 0.1) on [0, pi]^2
+    with delta = gamma = 1 and weight 1."""
+    grid = Grid(box=((0.0, np.pi),) * 2, res=(n, n))
+    return _sine_candidate(grid, 0.2, (0.0, 0.1)), NonlinearityEval.mixed_power(1.0, 1.0)
+
+
+def test_stability_index_solve_count_does_not_grow_with_the_2d_grid():
+    # shift-invert Lanczos on one factor took 51, 61 and 61 solves at 32^2,
+    # 64^2 and 96^2 (LOBPCG on the DST preconditioner: 107, 232 and 219
+    # iterations); the bound allows one more ARPACK restart of 10 solves
+    p = (2.0, 4.0)
+    for n in (32, 64, 96):
+        u, nl = _sine_p24_case(n)
+        ones = GridField.constant(u.grid, 1.0)
+        rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
+        assert rep.iterations <= 71
+        assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
+        assert rep.minimizer.values.shape == u.grid.shape
+        if n == 32:
+            (lowest,) = scipy.linalg.eigvalsh(
+                dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN),
+                subset_by_index=[0, 0],
+            )
+            assert rep.gap == pytest.approx(lowest, abs=1e-8 * max(1.0, abs(lowest)))
+        assert not rep.stable
+
+
+def test_stability_index_on_five_interior_nodes_counts_factor_solves():
+    g = Grid(box=((0.0, 3.0),), res=(6,))
+    u = _sine_candidate(g, 0.2, (0.1,))
+    ones = GridField.constant(g, 1.0)
+    nl = NonlinearityEval.mixed_power(1.0, 1.5)
+    rep = stability_index(u, nl, ones, (3.0,), variant=StabilityVariant.AS_WRITTEN)
+    eigs = scipy.linalg.eigvalsh(dense_gap_pencil(u, nl, ones, (3.0,),
+                                                  StabilityVariant.AS_WRITTEN))
+    assert rep.iterations > 0
+    assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
+
+
+@pytest.mark.parametrize("res", [(16, 16), (6, 6, 6)], ids=["2d", "3d"])
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_stability_index_refuses_an_iteration_cap_below_one(res, max_iter):
+    dim = len(res)
+    g = Grid(box=((0.0, np.pi),) * dim, res=res)
+    with pytest.raises(ValidationError, match="iteration cap >= 1"):
+        stability_index(_sine_candidate(g, 0.2, (0.1,) * dim),
+                        NonlinearityEval.mixed_power(1.0, 1.0), GridField.constant(g, 1.0),
+                        (2.0,) * dim, max_iter=max_iter)
+
+
+def test_stability_index_2d_solve_budget_ends_in_nonconvergence():
+    u, nl = _sine_p24_case(24)
+    with pytest.raises(NonConvergenceError, match="factor solves") as exc:
+        stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 4.0),
+                        variant=StabilityVariant.AS_WRITTEN, max_iter=3)
+    diag = exc.value.diagnostics
+    assert diag["iterations"] == 3
+    assert np.isfinite(diag["rho"]) and exc.value.residual > diag["bound"] > 0
+
+
+class _NanFactor:
+    """A factor whose solves are not finite."""
+
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
+def _singular_splu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("splu, message, solves", [
+    (_singular_splu, "could not factor", 0),
+    (lambda *args, **kwargs: _NanFactor(), "not finite", 1),
+], ids=["singular-factor", "non-finite-solve"])
+def test_stability_index_lanczos_failures_end_in_nonconvergence(monkeypatch, splu, message,
+                                                                 solves):
+    # an ARPACK failure is tested through the CLI in test_cli.py
+    import scipy.sparse.linalg as spla
+    monkeypatch.setattr(spla, "splu", splu)
+    u, nl = _sine_p24_case(12)
+    with pytest.raises(NonConvergenceError, match=message) as exc:
+        stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 4.0))
+    diag = exc.value.diagnostics
+    assert set(diag) == {"rho", "iterations", "bound"}
+    assert np.isfinite(diag["rho"]) and np.isfinite(exc.value.residual)
+    assert diag["iterations"] == solves
 
 
 # --- a priori estimate -------------------------------------------------------------
