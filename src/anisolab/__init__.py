@@ -9,16 +9,7 @@ nonexistence machinery for stable solutions on large boxes (critical
 exponent regions, truncation identities, cutoff estimates, radius sweeps).
 """
 
-from .errors import (
-    GeometryError,
-    HypothesisNotApplicableError,
-    HypothesisViolatedError,
-    NonConvergenceError,
-    OutOfWindowError,
-    SingularityError,
-    UndefinedExponentError,
-    ValidationError,
-)
+from .errors import HypothesisNotApplicableError, NonConvergenceError, ValidationError
 from .exponents import (
     ApplicableTheorem,
     ExponentData,

@@ -10,7 +10,7 @@ the library call that takes a value checks its domain, except for the count
 of a `--radii lo:hi:count` range, which is bounded before it is allocated.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 hypothesis not applicable (or violated).
+4 hypothesis not applicable.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    HypothesisNotApplicableError,
-    HypothesisViolatedError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .errors import HypothesisNotApplicableError, NonConvergenceError, ValidationError
 from .exponents import (
     ExponentData,
     ExpSingular,
@@ -410,10 +405,6 @@ def main(argv=None) -> int:
         return 3
     except HypothesisNotApplicableError as exc:
         print(f"hypothesis not applicable: {exc}", file=sys.stderr)
-        return 4
-    except HypothesisViolatedError as exc:
-        print(f"hypothesis violated (a certified point failed a later step): {exc}",
-              file=sys.stderr)
         return 4
 
 

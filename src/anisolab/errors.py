@@ -1,42 +1,24 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one type per CLI exit code.
 
 The CLI maps these onto process exit codes (see `anisolab.cli`); library
-code raises them directly.
+code raises them directly.  A caller that needs the cause of a
+ValidationError matches on its message.
 """
 
 
 class ValidationError(ValueError):
-    """Malformed or out-of-range input: bad vectors, negative parameters, ..."""
-
-
-class UndefinedExponentError(ValidationError):
-    """Sobolev exponent requested in the regime where it is not defined."""
-
-
-class OutOfWindowError(ValidationError):
-    """A power parameter lies outside its admissible open window."""
-
-
-class GeometryError(ValidationError):
-    """Requested geometry (ball, annulus, radii) does not fit the grid box."""
-
-
-class SingularityError(ValidationError):
-    """A field touches the singular set (u <= 0) where it must stay positive."""
+    """Malformed or out-of-range input (exit 2): bad vectors, negative
+    parameters, a power outside its window, a geometry that leaves the box,
+    a field that touches the singular set u <= 0, ..."""
 
 
 class HypothesisNotApplicableError(RuntimeError):
     """The parameter point satisfies none of the certified hypothesis sets,
-    or the exact beta window of the case it satisfies holds no float."""
-
-
-class HypothesisViolatedError(RuntimeError):
-    """Internal inconsistency: a certified parameter point failed a step that
-    certification guarantees.  Should never occur; surfacing it is a bug trap."""
+    or the exact beta window of the case it satisfies holds no float (exit 4)."""
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative method hit its cap without meeting tolerance.
+    """An iterative method hit its cap without meeting tolerance (exit 3).
 
     Carries the last residual and optional diagnostics for post-mortems.
     """

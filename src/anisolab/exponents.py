@@ -31,12 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import (
-    HypothesisNotApplicableError,
-    OutOfWindowError,
-    UndefinedExponentError,
-    ValidationError,
-)
+from .errors import HypothesisNotApplicableError, ValidationError
 
 # the candidate beta lies this fraction of the window below its upper endpoint
 _BETA_ENDPOINT_OFFSET = 1e-6
@@ -99,7 +94,7 @@ def sobolev_exponent(e: ExponentData) -> float:
     """N*pbar/(N - pbar); only defined in the regime pbar < N, and as a float
     only below the float range."""
     if e.pstar is None:
-        raise UndefinedExponentError(
+        raise ValidationError(
             f"pbar = {e.pbar} is not below N = {e.N} in exact arithmetic, or "
             "N*pbar/(N - pbar) overflows a float: the embedding exponent is not defined; "
             "use the r-parameterized thresholds instead"
@@ -258,7 +253,7 @@ def _cutoff_power(beta: float, spec: ProblemSpec,
     """The exact E at beta > l1, where E > p_N + s - 1 > 0, and the rates."""
     p, _, q = spec.exponents.exact
     if not (p[-1] - q) / 2 < beta < math.inf:
-        raise OutOfWindowError(
+        raise ValidationError(
             f"beta = {beta} must be finite and exceed l1 = {float((p[-1] - q) / 2)}")
     shift, rates = cutoff_rates(spec, use_gamma)
     return 2 * Fraction(beta) + shift, rates
@@ -338,7 +333,7 @@ class IntegrabilityThresholds:
 
     def high_mean_threshold(self, r: float) -> float:
         if self.m_exist is not None:
-            raise UndefinedExponentError("r-parameterized threshold applies only for pbar >= N")
+            raise ValidationError("r-parameterized threshold applies only for pbar >= N")
         if not r > self.p_max:
             raise ValidationError(f"need r > p_N = {self.p_max}, got r = {r}")
         return r / (r - self.p_max)

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GeometryError, ValidationError
+from .errors import ValidationError
 
 # Largest admitted node count, about a 256^3-cell grid (255^3 cells fit).
 # One float64 field of 2^24 nodes takes 128 MiB.  A 3D level solve keeps an
@@ -361,7 +361,7 @@ def make_cutoff(spec: CutoffSpec, grid: Grid) -> GridField:
     center = grid.center if spec.center is None else tuple(spec.center)
     for (lo, hi), c in zip(grid.box, center):
         if c - 2.0 * spec.R < lo or c + 2.0 * spec.R > hi:
-            raise GeometryError(
+            raise ValidationError(
                 f"ball of radius 2R = {2.0 * spec.R} around {center} leaves the box {grid.box}"
             )
     d = grid.node_distances(center)

@@ -33,14 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    GeometryError,
-    HypothesisNotApplicableError,
-    NonConvergenceError,
-    OutOfWindowError,
-    SingularityError,
-    ValidationError,
-)
+from .errors import HypothesisNotApplicableError, NonConvergenceError, ValidationError
 from .exponents import (
     HYPOTHESES,
     ApplicableTheorem,
@@ -125,7 +118,7 @@ def _require_compact_support(phi: GridField) -> None:
 
 def _require_positive_on_support(u: GridField, support: np.ndarray) -> None:
     if np.any(u.values[support] <= 0):
-        raise SingularityError("u must be positive wherever the test function lives")
+        raise ValidationError("u must be positive wherever the test function lives")
 
 
 def _require_cutoff(psi: GridField) -> None:
@@ -136,7 +129,7 @@ def _require_cutoff(psi: GridField) -> None:
 def _require_in_window(beta: float, spec: ProblemSpec) -> None:
     l1, upper = beta_window(spec)
     if not l1 < beta < upper:
-        raise OutOfWindowError(f"beta = {beta} outside the window ({float(l1)}, {float(upper)})")
+        raise ValidationError(f"beta = {beta} outside the window ({float(l1)}, {float(upper)})")
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +219,6 @@ class StabilityReport:
         return report_dict(self, minimizer=None, description="minimizer") | {"stable": self.stable}
 
 
-class _LanczosStop(Exception):
-    """Ends a shift-invert Lanczos run from inside one of its solves."""
-
-
 def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
     """The lowest eigenvector of the positive definite `shifted` by ARPACK's
     shift-invert Lanczos at 0 (Ericsson & Ruhe, Math. Comp. 35, 1980) on
@@ -244,11 +233,11 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
     def solve(b):
         nonlocal x, solves
         if solves == max_iter:
-            raise _LanczosStop(f"shift-invert Lanczos used all {max_iter} factor solves")
+            raise NonConvergenceError(f"shift-invert Lanczos used all {max_iter} factor solves")
         solves += 1
         y = lu.solve(b)
         if not np.all(np.isfinite(y)):
-            raise _LanczosStop("a factor solve of the shifted pencil is not finite")
+            raise NonConvergenceError("a factor solve of the shifted pencil is not finite")
         x = y
         return y
 
@@ -262,7 +251,7 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
             shifted, k=1, sigma=0.0, which="LM", v0=v0,
             OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
         )
-    except _LanczosStop as exc:
+    except NonConvergenceError as exc:  # raised by `solve` to end the run
         return x, solves, str(exc)
     except spla.ArpackError as exc:  # ArpackNoConvergence is one
         return x, solves, f"ARPACK failed: {exc}"
@@ -297,9 +286,7 @@ def stability_index(
       solve at 16^3 and ten times more at 24^3, by LOBPCG (Knyazev 2001)
       on one column preconditioned by the diagonally scaled DST inverse of
       `stiffness`; `max_iter` caps its iterations and `iterations` counts
-      them.  A block of one stops as soon as that pair converges, where a
-      block of two also waits for the second pair; the 1000-iteration
-      default keeps the budget of 500 two-column iterations.
+      them.
 
     Grids with fewer than five interior nodes are solved densely inside
     LOBPCG (0 iterations).  A `max_iter` below 1 is a ValidationError.
@@ -334,7 +321,7 @@ def stability_index(
             pot_full = pot_full * g.values
     pot = pot_full[grid.interior_slices()].ravel()
     if not np.all(np.isfinite(pot)):
-        raise SingularityError("potential W*f'(u) is not finite on the interior")
+        raise ValidationError("potential W*f'(u) is not finite on the interior")
 
     weights = [
         (p_i - 1.0) * np.abs(axis_diff(u, axis)) ** (p_i - 2.0) for axis, p_i in enumerate(p)
@@ -463,7 +450,7 @@ def apriori_sides(
         u_f = face_average(u, axis)
         on = psi_f > 0
         if np.any(u_f[on] <= 0):
-            raise SingularityError("face-averaged u must stay positive on supp psi")
+            raise ValidationError("face-averaged u must stay positive on supp psi")
         u_f = np.where(on, u_f, 1.0)
         psi_f = np.where(on, psi_f, 1.0)
         integrand = np.where(
@@ -506,7 +493,7 @@ def _log_quotient_integral(w, g_vals, psi_vals, u_vals, big_e: float) -> float:
     if not np.any(keep):
         return 0.0
     if np.any(u_vals[keep] <= 0):
-        raise SingularityError("u must be positive where the cutoff lives")
+        raise ValidationError("u must be positive where the cutoff lives")
     # an infinite log or sum is refused below; the terms tied at an infinite
     # max, where logs - top is NaN, are zeroed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -621,7 +608,7 @@ def _sweep_balls(grid: Grid, spec: ProblemSpec, radii, c_const: float, center=No
     c = grid.center if center is None else tuple(center)
     for (lo, hi), ci in zip(grid.box, c):
         if ci - 2.0 * radii[-1] < lo or ci + 2.0 * radii[-1] > hi:
-            raise GeometryError(
+            raise ValidationError(
                 f"2 * max radius = {2 * radii[-1]} around {c} does not fit the box {grid.box}"
             )
     return radii, c

@@ -19,7 +19,7 @@ from anisolab import cli
 from anisolab import grid as grid_module
 from anisolab import truncations
 from anisolab.cli import main
-from anisolab.errors import HypothesisViolatedError, ValidationError
+from anisolab.errors import ValidationError
 from anisolab.exponents import ExponentData, MixedPower, ProblemSpec
 from anisolab.grid import (
     MAX_HEADER_CHARS,
@@ -132,6 +132,21 @@ def test_stability_subcommand(tmp_path):
     assert "secondRitzValue" not in doc
 
 
+def test_stability_index_of_the_exponential_nonlinearity(tmp_path):
+    """f = -e^{1/u} (Thm 3.5) at u = 1.3 on (0, pi)^2 with p = (2, 2): the
+    flux weights are 1, so the index is the lowest Dirichlet eigenvalue of
+    the 5-point Laplacian minus f'(1.3) = e^{1/1.3} / 1.3^2."""
+    out = tmp_path / "stab-exp"
+    box = f"0,{math.pi!r},0,{math.pi!r}"
+    assert main(["stability", "--p", "2,2", "--cap", "2.0", "--box", box, "--res", "24,24",
+                 "--u", "constant:1.3", "--variant", "AsWritten", "--outdir", str(out)]) == 0
+    doc = json.loads((out / "stability_report.json").read_text())
+    h = math.pi / 24
+    gap = 2 * (2 / h ** 2) * (1 - math.cos(h)) - math.exp(1 / 1.3) / 1.3 ** 2
+    assert abs(doc["gap"] - gap) <= 1e-8 * max(1.0, abs(gap))
+    assert doc["stable"] is True
+
+
 def test_stability_nonconvergence_leaves_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "stability_index", functools.partial(stability_index, max_iter=2))
     out = tmp_path / "nc"
@@ -181,6 +196,17 @@ def test_sweep_subcommand_and_gate(tmp_path):
                     "--box=-8,8,-8,8,-8,8", "--res", "16,16,16",
                     "--u", "constant:0.5", "--outdir", str(tmp_path / "sw2")])
     assert refused == 4
+
+
+def test_sweep_without_a_violation_says_so(tmp_path, capsys):
+    out = tmp_path / "sweep-none"
+    assert main(["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8,-8,8",
+                 "--res", "8,8,8", "--u", "constant:1.0", "--radii", "1:3:3",
+                 "--cconst", "1e30", "--outdir", str(out)]) == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["sweep"]["firstViolatingR"] is None
+    assert doc["conclusion"].startswith("no violation within the swept radii; ")
+    assert capsys.readouterr().out == doc["conclusion"] + "\n"
 
 
 def test_sweep_field_from_file(tmp_path):
@@ -371,35 +397,75 @@ def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
     assert (out / "resolved_config.txt").exists()
 
 
+def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, capsys):
+    out = tmp_path / "nc-fix"
+    assert main(["solve", "--p", "3", "--box", "0,1", "--res", "16", "--nmax", "2",
+                 "--tol-fix", "1e-12", "--inner-tol", "1e-5", "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("non-convergence: certified level gap 1.214e-10 exceeds tol_fix=1e-12")
+    doc = json.loads((out / "nonconvergence.json").read_text())
+    assert doc["message"] == "certified level gap 1.214e-10 exceeds tol_fix=1e-12"
+
+
+@pytest.mark.parametrize("m, expected", [("2", True), ("0.5", False)])
+def test_uniform_bound_expectation_when_pbar_reaches_n(tmp_path, m, expected):
+    """p = (3,) has pbar = 3 >= N = 1, so a bound is expected exactly when m > 1."""
+    out = tmp_path / "solve-m"
+    assert main(["solve", "--p", "3", "--box", "0,1", "--res", "16", "--nmax", "2",
+                 "--weight-m", m, "--outdir", str(out)]) == 0
+    doc = json.loads((out / "ladder_report.json").read_text())
+    assert doc["uniformBoundExpected"] is expected
+
+
 _SOLVE = ["solve", "--p", "2,2", "--box", "0,1,0,1", "--res", "8,8"]
 _STAB = ["stability", "--p", "2,2", "--delta", "1", "--res", "8,8", "--u", "constant:1"]
 _SWEEP = ["sweep", "--p", "2,3,4", "--delta", "10", "--box=-8,8,-8,8,-8,8", "--res", "8,8,8",
           "--u", "constant:1.0"]
 
 
-@pytest.mark.parametrize("argv, config", [
-    (_SOLVE + ["--nmax", "abc"], None),
-    (_SOLVE + ["--weight", "constant:abc"], None),
-    (_SOLVE + ["--seed", "x"], None),
-    (["truncation-check", "--k", "2", "--alpha", "x"], None),
-    (_SWEEP + ["--radii", "a:2:3"], None),
-    (["thresholds", "--delta", "10"], None),
-    (_STAB, None),
-    (["solve", "--p", "2,2", "--res", "8,8"], None),
-    (_STAB + ["--box", "0,3,0,3"], "stability.variant = Bogus\n"),
-    (_SWEEP + ["--weight", "constant:nan"], None),
-    (_SWEEP[:-1] + ["constant:nan"], None),
-    (_SOLVE[:-1] + ["100000,100000"], None),
+# "{tmp}" in argv or in the expected line stands for the test's directory,
+# which holds a field saved on another grid and a file that is no snapshot
+@pytest.mark.parametrize("argv, config, expected", [
+    (_SOLVE + ["--nmax", "abc"], None, "bad solve.nmax 'abc'"),
+    (_SOLVE + ["--weight", "constant:abc"], None, "bad weight.descriptor 'constant:abc'"),
+    (_SOLVE + ["--seed", "x"], None, "bad run.seed 'x'"),
+    (["truncation-check", "--k", "2", "--alpha", "x"], None, "bad truncation.alpha 'x'"),
+    (_SWEEP + ["--radii", "a:2:3"], None, "bad sweep.radii 'a:2:3'"),
+    (["thresholds", "--delta", "10"], None, "thresholds needs exponents.p (--p)"),
+    (_STAB, None, "stability needs grid.box (--box)"),
+    (["solve", "--p", "2,2", "--res", "8,8"], None, "solve needs grid.box (--box)"),
+    (_STAB + ["--box", "0,3,0,3"], "stability.variant = Bogus\n",
+     "bad stability.variant 'Bogus'"),
+    (_SWEEP + ["--weight", "constant:nan"], None, "field constant:nan has non-finite values"),
+    (_SWEEP[:-1] + ["constant:nan"], None, "field constant:nan has non-finite values"),
+    (_SOLVE[:-1] + ["100000,100000"], None,
+     "a grid of 10000200001 nodes exceeds the limit of 16777216 nodes"),
+    (_SOLVE + ["--weight", "file:{tmp}/missing.txt"], None,
+     "cannot read field {tmp}/missing.txt: No such file or directory"),
+    (_SOLVE + ["--weight", "file:{tmp}/other-grid.txt"], None,
+     "field {tmp}/other-grid.txt lives on a different grid"),
+    (_SOLVE + ["--weight", "file:{tmp}/not-a-field.txt"], None,
+     "{tmp}/not-a-field.txt is not a field snapshot"),
+    (_SOLVE + ["--config", "{tmp}/missing.cfg"], None,
+     "cannot read config {tmp}/missing.cfg: No such file or directory"),
+    (_SOLVE, "solve.nmax 3\n", "bad config line (expected key = value): 'solve.nmax 3'"),
 ], ids=["nmax", "weight", "seed", "alpha", "radii", "no-p", "stability-no-box",
-        "solve-no-box", "variant", "nan-weight", "nan-candidate", "res-too-large"])
-def test_malformed_input_exits_2(tmp_path, capsys, argv, config):
+        "solve-no-box", "variant", "nan-weight", "nan-candidate", "res-too-large",
+        "weight-file-missing", "weight-file-other-grid", "weight-file-not-a-field",
+        "config-missing", "config-line-without-equals"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, config, expected):
+    save_field(_ONES, tmp_path / "other-grid.txt")
+    (tmp_path / "not-a-field.txt").write_text("1.0\n2.0\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
     assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error:")
+    expected = "validation error: " + expected.replace("{tmp}", str(tmp_path))
+    assert len(err) == 1 and err[0].startswith(expected)
 
 
 _TRUNCATION = ["truncation-check", "--k", "2", "--alpha", "4"]
@@ -683,18 +749,6 @@ def test_argparse_exits_are_returned(capsys):
     assert "--variant" in capsys.readouterr().out
 
 
-def test_hypothesis_violated_exit_code(tmp_path, capsys, monkeypatch):
-    def violated(spec):
-        raise HypothesisViolatedError("no beta with all decay exponents negative")
-
-    monkeypatch.setattr(cli, "region_memberships", violated)
-    code = main(["thresholds", "--p", "2.5,2.5,3", "--delta", "3",
-                 "--outdir", str(tmp_path / "out")])
-    assert code == 4
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "no beta" in err[0]
-
-
 # resolved_config.txt as written for a solve run before the key table
 _LEGACY_SOLVE_CONFIG = """\
 exponents.p = 2,3
@@ -781,9 +835,22 @@ def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate
     (_TRUNCATION + ["--p", "1,1"], "validation error: every p_i must be >= 2"),
     (_TRUNCATION + ["--p", "0.5"], "validation error: every p_i must be >= 2"),
     (_TRUNCATION + ["--p", "3,2"], "validation error: p must be sorted ascending"),
+    (_STAB[:-1] + ["constant:0", "--box", "0,3,0,3"],
+     "validation error: potential W*f'(u) is not finite on the interior"),
+    (_SWEEP[:-1] + ["constant:0", "--radii", "1:3:3"],
+     "validation error: u must be positive where the cutoff lives"),
+    (_SWEEP + ["--radii", "1:5:3"],
+     "validation error: 2 * max radius = 10.0 around (0.0, 0.0, 0.0) does not fit the box"),
+    (["solve", "--p", "2,2", "--box", "0,1,0", "--res", "8,8"],
+     "validation error: bad grid.box '0,1,0': box needs an even number of entries"),
+    (_SWEEP + ["--radii", "1:3"],
+     "validation error: bad sweep.radii '1:3': radii range must be lo:hi:count"),
+    (_SOLVE + ["--weight", "gauss:1"], "validation error: bad weight.descriptor 'gauss:1': "
+     "expected constant:... | power:... | file:..."),
 ], ids=["solve-seed-negative", "stability-seed-negative", "stability-p-dim",
         "sweep-p-dim", "thresholds-p-huge", "thresholds-cap-tiny", "truncation-p-below-2",
-        "truncation-p-half", "truncation-p-unsorted"])
+        "truncation-p-half", "truncation-p-unsorted", "stability-u-zero", "sweep-u-zero",
+        "sweep-balls-leave-the-box", "box-odd-count", "radii-two-parts", "weight-unknown-kind"])
 def test_out_of_domain_inputs_exit_2_not_in_a_traceback(tmp_path, capsys, argv, expected):
     assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -7,12 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from anisolab.errors import (
-    HypothesisNotApplicableError,
-    OutOfWindowError,
-    UndefinedExponentError,
-    ValidationError,
-)
+from anisolab.errors import HypothesisNotApplicableError, ValidationError
 from anisolab.exponents import (
     ApplicableTheorem,
     ExponentData,
@@ -131,7 +126,7 @@ def test_problem_kinds_refuse_infinite_parameters():
 
 def test_sobolev_exponent_examples():
     assert sobolev_exponent(ExponentData.from_p([2, 2, 2])) == pytest.approx(6.0, abs=TOL)
-    with pytest.raises(UndefinedExponentError):
+    with pytest.raises(ValidationError, match=r"pbar = 3\.0 is not below N = 2"):
         sobolev_exponent(ExponentData.from_p([3, 3]))  # pbar = 3 >= N = 2
 
 
@@ -386,7 +381,7 @@ def test_theta_symmetric_case():
 def test_theta_out_of_window():
     e = ExponentData.from_p([2, 3, 4])
     spec = ProblemSpec(kind=MixedPower(10, 10), exponents=e)
-    with pytest.raises(OutOfWindowError):
+    with pytest.raises(ValidationError, match=r"beta = 0\.5 must be finite and exceed l1"):
         theta_exponents(0.5, spec, 0)  # beta = l1 exactly
 
 
@@ -591,7 +586,7 @@ def test_selected_beta_lies_in_the_exact_window_near_region_ends(p, exponential,
                                                                  gamma_extra, ulps):
     """A certified point near a region end selects a beta strictly inside
     its exact window (max(l1, beta_0), upper), or refuses a window that
-    holds no float; HypothesisViolatedError never escapes."""
+    holds no float; no other exception escapes."""
     spec = near_region_end_spec(p, exponential, gamma_extra, ulps)
     try:
         rep = region_memberships(spec)

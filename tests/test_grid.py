@@ -10,7 +10,7 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
-from anisolab.errors import GeometryError, ValidationError
+from anisolab.errors import ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.grid import (
     _WRITE_VALUES,
@@ -236,7 +236,7 @@ def test_cutoff_r_independence():
 
 def test_cutoff_geometry_error():
     g = Grid(box=((0.0, 1.0),), res=(32,))
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValidationError, match=r"ball of radius 2R = 0\.6 .* leaves the box"):
         make_cutoff(CutoffSpec(R=0.3, center=(0.5,)), g)  # 2R = 0.6 > distance to edge
 
 
