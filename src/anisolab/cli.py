@@ -294,9 +294,7 @@ def _run_stability(v: dict, outdir: Path) -> int:
     u = _build_field(v["stability.u"], grid)
     g = _build_field(v["weight.descriptor"], grid)
     nl = NonlinearityEval.from_problem(spec)
-    report = stability_index(
-        u, nl, g, spec.exponents.p, variant=v["stability.variant"], seed=v["run.seed"]
-    )
+    report = stability_index(u, nl, g, spec.exponents.p, variant=v["stability.variant"])
     _write_json(report.to_dict(), outdir / "stability_report.json")
     save_field(report.minimizer, outdir / "minimizer.txt")
     print(f"stability index = {report.gap:.9g} ({'stable' if report.stable else 'unstable'})")
@@ -359,7 +357,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
     "stability": Subcommand(
         _run_stability, "spectral stability index of a candidate",
         {**_PROBLEM, **_GRID, "stability.u": REQUIRED, "stability.variant": "WeightedByG",
-         "run.outdir": "stability-out", "run.seed": "0"},
+         "run.outdir": "stability-out"},
     ),
     "sweep": Subcommand(
         _run_sweep, "radius-sweep nonexistence certificate",

@@ -60,7 +60,6 @@ from .grid import (
     stiffness,
     weak_form_gap,
 )
-from .solver import seeded_rng
 from .truncations import TruncationPair, b_eval
 
 
@@ -223,10 +222,11 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
     """The lowest eigenvector of the positive definite `shifted` by ARPACK's
     shift-invert Lanczos at 0 (Ericsson & Ruhe, Math. Comp. 35, 1980) on
     one SuperLU factor, at most `max_iter` factor solves, started from
-    `v0`.  Returns the vector, the solve count and None; on a failure
-    (the budget, a singular factor, a non-finite solve, an ARPACK error)
-    the last finite solve output or `v0`, the count and the reason.  The
-    factor goes when this returns."""
+    `v0` (ARPACK's restart vectors, drawn once its Krylov space turns
+    invariant, come from a fixed generator).  Returns the vector, the
+    solve count and None; on a failure (the budget, a singular factor, a
+    non-finite solve, an ARPACK error) the last finite solve output or
+    `v0`, the count and the reason.  The factor goes when this returns."""
     n = v0.size
     x, solves = v0, 0
 
@@ -249,7 +249,7 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
     try:
         _, vecs = spla.eigsh(
             shifted, k=1, sigma=0.0, which="LM", v0=v0,
-            OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
+            OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float), rng=0,
         )
     except NonConvergenceError as exc:  # raised by `solve` to end the run
         return x, solves, str(exc)
@@ -265,7 +265,6 @@ def stability_index(
     p,
     variant: StabilityVariant = StabilityVariant.WEIGHTED_BY_G,
     max_iter: int = 1000,
-    seed: int = 0,
 ) -> StabilityReport:
     """Smallest mass-normalized eigenvalue of the gap form over discrete test
     functions; the candidate is numerically stable iff the index is >= 0.
@@ -276,7 +275,11 @@ def stability_index(
     |D_i u|^{p_i-2}.  The shift -max(0, max W f'(u)) - 1 puts the spectrum
     of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
     (diagonal -W f'(u) - shift), and its lowest eigenpair is computed from
-    a start vector seeded by `seed`:
+    the lowest discrete Dirichlet sine mode prod_i sin(pi k_i / res_i),
+    k_i = 1..res_i - 1, the ground state of the DST preconditioner.
+    P - shift*I has no positive off-diagonal entry (w_i >= 0), so by
+    Perron-Frobenius its lowest eigenspace holds a nonnegative vector, and
+    the strictly positive start is never deficient in that direction:
 
     * on 1D and 2D grids of at least five interior nodes, by shift-invert
       Lanczos (ARPACK's `eigsh` at sigma 0) on one sparse SuperLU factor
@@ -305,8 +308,9 @@ def stability_index(
 
     The lowest eigenvalue may be multiple (a candidate constant along an
     axis with p_i > 2 has zero flux weights there, so its lines decouple).
-    The minimizer is then one vector of that eigenspace and may change
-    with `seed`; the index does not.
+    The minimizer is then one vector of that eigenspace, the same in every
+    run: ARPACK draws the vectors it restarts from, once its Krylov space
+    turns invariant, from a fixed generator.
     """
     import scipy.linalg
     import scipy.sparse.linalg as spla
@@ -314,7 +318,6 @@ def stability_index(
     grid.check_dim(p)
     if not max_iter >= 1:
         raise ValidationError(f"the stability index needs an iteration cap >= 1, got {max_iter}")
-    rng = seeded_rng(seed)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pot_full = np.asarray(nl.fprime(u.values), dtype=float)
         if variant is StabilityVariant.WEIGHTED_BY_G:
@@ -331,9 +334,10 @@ def stability_index(
     # the shifted pencil P - shift*I and its DST preconditioner
     shifted, precond = stiffness(grid, weights, -pot - shift)
     n = pot.size
-    x0 = rng.standard_normal((n, 1))
+    # the lowest Dirichlet sine mode, positive on the interior
+    x0 = math.prod(np.ix_(*(np.sin(np.pi * np.arange(1, r) / r) for r in grid.res))).ravel()
     if grid.dim <= 2 and n >= 5:
-        x, iterations, failure = _shift_invert_lowest(spla, shifted, x0[:, 0], max_iter)
+        x, iterations, failure = _shift_invert_lowest(spla, shifted, x0, max_iter)
         solver, counted = "shift-invert Lanczos", "solves"
     else:
         iterations, failure = 0, None
@@ -348,9 +352,8 @@ def stability_index(
             # non-convergence and the small-grid dense fallback are judged below
             warnings.simplefilter("ignore", UserWarning)
             # LOBPCG runs maxiter + 1 preconditioned iterations
-            _, vecs = spla.lobpcg(
-                shifted, x0, M=precondition, tol=bound, maxiter=max_iter - 1, largest=False
-            )
+            _, vecs = spla.lobpcg(shifted, x0[:, None], M=precondition, tol=bound,
+                                  maxiter=max_iter - 1, largest=False)
         x = vecs[:, 0]
     x = x / np.linalg.norm(x)
     px = shifted @ x + shift * x
