@@ -146,10 +146,10 @@ def weak_residual(
 
         sum_i int |D_i u|^{p_i-2} D_i u * D_i phi  -  int g f(u) phi
 
-    `phi` must vanish on the boundary ring and u must be positive on its
-    support (the nonlinearity is singular at zero).
+    `phi` must vanish on the boundary ring (`weak_form_gap` refuses it
+    otherwise) and u must be positive on its support (the nonlinearity is
+    singular at zero).
     """
-    _require_compact_support(phi)
     support = phi.values != 0
     _require_positive_on_support(u, support)
     rhs_vals = np.zeros(u.grid.shape)

@@ -741,10 +741,19 @@ def test_stability_certifies_a_shift_near_the_float_limit(tmp_path, capsys, res)
      "--u", "constant:1.0"],
     ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "8,2", "--nmax", "2"],
     ["solve", "--p", "2,2,3", "--box", "0,1,0,1,0,1", "--res", "6,6,2", "--nmax", "2"],
-], ids=["stability-2d", "stability-3d", "stability-3d-one-node", "solve-2d", "solve-3d"])
+    ["solve", "--p", "2", "--box", "0,1", "--res", "2", "--nmax", "2"],
+    ["solve", "--p", "3", "--box", "0,1", "--res", "2", "--nmax", "2"],
+], ids=["stability-2d", "stability-3d", "stability-3d-one-node", "solve-2d", "solve-3d",
+        "solve-1d-one-node-p2", "solve-1d-one-node-p3"])
 def test_grids_with_one_interior_node_along_an_axis_run(tmp_path, argv):
-    # two axes shared a DIA offset in `grid.stiffness`: a traceback, exit 1
+    # two axes shared a DIA offset in `grid.stiffness`, and LAPACK's banded
+    # solve refused the 1x1 1D Newton system: a traceback, exit 1
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    if argv[0] == "solve":
+        doc = json.loads((tmp_path / "ladder_report.json").read_text())
+        tol_fix = 1e-8  # the default
+        assert len(doc["levels"]) == 2
+        assert all(lv["residual"] <= tol_fix for lv in doc["levels"])
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

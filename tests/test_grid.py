@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-import scipy.linalg
 import scipy.sparse as sp
 
 from anisolab.errors import ValidationError
@@ -38,7 +37,7 @@ from anisolab.grid import (
     stiffness_band,
     weighted_integrate,
 )
-from anisolab.solver import inner_energy
+from anisolab.solver import _newton_direction, inner_energy
 
 
 def rand_zero_boundary(grid, rng):
@@ -280,6 +279,7 @@ def kron_difference_matrix(grid, axis):
     "box, res",
     [
         (((0.0, 1.0),), (9,)),
+        (((0.0, 1.0),), (2,)),
         (((0.0, 1.0), (0.0, 2.5)), (8, 6)),
         (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (5, 7, 4)),
         # an axis of one interior node has no links, whose DIA offsets
@@ -288,7 +288,8 @@ def kron_difference_matrix(grid, axis):
         (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (5, 2, 4)),
         (((-1.0, 1.0), (0.0, 0.5), (0.0, 3.0)), (2, 2, 2)),
     ],
-    ids=["1d", "2d", "3d", "2d-one-node-axis", "3d-one-node-axis", "3d-one-node"],
+    ids=["1d", "1d-one-node", "2d", "3d", "2d-one-node-axis", "3d-one-node-axis",
+         "3d-one-node"],
 )
 def test_stiffness_matches_kronecker_assembly(box, res):
     rng = np.random.default_rng(11)
@@ -312,7 +313,11 @@ def test_stiffness_matches_kronecker_assembly(box, res):
     assert np.array_equal(got, got.T)
     b = rng.standard_normal(want.shape[0])
     if g.dim == 1:
-        x = scipy.linalg.solveh_banded(stiffness_band(g, weights, diag), b)
+        band = stiffness_band(g, weights, diag)
+        assert np.array_equal(band[1], np.diag(got))
+        assert np.array_equal(band[0, 1:], np.diag(got, 1))
+        # LAPACK's banded solve refuses one node: the Newton step solves it
+        x = _newton_direction(g, weights, b, diag)[0]
         assert np.allclose(want @ x, b, rtol=0.0, atol=1e-10)
     # with constant weights and diagonal the DST preconditioner is the inverse
     const = [np.full(w.shape, c) for w, c in zip(weights, (1.0, 2.0, 3.0))]

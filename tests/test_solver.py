@@ -19,10 +19,12 @@ from anisolab.grid import (
     GridField,
     axis_diff,
     dst_solver,
+    face_integral,
     level_set_measure,
     p_laplacian_apply,
     stiffness,
     weak_form_gap,
+    weighted_integrate,
 )
 from anisolab.solver import (
     RegularizationLevel,
@@ -616,12 +618,6 @@ def test_run_ladder_validation():
         WeightSpec(g=GridField.constant(g, float("nan")))
 
 
-def test_weight_spec_mass_flag():
-    g = grid1d(16)
-    assert WeightSpec(g=GridField.constant(g, 1.0)).positive_mass
-    assert not WeightSpec(g=GridField.zeros(g)).positive_mass
-
-
 # --- level-set machinery -----------------------------------------------------------
 
 def test_stampacchia_closed_form():
@@ -665,8 +661,9 @@ def test_level_set_decay_fit_on_ladder_field():
     ((2.0, 2.0, 3.0), (8, 8, 8), "constant"),
 ])
 def test_run_ladder_battery_equals_weak_form_gap(p, res, weight):
-    # the battery evaluates `weak_form_gap` from shared parts; it must give
-    # the same floats as calling it per bump and right-hand side
+    # the battery sums each equation's nodal residual by parts against every
+    # bump, as `weak_form_gap` does; it must give the same floats as calling
+    # it per bump and right-hand side
     g = Grid(box=((0.0, 1.0),) * len(p), res=res)
     if weight == "power":
         vals = np.maximum(g.node_distances(), 0.5 * min(g.h)) ** -1.2
@@ -690,3 +687,68 @@ def test_run_ladder_battery_equals_weak_form_gap(p, res, weight):
     assert rep.weak_residual_level_max == float(np.max(gaps_level))
     assert rep.weak_residual_limit_max == float(np.max(gaps_limit))
     assert rep.weak_residual_limit_max > 0.0
+
+
+def face_weak_form_gap(u, phi, rhs, p):
+    """The discrete weak form by its per-axis face integrals (test-local
+    reference, independent of the summation by parts):
+
+        sum_i face_integral(|D_i u|^(p_i-2) D_i u * D_i phi) - int rhs * phi
+    """
+    lhs = 0.0
+    for axis, p_i in enumerate(p):
+        du = axis_diff(u, axis)
+        lhs += face_integral(np.abs(du) ** (p_i - 2.0) * du * axis_diff(phi, axis), u.grid, axis)
+    return lhs - weighted_integrate(rhs, phi)
+
+
+def power_weight(g):
+    return GridField(g, np.maximum(g.node_distances(), 0.5 * min(g.h)) ** -1.2)
+
+
+_SBP_CASES = pytest.mark.parametrize("p, res", [
+    ((3.0,), (40,)),
+    ((2.0, 3.0), (16, 12)),
+    ((2.0, 3.0, 4.0), (8, 9, 10)),
+], ids=["1d", "2d", "3d"])
+
+
+@_SBP_CASES
+def test_weak_form_gap_equals_face_integral_reference(p, res):
+    # for a phi vanishing on the boundary ring, summation by parts makes the
+    # node sum of (Op(u) - rhs) phi the face-integral weak form
+    g = Grid(box=tuple((0.0, 1.0 + 0.5 * axis) for axis in range(len(p))), res=res)
+    rng = np.random.default_rng(5)
+    u = GridField(g, 1.0 + rng.uniform(0.0, 0.5, g.shape))
+    weight = power_weight(g)
+    rhs = weight.like(weight.values * np.exp(1.0 / u.values))
+    signed = rand_zero_boundary(g, rng)
+    for phi in [random_bump(g, rng) for _ in range(4)] + [signed]:
+        ref = face_weak_form_gap(u, phi, rhs, p)
+        assert weak_form_gap(u, phi, rhs, p) == pytest.approx(ref, rel=1e-12)
+    # the identity needs phi = 0 on the boundary ring: one node off it is refused
+    bad = signed.values.copy()
+    bad[(0,) * g.dim] = 1e-3
+    with pytest.raises(ValidationError, match="vanish on the boundary ring"):
+        weak_form_gap(u, signed.like(bad), rhs, p)
+
+
+@_SBP_CASES
+def test_run_ladder_battery_equals_face_integral_reference(p, res):
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    w = WeightSpec(g=power_weight(g))
+    e = ExponentData.from_p(p)
+    n_max, seed = 2, 7
+    rep = run_ladder(n_max, w, e, seed=seed)
+    u = rep.final_field
+    rhs_level = RegularizationLevel.from_weight(n_max, w).rhs(u)
+    # u = 0 on the boundary ring, where every bump vanishes: any finite value
+    # stands in for g e^{1/u} there
+    rhs_limit = w.g.like(w.g.values * np.exp(1.0 / np.where(u.values > 0, u.values, 1.0)))
+    rng = np.random.default_rng(seed)
+    bumps = [random_bump(g, rng) for _ in range(20)]
+    ref_level = max(abs(face_weak_form_gap(u, phi, rhs_level, p)) for phi in bumps)
+    ref_limit = max(abs(face_weak_form_gap(u, phi, rhs_limit, p)) for phi in bumps)
+    assert abs(rep.weak_residual_level_max - ref_level) <= 1e-12 * (1.0 + ref_level)
+    assert abs(rep.weak_residual_limit_max - ref_limit) <= 1e-12 * (1.0 + ref_limit)
+    assert ref_limit > 0.0
