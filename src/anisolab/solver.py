@@ -9,20 +9,22 @@ The inner problem minimizes the strictly convex energy
 over zero-boundary fields.  The level-n problem Op(u) = g_n exp(1/(u^+ + 1/n))
 is the Euler-Lagrange equation of the same energy with a convex nonlinear
 source.  Both are minimized by one damped Newton-Krylov routine
-(`_newton_krylov`): its step solves the floored Newton system to the
-relative residual eta = min(1e-2, max(sup|F|, tol/(2 ||F||_2))) of the
-gradient F (superlinear, without oversolving the last step), and it
-backtracks on ||F||_2 (the inexact-Newton test of Eisenstat & Walker
-1994).  The gradient is `grid.p_flux`; each Newton system is assembled
-from its stencil by `grid.stiffness` and solved without factorizations:
-the type-I discrete sine transform diagonalizes the zero-Dirichlet
-stiffness sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it
-preconditions conjugate gradients on the assembled matrix in 2D and 3D
-(exactly, in one iteration, when all p_i = 2), scaled on both sides by
-the square root of its diagonal ratio to the Jacobian's; in 1D the
-tridiagonal Jacobian is solved exactly as a band.  The transform is a
-dense sine-matrix product on axes of at most 96 interior nodes and
-pocketfft on longer ones (`grid.dst_solver`), an exact inverse either way.
+(`_newton_krylov`), which fills one record per solve, the caller's `info`:
+its step solves the floored Newton system to the relative residual
+eta = min(1e-2, max(sup|F|, tol/(2 ||F||_2))) of the gradient F
+(superlinear, without oversolving the last step), and it backtracks on
+||F||_2 (the inexact-Newton test of Eisenstat & Walker 1994).  The
+gradient is `grid.p_flux`; each Newton system is assembled from its
+stencil by `grid.stiffness` and solved without factorizations: the type-I
+discrete sine transform diagonalizes the zero-Dirichlet stiffness
+sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it preconditions
+conjugate gradients on the assembled matrix in 2D and 3D (exactly, in one
+iteration, when all p_i = 2), scaled on both sides by the square root of
+its diagonal ratio to the Jacobian's; in 1D the tridiagonal Jacobian is
+solved exactly as a band.  The transform is a dense sine-matrix product on
+axes of at most 96 interior nodes and pocketfft on longer ones
+(`grid.dst_solver`), an exact inverse either way.  A gradient tolerance
+below the smallest normal float is refused (`_tolerance`).
 
 Each level solution u is certified to lie within tol_fix of A(u), the
 fixed-point map of the paper (`apply_A`: one inner solve with right-hand
@@ -35,6 +37,7 @@ interior minima, and sup norms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,29 +187,28 @@ def _nonconvergence(message: str, residual: float, record: dict) -> NonConvergen
     )
 
 
-def _default_tol(p) -> float:
-    """Default gradient tolerance of a Newton-Krylov solve: 1e-10 when all
-    p_i = 2, else 1e-8."""
-    return 1e-10 if all(p_i == 2.0 for p_i in p) else 1e-8
-
-
-def _tolerance(name: str, tol: float) -> float:
-    """`tol`, unless it is not finite and > 0 (a NaN passes every `gap > tol` test)."""
+def _tolerance(name: str, tol: float | None, p) -> float:
+    """The Newton tolerance `tol`, or when None its default for exponents p:
+    1e-10 when all p_i = 2, else 1e-8.  A `tol` that is not finite and > 0
+    (a NaN passes every `gap > tol` test), or that is subnormal, is refused."""
+    if tol is None:
+        return 1e-10 if all(p_i == 2.0 for p_i in p) else 1e-8
     if not 0 < tol < math.inf:
         raise ValidationError(f"{name} must be finite and > 0, got {tol}")
+    if tol < sys.float_info.min:
+        raise ValidationError(f"{name} = {tol} is below the smallest normal float "
+                              f"{sys.float_info.min}: a subnormal tolerance has lost precision")
     return tol
 
 
-def _gradient(grid: Grid, p, x, g) -> tuple[np.ndarray, float, list]:
-    """Op(x) - g on interior vectors, the stored energy
-    sum_i (1/p_i) sum |D_i x|^{p_i}, and the face differences D_i x."""
-    op, diffs, fluxes = p_flux(embed_interior(grid, x).values, grid, p)
-    stored = sum(float(np.vdot(fl, d)) / p_i for fl, d, p_i in zip(fluxes, diffs, p))
-    return op.ravel() - g, stored, diffs
+def _gradient(grid: Grid, p, x, g) -> tuple[np.ndarray, list]:
+    """Op(x) - g on interior vectors, and the face differences D_i x."""
+    op, diffs, _ = p_flux(embed_interior(grid, x).values, grid, p)
+    return op.ravel() - g, diffs
 
 
-def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
-                   what: str, energy=None) -> tuple[np.ndarray, dict]:
+def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps: int,
+                   what: str, record: dict, energy=None) -> np.ndarray:
     """Minimize sum_i (1/p_i) |K_i x|^{p_i} - G(x) over interior vectors x,
     for a convex G given by `source(x) = (G'(x), -G''(x))`: the gradient of
     G and its nonnegative curvature diagonal (None when G is linear).
@@ -223,43 +225,43 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
     step t of the direction d is accepted once
     ||F(x + t d)||_2 <= (1 - 1e-4 t (1 - eta)) ||F(x)||_2, the inexact-Newton
     backtracking test of Eisenstat & Walker (1994).  The loop stops when
-    sup|F| <= tol (default 1e-10 for all p_i = 2, 1e-8 otherwise).
+    sup|F| <= tol, a tolerance `_tolerance` has resolved.
 
-    Returns x and a record of the gradient sup norm `residuals` at each
-    check, the step lengths `steps`, the CG `linear_iterations` per step (0
-    in 1D) and, when `energy(x) = G(x)` is given, the `energies` at each
-    check.  A failed line search, or more than `max_steps` steps, raises a
-    NonConvergenceError that names the solve by `what`.  A `tol` that is
-    not finite and > 0, or a `max_steps` below 1, is a ValidationError.
+    Returns x; `record` receives, as the solve goes, the gradient sup norm
+    `residuals` at each check, their number `iterations`, the `steps`, the
+    CG `linear_iterations` per step (0 in 1D) and, when `energy` is given,
+    the `energies` energy(x) at each check.  A failed line search, or more
+    than `max_steps` steps, raises a NonConvergenceError that names the
+    solve by `what`.  A `max_steps` below 1 is a ValidationError.
     """
     grid.check_dim(e.p)
     p = e.p
-    all_two = all(p_i == 2.0 for p_i in p)
-    tol = _default_tol(p) if tol is None else _tolerance(f"the {what} tolerance", tol)
     if not max_steps >= 1:
         raise ValidationError(f"the {what} needs a Newton-step cap >= 1, got {max_steps}")
 
     def evaluate(x):
-        """F(x), the diagonal -G''(x), the energy and the differences D_i x."""
+        """F(x), the differences D_i x and the diagonal -G''(x)."""
         g, diag = source(x)
-        f, stored, diffs = _gradient(grid, p, x, g)
-        return f, diag, None if energy is None else stored - energy(x), diffs
+        return (*_gradient(grid, p, x, g), diag)
 
     if x is None:
         b = source(np.zeros(math.prod(grid.interior_shape())))[0]
-        linear = all_two or not np.any(b)
+        linear = all(p_i == 2.0 for p_i in p) or not np.any(b)
         x = np.zeros(b.size) if linear else dst_solver(grid, [1.0] * grid.dim)(b)
 
-    record = {"residuals": [], "steps": [], "linear_iterations": [], "energies": []}
-    f, diag, fx, diffs = evaluate(x)
+    record.update(residuals=[], steps=[], linear_iterations=[])
+    if energy is not None:
+        record["energies"] = []
+    f, diffs, diag = evaluate(x)
     norm = float(np.linalg.norm(f))
     while True:
         res = float(np.max(np.abs(f)))
         record["residuals"].append(res)
+        record["iterations"] = len(record["residuals"])
         if energy is not None:
-            record["energies"].append(fx)
+            record["energies"].append(energy(x))
         if res <= tol:
-            return x, record
+            return x
         if len(record["steps"]) >= max_steps:
             raise _nonconvergence(
                 f"{what} did not reach tol={tol} in {max_steps} Newton steps", res, record
@@ -270,7 +272,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
         t = 1.0
         while t >= 1e-14:
             x_new = x + t * d
-            f_new, diag_new, fx_new, diffs_new = evaluate(x_new)
+            f_new, diffs_new, diag_new = evaluate(x_new)
             norm_new = float(np.linalg.norm(f_new))
             if norm_new <= (1.0 - 1e-4 * t * (1.0 - eta)) * norm:
                 break
@@ -278,7 +280,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol, max_steps: int,
         else:
             raise _nonconvergence(f"line search failed in the {what}", res, record)
         record["steps"].append(t)
-        x, f, diag, fx, diffs, norm = x_new, f_new, diag_new, fx_new, diffs_new, norm_new
+        x, f, diag, diffs, norm = x_new, f_new, diag_new, diffs_new, norm_new
 
 
 def solve_inner(
@@ -298,25 +300,19 @@ def solve_inner(
     most `max_iter` Newton steps.  For all p_i = 2 the DST preconditioner is
     the exact inverse, so CG takes one iteration per step in 2D and 3D.
 
-    `info`, when given, receives the `energies` and gradient `residuals` at
-    each residual check, the number of `iterations` (residual checks), and
-    `linear_iterations`: CG iterations per Newton step, 0 in 1D.  The line
-    search watches the gradient norm; the energies are recorded to be
-    inspected.  A NonConvergenceError carries the last residuals and step
-    lengths in its diagnostics.
+    `info`, when given, receives the solve's record (`_newton_krylov`):
+    `residuals`, `iterations`, `steps`, `linear_iterations`, and as
+    `energies` the `inner_energy` of each checked iterate, evaluated only
+    then.  A failed solve leaves its partial record there.
     """
     grid = rhs.grid
+    tol = _tolerance("the inner solve tolerance", tol, e.p)
     rhs_int = extract_interior(rhs)
-    x, record = _newton_krylov(
+    x = _newton_krylov(
         grid, e, None if x0 is None else extract_interior(x0),
-        lambda x: (rhs_int, None), tol, max_iter, "inner solve",
-        energy=lambda x: float(rhs_int @ x),
+        lambda x: (rhs_int, None), tol, max_iter, "inner solve", {} if info is None else info,
+        energy=None if info is None else lambda x: inner_energy(embed_interior(grid, x), rhs, e),
     )
-    if info is not None:
-        info["energies"] = record["energies"]
-        info["residuals"] = record["residuals"]
-        info["iterations"] = len(record["residuals"])
-        info["linear_iterations"] = record["linear_iterations"]
     return embed_interior(grid, x)
 
 
@@ -381,34 +377,36 @@ def solve_level(
     - Otherwise A(u) is solved cold (from the linear start, not from u) and
       the gap is measured.
 
-    The gap must be <= tol_fix.  `info`, when given, receives it as
-    `residual`, the `certificate` used ("bound" or "solve"), the number of
-    `iterations` (gradient residual checks), the gradient sup norms
-    `residuals`, and `linear_iterations`: CG iterations per Newton step, 0
-    in 1D.  A NonConvergenceError carries the last residuals and step
-    lengths in its diagnostics: those of the level solve, or of the
-    certificate's inner solve when that one fails.  A tol_fix or inner_tol
-    that is not finite and > 0 is a ValidationError.
+    The gap must be <= tol_fix.  `info`, when given, receives the level
+    solve's record (`_newton_krylov`, without `energies`), then the gap as
+    `residual` and the `certificate` used ("bound" or "solve").  A
+    NonConvergenceError carries the last residuals and step lengths in its
+    diagnostics: those of the level solve, or of the certificate's inner
+    solve when that one fails.  A tol_fix, inner_tol or 8 tol_fix / L_k^2
+    that `_tolerance` refuses is a ValidationError.
     """
     grid = level.g_n.grid
     g_n = extract_interior(level.g_n)
     s = level.shift
-    # sup of the discrete torsion v of the shortest p_k = 2 axis, if any
-    lengths = [hi - lo for (lo, hi), p_k in zip(grid.box, e.p) if p_k == 2.0]
-    v_sup = min(lengths) ** 2 / 8.0 if lengths else None
-    _tolerance("tol_fix", tol_fix)
-    tol = _default_tol(e.p) if inner_tol is None else _tolerance("inner_tol", inner_tol)
+    _tolerance("tol_fix", tol_fix, e.p)
+    tol = _tolerance("inner_tol", inner_tol, e.p)
+    # sup of the discrete torsion v of the shortest p_k = 2 axis, if any (a
+    # product, which overflows to inf where a power raises)
+    side = min((hi - lo for (lo, hi), p_k in zip(grid.box, e.p) if p_k == 2.0), default=None)
+    v_sup = None if side is None else side * side / 8.0
     if v_sup is not None:
-        tol = min(tol, tol_fix / v_sup)
+        tol = _tolerance(f"8 tol_fix / L^2 (tol_fix = {tol_fix}, p = 2 box side L = {side})",
+                         min(tol, tol_fix / v_sup), e.p)
 
     def source(x):
         shifted = np.maximum(x, 0.0) + s
         g = g_n * np.exp(1.0 / shifted)
         return g, np.where(x > 0.0, g / shifted ** 2, 0.0)
 
-    x, record = _newton_krylov(
+    record = {} if info is None else info
+    x = _newton_krylov(
         grid, e, None if u0 is None else extract_interior(u0),
-        source, tol, max_outer, "level solve",
+        source, tol, max_outer, "level solve", record,
     )
     u = embed_interior(grid, x)
     if v_sup is not None:
@@ -421,12 +419,7 @@ def solve_level(
         raise _nonconvergence(
             f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap, record
         )
-    if info is not None:
-        info["residual"] = gap
-        info["certificate"] = certificate
-        info["iterations"] = len(record["residuals"])
-        info["residuals"] = record["residuals"]
-        info["linear_iterations"] = record["linear_iterations"]
+    record.update(residual=gap, certificate=certificate)
     return u
 
 

@@ -1,21 +1,27 @@
 """End-to-end subcommand runs: outputs, exit codes, reproducibility."""
 
+import contextlib
 import functools
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anisolab
 from anisolab import cli
+from anisolab import solver as solver_module
 from anisolab import grid as grid_module
 from anisolab import truncations
 from anisolab.cli import main
@@ -632,6 +638,13 @@ _DOMAINS = {
     "inner_tol": ("(inner_tol|the inner solve tolerance) must be finite and > 0",
                   [lambda v: _ladder(inner_tol=v), lambda v: solve_inner(_ONES, _E23, tol=v)],
                   [lambda t: _SOLVE_SMALL + [f"--inner-tol={t}"]], _NON_POSITIVE),
+    "tolerance floor": ("(tol_fix|inner_tol|the inner solve tolerance) = [^ ]+ is below the "
+                        "smallest normal float",
+                        [lambda v: _ladder(tol_fix=v), lambda v: _ladder(inner_tol=v),
+                         lambda v: solve_inner(_ONES, _E23, tol=v)],
+                        [lambda t: _SOLVE_SMALL + [f"--tol-fix={t}"],
+                         lambda t: _SOLVE_SMALL + [f"--inner-tol={t}"]],
+                        (1e-320, 5e-324, sys.float_info.min / 2)),
     "max_outer": ("needs a Newton-step cap >= 1",
                   [lambda v: _ladder(max_outer=v), lambda v: solve_inner(_ONES, _E23, max_iter=v)],
                   [lambda t: _SOLVE_SMALL + [f"--max-outer={t}"]], (0, -1)),
@@ -682,6 +695,63 @@ def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, capsys, dom
             assert len(err) == 1 and err[0].startswith("validation error:"), err
             assert re.search(message, err[0]), err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# a subnormal tolerance, given or derived as 8 tol_fix / L^2, ran 200 Newton
+# steps and exited 3 at a residual of about 4e-15
+@pytest.mark.parametrize("argv, expected", [
+    (_SOLVE_SMALL + ["--tol-fix", "1e-320"], "tol_fix = 1e-320 is below the smallest normal float"),
+    (_SOLVE_SMALL + ["--inner-tol", "1e-320"], "inner_tol = 1e-320 is below the smallest normal float"),
+    (["solve", "--p", "2,3", "--box", "0,1e5,0,1e5", "--res", "4,4", "--nmax", "2",
+      "--tol-fix", "1e-300"], "8 tol_fix / L^2 (tol_fix = 1e-300, p = 2 box side L = 100000.0)"),
+], ids=["tol-fix", "inner-tol", "derived"])
+def test_subnormal_tolerance_exits_2_before_any_newton_step(tmp_path, capsys, monkeypatch,
+                                                            argv, expected):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Newton step ran")
+
+    monkeypatch.setattr(solver_module, "_newton_direction", refuse)
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"validation error: {expected}"), err
+    assert not (tmp_path / "out" / "nonconvergence.json").exists()
+
+
+_TOLERANCES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, 1e-320, sys.float_info.min, 1e-300, 1e-12, 1e-8, 4.0, 1e300]),
+)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(
+    p=st.sampled_from([(3,), (2, 3)]),
+    res=st.lists(st.integers(2, 8), min_size=2, max_size=2),
+    tol_fix=_TOLERANCES,
+    inner_tol=st.none() | _TOLERANCES,
+    max_outer=st.integers(-1, 20),
+    nmax=st.integers(-1, 4),
+)
+def test_solve_tolerance_and_step_keys_end_in_a_documented_exit(p, res, tol_fix, inner_tol,
+                                                                max_outer, nmax):
+    dim = len(p)
+    argv = ["solve", "--p", ",".join(map(str, p)), "--box", ",".join(["0,1"] * dim),
+            "--res", ",".join(map(str, res[:dim])), "--weight", "constant:1.0",
+            f"--tol-fix={tol_fix!r}", f"--max-outer={max_outer}", f"--nmax={nmax}"]
+    if inner_tol is not None:
+        argv.append(f"--inner-tol={inner_tol!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv + ["--outdir", outdir])
+    text = err.getvalue()
+    assert code in (0, 2, 3), (argv, code, text)
+    assert "Traceback" not in text and "RuntimeWarning" not in text, (argv, text)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    if code == 2:
+        lines = text.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error:"), (argv, text)
 
 
 def test_overflowing_sweep_integral_exits_2(tmp_path, capsys):

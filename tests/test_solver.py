@@ -3,6 +3,7 @@ ladder properties, and the level-set extinction calculator."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from anisolab import solver as solver_module
 from anisolab.errors import NonConvergenceError, ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.cli import main
@@ -350,6 +352,72 @@ def test_solve_inner_failure_carries_diagnostics():
     diagnostics = exc.value.diagnostics
     assert len(diagnostics["residuals"]) == 2 and len(diagnostics["steps"]) == 1
     assert exc.value.residual == diagnostics["residuals"][-1] > 1e-8
+
+
+@pytest.mark.parametrize("p, res", [((4.0,), (64,)), ((2.0, 3.0), (12, 12))])
+def test_solve_inner_records_the_inner_energy(p, res):
+    # the record held E/cell_volume: 64x inner_energy on 64 cells, 144x on 12^2
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    rhs = GridField.from_function(g, lambda *xs: 1.0 + 0.5 * np.prod([np.sin(3 * x) for x in xs], 0))
+    e = ExponentData.from_p(p)
+    info = {}
+    u = solve_inner(rhs, e, info=info)
+    assert info["energies"][-1] == inner_energy(u, rhs, e)
+    assert len(info["energies"]) == len(info["residuals"]) == info["iterations"]
+    assert len(info["steps"]) == info["iterations"] - 1
+
+
+def test_solve_inner_without_info_evaluates_no_energy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an energy was evaluated")
+
+    monkeypatch.setattr(solver_module, "inner_energy", refuse)
+    g = grid1d(64)
+    u = solve_inner(GridField.constant(g, 1.0), ExponentData.from_p([4]))
+    assert np.max(u.values) > 0
+
+
+def test_solve_level_info_holds_exactly_the_documented_keys():
+    g = Grid(box=((0.0, 1.0),) * 2, res=(12, 12))
+    level = RegularizationLevel.from_weight(2, WeightSpec(g=GridField.constant(g, 1.0)))
+    for p in ((2.0, 3.0), (3.0, 3.0)):
+        info = {}
+        solve_level(level, ExponentData.from_p(p), info=info)
+        assert set(info) == {"residual", "certificate", "iterations", "residuals", "steps",
+                             "linear_iterations"}
+        assert info["iterations"] == len(info["residuals"]) == len(info["steps"]) + 1
+
+
+def test_failed_solves_leave_their_partial_record_in_info():
+    g = grid1d(64)
+    e = ExponentData.from_p([4])
+    level = RegularizationLevel.from_weight(2, WeightSpec(g=GridField.constant(g, 1.0)))
+    for solve in (lambda info: solve_inner(GridField.constant(g, 1.0), e, max_iter=1, info=info),
+                  lambda info: solve_level(level, e, max_outer=1, info=info)):
+        info = {}
+        with pytest.raises(NonConvergenceError, match="in 1 Newton steps") as exc:
+            solve(info)
+        assert info["residuals"] == exc.value.diagnostics["residuals"]
+        assert len(info["residuals"]) == info["iterations"] == 2 and len(info["steps"]) == 1
+        assert "residual" not in info
+
+
+def test_the_smallest_normal_tolerance_is_accepted():
+    # the floor of `_tolerance` is itself a tolerance (below it, see test_cli.py _DOMAINS)
+    g = grid1d(16)
+    with pytest.raises(NonConvergenceError, match="did not reach tol=2.2250738585072014e-308"):
+        solve_inner(GridField.constant(g, 1.0), ExponentData.from_p([3]), tol=sys.float_info.min,
+                    max_iter=2)
+
+
+def test_solve_level_refuses_a_derived_tolerance_that_underflows():
+    # tol_fix 1e-300 over L = 1e5 asks the Newton loop for 8e-310; a side of
+    # 1e155 overflowed L^2 (an OverflowError) and now underflows the tolerance to 0
+    for side, tol_fix in ((1e5, 1e-300), (1e155, 1e-8)):
+        g = Grid(box=((0.0, side),), res=(8,))
+        level = RegularizationLevel.from_weight(1, WeightSpec(g=GridField.constant(g, 1.0)))
+        with pytest.raises(ValidationError, match=rf"^8 tol_fix / L\^2 \(tol_fix = {tol_fix}"):
+            solve_level(level, ExponentData.from_p([2]), tol_fix=tol_fix)
 
 
 def test_solve_inner_uniqueness_proxy():
