@@ -38,7 +38,7 @@ from . import grid as grid_module
 from .grid import (
     Grid,
     GridField,
-    export_field_csv,
+    export_field_csv,  # noqa: F401  (bound here for tools that wrap the CLI's writers)
     load_field,
     save_field,
 )
@@ -277,8 +277,8 @@ def _run_solve(v: dict, outdir: Path) -> int:
         seed=v["run.seed"],
     )
     _write_json(report.to_dict(), outdir / "ladder_report.json")
-    save_field(report.final_field, outdir / "u_final.txt")
-    export_field_csv(report.final_field, outdir / "u_final.csv")
+    # one formatting pass writes both files
+    save_field(report.final_field, outdir / "u_final.txt", csv_path=outdir / "u_final.csv")
     last = report.levels[-1]
     print(
         f"ladder done: {len(report.levels)} levels, sup={last.sup_norm:.6g}, "

@@ -18,6 +18,7 @@ of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on longer ones.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -42,8 +43,9 @@ MAX_ROW_CHARS = 128
 # Longest header line `load_field` accepts, newline not counted: `save_field`
 # writes at most about 190 characters (magic, dim, 3 counts, 6 floats).
 MAX_HEADER_CHARS = 512
-# Characters `load_field` reads at a time, and values `save_field` and
-# `export_field_csv` format at a time: the text held stays well under 1 MB.
+# Characters `load_field` reads at a time, and values `_write_field` (behind
+# `save_field` and `export_field_csv`) formats at a time: the text held
+# stays well under 1 MB.
 _READ_CHARS = 2 ** 16
 _WRITE_VALUES = 4096
 # Longest interior axis (in nodes) on which `dst_solver` transforms by a
@@ -625,18 +627,12 @@ def report_dict(report, **keys) -> dict:
 _FIELD_MAGIC = "anisofield"
 
 
-def save_field(f: GridField, path) -> None:
+def save_field(f: GridField, path, csv_path=None) -> None:
     """Text snapshot: one header line (dim, res, box), then node values in
-    row-major order, one per line ("%.17g")."""
-    header = [_FIELD_MAGIC, str(f.grid.dim)]
-    header += [str(r) for r in f.grid.res]
-    header += [f"{v!r}" for pair in f.grid.box for v in pair]
-    flat = f.values.ravel()
-    with open(path, "w") as fh:
-        fh.write(" ".join(header) + "\n")
-        for start in range(0, flat.size, _WRITE_VALUES):
-            chunk = flat[start : start + _WRITE_VALUES].tolist()
-            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
+    row-major order, one per line ("%.17g").  With `csv_path` the same pass
+    also writes `export_field_csv`'s table there, from the same formatted
+    values (`_write_field`)."""
+    _write_field(f, path, csv_path)
 
 
 def load_field(path) -> GridField:
@@ -709,16 +705,37 @@ def load_field(path) -> GridField:
 def export_field_csv(f: GridField, path) -> None:
     """CSV of the nodes in row-major order: coordinates x1.., value ("%.17g"),
     with `csv.writer`'s comma and CRLF; no field needs quoting."""
+    _write_field(f, None, path)
+
+
+def _write_field(f: GridField, snapshot_path, csv_path) -> None:
+    """The one field writer: formats each node value once ("%.17g"),
+    `_WRITE_VALUES` values at a time, and writes each chunk to the
+    `save_field` snapshot at `snapshot_path` and to the `export_field_csv`
+    table at `csv_path`; a None path skips its file."""
+    header = [_FIELD_MAGIC, str(f.grid.dim)]
+    header += [str(r) for r in f.grid.res]
+    header += [f"{v!r}" for pair in f.grid.box for v in pair]
     axes = [["%.17g" % x for x in axis.tolist()] for axis in f.grid.axes()]
     coords = map(",".join, itertools.product(*axes))
     flat = f.values.ravel()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"x{i + 1}" for i in range(f.grid.dim)] + ["value"]) + "\r\n")
+    with contextlib.ExitStack() as stack:
+        txt = None if snapshot_path is None else stack.enter_context(open(snapshot_path, "w"))
+        table = None if csv_path is None else stack.enter_context(
+            open(csv_path, "w", newline=""))
+        if txt is not None:
+            txt.write(" ".join(header) + "\n")
+        if table is not None:
+            table.write(",".join([f"x{i + 1}" for i in range(f.grid.dim)] + ["value"]) + "\r\n")
         for start in range(0, flat.size, _WRITE_VALUES):
             chunk = flat[start : start + _WRITE_VALUES].tolist()
-            # coordinate rows and values alternate; the rows are taken one
-            # per value, so none past the chunk's end is consumed
-            row_args = [None] * (2 * len(chunk))
-            row_args[0::2] = itertools.islice(coords, len(chunk))
-            row_args[1::2] = chunk
-            fh.write("%s,%.17g\r\n" * len(chunk) % tuple(row_args))
+            body = "%.17g\n" * len(chunk) % tuple(chunk)
+            if txt is not None:
+                txt.write(body)
+            if table is not None:
+                # coordinate rows and values alternate; the rows are taken
+                # one per value, so none past the chunk's end is consumed
+                row_args = [None] * (2 * len(chunk))
+                row_args[0::2] = itertools.islice(coords, len(chunk))
+                row_args[1::2] = body.split("\n")[:-1]
+                table.write("%s,%s\r\n" * len(chunk) % tuple(row_args))

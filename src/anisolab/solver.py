@@ -20,11 +20,14 @@ discrete sine transform diagonalizes the zero-Dirichlet stiffness
 sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it preconditions
 conjugate gradients on the assembled matrix in 2D and 3D (exactly, in one
 iteration, when all p_i = 2), scaled on both sides by the square root of
-its diagonal ratio to the Jacobian's; in 1D the tridiagonal Jacobian is
-solved exactly as a band.  The transform is a dense sine-matrix product on
-axes of at most 96 interior nodes and pocketfft on longer ones
-(`grid.dst_solver`), an exact inverse either way.  A gradient tolerance
-below the smallest normal float is refused (`_tolerance`).
+its diagonal ratio to the Jacobian's.  The CG loop is the module's own
+(`_newton_direction`), the recurrence of `scipy.sparse.linalg.cg`
+operation for operation, which the tests hold it to bit for bit.  In 1D
+the tridiagonal Jacobian is solved exactly as a band.  The transform is a
+dense sine-matrix product on axes of at most 96 interior nodes and
+pocketfft on longer ones (`grid.dst_solver`), an exact inverse either way.
+A gradient tolerance below the smallest normal float is refused
+(`_tolerance`).
 
 Each level solution u is certified to lie within tol_fix of A(u), the
 fixed-point map of the paper (`apply_A`: one inner solve with right-hand
@@ -148,11 +151,16 @@ def _newton_direction(
     direct solve).  `diag` is a nonnegative diagonal, zero when omitted.
 
     In 1D the system is solved exactly as a band (`stiffness_band`).  In 2D
-    and 3D CG runs on the `stiffness` matrix to relative residual `rtol`,
-    preconditioned by its diagonally scaled DST inverse.  CG started from
-    zero keeps g.d < 0 at every iterate (g = -b), so an inexact or
-    unconverged step is still a descent direction and the CG status is not
-    checked; the Newton loop's residual test decides convergence.
+    and 3D an in-house preconditioned CG loop runs on the `stiffness`
+    matrix to relative residual `rtol`, preconditioned by its diagonally
+    scaled DST inverse.  It performs the recurrence of
+    `scipy.sparse.linalg.cg` (scipy 1.17) operation for operation, its
+    reference in the tests, without a LinearOperator: from x = 0 and
+    r = b, it stops once ||r||_2 < rtol ||b||_2, or after 10 n iterations,
+    and returns (b, 0) for b = 0.  CG started from zero keeps g.d < 0 at
+    every iterate (g = -b), so an inexact or unconverged step is still a
+    descent direction and no convergence status is kept; the Newton loop's
+    residual test decides convergence.
     """
     if grid.dim == 1:
         band = stiffness_band(grid, weights, diag)
@@ -160,21 +168,29 @@ def _newton_direction(
             return b / band[1], 0
         import scipy.linalg
         return scipy.linalg.solveh_banded(band, b), 0
-    import scipy.sparse.linalg as spla
     matrix, precond = stiffness(grid, weights, diag)
-    n = b.size
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    d, _ = spla.cg(
-        matrix, b, rtol=rtol,
-        M=spla.LinearOperator((n, n), matvec=precond, dtype=float),
-        callback=count,
-    )
-    return d, iterations
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0:
+        return b, 0
+    atol = rtol * b_norm
+    x, r = np.zeros(b.size), b.copy()
+    p = rho_prev = None
+    for iteration in range(10 * b.size):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = precond(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, 10 * b.size
 
 
 def _nonconvergence(message: str, residual: float, record: dict) -> NonConvergenceError:
@@ -494,7 +510,14 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
-    """Random compactly supported smoothstep bump vanishing near the boundary."""
+    """Random compactly supported smoothstep bump vanishing near the boundary:
+    cutoff_profile(|x - c| / rho) for a seeded radius rho and centre c.
+
+    The profile (which clips its argument to [0, 1]) is evaluated only on
+    the node window around the support ball, with a margin of at least one
+    node per side; every node outside it lies farther than rho from c, where
+    the profile is exactly 0, so the bump equals its full-grid evaluation
+    bit for bit."""
     extents = [hi - lo for lo, hi in grid.box]
     rho = (0.10 + 0.15 * rng.random()) * min(extents)
     center = []
@@ -504,8 +527,14 @@ def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
             center.append(0.5 * (lo + hi))
         else:
             center.append(lo + margin + (hi - lo - 2 * margin) * rng.random())
-    d = grid.node_distances(center)
-    return GridField(grid, cutoff_profile(np.clip(d / rho, 0.0, 1.0)))
+    window = tuple(
+        slice(max(math.floor((c - rho - lo) / step) - 1, 0),
+              min(math.ceil((c + rho - lo) / step) + 1, r) + 1)
+        for c, (lo, _), step, r in zip(center, grid.box, grid.h, grid.res)
+    )
+    values = np.zeros(grid.shape)
+    values[window] = cutoff_profile(grid.node_distances(center, window=window) / rho)
+    return GridField(grid, values)
 
 
 def level_set_decay_fit(u: GridField, e: ExponentData) -> LevelSetFit | None:

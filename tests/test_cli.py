@@ -109,7 +109,13 @@ def test_solve_outputs_and_reproducibility(tmp_path):
     assert all(r["certificate"] == "bound" for r in report["levels"])
     field = load_field(out / "u_final.txt")
     assert field.values.max() == pytest.approx(report["levels"][-1]["supNorm"])
-    assert (out / "u_final.csv").exists()
+    # both u_final files come from one formatting pass: the CSV's value
+    # column is the snapshot body, line by line
+    body = (out / "u_final.txt").read_text().splitlines()[1:]
+    rows = (out / "u_final.csv").read_bytes().decode().split("\r\n")
+    assert rows[0] == "x1,x2,value" and rows[-1] == ""
+    assert [row.rsplit(",", 1)[1] for row in rows[1:-1]] == body
+    assert len(body) == 17 * 17
 
     # re-run from the archived config: reports identical bit for bit
     out2 = tmp_path / "solve2"

@@ -520,6 +520,10 @@ def test_writers_match_reference_byte_for_byte(tmp_path, box, res):
         write(f, tmp_path / name)
         reference(f, tmp_path / f"ref-{name}")
         assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+    # one pass writing both files gives the same bytes as the single-file calls
+    save_field(f, tmp_path / "both.txt", csv_path=tmp_path / "both.csv")
+    for name, both in (("field.txt", "both.txt"), ("field.csv", "both.csv")):
+        assert (tmp_path / both).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
     loaded = load_field(tmp_path / "field.txt")
     assert loaded.grid == g
     # bit for bit, so -0.0 and subnormals count

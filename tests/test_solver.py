@@ -1,6 +1,7 @@
 """Inner solves against analytic and brute-force oracles, the fixed-point
 ladder properties, and the level-set extinction calculator."""
 
+import copy
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from anisolab.grid import (
     Grid,
     GridField,
     axis_diff,
+    cutoff_profile,
     dst_solver,
     face_integral,
     level_set_measure,
@@ -259,24 +261,85 @@ def test_solve_inner_matches_sparse_newton_reference(p, res):
         assert info["linear_iterations"] == [1] * (info["iterations"] - 1)
 
 
-def _newton_system(seed, smooth=True, res=48):
-    """Flux weights, a diagonal and a right side of a seeded 2D p = (2, 3)
-    Newton system on the unit box.  The field is smooth,
-    sin(pi x) sin(pi y) (1 + 0.3 sin(a x + b y + c)) with seeded a, b, c, or
-    random node by node; the diagonal is uniform in [0, 2) node by node."""
+def _newton_system(seed, smooth=True, res=48, dim=2):
+    """Flux weights, a diagonal and a right side of a seeded Newton system
+    on the unit box, with p = (2, 3) in 2D and (2, 3, 4) in 3D.  The field
+    is smooth, prod_i sin(pi x_i) (1 + 0.3 sin(a.x + c)) with seeded a and
+    c, or random node by node; the diagonal is uniform in [0, 2) node by
+    node."""
     rng = np.random.default_rng(seed)
-    g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(res, res))
-    x, y = g.meshgrid()
+    g = Grid(box=((0.0, 1.0),) * dim, res=(res,) * dim)
+    xs = g.meshgrid()
     if smooth:
-        a, b, c = rng.uniform(0.5, 2.0, 3)
-        u = np.sin(np.pi * x) * np.sin(np.pi * y) * (1.0 + 0.3 * np.sin(a * x + b * y + c))
+        *a, c = rng.uniform(0.5, 2.0, dim + 1)
+        wave = np.sin(sum(a_i * x for a_i, x in zip(a, xs)) + c)
+        u = math.prod(np.sin(np.pi * x) for x in xs) * (1.0 + 0.3 * wave)
     else:
         u = rng.uniform(0.0, 1.0, g.shape)
         u[g.boundary_mask()] = 0.0
     f = GridField(g, u)
-    weights = _flux_weights([axis_diff(f, axis) for axis in range(2)], (2.0, 3.0))
+    weights = _flux_weights([axis_diff(f, axis) for axis in range(dim)], (2.0, 3.0, 4.0)[:dim])
     n = math.prod(g.interior_shape())
     return g, weights, rng.uniform(0.0, 2.0, n), rng.standard_normal(n)
+
+
+def _scipy_cg(g, weights, diag, b, rtol):
+    """`scipy.sparse.linalg.cg` on the `stiffness` system from x = 0, with
+    its preconditioner as a LinearOperator: the reference of
+    `_newton_direction`'s CG loop.  Returns x and the callback count."""
+    matrix, precond = stiffness(g, weights, diag)
+    count = 0
+
+    def tick(_):
+        nonlocal count
+        count += 1
+
+    x, _ = spla.cg(matrix, b, rtol=rtol, callback=tick,
+                   M=spla.LinearOperator(matrix.shape, matvec=precond, dtype=float))
+    return x, count
+
+
+@pytest.mark.parametrize("rtol", [1e-2, 1e-8])
+@pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "rough"])
+@pytest.mark.parametrize("dim, res", [(2, 24), (3, 10)], ids=["2d", "3d"])
+def test_cg_loop_matches_scipy_cg_bit_for_bit(dim, res, smooth, rtol):
+    g, weights, diag, b = _newton_system(6, smooth=smooth, res=res, dim=dim)
+    d, iterations = _newton_direction(g, weights, b, diag=diag, rtol=rtol)
+    ref, count = _scipy_cg(g, weights, diag, b, rtol)
+    assert iterations == count > 0
+    assert np.array_equal(d.view(np.int64), ref.view(np.int64))
+
+
+def test_cg_loop_edge_cases_match_scipy_cg(monkeypatch):
+    g, weights, diag, b = _newton_system(9, smooth=False, res=4, dim=3)
+    # preconditioner applies, one per iteration
+    applies = 0
+
+    def counted_stiffness(*args):
+        matrix, precond = stiffness(*args)
+
+        def apply(r):
+            nonlocal applies
+            applies += 1
+            return precond(r)
+
+        return matrix, apply
+
+    monkeypatch.setattr(solver_module, "stiffness", counted_stiffness)
+    assert b.size == 27
+    # a zero right side is its own solution, after no iteration
+    d, iterations = _newton_direction(g, weights, np.zeros(b.size), diag=diag)
+    assert iterations == 0 and np.array_equal(d, np.zeros(b.size))
+    # rtol = 0 is never met: the loop stops at its cap of 10 n iterations.
+    # Past convergence the recursive residual still falls by about a decade
+    # an iteration, so b is scaled up to keep all 270 iterations finite
+    # (r.z stays within 1e-211 to 1e299) rather than ending both loops in 0/0
+    b = 1e150 * b
+    d, iterations = _newton_direction(g, weights, b, diag=diag, rtol=0.0)
+    ref, count = _scipy_cg(g, weights, diag, b, 0.0)
+    assert iterations == count == applies == 10 * b.size
+    assert np.all(np.isfinite(d))
+    assert np.array_equal(d.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "rough"])
@@ -755,6 +818,41 @@ def test_run_ladder_battery_equals_weak_form_gap(p, res, weight):
     assert rep.weak_residual_level_max == float(np.max(gaps_level))
     assert rep.weak_residual_limit_max == float(np.max(gaps_limit))
     assert rep.weak_residual_limit_max > 0.0
+
+
+@pytest.mark.parametrize("box, res, clamped", [
+    (((-1.3, 2.7),), (37,), False),
+    (((0.1, 1.0), (-1.0, np.pi)), (30, 2), True),
+    (((-4.2, 4.25), (0.3, 7.0), (-1e-3, 2.0)), (17, 9, 12), False),
+    (((0.0, 1.0), (0.0, 2.0), (0.0, 0.5)), (2, 17, 12), True),
+], ids=["1d", "2d-res2", "3d", "3d-res2"])
+def test_random_bump_equals_its_full_grid_formula(box, res, clamped):
+    # the bump is drawn on a window around its support; its reference is the
+    # profile over every node, at the radius and centre drawn from a copy of
+    # the same generator (on a res-2 axis the centre is the box middle)
+    g = Grid(box=box, res=res)
+    rng = np.random.default_rng(11)
+    seen_clamped, nonzero = False, 0
+    for _ in range(30):
+        twin = copy.deepcopy(rng)
+        phi = random_bump(g, rng)
+        rho = (0.10 + 0.15 * twin.random()) * min(hi - lo for lo, hi in box)
+        center = []
+        for (lo, hi), step in zip(box, g.h):
+            margin = rho + 2.0 * step
+            if lo + margin >= hi - margin:
+                center.append(0.5 * (lo + hi))
+                seen_clamped = True
+            else:
+                center.append(lo + margin + (hi - lo - 2 * margin) * twin.random())
+        full = cutoff_profile(np.clip(g.node_distances(center) / rho, 0.0, 1.0))
+        assert np.array_equal(phi.values.view(np.int64), full.view(np.int64))
+        assert phi.is_zero_on_boundary()
+        assert twin.bit_generator.state == rng.bit_generator.state
+        nonzero += bool(np.any(phi.values))
+    assert seen_clamped == clamped
+    # a small ball on a coarse grid may hold no node; most bumps are nonzero
+    assert nonzero >= 20
 
 
 def face_weak_form_gap(u, phi, rhs, p):
