@@ -7,13 +7,14 @@ summation-by-parts identity is what makes the discrete weak form and the
 discrete energy gradient agree to machine precision, and everything in
 `solver` and `stability` relies on it (`weak_form_gap` sums by parts).  It
 is the only difference operator: `p_flux` applies the anisotropic operator
-with it, `stiffness_band` assembles the 1D Newton Jacobian from its stencil
-as a band, and `stiffness` every other linear system (Newton Jacobian,
-stability pencil) as a DIA matrix, with its preconditioner: the
-DST inverse `dst_solver` of the mean-coefficient operator, scaled on both
-sides by the diagonal ratio sqrt(diag P / diag J).  `dst_solver` is an
-exact inverse: it transforms by dense sine matrices (BLAS) on interior axes
-of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on longer ones.
+with it, and `stencil_rows` lays out every linear system built from its
+stencil (Newton Jacobian, stability pencil) once, as DIA rows.  The 1D
+Newton step solves those rows as a band; `stiffness` wraps them in a DIA
+matrix with its preconditioner: the DST inverse `dst_solver` of the
+mean-coefficient operator, scaled on both sides by the diagonal ratio
+sqrt(diag P / diag J).  `dst_solver` is an exact inverse, applied to one
+interior vector: it transforms by dense sine matrices (BLAS) on interior
+axes of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on longer ones.
 """
 
 from __future__ import annotations
@@ -252,14 +253,13 @@ def face_divergence(faces: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 def p_flux(values: np.ndarray, grid: Grid, p):
     """The operator on a node array, building no field: returns
-    - sum_i face_divergence(flux_i) on the interior nodes (interior shape),
-    the differences D_i u (as `axis_diff`) and fluxes |D_i u|^(p_i-2) D_i u."""
+    - sum_i face_divergence(|D_i u|^(p_i-2) D_i u) on the interior nodes
+    (interior shape) and the differences D_i u (as `axis_diff`)."""
     diffs = [np.diff(values, axis=axis) / h for axis, h in enumerate(grid.h)]
-    fluxes = [np.abs(d) ** (p_i - 2.0) * d for d, p_i in zip(diffs, p)]
     out = np.zeros(grid.shape)
-    for axis, flux in enumerate(fluxes):
-        out -= face_divergence(flux, grid, axis)
-    return out[grid.interior_slices()], diffs, fluxes
+    for axis, (d, p_i) in enumerate(zip(diffs, p)):
+        out -= face_divergence(np.abs(d) ** (p_i - 2.0) * d, grid, axis)
+    return out[grid.interior_slices()], diffs
 
 
 def p_laplacian_apply(u: GridField, e) -> GridField:
@@ -424,9 +424,9 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     The transform is a product with the dense `sine_matrix` (BLAS) along
     every interior axis of at most `DENSE_DST_MAX` nodes, and one pocketfft
     `scipy.fft.dstn` call over the longer axes; both are the same exact
-    orthonormal DST-I.  `solve` takes one interior vector (n,) or a stack
-    of them (k, n) and returns the same shape.  `stiffness` scales it by
-    the diagonal of the assembled matrix to precondition that matrix.
+    orthonormal DST-I.  `solve` takes one interior vector (n,) and returns
+    one.  `stiffness` scales it by the diagonal of the assembled matrix to
+    precondition that matrix.
     """
     shape = grid.interior_shape()
     lam = np.full(shape, float(shift))
@@ -442,18 +442,15 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     fft_axes = [axis for axis in range(grid.dim) if axis not in dense]
 
     def transform(y):
-        lead = y.ndim - len(shape)  # 1 for a stack
         for axis, mat in dense.items():
-            y = _along(mat, y, lead + axis)
+            y = _along(mat, y, axis)
         if not fft_axes:
             return y
         import scipy.fft
-        return scipy.fft.dstn(y, type=1, norm="ortho", axes=[lead + a for a in fft_axes])
+        return scipy.fft.dstn(y, type=1, norm="ortho", axes=fft_axes)
 
     def solve(b):
-        stack = np.shape(b)[:-1]
-        y = transform(np.reshape(b, stack + shape))
-        return transform(y / lam).reshape(stack + (-1,))
+        return transform(transform(np.reshape(b, shape)) / lam).ravel()
 
     return solve
 
@@ -470,27 +467,41 @@ def embed_interior(grid: Grid, vec: np.ndarray) -> GridField:
     return GridField(grid, vals)
 
 
-def _stencil(grid: Grid, weights, diag=None):
-    """Stencil of sum_i K_i^T diag(w_i) K_i + diag(diag) on interior nodes in
-    row-major order, K_i being `axis_diff` on zero-boundary fields.  Axis i
-    adds (w_left + w_right)/h_i^2 to the main diagonal and the link -w/h_i^2
-    from each node to its successor along axis i (0 at the last one); only
-    faces of the full face arrays `weights[i]` at interior transverse
-    positions enter.  Returns the flat main diagonal, links and mean weights.
+def stencil_rows(grid: Grid, weights, diag=None):
+    """The DIA rows of sum_i K_i^T diag(w_i) K_i + diag(diag) on interior
+    nodes in row-major order, K_i being `axis_diff` on zero-boundary fields:
+    the one layout of every assembled matrix.  Returns (rows, offsets,
+    means).  Row 0, at offset 0, is the main diagonal, to which axis i adds
+    (w_left + w_right)/h_i^2.  Each axis of more than one interior node adds
+    the rows of its links -w/h_i^2 from each node to its successor (0 at
+    the last one) at offsets +stride_i and -stride_i; an axis of one node
+    has none, and its stride would repeat the next axis's offset, which DIA
+    refuses.  A DIA row holds the entry of column j at index j, so the
+    -stride row is the links and the +stride row the links shifted by the
+    stride, its first stride entries 0.  In 1D, rows[1::-1] is the upper
+    band form of `scipy.linalg.solveh_banded`.  Only faces of the full face
+    arrays `weights[i]` at interior transverse positions enter; `means` are
+    their means.
     """
     shape = grid.interior_shape()
-    main = np.zeros(shape)
-    links, means = [], []
+    rows = np.zeros((1 + 2 * sum(m > 1 for m in shape), math.prod(shape)))
+    main = rows[0].reshape(shape)
+    offsets, means = [0], []
     for axis, (w, h) in enumerate(zip(weights, grid.h)):
         # views with axis i last; the faces at interior transverse positions
         w = w.swapaxes(axis, -1)[(slice(1, -1),) * (grid.dim - 1)]
         means.append(float(np.mean(w)))
         w = w / h ** 2
         main.swapaxes(axis, -1)[...] += w[..., :-1] + w[..., 1:]
-        link = np.zeros(shape)
-        link.swapaxes(axis, -1)[..., :-1] = -w[..., 1:-1]
-        links.append(link.ravel())
-    return main.ravel() + (0.0 if diag is None else diag), links, means
+        if shape[axis] > 1:
+            up, link = rows[len(offsets)], rows[len(offsets) + 1]
+            link.reshape(shape).swapaxes(axis, -1)[..., :-1] = -w[..., 1:-1]
+            stride = math.prod(shape[axis + 1:])
+            up[stride:] = link[:-stride]
+            offsets += [stride, -stride]
+    if diag is not None:
+        rows[0] += diag
+    return rows, offsets, means
 
 
 def _median(x: np.ndarray) -> float:
@@ -506,15 +517,15 @@ def _median(x: np.ndarray) -> float:
 
 
 def stiffness(grid: Grid, weights, diag=None):
-    """The `_stencil` matrix J in DIA form (links at offsets +-stride_i) and
-    its preconditioner b -> s * P^-1(s * b), with P = sum_i mean(w_i) K_i^T
-    K_i + median(diag) I inverted by `dst_solver` and the diagonal scaling
+    """The `stencil_rows` matrix J as a DIA matrix and its preconditioner
+    b -> s * P^-1(s * b), with P = sum_i mean(w_i) K_i^T K_i +
+    median(diag) I inverted by `dst_solver` and the diagonal scaling
     s = sqrt(diag P / diag J) (Concus & Golub, SIAM J. Numer. Anal. 10,
     1973).  The preconditioner is symmetric positive definite, so CG and
-    LOBPCG stay valid with it; it takes a (k, n) stack like `dst_solver`,
-    and it is exact when weights and diagonal (0 if omitted) are constant,
-    since then s = 1.  `stability_index` factors the matrix itself by SuperLU
-    in 1D and 2D and uses the preconditioner only in 3D.
+    LOBPCG stay valid with it; it takes one interior vector like
+    `dst_solver`, and it is exact when weights and diagonal (0 if omitted)
+    are constant, since then s = 1.  `stability_index` factors the matrix
+    itself by SuperLU in 1D and 2D and uses the preconditioner only in 3D.
 
     The scaling pays on smooth coefficients, as the ladder iterates and the
     stability candidates give: on 48^2 p = (2, 3) Jacobians of a smooth
@@ -523,37 +534,13 @@ def stiffness(grid: Grid, weights, diag=None):
     by node it took 39-50 against 17-22 (about 2.3x).
     """
     import scipy.sparse as sp
-    main, links, means = _stencil(grid, weights, diag)
-    n = main.size
-    shape = grid.interior_shape()
-    # an axis of one interior node has no links, and its stride would repeat
-    # the next axis's offset, which DIA refuses
-    axes = [axis for axis in range(grid.dim) if shape[axis] > 1]
-    data, offsets = np.empty((1 + 2 * len(axes), n)), [0]
-    data[0] = main
-    for row, axis in enumerate(axes):
-        # a DIA data row holds the entry of column j at index j; a link is 0
-        # on the last plane along its axis, so rolled by the stride it is
-        # the superdiagonal row and unrolled the subdiagonal one
-        link = links[axis]
-        stride = math.prod(shape[axis + 1:])
-        up = data[2 * row + 1]
-        up[stride:], up[:stride] = link[:-stride], link[-stride:]
-        data[2 * row + 2] = link
-        offsets += [stride, -stride]
-    matrix = sp.dia_matrix((data, offsets), shape=(n, n))
+    rows, offsets, means = stencil_rows(grid, weights, diag)
+    n = rows.shape[1]
+    matrix = sp.dia_matrix((rows, offsets), shape=(n, n))
     shift = 0.0 if diag is None else _median(diag)
     inverse = dst_solver(grid, means, shift)
-    scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / main)
+    scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / rows[0])
     return matrix, lambda b: scale * inverse(scale * b)
-
-
-def stiffness_band(grid: Grid, weights, diag=None) -> np.ndarray:
-    """The 1D `stiffness` matrix in the upper band form of
-    `scipy.linalg.solveh_banded`, built from the stencil without a sparse
-    matrix."""
-    main, (link,), _ = _stencil(grid, weights, diag)
-    return np.stack([np.concatenate(([0.0], link[:-1])), main])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ eta = min(1e-2, max(sup|F|, tol/(2 ||F||_2))) of the gradient F
 (superlinear, without oversolving the last step), and it backtracks on
 ||F||_2 (the inexact-Newton test of Eisenstat & Walker 1994).  The
 gradient is `grid.p_flux`; each Newton system is assembled from its
-stencil by `grid.stiffness` and solved without factorizations: the type-I
+stencil (`grid.stencil_rows`) and solved without factorizations: the type-I
 discrete sine transform diagonalizes the zero-Dirichlet stiffness
 sum_i c_i K_i^T K_i (plus a constant shift) exactly, so it preconditions
 conjugate gradients on the assembled matrix in 2D and 3D (exactly, in one
@@ -60,8 +60,8 @@ from .grid import (
     p_flux,
     report_dict,
     residual_integral,
+    stencil_rows,
     stiffness,
-    stiffness_band,
     weighted_integrate,
 )
 
@@ -150,8 +150,9 @@ def _newton_direction(
     weight arrays w_i; returns d and the number of CG iterations (0 for the
     direct solve).  `diag` is a nonnegative diagonal, zero when omitted.
 
-    In 1D the system is solved exactly as a band (`stiffness_band`).  In 2D
-    and 3D an in-house preconditioned CG loop runs on the `stiffness`
+    In 1D the system is solved exactly as a band: the `stencil_rows` main
+    and superdiagonal rows, a lone main row on a one-node grid.  In 2D and
+    3D an in-house preconditioned CG loop runs on the `stiffness`
     matrix to relative residual `rtol`, preconditioned by its diagonally
     scaled DST inverse.  It performs the recurrence of
     `scipy.sparse.linalg.cg` (scipy 1.17) operation for operation, its
@@ -163,11 +164,8 @@ def _newton_direction(
     residual test decides convergence.
     """
     if grid.dim == 1:
-        band = stiffness_band(grid, weights, diag)
-        if b.size == 1:  # LAPACK's ptsv refuses a band without off-diagonal
-            return b / band[1], 0
         import scipy.linalg
-        return scipy.linalg.solveh_banded(band, b), 0
+        return scipy.linalg.solveh_banded(stencil_rows(grid, weights, diag)[0][1::-1], b), 0
     matrix, precond = stiffness(grid, weights, diag)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0:
@@ -219,7 +217,7 @@ def _tolerance(name: str, tol: float | None, p) -> float:
 
 def _gradient(grid: Grid, p, x, g) -> tuple[np.ndarray, list]:
     """Op(x) - g on interior vectors, and the face differences D_i x."""
-    op, diffs, _ = p_flux(embed_interior(grid, x).values, grid, p)
+    op, diffs = p_flux(embed_interior(grid, x).values, grid, p)
     return op.ravel() - g, diffs
 
 
@@ -513,20 +511,25 @@ def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
     """Random compactly supported smoothstep bump vanishing near the boundary:
     cutoff_profile(|x - c| / rho) for a seeded radius rho and centre c.
 
+    Per axis c is drawn at least rho + 2 h from both ends (the box middle
+    when the axis is too short for that), then snapped to its nearest node,
+    at most h/2 away, so the bump is 1 there: on a box whose sides differ a
+    lot, a ball of radius rho around an unsnapped centre may hold no node.
     The profile (which clips its argument to [0, 1]) is evaluated only on
     the node window around the support ball, with a margin of at least one
-    node per side; every node outside it lies farther than rho from c, where
-    the profile is exactly 0, so the bump equals its full-grid evaluation
-    bit for bit."""
+    node per side; every node outside it lies farther than rho from c,
+    where the profile is exactly 0, so the bump equals its full-grid
+    evaluation bit for bit."""
     extents = [hi - lo for lo, hi in grid.box]
     rho = (0.10 + 0.15 * rng.random()) * min(extents)
     center = []
-    for (lo, hi), step in zip(grid.box, grid.h):
+    for (lo, hi), step, nodes in zip(grid.box, grid.h, grid.axes()):
         margin = rho + 2.0 * step
         if lo + margin >= hi - margin:
-            center.append(0.5 * (lo + hi))
+            c = 0.5 * (lo + hi)
         else:
-            center.append(lo + margin + (hi - lo - 2 * margin) * rng.random())
+            c = lo + margin + (hi - lo - 2 * margin) * rng.random()
+        center.append(float(nodes[round((c - lo) / step)]))
     window = tuple(
         slice(max(math.floor((c - rho - lo) / step) - 1, 0),
               min(math.ceil((c + rho - lo) / step) + 1, r) + 1)

@@ -274,9 +274,10 @@ def stability_index(
     pencil P = sum_i K_i^T diag(w_i) K_i - diag(W f'(u)), w_i = (p_i - 1)
     |D_i u|^{p_i-2}.  The shift -max(0, max W f'(u)) - 1 puts the spectrum
     of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
-    (diagonal -W f'(u) - shift), and its lowest eigenpair is computed from
-    the lowest discrete Dirichlet sine mode prod_i sin(pi k_i / res_i),
-    k_i = 1..res_i - 1, the ground state of the DST preconditioner.
+    (diagonal -W f'(u) - shift, floored at 1 as it is in exact arithmetic),
+    and its lowest eigenpair is computed from the lowest discrete Dirichlet
+    sine mode prod_i sin(pi k_i / res_i), k_i = 1..res_i - 1, the ground
+    state of the DST preconditioner.
     P - shift*I has no positive off-diagonal entry (w_i >= 0), so by
     Perron-Frobenius its lowest eigenspace holds a nonnegative vector, and
     the strictly positive start is never deficient in that direction:
@@ -331,8 +332,10 @@ def stability_index(
     ]
     shift = -max(0.0, float(np.max(pot))) - 1.0
     bound = EIGEN_TOL * max(1.0, abs(shift))
-    # the shifted pencil P - shift*I and its DST preconditioner
-    shifted, precond = stiffness(grid, weights, -pot - shift)
+    # the shifted pencil P - shift*I and its DST preconditioner; from
+    # max W f'(u) = 2^53 up the 1 of the shift is lost to rounding, and the
+    # floor keeps the diagonal at 1 where the flux weights vanish
+    shifted, precond = stiffness(grid, weights, np.maximum(-pot - shift, 1.0))
     n = pot.size
     # the lowest Dirichlet sine mode, positive on the interior
     x0 = math.prod(np.ix_(*(np.sin(np.pi * np.arange(1, r) / r) for r in grid.res))).ravel()
@@ -346,7 +349,7 @@ def stability_index(
         def precondition(block):
             nonlocal iterations
             iterations += 1
-            return precond(block.T).T
+            return precond(block[:, 0])[:, None]
 
         with warnings.catch_warnings():
             # non-convergence and the small-grid dense fallback are judged below

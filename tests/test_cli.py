@@ -760,6 +760,47 @@ def test_solve_tolerance_and_step_keys_end_in_a_documented_exit(p, res, tol_fix,
         assert len(lines) == 1 and lines[0].startswith("validation error:"), (argv, text)
 
 
+_STABILITY_VALUES = st.sampled_from(
+    [math.nan, -math.inf, -1.0, 0.0, 5e-324, sys.float_info.min, 1e-300, 1e-8, 0.5, 1.0,
+     2.0, 1e8, 1e300, 1e308, math.inf])
+
+
+# res 2 on an axis gives one interior node: one-node pencils in 1D, and in
+# 2D and 3D axes without links
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(
+    p=st.sampled_from([(2,), (3,), (2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (2, 3, 4)]),
+    res=st.lists(st.integers(2, 6), min_size=3, max_size=3),
+    delta=_STABILITY_VALUES,
+    gamma=st.none() | _STABILITY_VALUES,
+    u=_STABILITY_VALUES,
+    weight=_STABILITY_VALUES,
+    variant=st.sampled_from(["AsWritten", "WeightedByG"]),
+)
+def test_stability_keys_end_in_a_documented_exit(p, res, delta, gamma, u, weight, variant):
+    dim = len(p)
+    argv = ["stability", "--p", ",".join(map(str, p)), "--box", ",".join(["0,3"] * dim),
+            "--res", ",".join(map(str, res[:dim])), f"--delta={delta!r}",
+            f"--u=constant:{u!r}", f"--weight=constant:{weight!r}", "--variant", variant]
+    if gamma is not None:
+        argv.append(f"--gamma={gamma!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv + ["--outdir", outdir])
+        report = (json.loads((Path(outdir) / "stability_report.json").read_text())
+                  if code == 0 else None)
+    text = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, text)
+    assert "Traceback" not in text and "Warning" not in text, (argv, text)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 0:
+        numbers = [report["gap"], report["shift"], report["residual"]]
+        assert all(math.isfinite(x) for x in numbers), (argv, report)
+        assert report["stable"] == (report["gap"] >= 0.0), (argv, report)
+
+
 def test_overflowing_sweep_integral_exits_2(tmp_path, capsys):
     # the left side int g (1/u)^E was written as inf to sweep.csv and as
     # null to certificate.json, after a RuntimeWarning, with exit 0

@@ -242,6 +242,25 @@ def test_stability_index_matches_dense_eigensolve():
     assert rep.gap == pytest.approx(eigs[0], rel=1e-6)
 
 
+@pytest.mark.parametrize("p, res", [
+    ((3.0,), (2,)), ((3.0,), (8,)), ((3.0, 4.0), (2, 2)), ((3.0, 4.0), (6, 6)),
+    ((3.0, 3.0, 4.0), (4, 4, 4)),
+], ids=["1d-one-node", "1d", "2d-one-node", "2d", "3d"])
+@pytest.mark.parametrize("c", [1e-8, 1e-100])
+def test_stability_shift_keeps_the_pencil_definite_past_2_53(p, res, c):
+    # f'(c) = 2/c^2 >= 2^53 lost the 1 of the shift -f'(c) - 1, and a
+    # constant candidate with all p_i > 2 has zero flux weights, so the
+    # shifted pencil was 0: a 0/0 in the preconditioner scaling, a singular
+    # factor.  The index is -f'(c), with its eigenvalue multiple
+    g = Grid(box=((0.0, 3.0),) * len(p), res=res)
+    ones = GridField.constant(g, 1.0)
+    nl = NonlinearityEval.mixed_power(1.0, 1.0)
+    rep = stability_index(GridField.constant(g, c), nl, ones, p,
+                          variant=StabilityVariant.AS_WRITTEN)
+    assert rep.gap == pytest.approx(-2.0 / c ** 2, rel=1e-12)
+    assert rep.residual <= 1e-7 * abs(rep.shift)
+
+
 def test_stability_index_minimizer_reproduces_gap():
     g = Grid(box=((0.0, np.pi),), res=(40,))
     u = GridField.constant(g, 1.0)
