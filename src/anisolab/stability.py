@@ -60,6 +60,7 @@ from .grid import (
     stiffness,
     weak_form_gap,
 )
+from .solver import WeightSpec
 from .truncations import TruncationPair, b_eval
 
 
@@ -218,7 +219,7 @@ class StabilityReport:
         return report_dict(self, minimizer=None, description="minimizer") | {"stable": self.stable}
 
 
-def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
+def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int, bound: float):
     """The lowest eigenvector of the positive definite `shifted` by ARPACK's
     shift-invert Lanczos at 0 (Ericsson & Ruhe, Math. Comp. 35, 1980) on
     one SuperLU factor, at most `max_iter` factor solves, started from
@@ -226,9 +227,19 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
     invariant, come from a fixed generator).  Returns the vector, the
     solve count and None; on a failure (the budget, a singular factor, a
     non-finite solve, an ARPACK error) the last finite solve output or
-    `v0`, the count and the reason.  The factor goes when this returns."""
+    `v0`, the count and the reason.  The factor goes when this returns.
+    Unrelaxed supernodes (`relax=1, panel_size=1`) keep the defaults' fill
+    in less time.  ARPACK stops once the Ritz estimate of 1/mu under
+    shifted^-1 is at most tol/mu (Lehoucq, Sorensen & Yang, ARPACK Users'
+    Guide, SIAM 1998), so ||shifted x - mu x|| <= tol ||shifted||: tol is
+    `bound` over ||shifted||_inf, the largest column sum of |data|
+    (`stencil_rows` zeroes the DIA entries outside the matrix), kept
+    within [eps, EIGEN_TOL]."""
     n = v0.size
     x, solves = v0, 0
+    with np.errstate(over="ignore"):  # an infinite norm gives tol = eps
+        norm = float(np.max(np.sum(np.abs(shifted.data), axis=0)))
+    tol = min(EIGEN_TOL, max(np.finfo(float).eps, bound / norm))
 
     def solve(b):
         nonlocal x, solves
@@ -243,12 +254,12 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int):
 
     try:
         lu = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+                       relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU reports a singular factor
         return x, solves, f"SuperLU could not factor the shifted pencil: {exc}"
     try:
         _, vecs = spla.eigsh(
-            shifted, k=1, sigma=0.0, which="LM", v0=v0,
+            shifted, k=1, sigma=0.0, which="LM", v0=v0, tol=tol,
             OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float), rng=0,
         )
     except NonConvergenceError as exc:  # raised by `solve` to end the run
@@ -285,7 +296,8 @@ def stability_index(
     * on 1D and 2D grids of at least five interior nodes, by shift-invert
       Lanczos (ARPACK's `eigsh` at sigma 0) on one sparse SuperLU factor
       of P - shift*I, whose solve count does not grow with the grid;
-      `max_iter` caps the factor solves and `iterations` counts them;
+      ARPACK stops at the residual bound below; `max_iter` caps the
+      factor solves and `iterations` counts them;
     * on 3D grids, where that factor costs as much as the whole iterative
       solve at 16^3 and ten times more at 24^3, by LOBPCG (Knyazev 2001)
       on one column preconditioned by the diagonally scaled DST inverse of
@@ -293,7 +305,8 @@ def stability_index(
       them.
 
     Grids with fewer than five interior nodes are solved densely inside
-    LOBPCG (0 iterations).  A `max_iter` below 1 is a ValidationError.
+    LOBPCG (0 iterations).  A `max_iter` below 1 is a ValidationError, as
+    is a weight that `WeightSpec` refuses under WEIGHTED_BY_G.
 
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:
@@ -319,6 +332,8 @@ def stability_index(
     grid.check_dim(p)
     if not max_iter >= 1:
         raise ValidationError(f"the stability index needs an iteration cap >= 1, got {max_iter}")
+    if variant is StabilityVariant.WEIGHTED_BY_G:
+        WeightSpec(g)  # refuses a negative or non-finite weight
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pot_full = np.asarray(nl.fprime(u.values), dtype=float)
         if variant is StabilityVariant.WEIGHTED_BY_G:
@@ -340,7 +355,7 @@ def stability_index(
     # the lowest Dirichlet sine mode, positive on the interior
     x0 = math.prod(np.ix_(*(np.sin(np.pi * np.arange(1, r) / r) for r in grid.res))).ravel()
     if grid.dim <= 2 and n >= 5:
-        x, iterations, failure = _shift_invert_lowest(spla, shifted, x0, max_iter)
+        x, iterations, failure = _shift_invert_lowest(spla, shifted, x0, max_iter, bound)
         solver, counted = "shift-invert Lanczos", "solves"
     else:
         iterations, failure = 0, None

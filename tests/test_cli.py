@@ -801,6 +801,18 @@ def test_stability_keys_end_in_a_documented_exit(p, res, delta, gamma, u, weight
         assert report["stable"] == (report["gap"] >= 0.0), (argv, report)
 
 
+def test_stability_refuses_a_negative_weight_only_where_it_reads_it(tmp_path, capsys):
+    # WeightedByG used to carry g = -1 into the potential, flip its sign and
+    # report 4.08 "stable" with exit 0; AsWritten never reads g
+    argv = ["stability", "--p", "2,2", "--box", "0,3,0,3", "--res", "4,4", "--delta", "1",
+            "--u", "constant:1", "--weight", "constant:-1.0"]
+    assert main(argv + ["--variant", "WeightedByG", "--outdir", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["validation error: weight g must be finite and nonnegative"]
+    assert not (tmp_path / "g" / "stability_report.json").exists()
+    assert main(argv + ["--variant", "AsWritten", "--outdir", str(tmp_path / "a")]) == 0
+
+
 def test_overflowing_sweep_integral_exits_2(tmp_path, capsys):
     # the left side int g (1/u)^E was written as inf to sweep.csv and as
     # null to certificate.json, after a RuntimeWarning, with exit 0

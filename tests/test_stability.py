@@ -497,9 +497,10 @@ def _sine_p24_case(n):
 
 
 def test_stability_index_solve_count_does_not_grow_with_the_2d_grid():
-    # shift-invert Lanczos on one factor took 51, 61 and 61 solves at 32^2,
-    # 64^2 and 96^2 (LOBPCG on the DST preconditioner: 107, 232 and 219
-    # iterations); the bound allows one more ARPACK restart of 10 solves
+    # shift-invert Lanczos on one factor takes 31, 41 and 41 solves at 32^2,
+    # 64^2 and 96^2 (41, 51 and 51 with ARPACK at tol 0; LOBPCG on the DST
+    # preconditioner: 107, 232 and 219 iterations); the bound of 71 leaves
+    # room for three more ARPACK restarts of 10 solves
     p = (2.0, 4.0)
     for n in (32, 64, 96):
         u, nl = _sine_p24_case(n)
@@ -515,6 +516,84 @@ def test_stability_index_solve_count_does_not_grow_with_the_2d_grid():
             )
             assert rep.gap == pytest.approx(lowest, abs=1e-8 * max(1.0, abs(lowest)))
         assert not rep.stable
+
+
+def test_stability_index_restart_case_matches_dense_oracle():
+    # constant along the p = 3 axis, so the sine start spans only the lines'
+    # shared profile and ARPACK restarts from vectors of its own: 68 solves
+    # at tol 0, 31 with the tolerance taken from the residual bound
+    grid = Grid(box=((0.0, 3.0),) * 2, res=(24, 24))
+    u = GridField.from_function(grid, lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x / 3.0) + 0 * y)
+    ones = GridField.constant(grid, 1.0)
+    nl, p = NonlinearityEval.mixed_power(1.0, 1.0), (2.0, 3.0)
+    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
+    (lowest,) = scipy.linalg.eigvalsh(
+        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN), subset_by_index=[0, 0]
+    )
+    assert rep.gap == pytest.approx(lowest, abs=1e-8 * max(1.0, abs(lowest)))
+    assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
+    assert rep.iterations <= 41
+
+
+class _TolCaptured(Exception):
+    """Ends a stability index run once `eigsh` has been called."""
+
+
+@pytest.mark.parametrize("box, res, p, gamma, expect", [
+    # raw ratio bound / ||P - shift*I||_inf about 8e298
+    (3.0, 12, (2.0, 2.0), 1e308, 1e-7),
+    # about 2e-17: ||P - shift*I||_inf is about 1.6e10
+    (1e-3, 64, (2.0, 3.0), 1.0, np.finfo(float).eps),
+], ids=["huge-shift", "tiny-box"])
+def test_stability_index_arpack_tolerance_is_clipped_to_eps_and_eigen_tol(
+        monkeypatch, box, res, p, gamma, expect):
+    import scipy.sparse.linalg as spla
+    seen = []
+
+    def eigsh(*args, tol, **kwargs):
+        seen.append(tol)
+        raise _TolCaptured
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    grid = Grid(box=((0.0, box),) * 2, res=(res, res))
+    u = (GridField.constant(grid, 1.0) if gamma > 1.0
+         else _sine_candidate(grid, 0.2, (0.0, 0.1)))
+    with pytest.raises(_TolCaptured):
+        stability_index(u, NonlinearityEval.mixed_power(1.0, gamma),
+                        GridField.constant(grid, 1.0), p)
+    assert seen == [expect]
+
+
+def test_stability_index_arpack_stops_before_a_tol_zero_run_on_the_same_factor(monkeypatch):
+    import scipy.sparse.linalg as spla
+    real_splu, real_eigsh = spla.splu, spla.eigsh
+    seen = {}
+
+    def splu(*args, **kwargs):
+        seen["lu"] = real_splu(*args, **kwargs)
+        return seen["lu"]
+
+    def eigsh(a, **kwargs):
+        seen["a"], seen["v0"] = a, kwargs["v0"]
+        return real_eigsh(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    u, nl = _sine_p24_case(96)
+    rep = stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 4.0),
+                          variant=StabilityVariant.AS_WRITTEN)
+    n, solves = seen["v0"].size, 0
+
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        return seen["lu"].solve(b)
+
+    real_eigsh(seen["a"], k=1, sigma=0.0, which="LM", v0=seen["v0"], tol=0, rng=0,
+               OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
+    # at least one ARPACK restart of 10 solves fewer
+    assert rep.iterations <= solves - 10
+    assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
 
 
 def test_stability_index_on_five_interior_nodes_counts_factor_solves():
