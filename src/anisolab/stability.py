@@ -26,7 +26,6 @@ certified by its eigen residual rather than by a stagnation test.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -219,7 +218,7 @@ class StabilityReport:
         return report_dict(self, minimizer=None, description="minimizer") | {"stable": self.stable}
 
 
-def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int, bound: float):
+def _shift_invert_lowest(shifted, v0: np.ndarray, max_iter: int, bound: float):
     """The lowest eigenvector of the positive definite `shifted` by ARPACK's
     shift-invert Lanczos at 0 (Ericsson & Ruhe, Math. Comp. 35, 1980) on
     one SuperLU factor, at most `max_iter` factor solves, started from
@@ -235,6 +234,7 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int, bound: fl
     `bound` over ||shifted||_inf, the largest column sum of |data|
     (`stencil_rows` zeroes the DIA entries outside the matrix), kept
     within [eps, EIGEN_TOL]."""
+    import scipy.sparse.linalg as spla
     n = v0.size
     x, solves = v0, 0
     with np.errstate(over="ignore"):  # an infinite norm gives tol = eps
@@ -267,6 +267,47 @@ def _shift_invert_lowest(spla, shifted, v0: np.ndarray, max_iter: int, bound: fl
     except spla.ArpackError as exc:  # ArpackNoConvergence is one
         return x, solves, f"ARPACK failed: {exc}"
     return vecs[:, 0], solves, None
+
+
+def _lobpcg_lowest(shifted, precond, x0: np.ndarray, max_iter: int, bound: float):
+    """The lowest eigenvector of the positive definite `shifted` by LOBPCG on
+    one column (Knyazev, SIAM J. Sci. Comput. 23, 2001) from `x0`: each step
+    preconditions r = A x - rho x, orthogonalizes it against x and takes the
+    lowest Ritz pair of span{x, w, p} (w, p of unit norm) by the explicit
+    Gram pair (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006), without p
+    where that is singular.  Stops at ||r|| <= bound or `max_iter` precond
+    applications; returns the iterate of least ||r|| and the count."""
+    import scipy.linalg
+    m = np.empty((6, x0.size))  # rows x, Ax, w, Aw, p, Ap
+    s, a = m[0::2], m[1::2]
+    s[0] = x0 / np.linalg.norm(x0)
+    a[0] = shifted @ s[0]
+    rho, best, smallest, applied = s[0] @ a[0], x0, np.inf, 0
+    while True:
+        r = a[0] - rho * s[0]
+        res = scipy.linalg.norm(r, check_finite=False)
+        if res < smallest:
+            best, smallest = s[0].copy(), res
+        if not res > bound or applied == max_iter:
+            return best, applied
+        w = precond(r)
+        applied += 1
+        w -= (s[0] @ w) * s[0]
+        s[1] = w / np.linalg.norm(w)
+        a[1] = shifted @ s[1]
+        for k in ((3, 2) if applied > 1 else (2,)):
+            try:
+                gram = m[:2 * k] @ s[:k].T  # rows of G and H^T alternate: one pass over m
+                vals, c = scipy.linalg.eigh(gram[1::2].T, gram[::2], check_finite=False)
+                break
+            except scipy.linalg.LinAlgError:  # p lies in span{x, w}: drop it
+                pass
+        else:
+            return best, applied
+        rho, c = vals[0], c[:, 0]
+        p, ap = c[1:k] @ s[1:k], c[1:k] @ a[1:k]
+        s[0], a[0] = c[0] * s[0] + p, c[0] * a[0] + ap
+        s[2], a[2] = p / (norm := np.linalg.norm(p)), ap / norm
 
 
 def stability_index(
@@ -304,8 +345,8 @@ def stability_index(
       `stiffness`; `max_iter` caps its iterations and `iterations` counts
       them.
 
-    Grids with fewer than five interior nodes are solved densely inside
-    LOBPCG (0 iterations).  A `max_iter` below 1 is a ValidationError, as
+    Grids with fewer than five interior nodes are solved densely (0
+    iterations).  A `max_iter` below 1 is a ValidationError, as
     is a weight that `WeightSpec` refuses under WEIGHTED_BY_G.
 
     The index is the Rayleigh quotient rho of the returned unit vector x
@@ -327,7 +368,6 @@ def stability_index(
     turns invariant, from a fixed generator.
     """
     import scipy.linalg
-    import scipy.sparse.linalg as spla
     grid = u.grid
     grid.check_dim(p)
     if not max_iter >= 1:
@@ -354,25 +394,15 @@ def stability_index(
     n = pot.size
     # the lowest Dirichlet sine mode, positive on the interior
     x0 = math.prod(np.ix_(*(np.sin(np.pi * np.arange(1, r) / r) for r in grid.res))).ravel()
-    if grid.dim <= 2 and n >= 5:
-        x, iterations, failure = _shift_invert_lowest(spla, shifted, x0, max_iter, bound)
+    solver, counted, failure = "LOBPCG", "iterations", None
+    if n < 5:  # too few unknowns for LOBPCG
+        x, iterations = scipy.linalg.eigh(shifted.toarray(), subset_by_index=[0, 0],
+                                          check_finite=False)[1][:, 0], 0
+    elif grid.dim <= 2:
+        x, iterations, failure = _shift_invert_lowest(shifted, x0, max_iter, bound)
         solver, counted = "shift-invert Lanczos", "solves"
     else:
-        iterations, failure = 0, None
-        solver, counted = "LOBPCG", "iterations"
-
-        def precondition(block):
-            nonlocal iterations
-            iterations += 1
-            return precond(block[:, 0])[:, None]
-
-        with warnings.catch_warnings():
-            # non-convergence and the small-grid dense fallback are judged below
-            warnings.simplefilter("ignore", UserWarning)
-            # LOBPCG runs maxiter + 1 preconditioned iterations
-            _, vecs = spla.lobpcg(shifted, x0[:, None], M=precondition, tol=bound,
-                                  maxiter=max_iter - 1, largest=False)
-        x = vecs[:, 0]
+        x, iterations = _lobpcg_lowest(shifted, precond, x0, max_iter, bound)
     x = x / np.linalg.norm(x)
     px = shifted @ x + shift * x
     rho = float(x @ px)

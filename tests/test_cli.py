@@ -178,6 +178,26 @@ def test_stability_nonconvergence_leaves_diagnostics(tmp_path, monkeypatch):
     assert np.isfinite(doc["diagnostics"]["rho"])
 
 
+def test_stability_3d_iteration_cap_exits_3_with_diagnostics(tmp_path, monkeypatch):
+    # the resolved 8^3 p = (2,3,4) sine candidate takes more LOBPCG iterations
+    monkeypatch.setattr(cli, "stability_index", functools.partial(stability_index, max_iter=3))
+    grid = Grid(box=((0.0, math.pi),) * 3, res=(8, 8, 8))
+    snapshot = tmp_path / "u.txt"
+    save_field(GridField.from_function(
+        grid, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(y) * np.sin(z)), snapshot)
+    out = tmp_path / "nc"
+    code = main(["stability", "--p", "2,3,4", "--delta", "1", "--box", ",".join([f"0,{math.pi!r}"] * 3),
+                 "--res", "8,8,8", "--u", f"file:{snapshot}", "--variant", "AsWritten",
+                 "--outdir", str(out)])
+    assert code == 3
+    doc = json.loads((out / "nonconvergence.json").read_text())
+    assert set(doc["diagnostics"]) == {"rho", "iterations", "bound"}
+    assert doc["diagnostics"]["iterations"] == 3
+    assert np.isfinite(doc["diagnostics"]["rho"])
+    assert doc["residual"] > doc["diagnostics"]["bound"]
+    assert not (out / "stability_report.json").exists()
+
+
 def test_stability_arpack_failure_exits_3_with_diagnostics(tmp_path, capsys, monkeypatch):
     import scipy.sparse.linalg as spla
 
@@ -1085,6 +1105,28 @@ for argv in (
 def test_scipy_subcommands_import_what_they_call(tmp_path, argv):
     # each in a new process, so no other caller has loaded scipy before it
     script = f"import sys; from anisolab import cli; sys.exit(cli.main({argv!r} + ['--outdir', 'o']))"
+    proc = _fresh_interpreter(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_3d_stability_loads_no_sparse_eigensolvers(tmp_path):
+    # scipy.sparse.linalg holds ARPACK and SuperLU, which only the 1D/2D
+    # shift-invert Lanczos path calls
+    script = """
+import sys
+import numpy as np
+from anisolab import Grid, GridField, NonlinearityEval, StabilityVariant, cli, stability_index
+
+grid = Grid(box=((0.0, np.pi),) * 3, res=(10, 10, 10))
+u = GridField.from_function(grid, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(y) * np.sin(z))
+rep = stability_index(u, NonlinearityEval.mixed_power(1.0, 1.0), GridField.constant(grid, 1.0),
+                      (2.0, 3.0, 4.0), variant=StabilityVariant.AS_WRITTEN)
+assert rep.iterations > 0, rep
+assert "scipy.sparse.linalg" not in sys.modules
+code = cli.main(["stability", "--p", "2,2,3", "--delta", "1", "--box", "0,3,0,3,0,3",
+                 "--res", "8,8,8", "--u", "constant:1.0", "--outdir", "o"])
+assert code == 0 and "scipy.sparse.linalg" not in sys.modules, code
+"""
     proc = _fresh_interpreter(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,6 +1,9 @@
 """Stability evaluators against analytic eigenvalues, radial quadrature
 oracles, and the sweep/certificate machinery."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
+from anisolab import stability
 from anisolab.errors import HypothesisNotApplicableError, NonConvergenceError, ValidationError
 from anisolab.exponents import (
     ApplicableTheorem,
@@ -31,6 +35,7 @@ from anisolab.grid import (
     face_integral,
     integrate,
     make_cutoff,
+    stiffness,
     weak_form_gap,
 )
 from anisolab.stability import (
@@ -397,7 +402,7 @@ def test_stability_index_minimizer_is_reproducible():
 
 @pytest.mark.parametrize("res", [(3, 3), (2,), (5,), (2, 4), (2, 2, 3)])
 def test_stability_index_small_grid_takes_dense_path(res):
-    # scipy's lobpcg solves a block of one densely below five unknowns
+    # below five unknowns a dense eigensolve replaces LOBPCG, as in scipy's lobpcg
     dim = len(res)
     g = Grid(box=((0.0, 1.0),) * dim, res=res)
     u = GridField.from_function(g, lambda *xs: 1.0 + 0.3 * np.prod(xs, axis=0))
@@ -487,6 +492,107 @@ def test_stability_index_on_a_grid_with_one_interior_node_along_an_axis(res):
     rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
     eigs = scipy.linalg.eigvalsh(dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN))
     assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
+
+
+def _index_and_scipy_lobpcg(monkeypatch, u, nl, p, max_iter=1000):
+    """`stability_index` (AsWritten, weight 1) and `scipy.sparse.linalg.lobpcg`
+    on the same shifted pencil, preconditioner, sine start and bound: the
+    reference of `_lobpcg_lowest`.  Returns the index's gap, iteration
+    count, residual and bound (from the diagnostics where it raises
+    NonConvergenceError), scipy's preconditioner count and the Rayleigh
+    quotient of its vector under the unshifted pencil."""
+    import scipy.sparse.linalg as spla
+    seen = []
+
+    def capture(*args):
+        seen.append(stiffness(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(stability, "stiffness", capture)
+    try:
+        rep = stability_index(u, nl, GridField.constant(u.grid, 1.0), p,
+                              variant=StabilityVariant.AS_WRITTEN, max_iter=max_iter)
+        out = (rep.gap, rep.iterations, rep.residual, 1e-7 * max(1.0, abs(rep.shift)))
+    except NonConvergenceError as exc:
+        diag = exc.diagnostics
+        out = (diag["rho"], diag["iterations"], exc.residual, diag["bound"])
+    (shifted, precond), count = seen[0], 0
+    shift = -max(0.0, float(np.max(nl.fprime(u.values)[u.grid.interior_slices()]))) - 1.0
+
+    def counted(block):
+        nonlocal count
+        count += 1
+        return precond(block[:, 0])[:, None]
+
+    x0 = math.prod(np.ix_(*(np.sin(np.pi * np.arange(1, r) / r) for r in u.grid.res))).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # non-convergence is judged by the caller
+        _, vecs = spla.lobpcg(shifted, x0[:, None], M=counted, largest=False, tol=out[3],
+                              maxiter=max_iter - 1)
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    return *out, count, float(x @ (shifted @ x + shift * x))
+
+
+def _lowest_axis_profile_case():
+    """The 12^3 p = (2, 2, 3) candidate constant along z, whose flux
+    weights vanish along the p = 3 axis: a multiple lowest eigenvalue."""
+    grid = Grid(box=((0.0, 3.0),) * 3, res=(12, 12, 12))
+    u = GridField.from_function(
+        grid, lambda x, y, z: 1.0 + 0.2 * np.sin(np.pi * x / 3.0) * np.sin(np.pi * y / 3.0) + 0 * z)
+    return u, (2.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("case", [
+    ((2.0, 2.0, 3.0), 16, (0.0, 0.0, 0.0)),
+    ((2.0, 3.0, 4.0), 12, (0.0, 0.0, 0.0)),
+    ((2.0, 2.0, 2.0), 24, (0.0, 0.0, 0.0)),
+    ((2.0, 3.0, 4.0), 24, (0.0, 0.1, 0.2)),
+    "constant-along-z",
+], ids=["p223-16", "p234-12", "p222-24", "p234-24-sliver", "p223-12-constant-along-z"])
+def test_lobpcg_loop_matches_scipy_lobpcg(monkeypatch, case):
+    if case == "constant-along-z":
+        u, p = _lowest_axis_profile_case()
+    else:
+        p, n, phases = case
+        u = _sine_candidate(Grid(box=((0.0, np.pi),) * 3, res=(n,) * 3), 0.2, phases)
+    gap, iterations, residual, bound, count, rho = _index_and_scipy_lobpcg(
+        monkeypatch, u, NonlinearityEval.mixed_power(1.0, 1.0), p)
+    assert iterations == count > 0
+    assert gap == pytest.approx(rho, rel=1e-12)
+    assert residual <= bound
+
+
+def test_lobpcg_loop_matches_scipy_lobpcg_on_seeded_pencils(monkeypatch):
+    # 13x11x13 p = (3,4,4) pencils, the shape whose four lowest eigenvalues
+    # can lie within a few 1e-6 and exhaust the iteration cap
+    for seed in range(50):
+        rng = np.random.default_rng([3, 4, 4, seed])
+        grid = Grid(box=((0.0, np.pi),) * 3, res=(13, 11, 13))
+        u = _sine_candidate(grid, rng.uniform(0.1, 0.4), rng.uniform(0.0, 0.3, 3))
+        nl = NonlinearityEval.mixed_power(*sorted(rng.uniform(0.5, 2.0, 2)))
+        gap, iterations, residual, bound, count, rho = _index_and_scipy_lobpcg(
+            monkeypatch, u, nl, (3.0, 4.0, 4.0))
+        assert residual <= bound, seed
+        assert 0 <= iterations - count <= 1, seed
+        assert gap == pytest.approx(rho, rel=1e-12), seed
+
+
+def test_stability_index_3d_iteration_cap_ends_in_nonconvergence(monkeypatch):
+    # the resolved 8^3 p = (2,3,4) candidate, whose iterate at the cap has a
+    # larger residual than an earlier one: the cap returns the iterate of
+    # the smallest residual, as scipy's lobpcg does
+    u = _sine_candidate(Grid(box=((0.0, np.pi),) * 3, res=(8, 8, 8)), 0.2, (0.0,) * 3)
+    nl = NonlinearityEval.mixed_power(1.0, 1.0)
+    with pytest.raises(NonConvergenceError, match="LOBPCG") as exc:
+        stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 3.0, 4.0),
+                        variant=StabilityVariant.AS_WRITTEN, max_iter=3)
+    diag = exc.value.diagnostics
+    assert set(diag) == {"rho", "iterations", "bound"}
+    assert diag["iterations"] == 3
+    assert np.isfinite(diag["rho"]) and exc.value.residual > diag["bound"] > 0
+    gap, _, _, _, count, rho = _index_and_scipy_lobpcg(monkeypatch, u, nl, (2.0, 3.0, 4.0), 3)
+    assert count == 3
+    assert gap == pytest.approx(rho, rel=1e-12)
 
 
 def _sine_p24_case(n):
