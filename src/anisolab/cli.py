@@ -10,7 +10,7 @@ the library call that takes a value checks its domain, except for the count
 of a `--radii lo:hi:count` range, which is bounded before it is allocated.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 hypothesis not applicable.
+4 hypothesis not applicable; a stdout closed by its reader is no error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -35,13 +36,7 @@ from .exponents import (
     region_memberships,
 )
 from . import grid as grid_module
-from .grid import (
-    Grid,
-    GridField,
-    export_field_csv,  # noqa: F401  (bound here for tools that wrap the CLI's writers)
-    load_field,
-    save_field,
-)
+from .grid import Grid, GridField, load_field, save_field
 from .solver import WeightSpec, run_ladder
 from .stability import (
     NonlinearityEval,
@@ -392,7 +387,14 @@ def main(argv=None) -> int:
         return exc.code
     try:
         values, outdir = _configure(args.subcommand, args)
-        return SUBCOMMANDS[args.subcommand].run(values, outdir)
+        code = SUBCOMMANDS[args.subcommand].run(values, outdir)
+        sys.stdout.flush()  # a closed stdout shows here, after every report is written
+        return code
+    except BrokenPipeError:  # the reader left early (`| head`): not an error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit cannot fail again
+        os.close(devnull)
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -458,17 +458,15 @@ class LevelSetFit:
     on the superlevel-set measures of a field, with r held fixed.
 
     The slope beta comes from least squares in log space; the constant C is
-    then raised until the bound dominates every measured pair, so
-    `max_violation` is 1 whenever a fit exists.  `residual_halfwidth` is the
-    half-range of the log-space residuals around the least-squares line (the
-    fit-quality metric)."""
+    then raised until the bound dominates every measured pair.
+    `residual_halfwidth` is the half-range of the log-space residuals around
+    the least-squares line (the fit-quality metric)."""
 
     levels: tuple[float, ...]
     measures: tuple[float, ...]
     r: float
     beta: float
     log_c: float
-    max_violation: float
     residual_halfwidth: float
 
 
@@ -565,15 +563,12 @@ def level_set_decay_fit(u: GridField, e: ExponentData) -> LevelSetFit | None:
     residuals = target - (log_c_ls + beta * log_phi[:-1])
     log_c = float(log_c_ls + np.max(residuals))
     halfwidth = float(0.5 * (np.max(residuals) - np.min(residuals)))
-    bound = log_c + beta * log_phi[:-1] - r * log_gap
-    max_violation = float(np.max(np.exp(log_phi[1:] - bound)))
     return LevelSetFit(
         levels=tuple(levels),
         measures=tuple(measures),
         r=float(r),
         beta=float(beta),
         log_c=log_c,
-        max_violation=max_violation,
         residual_halfwidth=halfwidth,
     )
 

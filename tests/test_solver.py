@@ -774,9 +774,11 @@ def test_level_set_decay_fit_on_ladder_field():
     fit = rep.levelset_fit
     assert fit is not None
     assert fit.beta > 1.0
-    assert fit.max_violation <= 1.0 + 1e-9
-    # the fitted bound dominates the data by construction; quality is the
-    # half-range of the residuals
+    # the fitted bound C measure(h_j)^beta / (h_{j+1} - h_j)^r dominates every
+    # measured pair by construction; quality is the half-range of the residuals
+    levels, measures = np.array(fit.levels), np.array(fit.measures)
+    log_bound = fit.log_c + fit.beta * np.log(measures[:-1]) - fit.r * np.log(np.diff(levels))
+    assert np.all(np.log(measures[1:]) <= log_bound + 1e-9)
     assert fit.residual_halfwidth < 0.5
     # measures decrease along the level ladder
     assert all(b <= a for a, b in zip(fit.measures, fit.measures[1:]))
