@@ -45,7 +45,7 @@ from .stability import (
     nonexistence_certificate,
     stability_index,
 )
-from .truncations import TruncationPair, default_samples, verify_properties
+from .truncations import TruncationPair, verify_properties
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,6 @@ KEYS: dict[str, Key] = {
     "weight.m": Key("--weight-m", float, "claimed integrability exponent of g"),
     "truncation.k": Key("--k", int),
     "truncation.alpha": Key("--alpha", float),
-    "truncation.samples": Key("--samples", int),
-    "truncation.tmax": Key("--t-max", float),
     "solve.nmax": Key("--nmax", int),
     "solve.tolFix": Key("--tol-fix", float),
     "solve.innerTol": Key("--inner-tol", float),
@@ -154,9 +152,12 @@ def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read config {path}: byte {exc.object[exc.start]:#x} "
+                              f"at offset {exc.start} is not UTF-8") from exc
     cfg: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -193,9 +194,12 @@ def _configure(name: str, args: argparse.Namespace) -> tuple[dict, Path]:
         except ValueError as exc:
             raise ValidationError(f"bad {key} {text!r}: {exc}") from exc
     outdir = Path(resolved["run.outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = [f"{k} = {resolved[k]}" for k in sorted(resolved)]
-    (outdir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "resolved_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write to outdir {outdir}: {exc.strerror}") from exc
     return values, outdir
 
 
@@ -249,8 +253,7 @@ def _run_thresholds(v: dict, outdir: Path) -> int:
 def _run_truncation_check(v: dict, outdir: Path) -> int:
     k, alpha = v["truncation.k"], v["truncation.alpha"]
     tp = TruncationPair(k=k, alpha=alpha, exponents=v["exponents.p"])
-    samples = default_samples(tp, n=v["truncation.samples"], t_max=v["truncation.tmax"])
-    report = verify_properties(tp, samples)
+    report = verify_properties(tp)
     _write_json(report.to_dict(), outdir / "truncation_report.json")
     status = "pass" if report.ok else "FAIL"
     print(f"truncation-check k={k} alpha={alpha}: {status} "
@@ -339,8 +342,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
     ),
     "truncation-check": Subcommand(
         _run_truncation_check, "verify the truncation identities",
-        {"truncation.k": REQUIRED, "truncation.alpha": REQUIRED,
-         "truncation.samples": "1000", "truncation.tmax": "10.0", "exponents.p": "",
+        {"truncation.k": REQUIRED, "truncation.alpha": REQUIRED, "exponents.p": "",
          "run.outdir": "truncation-out"},
     ),
     "solve": Subcommand(

@@ -629,8 +629,9 @@ def load_field(path) -> GridField:
     body row that is not one value or is longer than `MAX_ROW_CHARS`
     (refused as soon as it is read), a value count that differs from the
     header's grid (read no further than one block of `_READ_CHARS`
-    characters past it), or a non-finite value is a ValidationError."""
-    with open(path) as fh:
+    characters past it), or a non-finite value is a ValidationError.  Each
+    byte is read as one character (Latin-1), so no byte fails to decode."""
+    with open(path, encoding="latin-1") as fh:
         line = fh.readline(MAX_HEADER_CHARS + 1)
         header = line.split()
         if not header or header[0] != _FIELD_MAGIC:
@@ -665,8 +666,8 @@ def load_field(path) -> GridField:
             else:  # at the end of the file a last row may lack its newline
                 rows, pending = ([text] if text else []), ""
             # the longest row, the pending one included, is the largest gap
-            # between newlines; the encoding gives one byte per character
-            codes = np.frombuffer(text.encode("latin-1", "replace"), np.uint8)
+            # between newlines
+            codes = np.frombuffer(text.encode("latin-1"), np.uint8)
             gaps = np.diff(np.flatnonzero(codes == 10), prepend=-1, append=codes.size)
             keep = expected + 1 - count
             if len(rows) >= keep:  # the last block: later rows are never parsed

@@ -39,7 +39,6 @@ from anisolab.grid import (
 )
 from anisolab.solver import WeightSpec, run_ladder, solve_inner
 from anisolab.stability import NonlinearityEval, nonexistence_certificate, stability_index
-from anisolab.truncations import TruncationPair, default_samples
 
 
 def test_thresholds_json_content(tmp_path, capsys):
@@ -88,6 +87,35 @@ def test_truncation_check(tmp_path, capsys):
     assert doc["violations"] == []
     assert doc["maxCDeviation"] <= 1e-12
     assert "pass" in capsys.readouterr().out
+
+
+def test_old_truncation_config_is_refused_then_replays(tmp_path, capsys):
+    # a resolved_config.txt written before `--samples` and `--t-max` were
+    # removed names their keys; without those two lines it replays
+    out = tmp_path / "tc"
+    old = (f"exponents.p = 2,3\nrun.outdir = {out}\nrun.subcommand = truncation-check\n"
+           "truncation.alpha = 4\ntruncation.k = 2\ntruncation.samples = 1000\n"
+           "truncation.tmax = 10.0\n")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(old)
+    assert main(["truncation-check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("validation error: unknown config key(s) for "
+                                       "truncation-check: truncation.samples, truncation.tmax\n")
+    assert not out.exists()
+    kept = "".join(line for line in old.splitlines(keepends=True)
+                   if not line.startswith(("truncation.samples", "truncation.tmax")))
+    cfg.write_text(kept)
+    assert main(["truncation-check", "--config", str(cfg)]) == 0
+    assert (out / "resolved_config.txt").read_text() == kept
+    assert json.loads((out / "truncation_report.json").read_text())["ok"] is True
+
+
+def test_unwritable_resolved_config_exits_2(tmp_path, capsys):
+    # the outdir exists, but resolved_config.txt in it is a directory
+    (tmp_path / "resolved_config.txt").mkdir()
+    assert main(["thresholds", "--p", "2,3,4", "--delta", "10", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"validation error: cannot write to outdir {tmp_path}: "
+                                       "Is a directory\n")
 
 
 def test_solve_outputs_and_reproducibility(tmp_path):
@@ -465,7 +493,8 @@ class Case(NamedTuple):
     line past its code's prefix, as a literal prefix or a regex matched from
     its start (None leaves argparse's usage lines unchecked);
     `check(outdir, stdout)` must hold.  "{tmp}" in argv or in `err` stands
-    for the run's directory, which holds each file of `_FIXTURES` argv names."""
+    for the run's directory, which holds each file of `_FIXTURES` argv names;
+    the outdir is "{tmp}/out" unless argv gives its own."""
 
     id: str
     argv: str
@@ -492,6 +521,12 @@ def _two_levels_within_tol_fix(outdir, stdout):
 _FIXTURES = {
     "other-grid.txt": lambda path: save_field(_ONES, path),
     "not-a-field.txt": lambda path: path.write_text("1.0\n2.0\n"),
+    # byte 0xff, which is not UTF-8, in the header or in the last of 4225
+    # rows, past the first 8 KB
+    "ff-header.txt": lambda path: path.write_bytes(b"anisofield\xff 2 8 8 0 3 0 3\n"),
+    "ff-row.txt": lambda path: path.write_bytes(
+        b"anisofield 2 64 64 0 3 0 3\n" + b"1\n" * 4224 + b"1\xff\n"),
+    "ff.cfg": lambda path: path.write_bytes(b"run.seed = 1\xff\n"),
     "sine96.txt": lambda path: save_field(GridField.from_function(
         Grid(box=((0.0, math.pi),) * 2, res=(96, 96)),
         lambda x, y: 1.0 + 0.2 * np.sin(x) * np.sin(y + 0.1)), path),
@@ -502,19 +537,16 @@ _FIXTURES = {
 
 # a NaN p_i ended in a traceback or exit 3; a NaN tolerance passed every
 # `gap > tol` test and certified each level; a nonpositive one, or a
-# Newton-step cap below 1, ended in exit 3; `--t-max inf` reported ok; an
-# infinite alpha, a NaN `--p` entry, a NaN `weight.m` and `--cconst inf` ran
-# and exited 0; a truncation pair whose coefficients overflow, an infinite
-# box endpoint and an overflowing sweep bound ended in a traceback; a NaN
-# box endpoint ended in exit 3; a cell width whose square overflows or
-# underflows ended in a traceback, and one whose inverse square overflows in
-# exit 3; a `--t-max` whose large-t proxy 100 * t_max overflows exited 0
-# with FAIL and numpy warnings
+# Newton-step cap below 1, ended in exit 3; an infinite alpha, a NaN `--p`
+# entry, a NaN `weight.m` and `--cconst inf` ran and exited 0; a truncation
+# pair whose coefficients overflow, an infinite box endpoint and an
+# overflowing sweep bound ended in a traceback; a NaN box endpoint ended in
+# exit 3; a cell width whose square overflows or underflows ended in a
+# traceback, and one whose inverse square overflows in exit 3
 _BAD_P = "every p_i must be finite"
 _BAD_TOL_FIX = "tol_fix must be finite and > 0"
 _BAD_INNER_TOL = "inner_tol must be finite and > 0"
 _BAD_MAX_OUTER = "the level solve needs a Newton-step cap >= 1"
-_BAD_T_MAX = "t_max = "
 _BAD_M = "integrability exponent m must be finite and > 0"
 _COUNT = re.compile(f".*count must lie in 1\\.\\.{MAX_NODES}$")
 
@@ -522,9 +554,13 @@ _COUNT = re.compile(f".*count must lie in 1\\.\\.{MAX_NODES}$")
 # it: the tests written before the table keep their names and ids
 CLI_CASES: dict[str, list[Case]] = {
     "test_cli_case": [
-        # at t = 1e62 b_k' underflows to 0; the growth ratio must still pass
-        Case("tc60", "truncation-check --k 2 --alpha 6 --p 2,3 --t-max 1e60", 0,
-             check=lambda out, stdout: ": pass " in stdout),
+        # the sample grid and its flags are gone: C is certified from above
+        Case("samples-removed", f"{_TRUNCATION} --samples 10", 2),
+        # the derivative ratio's square overflowed: an OverflowError
+        # traceback, exit 1; floats cannot decide this pair, which reads FAIL
+        Case("alpha-1e200", "truncation-check --k 1 --alpha 1e200 --p 2,3", 0,
+             check=lambda out, stdout: ": FAIL " in stdout
+             and not _report(out, "truncation_report.json")["ok"]),
         # the limit battery evaluates g e^{1/u} next to a singular weight
         Case("power", "solve --p 2,3 --box 0,1,0,1 --res 12,12 --nmax 3 --weight power:1.5", 0),
         Case("na-window", "thresholds --p 2,3,4 --cap 0.2222222222222222", 4,
@@ -555,6 +591,23 @@ CLI_CASES: dict[str, list[Case]] = {
              "tol_fix = 1e-320 is below the smallest normal float"),
         Case("sub--inner-tol", "solve --p 2,3 --box 0,1,0,1 --res 8,8 --nmax 2 --inner-tol 1e-320",
              2, "inner_tol = 1e-320 is below the smallest normal float"),
+        # a byte that is not UTF-8 in a snapshot or a config ended in a
+        # UnicodeDecodeError traceback, exit 1
+        Case("ff-header", "stability --p 2,2 --delta 1 --box 0,3,0,3 --res 8,8 "
+             "--u file:{tmp}/ff-header.txt", 2, "{tmp}/ff-header.txt is not a field snapshot"),
+        Case("ff-row", "stability --p 2,2 --delta 1 --box 0,3,0,3 --res 64,64 "
+             "--u file:{tmp}/ff-row.txt", 2,
+             "{tmp}/ff-row.txt is a malformed field snapshot: a body row is not one value"),
+        Case("ff-config", "thresholds --p 2,3,4 --delta 10 --config {tmp}/ff.cfg", 2,
+             "cannot read config {tmp}/ff.cfg: byte 0xff at offset 12 is not UTF-8"),
+        # an outdir that is a file, or lies under one, ended in a
+        # FileExistsError or NotADirectoryError traceback, exit 1; the file
+        # is left as it was
+        Case("outdir-file", f"{_TRUNCATION} --outdir {{tmp}}/not-a-field.txt", 2,
+             "cannot write to outdir {tmp}/not-a-field.txt: File exists",
+             check=lambda out, _: out.read_text() == "1.0\n2.0\n"),
+        Case("outdir-under-file", f"{_TRUNCATION} --outdir {{tmp}}/not-a-field.txt/out", 2,
+             "cannot write to outdir {tmp}/not-a-field.txt/out: Not a directory"),
     ],
     "test_validation_exit_code": [
         Case("delta-negative", "thresholds --p 2,3,4 --delta -1", 2,
@@ -602,10 +655,6 @@ CLI_CASES: dict[str, list[Case]] = {
     "test_out_of_range_counts_exit_2": [
         Case("radii-huge", f"{_SWEEP} --radii 1:2:1000000000000", 2, _COUNT),
         Case("radii-zero", f"{_SWEEP} --radii 1:2:0", 2, _COUNT),
-        Case("samples-huge", f"{_TRUNCATION} --samples 1000000000000", 2, _COUNT),
-        Case("samples-negative", f"{_TRUNCATION} --samples=-5", 2, _COUNT),
-        Case("samples-zero", f"{_TRUNCATION} --samples 0", 2, _COUNT),
-        Case("samples-config", _TRUNCATION, 2, _COUNT, "truncation.samples = -5\n"),
     ],
     "test_non_finite_or_out_of_domain_values_exit_2": [
         Case("p-nan", "thresholds --p nan,2 --delta 3", 2, _BAD_P),
@@ -619,9 +668,6 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("inner-tol-nan", f"{_SOLVE} --inner-tol nan", 2, _BAD_INNER_TOL),
         Case("max-outer-zero", f"{_SOLVE} --max-outer 0", 2, _BAD_MAX_OUTER),
         Case("max-outer-negative", f"{_SOLVE} --max-outer=-1", 2, _BAD_MAX_OUTER),
-        Case("t-max-negative", f"{_TRUNCATION} --t-max=-1", 2, _BAD_T_MAX),
-        Case("t-max-inf", f"{_TRUNCATION} --t-max inf", 2, _BAD_T_MAX),
-        Case("t-max-nan", f"{_TRUNCATION} --t-max nan", 2, _BAD_T_MAX),
         Case("alpha-inf", "truncation-check --k 2 --alpha inf", 2, "alpha must be finite"),
         Case("truncation-p-nan", f"{_TRUNCATION} --p 2,nan", 2, _BAD_P),
         Case("alpha-huge", "truncation-check --k 2 --alpha 1e308", 2, "k = 2, alpha = 1e+308: the"),
@@ -641,8 +687,6 @@ CLI_CASES: dict[str, list[Case]] = {
              "--res 8,8 --u constant:1.0", 2, "cell widths"),
         Case("box-inverse-h2-overflows", "solve --p 2,2 --box 0,1e-160,0,1 --res 8,8 --nmax 2", 2,
              "cell widths"),
-        Case("t-max-proxy-overflows", f"{_TRUNCATION} --t-max 1e307 --p 2,3", 2,
-             "t_max = 1e+307: the large-t proxy"),
     ],
     # the left side int g (1/u)^E was written as inf to sweep.csv and as null
     # to certificate.json, after a RuntimeWarning, with exit 0
@@ -732,10 +776,14 @@ def _run_case(tmp, capsys, case):
     if case.config is not None:
         (tmp / "run.cfg").write_text(case.config)
         argv += ["--config", str(tmp / "run.cfg")]
-    out = tmp / "out"
+    if "--outdir" in argv:
+        out = Path(argv[argv.index("--outdir") + 1])
+    else:
+        out = tmp / "out"
+        argv += ["--outdir", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(argv + ["--outdir", str(out)])
+        code = main(argv)
     stdout, err = capsys.readouterr()
     assert code == case.code, err
     assert not caught, [str(w.message) for w in caught]
@@ -781,13 +829,9 @@ for _name, _rows in CLI_CASES.items():
 def test_count_limits_are_inclusive(monkeypatch):
     # a lowered limit, so that a count at it allocates little
     monkeypatch.setattr(grid_module, "MAX_NODES", 40)
-    tp = TruncationPair(k=2, alpha=4.0)
     for n in (1, 40):
-        assert default_samples(tp, n=n).size > 0
         assert len(cli._radii(f"1:2:{n}")) == n
     for n in (0, 41):
-        with pytest.raises(ValidationError, match="count must lie in 1..40"):
-            default_samples(tp, n=n)
         with pytest.raises(ValueError, match="count must lie in 1..40"):
             cli._radii(f"1:2:{n}")
 
@@ -798,13 +842,11 @@ def test_count_limits_are_inclusive(monkeypatch):
 # values outside the domain.
 # Before the checks moved into the library, `run_ladder` certified every level
 # at tol_fix = nan or inf, ran 200 Newton steps and exited 3 at tol_fix = -1
-# or inner_tol = nan, accepted `WeightSpec(m=-1)`, raised numpy's bare
-# ValueError at seed = -1, and `default_samples(t_max=-1)` warned, returned a
-# NaN sample and was refused as "samples must be >= 0".
+# or inner_tol = nan, accepted `WeightSpec(m=-1)` and raised numpy's bare
+# ValueError at seed = -1.
 _SMALL = Grid(box=((0.0, 1.0),) * 2, res=(4, 4))
 _ONES = GridField.constant(_SMALL, 1.0)
 _E23 = ExponentData.from_p((2.0, 3.0))
-_TP = TruncationPair(k=2, alpha=4.0)
 _SOLVE_SMALL = ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "4,4", "--nmax", "2"]
 _STAB_SMALL = ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3,0,3", "--res", "4,4",
                "--u", "constant:1.0"]
@@ -841,14 +883,6 @@ _DOMAINS = {
     "weight.m": ("integrability exponent m must be finite and > 0",
                  [lambda v: WeightSpec(g=_ONES, m=v)],
                  [lambda t: _SOLVE_SMALL + [f"--weight-m={t}"]], _NON_POSITIVE),
-    "samples": ("the sample count must lie in 1..",
-                [lambda v: default_samples(_TP, n=v)],
-                [lambda t: ["truncation-check", "--k", "2", "--alpha", "4", f"--samples={t}"]],
-                (0, -1, MAX_NODES + 1)),
-    "t_max": ("the large-t proxy [^ ]+ must be finite and > 0",
-              [lambda v: default_samples(_TP, t_max=v)],
-              [lambda t: ["truncation-check", "--k", "2", "--alpha", "4", f"--t-max={t}"]],
-              _NON_POSITIVE + (1e307,)),
     "dimension": ("exponent dimension [13] != grid dimension 2",
                   [lambda v: solve_inner(_ONES, ExponentData.from_p(v)),
                    lambda v: p_laplacian_apply(_ONES, ExponentData.from_p(v)),
@@ -1253,9 +1287,9 @@ _THRESHOLD_KEYS = {
     ("truncation_report.json",
      ["truncation-check", "--k", "2", "--alpha", "4", "--p", "2,3"],
      {**{k: None for k in ("ok", "knotGapA", "knotGapB", "knotGapAPrime", "knotGapBPrime",
-                           "maxCDeviation", "minAMargin", "maxPowerEqualityGap")},
+                           "maxADeviation", "maxCDeviation")},
       "growthConstants": {"2.0": None, "3.0": None},
-      "violations": [{"property": None, "t": None, "lhs": None, "rhs": None}]}),
+      "violations": [{"property": None, "value": None, "bound": None}]}),
 ], ids=["ladder", "stability", "certificate", "truncation"])
 def test_report_key_trees_are_pinned(tmp_path, monkeypatch, name, argv, tree):
     # every JSON key at every depth, so a renamed attribute cannot rename a
