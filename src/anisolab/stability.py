@@ -17,10 +17,10 @@ the smallest Rayleigh quotient of that gap (mass-normalized), so stability
 is exactly index >= 0.  W is 1 for the literal inequality and g for the
 weighted variant the cutoff estimates use.  The index is computed on the
 gap pencil shifted to be positive definite, assembled by `grid.stiffness`
-like the solver's Newton systems: in 1D and 2D by shift-invert Lanczos on
-one sparse factor of that pencil, in 3D by LOBPCG preconditioned by its
-diagonally scaled fast-diagonalization (DST) inverse.  Either way it is
-certified by its eigen residual rather than by a stagnation test.
+like the solver's Newton systems, by one LOBPCG loop preconditioned in 1D
+and 2D by one sparse factor of that pencil, in 3D by its diagonally scaled
+fast-diagonalization (DST) inverse.  Either way it is certified by its
+eigen residual rather than by a stagnation test.
 """
 
 from __future__ import annotations
@@ -199,7 +199,10 @@ class StabilityReport:
     vector x behind `minimizer`, so some eigenvalue of the pencil P lies
     within `residual` of `gap`, and `gap`, a Rayleigh quotient, bounds the
     lowest eigenvalue from above.  Nothing here says whether that lowest
-    eigenvalue is simple.
+    eigenvalue is simple.  `residual` is at most the bound
+    max(EIGEN_TOL * max(1, |shift|), sqrt(n) eps ||P - shift*I||_inf) over
+    the n interior nodes, the larger of a relative tolerance and the
+    roundoff floor of the residual.
     """
 
     gap: float
@@ -216,57 +219,6 @@ class StabilityReport:
 
     def to_dict(self) -> dict:
         return report_dict(self, minimizer=None, description="minimizer") | {"stable": self.stable}
-
-
-def _shift_invert_lowest(shifted, v0: np.ndarray, max_iter: int, bound: float):
-    """The lowest eigenvector of the positive definite `shifted` by ARPACK's
-    shift-invert Lanczos at 0 (Ericsson & Ruhe, Math. Comp. 35, 1980) on
-    one SuperLU factor, at most `max_iter` factor solves, started from
-    `v0` (ARPACK's restart vectors, drawn once its Krylov space turns
-    invariant, come from a fixed generator).  Returns the vector, the
-    solve count and None; on a failure (the budget, a singular factor, a
-    non-finite solve, an ARPACK error) the last finite solve output or
-    `v0`, the count and the reason.  The factor goes when this returns.
-    Unrelaxed supernodes (`relax=1, panel_size=1`) keep the defaults' fill
-    in less time.  ARPACK stops once the Ritz estimate of 1/mu under
-    shifted^-1 is at most tol/mu (Lehoucq, Sorensen & Yang, ARPACK Users'
-    Guide, SIAM 1998), so ||shifted x - mu x|| <= tol ||shifted||: tol is
-    `bound` over ||shifted||_inf, the largest column sum of |data|
-    (`stencil_rows` zeroes the DIA entries outside the matrix), kept
-    within [eps, EIGEN_TOL]."""
-    import scipy.sparse.linalg as spla
-    n = v0.size
-    x, solves = v0, 0
-    with np.errstate(over="ignore"):  # an infinite norm gives tol = eps
-        norm = float(np.max(np.sum(np.abs(shifted.data), axis=0)))
-    tol = min(EIGEN_TOL, max(np.finfo(float).eps, bound / norm))
-
-    def solve(b):
-        nonlocal x, solves
-        if solves == max_iter:
-            raise NonConvergenceError(f"shift-invert Lanczos used all {max_iter} factor solves")
-        solves += 1
-        y = lu.solve(b)
-        if not np.all(np.isfinite(y)):
-            raise NonConvergenceError("a factor solve of the shifted pencil is not finite")
-        x = y
-        return y
-
-    try:
-        lu = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       relax=1, panel_size=1, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU reports a singular factor
-        return x, solves, f"SuperLU could not factor the shifted pencil: {exc}"
-    try:
-        _, vecs = spla.eigsh(
-            shifted, k=1, sigma=0.0, which="LM", v0=v0, tol=tol,
-            OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float), rng=0,
-        )
-    except NonConvergenceError as exc:  # raised by `solve` to end the run
-        return x, solves, str(exc)
-    except spla.ArpackError as exc:  # ArpackNoConvergence is one
-        return x, solves, f"ARPACK failed: {exc}"
-    return vecs[:, 0], solves, None
 
 
 def _lobpcg_lowest(shifted, precond, x0: np.ndarray, max_iter: int, bound: float):
@@ -327,45 +279,44 @@ def stability_index(
     |D_i u|^{p_i-2}.  The shift -max(0, max W f'(u)) - 1 puts the spectrum
     of P - shift*I at or above 1.  `grid.stiffness` assembles P - shift*I
     (diagonal -W f'(u) - shift, floored at 1 as it is in exact arithmetic),
-    and its lowest eigenpair is computed from the lowest discrete Dirichlet
-    sine mode prod_i sin(pi k_i / res_i), k_i = 1..res_i - 1, the ground
-    state of the DST preconditioner.
+    and `_lobpcg_lowest` computes its lowest eigenpair from the lowest
+    discrete Dirichlet sine mode prod_i sin(pi k_i / res_i),
+    k_i = 1..res_i - 1, the ground state of the DST preconditioner.
     P - shift*I has no positive off-diagonal entry (w_i >= 0), so by
     Perron-Frobenius its lowest eigenspace holds a nonnegative vector, and
-    the strictly positive start is never deficient in that direction:
+    the strictly positive start is never deficient in that direction.  Only
+    the preconditioner depends on the dimension:
 
-    * on 1D and 2D grids of at least five interior nodes, by shift-invert
-      Lanczos (ARPACK's `eigsh` at sigma 0) on one sparse SuperLU factor
-      of P - shift*I, whose solve count does not grow with the grid;
-      ARPACK stops at the residual bound below; `max_iter` caps the
-      factor solves and `iterations` counts them;
-    * on 3D grids, where that factor costs as much as the whole iterative
-      solve at 16^3 and ten times more at 24^3, by LOBPCG (Knyazev 2001)
-      on one column preconditioned by the diagonally scaled DST inverse of
-      `stiffness`; `max_iter` caps its iterations and `iterations` counts
-      them.
+    * in 1D and 2D, the solve of one sparse SuperLU factor of P - shift*I,
+      an exact inverse, so the iteration count does not grow with the grid;
+      a factor that SuperLU reports as singular raises NonConvergenceError;
+    * in 3D, where that factor costs as much as the whole iterative solve
+      at 16^3 and ten times more at 24^3, the diagonally scaled DST
+      inverse of `stiffness`.
 
-    Grids with fewer than five interior nodes are solved densely (0
-    iterations).  A `max_iter` below 1 is a ValidationError, as
-    is a weight that `WeightSpec` refuses under WEIGHTED_BY_G.
+    `max_iter` caps the preconditioner applications (the factor solves in
+    1D and 2D) and `iterations` counts them.  A `max_iter` below 1 is a
+    ValidationError, as is a weight that `WeightSpec` refuses under
+    WEIGHTED_BY_G.
 
     The index is the Rayleigh quotient rho of the returned unit vector x
     under the unshifted P.  It is certified by its eigen residual:
     NonConvergenceError (with `rho`, the residual, the iteration count and
-    the bound as diagnostics) unless ||P x - rho x|| <= EIGEN_TOL *
-    max(1, |shift|).  A Lanczos run that fails (its solve budget, a
-    singular factor, a non-finite solve, an ARPACK error) raises it too,
-    with rho and the residual of its last finite solve output.  That norm
-    is BLAS nrm2, which scales as it sums: at a shift of -1e308 the entries
-    of P x - rho x left after cancellation are about 1e292, and their
-    squares would overflow.  The minimizer is x on the grid, scaled to
-    int phi^2 = 1 with its largest-magnitude entry positive.
+    the bound as diagnostics) unless ||P x - rho x|| is at most the bound
+    max(EIGEN_TOL * max(1, |shift|), sqrt(n) eps ||P - shift*I||_inf) over
+    the n interior nodes; the second term is the roundoff floor of the
+    residual, which rules on a tiny box (||P - shift*I||_inf near 1e10 at a
+    shift near -1).  The residual norm is BLAS nrm2, which scales as it
+    sums: at a shift of -1e308 the entries of P x - rho x left after
+    cancellation are about 1e292, and their squares would overflow.  The
+    minimizer is x on the grid, scaled to int phi^2 = 1 with its
+    largest-magnitude entry positive.
 
     The lowest eigenvalue may be multiple (a candidate constant along an
     axis with p_i > 2 has zero flux weights there, so its lines decouple).
     The minimizer is then one vector of that eigenspace, the same in every
-    run: ARPACK draws the vectors it restarts from, once its Krylov space
-    turns invariant, from a fixed generator.
+    run: the pencil and its preconditioner act alike on every line, so the
+    iterates keep the sine start's profile across the lines.
     """
     import scipy.linalg
     grid = u.grid
@@ -386,30 +337,36 @@ def stability_index(
         (p_i - 1.0) * np.abs(axis_diff(u, axis)) ** (p_i - 2.0) for axis, p_i in enumerate(p)
     ]
     shift = -max(0.0, float(np.max(pot))) - 1.0
-    bound = EIGEN_TOL * max(1.0, abs(shift))
     # the shifted pencil P - shift*I and its DST preconditioner; from
     # max W f'(u) = 2^53 up the 1 of the shift is lost to rounding, and the
     # floor keeps the diagonal at 1 where the flux weights vanish
     shifted, precond = stiffness(grid, weights, np.maximum(-pot - shift, 1.0))
-    n = pot.size
+    # sqrt(n) eps ||P - shift*I||_inf, the largest column sum of |data|
+    # (`stencil_rows` zeroes the DIA entries outside the matrix), scaled by
+    # eps before summing so that no finite sum overflows
+    eps = np.finfo(float).eps
+    floor = math.sqrt(pot.size) * float(np.max(np.sum(np.abs(shifted.data) * eps, axis=0)))
+    bound = max(EIGEN_TOL * max(1.0, abs(shift)), floor)
     # the lowest Dirichlet sine mode, positive on the interior
     x0 = math.prod(np.ix_(*(np.sin(np.pi * np.arange(1, r) / r) for r in grid.res))).ravel()
-    solver, counted, failure = "LOBPCG", "iterations", None
-    if n < 5:  # too few unknowns for LOBPCG
-        x, iterations = scipy.linalg.eigh(shifted.toarray(), subset_by_index=[0, 0],
-                                          check_finite=False)[1][:, 0], 0
-    elif grid.dim <= 2:
-        x, iterations, failure = _shift_invert_lowest(shifted, x0, max_iter, bound)
-        solver, counted = "shift-invert Lanczos", "solves"
-    else:
-        x, iterations = _lobpcg_lowest(shifted, precond, x0, max_iter, bound)
+    failure = None
+    if grid.dim <= 2:  # precondition by the exact inverse
+        import scipy.sparse.linalg as spla
+        # unrelaxed supernodes keep the defaults' fill in less time
+        try:
+            precond = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                relax=1, panel_size=1, options={"SymmetricMode": True}).solve
+        except RuntimeError as exc:  # SuperLU reports a singular factor
+            # no iteration: the diagnostics are those of the start
+            failure, max_iter = f"SuperLU could not factor the shifted pencil: {exc}", 0
+    x, iterations = _lobpcg_lowest(shifted, precond, x0, max_iter, bound)
     x = x / np.linalg.norm(x)
     px = shifted @ x + shift * x
     rho = float(x @ px)
     residual = float(scipy.linalg.norm(px - rho * x, check_finite=False))
     if failure is not None or not residual <= bound:
         raise NonConvergenceError(
-            failure or f"{solver} did not reach the eigen residual bound",
+            failure or "LOBPCG did not reach the eigen residual bound",
             residual=residual,
             diagnostics={"rho": rho, "iterations": iterations, "bound": bound},
         )
@@ -421,7 +378,7 @@ def stability_index(
         iterations=iterations,
         shift=shift,
         residual=residual,
-        description=f"{solver} eigenvector, unit mass norm, {iterations} {counted}",
+        description=f"LOBPCG eigenvector, unit mass norm, {iterations} iterations",
     )
 
 

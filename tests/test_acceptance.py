@@ -279,7 +279,7 @@ def test_criterion_07_stability_eigen_oracle():
         assert index(lam1 - 1e-6) > 0 > index(lam1 + 1e-6)
         assert abs(index(lam1)) <= 1e-8
 
-        # inverse power matches the dense eigensolve at a generic potential
+        # the index matches the dense eigensolve at a generic potential
         lam_test = 0.8
         got = index(lam_test)
         dense = (

@@ -181,7 +181,7 @@ def test_stability_index_of_the_exponential_nonlinearity(tmp_path):
 
 def test_stability_nonconvergence_leaves_diagnostics(tmp_path, monkeypatch):
     # a sine candidate: a constant one has the sine start as its exact
-    # eigenvector, certified after two solves
+    # eigenvector, certified before any solve
     monkeypatch.setattr(cli, "stability_index", functools.partial(stability_index, max_iter=2))
     grid = Grid(box=((0.0, 3.0),) * 2, res=(24, 24))
     snapshot = tmp_path / "u.txt"
@@ -215,26 +215,6 @@ def test_stability_3d_iteration_cap_exits_3_with_diagnostics(tmp_path, monkeypat
     assert doc["diagnostics"]["iterations"] == 3
     assert np.isfinite(doc["diagnostics"]["rho"])
     assert doc["residual"] > doc["diagnostics"]["bound"]
-    assert not (out / "stability_report.json").exists()
-
-
-def test_stability_arpack_failure_exits_3_with_diagnostics(tmp_path, capsys, monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    def unconverged(*args, **kwargs):
-        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
-                                       np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", unconverged)
-    out = tmp_path / "nc"
-    code = main(["stability", "--p", "2,4", "--delta", "1", "--box", "0,3,0,3",
-                 "--res", "16,16", "--u", "constant:1.0", "--outdir", str(out)])
-    assert code == 3
-    assert "Traceback" not in capsys.readouterr().err
-    doc = json.loads((out / "nonconvergence.json").read_text())
-    assert doc["message"].startswith("ARPACK failed")
-    assert set(doc["diagnostics"]) == {"rho", "iterations", "bound"}
-    assert np.isfinite(doc["diagnostics"]["rho"]) and np.isfinite(doc["residual"])
     assert not (out / "stability_report.json").exists()
 
 
@@ -419,9 +399,9 @@ def test_snapshot_header_tokens_past_the_box_are_refused(tmp_path, capsys):
 def test_stability_degenerate_spectrum_minimizer_is_reproducible(tmp_path):
     # constant along the last axis, whose p = 3 flux weights then vanish:
     # the lowest eigenvalue is multiple, and minimizer.txt is still the same
-    # bytes in every run and in either call order.  In 3D LOBPCG never
-    # leaves the lines of the sine start, so the minimizer is that sine
-    # along the last axis; in 2D ARPACK may restart from its own vectors
+    # bytes in every run and in either call order.  LOBPCG never leaves the
+    # lines of the sine start, so the minimizer is that sine along the last
+    # axis
     runs = {}
     for p, res, profile in [("2,3", (24, 24), lambda x, y: np.sin(np.pi * x / 3.0)),
                             ("2,2,3", (12, 12, 12),
@@ -572,9 +552,9 @@ CLI_CASES: dict[str, list[Case]] = {
              "--delta 13.476124285726854", 0,
              check=lambda out, _: max(_report(out, "thresholds.json")["decayExponents"],
                                       default=0.0) < 0),
-        # a 96^2 p = (2,4) sine candidate: shift-invert Lanczos on one sparse
-        # factor takes 41 solves from the lowest sine mode (61 from a random
-        # start with ARPACK at tol 0; LOBPCG took 219 iterations)
+        # a 96^2 p = (2,4) sine candidate: LOBPCG on one sparse factor takes
+        # 60 solves from the lowest sine mode (219 iterations on the DST
+        # preconditioner)
         Case("sine96", f"stability --p 2,4 --delta 1 --box {_PI},{_PI} --res 96,96 "
              "--u file:{tmp}/sine96.txt --variant AsWritten", 0,
              check=lambda out, _: 0 < _report(out, "stability_report.json")["iterations"] <= 71),
@@ -1217,8 +1197,8 @@ def test_scipy_subcommands_import_what_they_call(tmp_path, argv):
 
 
 def test_3d_stability_loads_no_sparse_eigensolvers(tmp_path):
-    # scipy.sparse.linalg holds ARPACK and SuperLU, which only the 1D/2D
-    # shift-invert Lanczos path calls
+    # scipy.sparse.linalg holds SuperLU, which only the 1D/2D
+    # preconditioner calls
     script = """
 import sys
 import numpy as np
