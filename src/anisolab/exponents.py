@@ -291,7 +291,10 @@ def decay_exponents(beta: float, spec: ProblemSpec, use_gamma: bool = False) -> 
     Requires beta > l1.
     """
     big_e, rates = _cutoff_power(beta, spec, use_gamma)
-    return tuple(_float(spec.exponents.N - c_i * big_e, "a decay exponent") for c_i in rates)
+    exact = [spec.exponents.N - c_i * big_e for c_i in rates]
+    # a nonzero exponent that rounds to zero keeps its sign, as the smallest float
+    return tuple(_float(d, "a decay exponent") or (math.copysign(math.ulp(0.0), d) if d else 0.0)
+                 for d in exact)
 
 
 def decay_threshold(spec: ProblemSpec, use_gamma: bool = False) -> Fraction:

@@ -131,14 +131,22 @@ def inner_energy(u: GridField, rhs: GridField, e: ExponentData) -> float:
     return total - weighted_integrate(rhs, u)
 
 
-def _flux_weights(faces, p) -> list[np.ndarray]:
+def _flux_weights(faces, p) -> list[np.ndarray] | None:
     """Linearized flux weights (p_i - 1)|D_i u|^{p_i - 2} from the face
     differences D_i u, floored to keep the Newton system positive definite
-    where a p_i > 2 flux degenerates; the floor only shapes the direction."""
+    where a p_i > 2 flux degenerates; the floor only shapes the direction.
+    None when a weight overflows a float: the largest one is the scalar
+    (p_i - 1) max(sup|D_i u|, floor)^{p_i - 2}, as the power is nondecreasing."""
     weights = []
     for f, p_i in zip(faces, p):
         scale = float(np.max(np.abs(f))) if f.size else 0.0
         floor = 1e-8 * (1.0 + scale)
+        try:
+            largest = (p_i - 1.0) * max(scale, floor) ** (p_i - 2.0)
+        except OverflowError:  # a float power raises where numpy's gives inf
+            return None
+        if not math.isfinite(largest):
+            return None
         weights.append((p_i - 1.0) * np.maximum(np.abs(f), floor) ** (p_i - 2.0))
     return weights
 
@@ -246,7 +254,12 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
     CG `linear_iterations` per step (0 in 1D) and, when `energy` is given,
     the `energies` energy(x) at each check.  A failed line search, or more
     than `max_steps` steps, raises a NonConvergenceError that names the
-    solve by `what`.  A `max_steps` below 1 is a ValidationError.
+    solve by `what`, as do a start gradient that is not finite, a flux
+    weight of a Newton system that overflows a float and a 1D Newton band
+    that is singular in floats.  Points are evaluated with numpy's overflow
+    warnings off: a trial point whose ||F||_2 is inf or NaN fails the
+    backtracking test.
+    A `max_steps` below 1 is a ValidationError.
     """
     grid.check_dim(e.p)
     p = e.p
@@ -254,20 +267,25 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
         raise ValidationError(f"the {what} needs a Newton-step cap >= 1, got {max_steps}")
 
     def evaluate(x):
-        """F(x), the differences D_i x and the diagonal -G''(x)."""
-        g, diag = source(x)
-        return (*_gradient(grid, p, x, g), diag)
-
-    if x is None:
-        b = source(np.zeros(math.prod(grid.interior_shape())))[0]
-        linear = all(p_i == 2.0 for p_i in p) or not np.any(b)
-        x = np.zeros(b.size) if linear else dst_solver(grid, [1.0] * grid.dim)(b)
+        """F(x), ||F(x)||_2, the differences D_i x and the diagonal -G''(x);
+        an overflow leaves the norm inf or NaN, which no test accepts."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, diag = source(x)
+            f, diffs = _gradient(grid, p, x, g)
+            return f, float(np.linalg.norm(f)), diffs, diag
 
     record.update(residuals=[], steps=[], linear_iterations=[])
     if energy is not None:
         record["energies"] = []
-    f, diffs, diag = evaluate(x)
-    norm = float(np.linalg.norm(f))
+    if x is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = source(np.zeros(math.prod(grid.interior_shape())))[0]
+            linear = all(p_i == 2.0 for p_i in p) or not np.any(b)
+            x = np.zeros(b.size) if linear else dst_solver(grid, [1.0] * grid.dim)(b)
+    f, norm, diffs, diag = evaluate(x)
+    if not math.isfinite(norm):
+        raise _nonconvergence(f"the start gradient of the {what} overflows a float",
+                              float(np.max(np.abs(f))), record)
     while True:
         res = float(np.max(np.abs(f)))
         record["residuals"].append(res)
@@ -281,13 +299,21 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
                 f"{what} did not reach tol={tol} in {max_steps} Newton steps", res, record
             )
         eta = min(_CG_RTOL, max(res, 0.5 * tol / norm))
-        d, its = _newton_direction(grid, _flux_weights(diffs, p), -f, diag=diag, rtol=eta)
+        weights = _flux_weights(diffs, p)
+        if weights is None:
+            raise _nonconvergence(f"a flux weight of the {what}'s Newton system overflows "
+                                  "a float", res, record)
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                d, its = _newton_direction(grid, weights, -f, diag=diag, rtol=eta)
+        except np.linalg.LinAlgError:  # the 1D band's Cholesky factor met a zero pivot
+            raise _nonconvergence(f"the {what}'s Newton system is singular in floats",
+                                  res, record) from None
         record["linear_iterations"].append(its)
         t = 1.0
         while t >= 1e-14:
             x_new = x + t * d
-            f_new, diffs_new, diag_new = evaluate(x_new)
-            norm_new = float(np.linalg.norm(f_new))
+            f_new, norm_new, diffs_new, diag_new = evaluate(x_new)
             if norm_new <= (1.0 - 1e-4 * t * (1.0 - eta)) * norm:
                 break
             t *= 0.5

@@ -1,6 +1,8 @@
 """End-to-end subcommand runs: outputs, exit codes, reproducibility."""
 
 import contextlib
+import enum
+import fnmatch
 import functools
 import io
 import json
@@ -282,118 +284,33 @@ def test_config_file_merging(tmp_path):
     assert doc2["theoremApplicable"] == "None"
 
 
-def test_non_finite_weight_exit_code(tmp_path):
-    grid = Grid(box=((0.0, 1.0),) * 2, res=(8, 8))
-    vals = np.ones(grid.shape)
-    vals[4, 4] = np.nan
-    wpath = tmp_path / "w.txt"
-    save_field(GridField(grid, vals), wpath)
-    base = ["solve", "--p", "2,2", "--box", "0,1,0,1", "--res", "8,8", "--nmax", "2"]
-    assert main(base + ["--weight", f"file:{wpath}", "--outdir", str(tmp_path / "a")]) == 2
-    assert main(base + ["--weight", "constant:inf", "--outdir", str(tmp_path / "b")]) == 2
-
-
-def test_truncated_snapshot_exit_code(tmp_path):
-    grid = Grid(box=((0.0, 1.0),) * 2, res=(8, 8))
-    upath = tmp_path / "u.txt"
-    save_field(GridField.constant(grid, 0.5), upath)
-    lines = upath.read_text().splitlines()
-    upath.write_text("\n".join(lines[:30]) + "\n")  # header + 29 of 81 values
-    with pytest.raises(ValidationError, match="29 values"):
-        load_field(upath)
-    bad_header = tmp_path / "bad.txt"
-    bad_header.write_text("anisofield 2 8\n" + "\n".join(lines[1:]) + "\n")
-    with pytest.raises(ValidationError, match="malformed"):
-        load_field(bad_header)
-    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1",
-                 "--res", "8,8", "--u", f"file:{upath}",
-                 "--outdir", str(tmp_path / "s")]) == 2
-
-
-def test_forged_snapshot_header_is_refused_before_reading(tmp_path, capsys):
-    # the header declares 4096^3 cells; the grid size guard refuses it
-    # before any value is read
+def _refused_in_bounded_memory(tmp_path, snapshot: str) -> str:
+    """The stderr line of a sweep that refuses the snapshot text, asserting
+    exit 2 and a traced peak below 2 MB."""
     path = tmp_path / "forged.txt"
-    path.write_text("anisofield 3 4096 4096 4096 -8 8 -8 8 -8 8\n1.0\n")
-    assert main(_SWEEP.split()[:-1] + [f"file:{path}", "--outdir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error:")
-    assert "exceeds the limit" in err[0]
+    path.write_text(snapshot)
+    tracemalloc.start()
+    try:
+        code, _, err, _ = _run(tmp_path, f"{_SWEEP_UNIT8} --u file:{path}".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2 * 2 ** 20, (code, peak)
+    return _one_line(code, err)
 
 
-def test_forged_snapshot_body_is_refused_without_reading_it(tmp_path, capsys):
-    # the header declares 81 nodes; the body holds 2,000,000 values, of
-    # which only one row past the header's count is read
-    path = tmp_path / "forged.txt"
-    path.write_text("anisofield 2 8 8 0 1 0 1\n" + "1.0\n" * 2_000_000)
-    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1",
-                 "--res", "8,8", "--u", f"file:{path}",
-                 "--outdir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error:")
-    assert "holds more than 81 values, its header needs 81" in err[0]
-
-
-def test_forged_snapshot_row_of_many_values_is_refused(tmp_path, capsys):
-    # the header declares 81 nodes; the body is one row of 2,000,000 values,
-    # refused as soon as that row is read
-    path = tmp_path / "forged.txt"
-    path.write_text("anisofield 2 8 8 0 1 0 1\n" + "1.0 " * 2_000_000 + "\n")
-    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1",
-                 "--res", "8,8", "--u", f"file:{path}",
-                 "--outdir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error:")
-    assert err[0].endswith("a body row is not one value")
-
-
-def test_forged_snapshot_row_without_newline_is_refused_in_bounded_memory(tmp_path, capsys):
+def test_forged_snapshot_row_without_newline_is_refused_in_bounded_memory(tmp_path):
     # the body is one 8 MB row with no newline: refused once the reader
     # holds MAX_ROW_CHARS characters of it, so memory stays one read block
-    path = tmp_path / "forged.txt"
-    path.write_text("anisofield 2 8 8 0 1 0 1\n" + "1.0 " * 2_000_000)
-    argv = ["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
-            "--u", f"file:{path}", "--outdir", str(tmp_path / "out")]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].endswith("a body row is not one value")
-    assert peak < 2 * 2 ** 20
+    line = _refused_in_bounded_memory(tmp_path, _UNIT8_HEADER + "1.0 " * 2_000_000)
+    assert line.endswith("a body row is not one value")
 
 
-def test_forged_snapshot_header_of_many_tokens_is_refused_in_bounded_memory(tmp_path, capsys):
+def test_forged_snapshot_header_of_many_tokens_is_refused_in_bounded_memory(tmp_path):
     # the header line carries 2,000,000 tokens past its box and no newline:
     # refused once the reader holds MAX_HEADER_CHARS characters of it
-    path = tmp_path / "forged.txt"
-    path.write_text("anisofield 2 8 8 0 1 0 1" + " 1.0" * 2_000_000)
-    argv = ["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
-            "--u", f"file:{path}", "--outdir", str(tmp_path / "out")]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error:")
-    assert err[0].endswith(f"its header is longer than {MAX_HEADER_CHARS} characters")
-    assert peak < 2 * 2 ** 20
-
-
-def test_snapshot_header_tokens_past_the_box_are_refused(tmp_path, capsys):
-    path = tmp_path / "forged.txt"
-    path.write_text("anisofield 2 8 8 0 1 0 1 7\n" + "0.0\n" * 81)
-    assert main(["sweep", "--p", "2,2", "--cap", "0.2", "--box", "0,1,0,1", "--res", "8,8",
-                 "--u", f"file:{path}", "--outdir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error:")
-    assert err[0].endswith("header tokens past the box of a 2D grid")
+    line = _refused_in_bounded_memory(tmp_path, _UNIT8_HEADER[:-1] + " 1.0" * 2_000_000)
+    assert line.endswith(f"its header is longer than {MAX_HEADER_CHARS} characters")
 
 
 def test_stability_degenerate_spectrum_minimizer_is_reproducible(tmp_path):
@@ -439,15 +356,12 @@ def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
     assert (out / "resolved_config.txt").exists()
 
 
-def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, capsys):
-    out = tmp_path / "nc-fix"
-    assert main(["solve", "--p", "3", "--box", "0,1", "--res", "16", "--nmax", "2",
-                 "--tol-fix", "1e-12", "--inner-tol", "1e-5", "--outdir", str(out)]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("non-convergence: certified level gap 1.214e-10 exceeds tol_fix=1e-12")
-    doc = json.loads((out / "nonconvergence.json").read_text())
-    assert doc["message"] == "certified level gap 1.214e-10 exceeds tol_fix=1e-12"
+def test_solve_certificate_refusal_leaves_diagnostics(tmp_path):
+    message = "certified level gap 1.214e-10 exceeds tol_fix=1e-12"
+    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2 --tol-fix 1e-12 "
+                                       "--inner-tol 1e-5".split())
+    assert code == 3 and _one_line(code, err).startswith(message)
+    assert _report(out, "nonconvergence.json")["message"] == message
 
 
 @pytest.mark.parametrize("m, expected", [("2", True), ("0.5", False)])
@@ -464,6 +378,7 @@ _SOLVE = "solve --p 2,2 --box 0,1,0,1 --res 8,8"
 _STAB = "stability --p 2,2 --delta 1 --res 8,8 --u constant:1"
 _SWEEP = "sweep --p 2,3,4 --delta 10 --box=-8,8,-8,8,-8,8 --res 8,8,8 --u constant:1.0"
 _TRUNCATION = "truncation-check --k 2 --alpha 4"
+_SWEEP_UNIT8 = "sweep --p 2,2 --cap 0.2 --box 0,1,0,1 --res 8,8"
 _PI = "0,3.141592653589793"
 
 
@@ -498,6 +413,7 @@ def _two_levels_within_tol_fix(outdir, stdout):
     return len(levels) == 2 and all(lv["residual"] <= 1e-8 for lv in levels)  # the default tol_fix
 
 
+_UNIT8_HEADER = "anisofield 2 8 8 0 1 0 1\n"
 _FIXTURES = {
     "other-grid.txt": lambda path: save_field(_ONES, path),
     "not-a-field.txt": lambda path: path.write_text("1.0\n2.0\n"),
@@ -513,6 +429,18 @@ _FIXTURES = {
     "sine24.txt": lambda path: save_field(GridField.from_function(
         Grid(box=((0.0, math.pi),) * 3, res=(24, 24, 24)),
         lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(y) * np.sin(z)), path),
+    # 8^2 snapshots on the unit square: one NaN node; 29 of 81 values; no box
+    "nan-node.txt": lambda path: save_field(GridField(
+        Grid(box=((0.0, 1.0),) * 2, res=(8, 8)), np.pad([[np.nan]], 4, constant_values=1.0)), path),
+    "truncated.txt": lambda path: path.write_text(_UNIT8_HEADER + "0.5\n" * 29),
+    "short-header.txt": lambda path: path.write_text("anisofield 2 8\n" + "0.5\n" * 81),
+    # forged: 4096^3 cells; 2e6 rows or one row of 2e6 values; a token past the box
+    "forged-size.txt": lambda path: path.write_text(
+        "anisofield 3 4096 4096 4096 -8 8 -8 8 -8 8\n1.0\n"),
+    "forged-rows.txt": lambda path: path.write_text(_UNIT8_HEADER + "1.0\n" * 2_000_000),
+    "forged-row.txt": lambda path: path.write_text(_UNIT8_HEADER + "1.0 " * 2_000_000 + "\n"),
+    "forged-token.txt": lambda path: path.write_text(
+        _UNIT8_HEADER.replace("\n", " 7\n") + "0.0\n" * 81),
 }
 
 # a NaN p_i ended in a traceback or exit 3; a NaN tolerance passed every
@@ -536,11 +464,21 @@ CLI_CASES: dict[str, list[Case]] = {
     "test_cli_case": [
         # the sample grid and its flags are gone: C is certified from above
         Case("samples-removed", f"{_TRUNCATION} --samples 10", 2),
-        # the derivative ratio's square overflowed: an OverflowError
-        # traceback, exit 1; floats cannot decide this pair, which reads FAIL
-        Case("alpha-1e200", "truncation-check --k 1 --alpha 1e200 --p 2,3", 0,
-             check=lambda out, stdout: ": FAIL " in stdout
-             and not _report(out, "truncation_report.json")["ok"]),
+        # an OverflowError traceback (exit 1), then a FAIL: knot gaps 1.0
+        Case("alpha-1e200", "truncation-check --k 1 --alpha 1e200 --p 2,3", 2,
+             "k = 1, alpha = 1e+200: 1 + alpha rounds to alpha"),
+        Case("alpha-1e16", "truncation-check --k 1 --alpha 1e16 --p 2,3", 2,
+             "k = 1, alpha = 1e+16: 1 + alpha rounds to alpha"),
+        # C's rounding margin passed 1 and made C inf: a FAIL for a valid pair
+        Case("alpha-1e13", "truncation-check --k 1 --alpha 1e13 --p 2,3", 0,
+             check=lambda out, stdout: ": pass " in stdout),
+        # a ValueError traceback from the 1D band solve, or RuntimeWarnings
+        Case("p-1e6-1d", "solve --p 1e6 --box 0,1 --res 8", 3,
+             "the start gradient of the level solve overflows a float"),
+        Case("p-20-1d", "solve --p 20 --box 0,1 --res 8", 3, "line search failed in the inner solve"),
+        Case("p-1e6-2d", "solve --p 3,1e6 --box 0,1,0,1 --res 4,4", 3,
+             "the start gradient of the inner solve overflows a float"),
+        Case("p-1e6-3d", "solve --p 2,2,1e6 --box 0,1,0,1,0,1 --res 4,4,4", 0),
         # the limit battery evaluates g e^{1/u} next to a singular weight
         Case("power", "solve --p 2,3 --box 0,1,0,1 --res 12,12 --nmax 3 --weight power:1.5", 0),
         Case("na-window", "thresholds --p 2,3,4 --cap 0.2222222222222222", 4,
@@ -629,6 +567,22 @@ CLI_CASES: dict[str, list[Case]] = {
              "cannot read config {tmp}/missing.cfg: No such file or directory"),
         Case("config-line-without-equals", _SOLVE, 2,
              "bad config line (expected key = value): 'solve.nmax 3'", "solve.nmax 3\n"),
+        Case("weight-file-nan", f"{_SOLVE} --nmax 2 --weight file:{{tmp}}/nan-node.txt", 2,
+             "{tmp}/nan-node.txt holds non-finite values"),
+        Case("weight-inf", f"{_SOLVE} --nmax 2 --weight constant:inf", 2,
+             "field constant:inf has non-finite values"),
+        # the size guard refuses a header before any value is read; of a
+        # long body one row past the header's count is read
+        *(Case(f"snapshot-{name}", f"{_SWEEP_UNIT8} --u file:{{tmp}}/{name}.txt", 2,
+               f"{{tmp}}/{name}.txt {message}") for name, message in [
+            ("truncated", "holds 29 values, its header needs 81"),
+            ("short-header", "is a malformed field snapshot"),
+            ("forged-size", "is a malformed field snapshot: a grid of 68769820673 nodes exceeds "
+                            "the limit of 16777216 nodes"),
+            ("forged-rows", "holds more than 81 values, its header needs 81"),
+            ("forged-row", "is a malformed field snapshot: a body row is not one value"),
+            ("forged-token", "is a malformed field snapshot: header tokens past the box of a 2D "
+                             "grid")]),
     ],
     # each count is refused before anything is allocated; without the check
     # the huge ones would fail at once in numpy, so no row can allocate gigabytes
@@ -744,39 +698,53 @@ CLI_CASES: dict[str, list[Case]] = {
 _PREFIX = {2: "validation error: ", 3: "non-convergence: ", 4: "hypothesis not applicable: "}
 
 
-def _run_case(tmp, capsys, case):
-    """Run one row in-process, asserting for every row: no warning and no
-    traceback, nonconvergence.json iff exit 3, and after a non-zero exit no
-    file in the outdir but resolved_config.txt and nonconvergence.json."""
+def _run(tmp: Path, argv: list[str], config: str | None = None) -> tuple[int, str, str, Path]:
+    """Run argv in-process, as `Case` describes, and assert what every run
+    keeps: no warning and no traceback, nonconvergence.json iff exit 3, an
+    empty stderr after exit 0, and after a non-zero exit no file in the
+    outdir but resolved_config.txt and nonconvergence.json.  Returns the
+    exit code, stdout, stderr and the outdir."""
     tmp.mkdir(exist_ok=True)
     for name, write in _FIXTURES.items():
-        if "{tmp}/" + name in case.argv:
+        if any("{tmp}/" + name in arg for arg in argv):
             write(tmp / name)
-    argv = [arg.replace("{tmp}", str(tmp)) for arg in case.argv.split()]
-    if case.config is not None:
-        (tmp / "run.cfg").write_text(case.config)
+    argv = [arg.replace("{tmp}", str(tmp)) for arg in argv]
+    if config is not None:
+        (tmp / "run.cfg").write_text(config)
         argv += ["--config", str(tmp / "run.cfg")]
     if "--outdir" in argv:
         out = Path(argv[argv.index("--outdir") + 1])
     else:
         out = tmp / "out"
         argv += ["--outdir", str(out)]
-    with warnings.catch_warnings(record=True) as caught:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main(argv)
-    stdout, err = capsys.readouterr()
-    assert code == case.code, err
-    assert not caught, [str(w.message) for w in caught]
-    assert "Traceback" not in err and "Warning" not in err, err
-    assert (out / "nonconvergence.json").exists() == (code == 3)
+    err = stderr.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    assert (out / "nonconvergence.json").exists() == (code == 3), (argv, code, err)
     if code == 0:
-        assert err == ""
+        assert err == "", argv
     else:
         assert {p.name for p in out.glob("*")} <= {"resolved_config.txt", "nonconvergence.json"}
+    return code, stdout.getvalue(), err, out
+
+
+def _one_line(code: int, err: str) -> str:
+    """The one stderr line of a non-zero exit, past its code's prefix."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(_PREFIX[code]), err
+    return lines[0][len(_PREFIX[code]):]
+
+
+def _run_case(tmp, case):
+    code, stdout, err, out = _run(tmp, case.argv.split(), case.config)
+    assert code == case.code, err
     if case.err is not None:
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(_PREFIX[code]), err
-        line = lines[0][len(_PREFIX[code]):]
+        line = _one_line(code, err)
         if isinstance(case.err, str):
             assert line.startswith(case.err.replace("{tmp}", str(tmp))), line
         else:
@@ -787,14 +755,14 @@ def _run_case(tmp, capsys, case):
 
 def _table_test(rows, one_item):
     if one_item:
-        def test(tmp_path, capsys):
+        def test(tmp_path):
             for case in rows:
-                _run_case(tmp_path / case.id, capsys, case)
+                _run_case(tmp_path / case.id, case)
         return test
 
     @pytest.mark.parametrize("case", rows, ids=[case.id for case in rows])
-    def test(tmp_path, capsys, case):
-        _run_case(tmp_path, capsys, case)
+    def test(tmp_path, case):
+        _run_case(tmp_path, case)
     return test
 
 
@@ -804,6 +772,126 @@ _ONE_ITEM = {"test_validation_exit_code", "test_overflowing_sweep_integral_exits
              "test_removed_weight_floor_flag_is_rejected"}
 for _name, _rows in CLI_CASES.items():
     globals()[_name] = _table_test(_rows, _name in _ONE_ITEM)
+
+
+# Per value parser of `cli.KEYS`, typical and edge command-line texts
+_TYPICAL = st.sampled_from([0.5, 1.0, 2.0, 4.0, 10.0])
+_FLOAT = st.floats() | _TYPICAL | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-320, sys.float_info.min, 1e-300,
+     1e-12, 1e-8, 3.0, 1e6, 1e8, 1e300, 1e308])
+_P_I = st.sampled_from([2.0, 2.5, 3.0, 4.0])
+_AXIS = st.sampled_from([(0.0, 1.0), (0.0, 3.0), (-8.0, 8.0), (0.0, math.pi)])
+_FILES = st.sampled_from([*_FIXTURES, "missing.txt"])
+
+
+def _csv(values) -> str:
+    return ",".join(map(repr, values))
+
+
+def _lists(strategy, dim: int, edge: bool):
+    """Lists of `strategy`, `dim` long, or for an edge of any length 1..3."""
+    sizes = st.just(dim) | st.integers(1, 3) if edge else st.just(dim)
+    return sizes.flatmap(lambda n: st.lists(strategy, min_size=n, max_size=n))
+
+
+def _p(dim, edge):
+    lists = _lists(_P_I | _FLOAT | st.sampled_from([5.5, 20.0, 1e6]) if edge else _P_I, dim, edge)
+    return (lists | lists.map(sorted) if edge else lists.map(sorted)).map(_csv)
+
+
+_ALPHABET = {
+    float: lambda dim, edge: (_FLOAT if edge else _TYPICAL).map(repr),
+    int: lambda dim, edge: (st.integers(-1, 20) if edge else st.integers(2, 4)).map(str),
+    str: lambda dim, edge: st.sampled_from(["{tmp}/out"] + ["{tmp}/not-a-field.txt"] * edge),
+    cli._floats: _p,
+    cli._ints: lambda dim, edge: _lists(st.integers(-1 if edge else 2, 8), dim, edge).map(_csv),
+    cli._box: lambda dim, edge: _lists(_AXIS | st.tuples(_FLOAT, _FLOAT) if edge else _AXIS, dim,
+                                       edge).map(lambda axes: _csv(x for a in axes for x in a)),
+    cli._radii: lambda dim, edge: st.one_of(
+        st.lists(_FLOAT, min_size=1, max_size=3).map(_csv),
+        st.tuples(_FLOAT, _FLOAT, st.integers(-1, 8) | st.just(10 ** 12)).map(
+            lambda r: f"{r[0]!r}:{r[1]!r}:{r[2]}")) if edge else st.just("0.1:0.2:3"),
+}
+
+
+def _takes(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _texts(parse, dim: int, edge: bool) -> st.SearchStrategy[str]:
+    """Typical or edge texts for the value parser `parse` of a key: by its
+    `_ALPHABET` entry, else an enum's values (and an unknown name), else the
+    `kind:arg` field descriptors it takes (edge: all, `file:` of `_FIXTURES`)."""
+    if parse in _ALPHABET:
+        return _ALPHABET[parse](dim, edge)
+    if isinstance(parse, type) and issubclass(parse, enum.Enum):
+        return st.sampled_from([v.value for v in parse] + ["Bogus"] * edge)
+    kinds = [k for k in ("constant", "power", "file") if _takes(parse, f"{k}:1")] if edge else [
+        "constant"]
+    assert kinds and _takes(parse, "constant:1"), f"no alphabet for the parser {parse!r}"
+    args = {"constant": _FLOAT if edge else _TYPICAL, "power": _FLOAT,
+            "file": _FILES.map(lambda name: "{tmp}/" + name)}
+    return st.sampled_from(kinds).flatmap(lambda kind: args[kind].map(f"{kind}:{{}}".format))
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A subcommand of `cli.SUBCOMMANDS` and, per key it takes, a text by the
+    key's parser: an edge text for each key of a drawn subset, else a typical
+    one or, for a key with a default, no flag (`--flag=text` for a text "-...")."""
+    name = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    keys = cli.SUBCOMMANDS[name].keys
+    dim = draw(st.integers(1, 3))
+    edges = draw(st.sets(st.sampled_from(list(keys))), label="edge keys")
+    argv = [name]
+    for key, default in keys.items():
+        texts = _texts(cli.KEYS[key].parse, dim, key in edges)
+        if default is not cli.REQUIRED and key not in edges:
+            texts = st.none() | texts
+        text = draw(texts, label=key)
+        if text is not None:
+            flag = cli.KEYS[key].flag
+            argv += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
+    return argv
+
+
+def _null_keys(doc, path=""):
+    """The dotted key path of each null in a JSON document (a list item has
+    its list's path)."""
+    if doc is None:
+        yield path[1:]
+    for key, value in doc.items() if isinstance(doc, dict) else ():
+        yield from _null_keys(value, f"{path}.{key}")
+    for value in doc if isinstance(doc, list) else ():
+        yield from _null_keys(value, path)
+
+
+@functools.cache
+def _nullable_keys() -> dict[str, list[str]]:
+    """README's table of the keys each JSON report may hold null at, as
+    glob patterns per file."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return {m[1]: re.findall(r"`([^`]+)`", m[2])
+            for m in re.finditer(r"^\| `(\w+\.json)` \| ([^|]*) \|", readme.read_text(), re.M)}
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(argv=_command_lines())
+def test_every_key_of_every_subcommand_ends_in_a_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err, out = _run(Path(tmp), argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code != 0:
+            _one_line(code, err)
+            return
+        for report in out.glob("*.json"):
+            patterns = _nullable_keys()[report.name]
+            for key in _null_keys(json.loads(report.read_text())):
+                assert any(fnmatch.fnmatchcase(key, p) for p in patterns), (argv, report.name, key)
 
 
 def test_count_limits_are_inclusive(monkeypatch):
@@ -881,7 +969,7 @@ _DOMAINS = {
 @pytest.mark.parametrize("domain, value", [
     (domain, value) for domain, (*_, values) in _DOMAINS.items() for value in values
 ], ids=str)
-def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, capsys, domain, value):
+def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, domain, value):
     message, library, runs, _ = _DOMAINS[domain]
     text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
     with warnings.catch_warnings(record=True) as caught:
@@ -889,12 +977,10 @@ def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, capsys, dom
         for call in library:
             with pytest.raises(ValidationError, match=message):
                 call(value)
-        for i, argv in enumerate(runs):
-            assert main(argv(text) + ["--outdir", str(tmp_path / f"out-{i}")]) == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].startswith("validation error:"), err
-            assert re.search(message, err[0]), err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for i, argv in enumerate(runs):
+        code, _, err, _ = _run(tmp_path / str(i), argv(text))
+        assert code == 2 and re.search(message, _one_line(code, err)), err
 
 
 # a subnormal tolerance, given or derived as 8 tol_fix / L^2, ran 200 Newton
@@ -905,124 +991,35 @@ def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, capsys, dom
     (["solve", "--p", "2,3", "--box", "0,1e5,0,1e5", "--res", "4,4", "--nmax", "2",
       "--tol-fix", "1e-300"], "8 tol_fix / L^2 (tol_fix = 1e-300, p = 2 box side L = 100000.0)"),
 ], ids=["tol-fix", "inner-tol", "derived"])
-def test_subnormal_tolerance_exits_2_before_any_newton_step(tmp_path, capsys, monkeypatch,
-                                                            argv, expected):
+def test_subnormal_tolerance_exits_2_before_any_newton_step(tmp_path, monkeypatch, argv, expected):
     def refuse(*args, **kwargs):
         raise AssertionError("a Newton step ran")
 
     monkeypatch.setattr(solver_module, "_newton_direction", refuse)
-    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"validation error: {expected}"), err
-    assert not (tmp_path / "out" / "nonconvergence.json").exists()
+    code, _, err, _ = _run(tmp_path, argv)  # and no nonconvergence.json
+    assert code == 2 and _one_line(code, err).startswith(expected), err
 
 
-_TOLERANCES = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([5e-324, 1e-320, sys.float_info.min, 1e-300, 1e-12, 1e-8, 4.0, 1e300]),
-)
-
-
-@settings(max_examples=60, deadline=timedelta(seconds=10))
-@given(
-    p=st.sampled_from([(3,), (2, 3)]),
-    res=st.lists(st.integers(2, 8), min_size=2, max_size=2),
-    tol_fix=_TOLERANCES,
-    inner_tol=st.none() | _TOLERANCES,
-    max_outer=st.integers(-1, 20),
-    nmax=st.integers(-1, 4),
-)
-def test_solve_tolerance_and_step_keys_end_in_a_documented_exit(p, res, tol_fix, inner_tol,
-                                                                max_outer, nmax):
-    dim = len(p)
-    argv = ["solve", "--p", ",".join(map(str, p)), "--box", ",".join(["0,1"] * dim),
-            "--res", ",".join(map(str, res[:dim])), "--weight", "constant:1.0",
-            f"--tol-fix={tol_fix!r}", f"--max-outer={max_outer}", f"--nmax={nmax}"]
-    if inner_tol is not None:
-        argv.append(f"--inner-tol={inner_tol!r}")
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        code = main(argv + ["--outdir", outdir])
-    text = err.getvalue()
-    assert code in (0, 2, 3), (argv, code, text)
-    assert "Traceback" not in text and "RuntimeWarning" not in text, (argv, text)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
-    if code == 2:
-        lines = text.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("validation error:"), (argv, text)
-
-
-_STABILITY_VALUES = st.sampled_from(
-    [math.nan, -math.inf, -1.0, 0.0, 5e-324, sys.float_info.min, 1e-300, 1e-8, 0.5, 1.0,
-     2.0, 1e8, 1e300, 1e308, math.inf])
-
-
-# res 2 on an axis gives one interior node: one-node pencils in 1D, and in
-# 2D and 3D axes without links
-@settings(max_examples=60, deadline=timedelta(seconds=10))
-@given(
-    p=st.sampled_from([(2,), (3,), (2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (2, 3, 4)]),
-    res=st.lists(st.integers(2, 6), min_size=3, max_size=3),
-    delta=_STABILITY_VALUES,
-    gamma=st.none() | _STABILITY_VALUES,
-    u=_STABILITY_VALUES,
-    weight=_STABILITY_VALUES,
-    variant=st.sampled_from(["AsWritten", "WeightedByG"]),
-)
-def test_stability_keys_end_in_a_documented_exit(p, res, delta, gamma, u, weight, variant):
-    dim = len(p)
-    argv = ["stability", "--p", ",".join(map(str, p)), "--box", ",".join(["0,3"] * dim),
-            "--res", ",".join(map(str, res[:dim])), f"--delta={delta!r}",
-            f"--u=constant:{u!r}", f"--weight=constant:{weight!r}", "--variant", variant]
-    if gamma is not None:
-        argv.append(f"--gamma={gamma!r}")
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        code = main(argv + ["--outdir", outdir])
-        report = (json.loads((Path(outdir) / "stability_report.json").read_text())
-                  if code == 0 else None)
-    text = err.getvalue()
-    assert code in (0, 2, 3, 4), (argv, code, text)
-    assert "Traceback" not in text and "Warning" not in text, (argv, text)
-    assert not caught, (argv, [str(w.message) for w in caught])
-    if code == 0:
-        numbers = [report["gap"], report["shift"], report["residual"]]
-        assert all(math.isfinite(x) for x in numbers), (argv, report)
-        assert report["stable"] == (report["gap"] >= 0.0), (argv, report)
-
-
-def test_stability_refuses_a_negative_weight_only_where_it_reads_it(tmp_path, capsys):
+def test_stability_refuses_a_negative_weight_only_where_it_reads_it(tmp_path):
     # WeightedByG used to carry g = -1 into the potential, flip its sign and
     # report 4.08 "stable" with exit 0; AsWritten never reads g
     argv = ["stability", "--p", "2,2", "--box", "0,3,0,3", "--res", "4,4", "--delta", "1",
-            "--u", "constant:1", "--weight", "constant:-1.0"]
-    assert main(argv + ["--variant", "WeightedByG", "--outdir", str(tmp_path / "g")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["validation error: weight g must be finite and nonnegative"]
-    assert not (tmp_path / "g" / "stability_report.json").exists()
-    assert main(argv + ["--variant", "AsWritten", "--outdir", str(tmp_path / "a")]) == 0
-
+            "--u", "constant:1", "--weight=constant:-1.0", "--variant"]
+    code, _, err, _ = _run(tmp_path / "g", argv + ["WeightedByG"])  # and no report
+    assert code == 2 and _one_line(code, err) == "weight g must be finite and nonnegative"
+    assert _run(tmp_path / "a", argv + ["AsWritten"])[0] == 0
 
 
 @pytest.mark.parametrize("res", [6, 8, 12, 24])
-def test_stability_certifies_a_shift_near_the_float_limit(tmp_path, capsys, res):
+def test_stability_certifies_a_shift_near_the_float_limit(tmp_path, res):
     # the residual of entries about 1e292 left after cancelling a shift of
     # -1e308 overflowed when squared: a RuntimeWarning, residual inf, exit 3.
     # Scaled, it certifies the gap -1e308 (exit 0) rather than refusing (2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["stability", "--p", "2,2", "--delta", "1", "--gamma", "1e308",
-                     "--box", "0,3,0,3", "--res", f"{res},{res}", "--u", "constant:1.0",
-                     "--outdir", str(tmp_path)])
-    err = capsys.readouterr().err
+    code, _, _, out = _run(tmp_path, ["stability", "--p", "2,2", "--delta", "1", "--gamma", "1e308",
+                                      "--box", "0,3,0,3", "--res", f"{res},{res}", "--u",
+                                      "constant:1.0"])
     assert code == 0
-    assert "Warning" not in err and "Traceback" not in err
-    assert not caught
-    doc = json.loads((tmp_path / "stability_report.json").read_text())
+    doc = _report(out, "stability_report.json")
     assert doc["residual"] <= 1e-7 * abs(doc["shift"]) < abs(doc["gap"])
     assert doc["stable"] is False
 
