@@ -839,14 +839,15 @@ def _texts(parse, dim: int, edge: bool) -> st.SearchStrategy[str]:
 
 
 @st.composite
-def _command_lines(draw) -> list[str]:
-    """A subcommand of `cli.SUBCOMMANDS` and, per key it takes, a text by the
-    key's parser: an edge text for each key of a drawn subset, else a typical
-    one or, for a key with a default, no flag (`--flag=text` for a text "-...")."""
-    name = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+def _command_lines(draw, names=tuple(cli.SUBCOMMANDS), edge_keys=None) -> list[str]:
+    """A subcommand of `names` and, per key it takes, a text by the key's
+    parser: an edge text for each key of a drawn subset (of `edge_keys`, if
+    given), else a typical one or, for a key with a default, no flag
+    (`--flag=text` for a text "-...")."""
+    name = draw(st.sampled_from(list(names)))
     keys = cli.SUBCOMMANDS[name].keys
     dim = draw(st.integers(1, 3))
-    edges = draw(st.sets(st.sampled_from(list(keys))), label="edge keys")
+    edges = draw(st.sets(st.sampled_from(list(edge_keys or keys))), label="edge keys")
     argv = [name]
     for key, default in keys.items():
         texts = _texts(cli.KEYS[key].parse, dim, key in edges)
@@ -879,9 +880,7 @@ def _nullable_keys() -> dict[str, list[str]]:
             for m in re.finditer(r"^\| `(\w+\.json)` \| ([^|]*) \|", readme.read_text(), re.M)}
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=10))
-@given(argv=_command_lines())
-def test_every_key_of_every_subcommand_ends_in_a_documented_exit(argv):
+def _ends_in_a_documented_exit(argv):
     with tempfile.TemporaryDirectory() as tmp:
         code, _, err, out = _run(Path(tmp), argv)
         assert code in (0, 2, 3, 4), (argv, code, err)
@@ -892,6 +891,27 @@ def test_every_key_of_every_subcommand_ends_in_a_documented_exit(argv):
             patterns = _nullable_keys()[report.name]
             for key in _null_keys(json.loads(report.read_text())):
                 assert any(fnmatch.fnmatchcase(key, p) for p in patterns), (argv, report.name, key)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(argv=_command_lines())
+def test_every_key_of_every_subcommand_ends_in_a_documented_exit(argv):
+    _ends_in_a_documented_exit(argv)
+
+
+# the same draws, narrowed to the keys where solve's Newton loop and its
+# stopping tests live
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(argv=_command_lines(["solve"], ["solve.tolFix", "solve.innerTol", "solve.maxOuter",
+                                       "solve.nmax"]))
+def test_solve_tolerance_and_step_keys_end_in_a_documented_exit(argv):
+    _ends_in_a_documented_exit(argv)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(argv=_command_lines(["stability"]))
+def test_stability_keys_end_in_a_documented_exit(argv):
+    _ends_in_a_documented_exit(argv)
 
 
 def test_count_limits_are_inclusive(monkeypatch):
