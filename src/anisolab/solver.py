@@ -200,12 +200,12 @@ def _newton_direction(
 
 
 def _nonconvergence(message: str, residual: float, record: dict) -> NonConvergenceError:
-    """The error of a failed solve, carrying its last 10 gradient residuals
-    and Newton step lengths."""
+    """The error of a failed solve, carrying its whole history of gradient
+    residuals and Newton step lengths."""
     return NonConvergenceError(
         message,
         residual=residual,
-        diagnostics={"residuals": record["residuals"][-10:], "steps": record["steps"][-10:]},
+        diagnostics={"residuals": record["residuals"], "steps": record["steps"]},
     )
 
 
@@ -420,7 +420,7 @@ def solve_level(
     The gap must be <= tol_fix.  `info`, when given, receives the level
     solve's record (`_newton_krylov`, without `energies`), then the gap as
     `residual` and the `certificate` used ("bound" or "solve").  A
-    NonConvergenceError carries the last residuals and step lengths in its
+    NonConvergenceError carries the residuals and step lengths in its
     diagnostics: those of the level solve, or of the certificate's inner
     solve when that one fails.  A tol_fix, inner_tol or 8 tol_fix / L_k^2
     that `_tolerance` refuses is a ValidationError.

@@ -49,6 +49,8 @@ from anisolab.stability import (
 )
 from anisolab.truncations import TruncationPair, a_eval, a_prime, b_eval, b_prime
 
+from oracles import collocation_oracle
+
 
 def _report(num, text):
     print(f"[PASS] criterion {num}: {text}")
@@ -172,34 +174,6 @@ def test_criterion_03_linear_solver_oracles():
 
 
 # -----------------------------------------------------------------------------
-def collocation_oracle(res, shift):
-    """Dense 1D collocation with damped Newton (independent of the package)."""
-    h = 1.0 / res
-    n = res - 1
-    u = np.zeros(n)
-
-    def resid(u):
-        full = np.concatenate([[0.0], u, [0.0]])
-        lap = (-full[:-2] + 2 * full[1:-1] - full[2:]) / h ** 2
-        return lap - np.exp(1.0 / (u + shift))
-
-    for _ in range(80):
-        r = resid(u)
-        if np.max(np.abs(r)) < 1e-12:
-            break
-        fp = np.exp(1.0 / (u + shift)) / (u + shift) ** 2
-        band = np.zeros((3, n))
-        band[0, 1:] = -1.0 / h ** 2
-        band[1] = 2.0 / h ** 2 + fp
-        band[2, :-1] = -1.0 / h ** 2
-        du = scipy.linalg.solve_banded((1, 1), band, -r)
-        step, base = 1.0, np.linalg.norm(r)
-        while step > 1e-12 and np.linalg.norm(resid(u + step * du)) >= base:
-            step *= 0.5
-        u = u + step * du
-    return np.concatenate([[0.0], u, [0.0]])
-
-
 def test_criterion_04_nonlinear_1d_oracle():
     t0 = time.time()
     res = 128

@@ -39,11 +39,7 @@ from anisolab.grid import (
 )
 from anisolab.solver import _newton_direction, inner_energy
 
-
-def rand_zero_boundary(grid, rng):
-    vals = np.zeros(grid.shape)
-    vals[grid.interior_slices()] = rng.standard_normal(grid.interior_shape())
-    return GridField(grid, vals)
+from oracles import kron_difference_matrix, rand_zero_boundary
 
 
 def test_grid_validation():
@@ -256,23 +252,6 @@ def test_ball_fraction_weights_volume():
     w = ball_fraction_weights(g, 1.0, center=(0.0, 0.0))
     vol = integrate(GridField(g, w))
     assert vol == pytest.approx(np.pi, rel=2e-3)
-
-
-def kron_difference_matrix(grid, axis):
-    """Forward differences along `axis` from interior nodes to the faces of
-    that axis at interior transverse positions (test-local, by Kronecker
-    products)."""
-    blocks = []
-    for j, (r, h) in enumerate(zip(grid.res, grid.h)):
-        if j == axis:
-            blocks.append(sp.diags([np.full(r - 1, 1.0 / h), np.full(r - 1, -1.0 / h)],
-                                   [0, -1], shape=(r, r - 1)))
-        else:
-            blocks.append(sp.identity(r - 1))
-    mat = blocks[0]
-    for blk in blocks[1:]:
-        mat = sp.kron(mat, blk)
-    return mat.tocsr()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -46,55 +45,13 @@ from anisolab.solver import (
     stampacchia_verify,
 )
 
+from oracles import collocation_oracle, kron_difference_matrix, rand_zero_boundary
+
 EPS = np.finfo(float).eps
 
 
 def grid1d(res=128):
     return Grid(box=((0.0, 1.0),), res=(res,))
-
-
-def rand_zero_boundary(grid, rng, scale=1.0):
-    vals = np.zeros(grid.shape)
-    vals[grid.interior_slices()] = scale * rng.standard_normal(grid.interior_shape())
-    return GridField(grid, vals)
-
-
-# --- independent 1D collocation oracle ---------------------------------------
-
-def collocation_fixed_point(res, shift, max_newton=60):
-    """Solve -u'' = exp(1/(u + shift)) on (0,1), zero boundary, by damped
-    Newton on a tridiagonal finite-difference system (test-local code,
-    independent of the package solver)."""
-    h = 1.0 / res
-    n = res - 1
-    main = np.full(n, 2.0 / h ** 2)
-    off = np.full(n - 1, -1.0 / h ** 2)
-    u = np.zeros(n)
-
-    def resid(u):
-        au = main * u
-        au[:-1] += off * u[1:]
-        au[1:] += off * u[:-1]
-        return au - np.exp(1.0 / (u + shift))
-
-    for _ in range(max_newton):
-        r = resid(u)
-        if np.max(np.abs(r)) < 1e-12:
-            break
-        fp = np.exp(1.0 / (u + shift)) / (u + shift) ** 2
-        band = np.zeros((3, n))
-        band[0, 1:] = off
-        band[1] = main + fp
-        band[2, :-1] = off
-        du = scipy.linalg.solve_banded((1, 1), band, -r)
-        step = 1.0
-        base = np.linalg.norm(r)
-        while step > 1e-12:
-            if np.linalg.norm(resid(u + step * du)) < base:
-                break
-            step *= 0.5
-        u = u + step * du
-    return np.concatenate([[0.0], u, [0.0]])
 
 
 # --- inner energy -------------------------------------------------------------
@@ -136,12 +93,6 @@ def test_solve_inner_zero_rhs():
     g = grid1d(32)
     u = solve_inner(GridField.zeros(g), ExponentData.from_p([2]))
     assert np.all(u.values == 0.0)
-
-
-def test_solve_inner_poisson_max():
-    g = grid1d(128)
-    u = solve_inner(GridField.constant(g, 1.0), ExponentData.from_p([2]))
-    assert abs(u.values.max() - 0.125) <= 1e-4
 
 
 def test_solve_inner_p4_against_brute_force():
@@ -196,45 +147,31 @@ def test_solve_inner_energy_strictly_decreasing():
     assert info["linear_iterations"] == [0] * (info["iterations"] - 1)
 
 
-def sparse_newton_reference(grid, p, rhs_int, tol=1e-12, max_newton=200):
-    """Minimize sum_i (1/p_i) |K_i x|^{p_i} - rhs.x by damped Newton with
-    sparse direct solves of the floored Jacobian (test-local difference
-    matrices, independent of the package solver)."""
-    mats = []
-    for axis in range(grid.dim):
-        blocks = []
-        for j, (r, h) in enumerate(zip(grid.res, grid.h)):
-            if j == axis:
-                d = sp.lil_matrix((r, r - 1))
-                for i in range(r - 1):
-                    d[i, i] = 1.0 / h
-                    d[i + 1, i] = -1.0 / h
-                blocks.append(d.tocsr())
-            else:
-                blocks.append(sp.identity(r - 1, format="csr"))
-        mat = blocks[0]
-        for blk in blocks[1:]:
-            mat = sp.kron(mat, blk, format="csr")
-        mats.append(mat)
-
-    def energy(x):
-        return sum(np.sum(np.abs(k @ x) ** q) / q for k, q in zip(mats, p)) - rhs_int @ x
+def sparse_newton_reference(grid, p, source, tol=1e-12, max_newton=200):
+    """Minimize sum_i (1/p_i) |K_i x|^{p_i} - G(x) over interior vectors x,
+    for a convex G given by `source(x) = (G'(x), -G''(x))`, by damped Newton
+    with sparse direct solves of the floored Jacobian on the Kronecker
+    difference matrices K_i (independent of the package solver).  A step is
+    halved until it lowers ||gradient||_2, since G need have no closed-form
+    primitive."""
+    mats = [kron_difference_matrix(grid, axis) for axis in range(grid.dim)]
 
     def gradient(x):
-        return sum(k.T @ (np.abs(k @ x) ** (q - 2) * (k @ x)) for k, q in zip(mats, p)) - rhs_int
+        flux = sum(k.T @ (np.abs(k @ x) ** (q - 2) * (k @ x)) for k, q in zip(mats, p))
+        return flux - source(x)[0]
 
-    x = np.zeros_like(rhs_int)
+    x = np.zeros(math.prod(grid.interior_shape()))
     for _ in range(max_newton):
         g = gradient(x)
         if np.max(np.abs(g)) <= tol:
             return x
-        jac = sum(
+        jac = sp.diags(source(x)[1]) + sum(
             k.T @ sp.diags((q - 1) * np.maximum(np.abs(k @ x), 1e-8) ** (q - 2)) @ k
             for k, q in zip(mats, p)
         )
         d = spla.spsolve(jac.tocsc(), -g)
-        step, f0 = 1.0, energy(x)
-        while energy(x + step * d) > f0 + 1e-4 * step * (g @ d) + 1e-13 * (1 + abs(f0)):
+        step, base = 1.0, np.linalg.norm(g)
+        while step > 1e-12 and np.linalg.norm(gradient(x + step * d)) >= base:
             step *= 0.5
         x = x + step * d
     raise AssertionError("reference Newton did not converge")
@@ -251,7 +188,8 @@ def test_solve_inner_matches_sparse_newton_reference(p, res):
     )
     info = {}
     u = solve_inner(rhs, ExponentData.from_p(p), info=info)
-    ref = sparse_newton_reference(g, p, rhs.values[g.interior_slices()].ravel())
+    rhs_int = rhs.values[g.interior_slices()].ravel()
+    ref = sparse_newton_reference(g, p, lambda x: (rhs_int, np.zeros(x.size)))
     assert np.max(np.abs(u.values[g.interior_slices()].ravel() - ref)) <= 1e-9
     assert u.is_zero_on_boundary()
     # 2D/3D Newton systems are solved by preconditioned CG
@@ -260,6 +198,34 @@ def test_solve_inner_matches_sparse_newton_reference(p, res):
     if all(p_i == 2.0 for p_i in p):
         # the DST preconditioner is the exact inverse of the p = 2 Jacobian
         assert info["linear_iterations"] == [1] * (info["iterations"] - 1)
+
+
+def test_solve_level_matches_sparse_newton_reference_in_3d():
+    # the comparison bound of `solve_level`: with the p_1 = 2 axis, the
+    # secant Jacobian J of Op plus the diagonal D >= 0 of b(u) = g_n
+    # e^{1/(u + s)}, which decreases in u, is an M-matrix, so the level
+    # solution u and the reference differ by at most (sup|F_u| + sup|F_ref|)
+    # L_1^2 / 8 on the unit box, F_u = Op(u) - b(u) and sup|F_ref| <= 1e-12
+    p = (2.0, 3.0, 4.0)
+    g = Grid(box=((0.0, 1.0),) * 3, res=(10, 9, 8))
+    w = WeightSpec(g=GridField.from_function(
+        g, lambda *xs: 1.5 + np.prod([np.sin(3.0 * x) for x in xs], axis=0)
+    ))
+    level = RegularizationLevel.from_weight(2, w)
+    e = ExponentData.from_p(p)
+    u = solve_level(level, e)
+    inner = g.interior_slices()
+    f_u = np.max(np.abs(p_laplacian_apply(u, e).values[inner] - level.rhs(u).values[inner]))
+    g_n = level.g_n.values[inner].ravel()
+
+    def source(x):
+        # G' = g_n e^{1/(x^+ + s)} and its curvature diagonal, nonzero where x > 0
+        shifted = np.maximum(x, 0.0) + level.shift
+        b = g_n * np.exp(1.0 / shifted)
+        return b, np.where(x > 0.0, b / shifted ** 2, 0.0)
+
+    ref = sparse_newton_reference(g, p, source)
+    assert np.max(np.abs(u.values[inner].ravel() - ref)) <= (f_u + 1e-12) / 8.0
 
 
 def _newton_system(seed, smooth=True, res=48, dim=2):
@@ -463,6 +429,16 @@ def test_failed_solves_leave_their_partial_record_in_info():
         assert "residual" not in info
 
 
+def test_failed_solve_carries_its_whole_newton_history():
+    # p = 8 on 64 cells takes 13 Newton steps, so a cap of 12 fails after more than 10
+    info = {}
+    with pytest.raises(NonConvergenceError, match="in 12 Newton steps") as exc:
+        solve_inner(GridField.constant(grid1d(64), 1.0), ExponentData.from_p([8]), max_iter=12,
+                    info=info)
+    assert len(info["steps"]) == 12
+    assert exc.value.diagnostics == {"residuals": info["residuals"], "steps": info["steps"]}
+
+
 def test_the_smallest_normal_tolerance_is_accepted():
     # the floor of `_tolerance` is itself a tolerance (below it, see test_cli.py _DOMAINS)
     g = grid1d(16)
@@ -540,16 +516,6 @@ def test_solve_level_zero_weight():
     u = solve_level(level, e, info=info)
     assert np.all(u.values == 0.0)
     assert info["iterations"] == 1
-
-
-def test_solve_level_against_collocation_oracle():
-    g = grid1d(128)
-    e = ExponentData.from_p([2])
-    w = WeightSpec(g=GridField.constant(g, 1.0))
-    level = RegularizationLevel.from_weight(1, w)
-    u = solve_level(level, e)
-    oracle = collocation_fixed_point(8 * 128, shift=1.0)
-    assert np.max(np.abs(u.values - oracle[::8])) <= 1e-3
 
 
 @pytest.mark.parametrize(
@@ -680,7 +646,7 @@ def test_run_ladder_1d_levels_match_ode_oracle():
     for n in (1, 3, 6):
         level = RegularizationLevel.from_weight(n, w)
         u_n = solve_level(level, e, u0=u_prev)
-        oracle = collocation_fixed_point(8 * 128, shift=1.0 / n)
+        oracle = collocation_oracle(8 * 128, shift=1.0 / n)
         assert np.max(np.abs(u_n.values - oracle[::8])) <= 1e-3
         u_prev = u_n
 

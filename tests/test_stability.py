@@ -1,11 +1,14 @@
 """Stability evaluators against analytic eigenvalues, radial quadrature
 oracles, and the sweep/certificate machinery."""
 
+import math
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
@@ -50,6 +53,8 @@ from anisolab.stability import (
     weak_residual,
 )
 from anisolab.truncations import TruncationPair, b_eval
+
+from oracles import kron_difference_matrix
 
 
 def smoothstep(s):
@@ -179,249 +184,22 @@ def test_stability_gap_homogeneity():
 
 # --- stability index -------------------------------------------------------------
 
-def test_stability_index_nonnegative_for_frozen_zero():
-    g = Grid(box=((0.0, np.pi),), res=(48,))
-    u = GridField.constant(g, 1.0)
-    rep = stability_index(
-        u,
-        NonlinearityEval.constant_slope(0.0),
-        GridField.constant(g, 1.0),
-        (2.0,),
-        variant=StabilityVariant.AS_WRITTEN,
-    )
-    assert rep.gap >= 0.0
-    assert rep.stable
-
-
-def test_stability_index_sign_crossing_at_discrete_eigenvalue():
-    n = 64
-    g = Grid(box=((0.0, np.pi),), res=(n,))
-    h = np.pi / n
-    lam1 = (2 / h ** 2) * (1 - np.cos(h))
-    u = GridField.constant(g, 1.0)
-    ones = GridField.constant(g, 1.0)
-
-    def index(lam):
-        return stability_index(
-            u, NonlinearityEval.constant_slope(lam), ones, (2.0,),
-            variant=StabilityVariant.AS_WRITTEN,
-        ).gap
-
-    assert index(lam1 - 1e-4) > 0
-    assert index(lam1 + 1e-4) < 0
-    assert abs(index(lam1)) <= 1e-9
-
-
-def test_stability_index_matches_dense_eigensolve():
-    # nonconstant candidate and weight, p = 2: the pencil is the 5-point
-    # stiffness minus a diagonal potential; cross-check against dense eigh
-    res = 16
-    g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(res, res))
-    hx, hy = g.h
-    u = GridField.from_function(
-        g, lambda x, y: 2.0 + np.sin(np.pi * x) * np.sin(2 * np.pi * y)
-    )
-    gw = GridField.from_function(g, lambda x, y: 1.0 + 0.5 * x * y)
-    nl = NonlinearityEval.mixed_power(1.0, 2.0)
-    rep = stability_index(u, nl, gw, (2.0, 2.0), variant=StabilityVariant.WEIGHTED_BY_G)
-
-    n = res - 1
-    size = n * n
-    dense = np.zeros((size, size))
-    pot = (gw.values * nl.fprime(u.values))[1:-1, 1:-1].ravel()
-    for i in range(n):
-        for j in range(n):
-            row = i * n + j
-            dense[row, row] = 2 / hx ** 2 + 2 / hy ** 2 - pot[row]
-            if i > 0:
-                dense[row, row - n] = -1 / hx ** 2
-            if i < n - 1:
-                dense[row, row + n] = -1 / hx ** 2
-            if j > 0:
-                dense[row, row - 1] = -1 / hy ** 2
-            if j < n - 1:
-                dense[row, row + 1] = -1 / hy ** 2
-    eigs = scipy.linalg.eigvalsh(dense)
-    assert rep.gap == pytest.approx(eigs[0], rel=1e-6)
-
-
-@pytest.mark.parametrize("p, res", [
-    ((3.0,), (2,)), ((3.0,), (8,)), ((3.0, 4.0), (2, 2)), ((3.0, 4.0), (6, 6)),
-    ((3.0, 3.0, 4.0), (4, 4, 4)),
-], ids=["1d-one-node", "1d", "2d-one-node", "2d", "3d"])
-@pytest.mark.parametrize("c", [1e-8, 1e-100])
-def test_stability_shift_keeps_the_pencil_definite_past_2_53(p, res, c):
-    # f'(c) = 2/c^2 >= 2^53 lost the 1 of the shift -f'(c) - 1, and a
-    # constant candidate with all p_i > 2 has zero flux weights, so the
-    # shifted pencil was 0: a 0/0 in the preconditioner scaling, a singular
-    # factor.  The index is -f'(c), with its eigenvalue multiple
-    g = Grid(box=((0.0, 3.0),) * len(p), res=res)
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.mixed_power(1.0, 1.0)
-    rep = stability_index(GridField.constant(g, c), nl, ones, p,
-                          variant=StabilityVariant.AS_WRITTEN)
-    assert rep.gap == pytest.approx(-2.0 / c ** 2, rel=1e-12)
-    assert rep.residual <= 1e-7 * abs(rep.shift)
-
-
-def test_stability_index_minimizer_reproduces_gap():
-    g = Grid(box=((0.0, np.pi),), res=(40,))
-    u = GridField.constant(g, 1.0)
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.constant_slope(0.7)
-    rep = stability_index(u, nl, ones, (2.0,), variant=StabilityVariant.AS_WRITTEN)
-    phi = rep.minimizer
-    recomputed = stability_gap(
-        u, phi, nl, ones, (2.0,), StabilityVariant.AS_WRITTEN
-    ) / integrate(GridField(g, phi.values ** 2))
-    assert recomputed == pytest.approx(rep.gap, rel=1e-8)
-
-
-def test_stability_index_stagnation_reports_last_change():
-    # a constant candidate has the sine start as its exact eigenvector; this
-    # p = (3,) one takes 6 factor solves, so a cap of 3 ends the run
-    g = Grid(box=((0.0, np.pi),), res=(64,))
-    u = _sine_candidate(g, 0.2, (0.0,))
-    ones = GridField.constant(g, 1.0)
-    with pytest.raises(NonConvergenceError, match="LOBPCG") as exc:
-        stability_index(
-            u, NonlinearityEval.mixed_power(1.0, 1.0), ones, (3.0,),
-            variant=StabilityVariant.AS_WRITTEN, max_iter=3,
-        )
-    diag = exc.value.diagnostics
-    assert set(diag) == {"rho", "iterations", "bound"}
-    assert diag["iterations"] == 3
-    assert np.isfinite(diag["rho"]) and exc.value.residual > diag["bound"] > 0
-
-
 def dense_gap_pencil(u, nl, g, p, variant, sparse=False):
-    """Dense interior matrix of the gap form, assembled from dense 1D
-    difference matrices (independent of the sparse assembly under test);
-    with `sparse`, the same Kronecker products as a scipy.sparse matrix."""
-    import scipy.sparse as sp
-    kron = sp.kron if sparse else np.kron
+    """The interior matrix of the gap form, sum_i K_i^T diag(w_i) K_i -
+    diag(W f'(u)) with w_i = (p_i - 1)|D_i u|^(p_i - 2), from the Kronecker
+    difference matrices K_i (independent of the assembly under test); a
+    dense array, or with `sparse` a scipy.sparse matrix."""
     grid = u.grid
-    eyes = [np.eye(r - 1) for r in grid.res]
-    mat = 0.0
-    for axis, p_i in enumerate(p):
-        r, h = grid.res[axis], grid.h[axis]
-        d1 = (np.eye(r + 1)[1:] - np.eye(r + 1)[:-1])[:, 1:-1] / h
-        factors = [d1 if j == axis else eyes[j] for j in range(grid.dim)]
-        d = factors[0]
-        for f in factors[1:]:
-            d = kron(d, f)
-        transverse = tuple(
-            slice(None) if j == axis else slice(1, -1) for j in range(grid.dim)
-        )
-        du = (np.diff(u.values, axis=axis) / h)[transverse].ravel()
-        w = (p_i - 1.0) * np.abs(du) ** (p_i - 2.0)
-        mat = mat + d.T @ (sp.diags(w) @ d if sparse else w[:, None] * d)
     pot = nl.fprime(u.values)
     if variant is StabilityVariant.WEIGHTED_BY_G:
         pot = pot * g.values
-    pot = pot[grid.interior_slices()].ravel()
-    return mat - (sp.diags(pot) if sparse else np.diag(pot))
-
-
-def test_stability_index_3d_anisotropic_matches_dense_eigensolve():
-    # p = (2,3,4) on an unequal box, nonconstant candidate and weight
-    g = Grid(box=((0.0, 1.0), (0.0, 1.5), (0.0, 2.0)), res=(8, 8, 8))
-    u = GridField.from_function(
-        g, lambda x, y, z: 1.5 + np.sin(np.pi * x) * y * (2.0 - z) + 0.3 * x
-    )
-    gw = GridField.from_function(g, lambda x, y, z: 1.0 + 0.5 * x * y + 0.2 * z)
-    nl = NonlinearityEval.mixed_power(1.0, 2.0)
-    p = (2.0, 3.0, 4.0)
-    rep = stability_index(u, nl, gw, p, variant=StabilityVariant.WEIGHTED_BY_G)
-    eigs = scipy.linalg.eigvalsh(
-        dense_gap_pencil(u, nl, gw, p, StabilityVariant.WEIGHTED_BY_G)
-    )
-    assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
-    assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
-
-
-@pytest.mark.parametrize("res", [8, 12, 16])
-def test_stability_index_3d_separable_candidate_is_a_1d_index_plus_laplacian_modes(res):
-    # u varies along z only and p_x = p_y = 2, so the 3D pencil is the
-    # Kronecker sum of the 1D p = (4,) pencil along z and the Dirichlet
-    # Laplacians along x and y: its index is the 1D index (preconditioned
-    # by a SuperLU factor) plus the lowest Laplacian eigenvalues
-    # (4/h^2) sin^2(pi/(2 res)), an oracle for the DST-preconditioned loop
-    # with anisotropic p and a non-constant candidate
-    nl = NonlinearityEval.mixed_power(1.0, 1.0)
-
-    def index(dim, p):
-        grid = Grid(box=((0.0, np.pi),) * dim, res=(res,) * dim)
-        u = GridField.from_function(grid, lambda *xs: 1.0 + 0.2 * np.sin(xs[-1] + 0.3))
-        return stability_index(u, nl, GridField.constant(grid, 1.0), p,
-                               variant=StabilityVariant.AS_WRITTEN).gap
-
-    h = np.pi / res
-    expected = index(1, (4.0,)) + 2.0 * 4.0 / h ** 2 * np.sin(np.pi / (2 * res)) ** 2
-    assert index(3, (2.0, 2.0, 4.0)) == pytest.approx(expected, rel=1e-10)
-
-
-def test_stability_index_resolves_clustered_spectrum():
-    # the p = (2,3,4) point at 12^3 whose two lowest eigenvalues are 4e-4
-    # apart, where a Rayleigh-quotient-change stop used to stagnate
-    g = Grid(box=((0.0, np.pi),) * 3, res=(12, 12, 12))
-    u = GridField.from_function(
-        g, lambda x, y, z: 1.0 + 0.2 * np.sin(x) * np.sin(y) * np.sin(z)
-    )
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.mixed_power(1.0, 1.0)
-    p = (2.0, 3.0, 4.0)
-    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
-    eigs = scipy.linalg.eigvalsh(
-        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN),
-        subset_by_index=[0, 1],
-    )
-    assert eigs[1] - eigs[0] < 1e-3
-    assert rep.gap == pytest.approx(eigs[0], abs=1e-8)
-    assert not rep.stable
-
-
-def test_stability_index_minimizer_is_reproducible():
-    g = Grid(box=((0.0, np.pi), (0.0, np.pi)), res=(24, 20))
-    u = GridField.from_function(g, lambda x, y: 1.0 + 0.2 * np.sin(x + 0.1) * np.sin(y))
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.mixed_power(1.0, 1.0)
-
-    def minimizer():
-        return stability_index(
-            u, nl, ones, (2.0, 3.0), variant=StabilityVariant.AS_WRITTEN
-        ).minimizer.values
-
-    first = minimizer()
-    assert first.tobytes() == minimizer().tobytes()
-    # unit mass norm, sign fixed by the largest-magnitude entry
-    assert integrate(GridField(g, first ** 2)) == pytest.approx(1.0, rel=1e-12)
-    assert first.ravel()[np.argmax(np.abs(first))] > 0
-    # the lowest eigenvalue is simple: the dense eigenvector, scaled alike
-    _, vecs = scipy.linalg.eigh(
-        dense_gap_pencil(u, nl, ones, (2.0, 3.0), StabilityVariant.AS_WRITTEN),
-        subset_by_index=[0, 0],
-    )
-    dense = embed_interior(g, vecs[:, 0]).values
-    dense *= np.copysign(1.0 / np.sqrt(g.cell_volume), dense.ravel()[np.argmax(np.abs(dense))])
-    assert np.max(np.abs(dense - first)) <= 1e-5
-
-
-@pytest.mark.parametrize("res", [(3, 3), (2,), (5,), (2, 4), (2, 2, 3)])
-def test_stability_index_small_grid_takes_dense_path(res):
-    # grids of 1-4 unknowns, which scipy's lobpcg hands to a dense
-    # eigensolver: the one loop matches the dense oracle there too
-    dim = len(res)
-    g = Grid(box=((0.0, 1.0),) * dim, res=res)
-    u = GridField.from_function(g, lambda *xs: 1.0 + 0.3 * np.prod(xs, axis=0))
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.mixed_power(1.0, 2.0)
-    p = (2.0,) * dim
-    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
-    eigs = scipy.linalg.eigvalsh(
-        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN)
-    )
-    assert rep.gap == pytest.approx(eigs[0], abs=1e-10 * max(1.0, abs(eigs[0])))
+    mat = -sp.diags(pot[grid.interior_slices()].ravel())
+    for axis, p_i in enumerate(p):
+        transverse = tuple(slice(None) if j == axis else slice(1, -1) for j in range(grid.dim))
+        du = (np.diff(u.values, axis=axis) / grid.h[axis])[transverse].ravel()
+        k = kron_difference_matrix(grid, axis)
+        mat = mat + k.T @ sp.diags((p_i - 1.0) * np.abs(du) ** (p_i - 2.0)) @ k
+    return mat if sparse else mat.toarray()
 
 
 def _sine_candidate(grid, amp, phases):
@@ -458,18 +236,236 @@ def _close_pair_case():
     return u, NonlinearityEval.mixed_power(delta, delta), (4.0, 2.0, 4.0)
 
 
-@pytest.mark.parametrize("seed", list(range(12)) + ["close-pair"] + [f"1d-{k}" for k in range(6)])
-def test_stability_index_matches_dense_oracle_on_seeded_pencils(seed):
-    u, nl, p = _close_pair_case() if seed == "close-pair" else _random_pencil_case(seed)
-    ones = GridField.constant(u.grid, 1.0)
-    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
-    eigs = scipy.linalg.eigvalsh(
-        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN), subset_by_index=[0, 2]
-    )
-    if seed == "close-pair":
-        assert eigs[1] - eigs[0] < 0.1 * (eigs[2] - eigs[0])
-    assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
+def _sine_p24_case(n):
+    """The 2D p = (2, 4) candidate 1 + 0.2 sin(x) sin(y + 0.1) on [0, pi]^2
+    with delta = gamma = 1 and weight 1."""
+    grid = Grid(box=((0.0, np.pi),) * 2, res=(n, n))
+    return _sine_candidate(grid, 0.2, (0.0, 0.1)), NonlinearityEval.mixed_power(1.0, 1.0)
+
+
+def _restart_case():
+    """The 24^2 candidate 1 + 0.2 sin(pi x / 3) on [0, 3]^2, constant along
+    the p = 3 axis y: its lines along x decouple, all with one pencil."""
+    grid = Grid(box=((0.0, 3.0),) * 2, res=(24, 24))
+    return GridField.from_function(grid, lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x / 3.0) + 0 * y)
+
+
+def _restart_keeps_the_start_profile(rep, eigs):
+    # the sine start spans only the lines' shared profile along y, where a
+    # Krylov space turns invariant; the loop stays in that profile, so the
+    # minimizer's lines along y are the start's sine
+    lines = rep.minimizer.values[1:-1, 1:-1]
+    sine = np.sin(np.pi * np.arange(1, 24) / 24)
+    amplitude = lines @ sine / (sine @ sine)
+    return (rep.iterations <= 10
+            and np.max(np.abs(lines - amplitude[:, None] * sine)) <= 1e-10 * np.max(np.abs(lines)))
+
+
+def _as_written(u, nl, p):
+    return u, nl, GridField.constant(u.grid, 1.0), p, StabilityVariant.AS_WRITTEN
+
+
+def _lowest_sine_eigenvalue(n):
+    """The lowest eigenvalue (2/h^2)(1 - cos h) of the 3-point Dirichlet
+    Laplacian on [0, pi] with n cells."""
+    h = np.pi / n
+    return (2 / h ** 2) * (1 - np.cos(h))
+
+
+def _constant_slope_case(n, lam):
+    # u = 1 and f' = lam on [0, pi], p = 2: the Laplacian's pencil minus lam
+    grid = Grid(box=((0.0, np.pi),), res=(n,))
+    return _as_written(GridField.constant(grid, 1.0), NonlinearityEval.constant_slope(lam), (2.0,))
+
+
+def _shift_case(p, res, c):
+    # f'(c) = 2/c^2 >= 2^53 lost the 1 of the shift -f'(c) - 1, and a
+    # constant candidate with all p_i > 2 has zero flux weights, so the
+    # shifted pencil was 0: a 0/0 in the preconditioner scaling, a singular
+    # factor.  The index is -f'(c), with its eigenvalue multiple
+    grid = Grid(box=((0.0, 3.0),) * len(p), res=res)
+    return _as_written(GridField.constant(grid, c), NonlinearityEval.mixed_power(1.0, 1.0), p)
+
+
+def _weighted_case(box, res, p, candidate, weight):
+    # a nonconstant candidate and weight under WeightedByG, delta = 1, gamma = 2
+    grid = Grid(box=box, res=res)
+    return (GridField.from_function(grid, candidate), NonlinearityEval.mixed_power(1.0, 2.0),
+            GridField.from_function(grid, weight), p, StabilityVariant.WEIGHTED_BY_G)
+
+
+class IndexRow(NamedTuple):
+    """One `stability_index` run: `case()` gives its (u, nl, g, p, variant).
+    Its oracle is the closed-form `gap`, else the lowest eigenvalue of
+    `dense_gap_pencil`, within `tol * max(1, |oracle|)`; `check(rep, eigs)`,
+    with eigs the pencil's lowest three eigenvalues (None with a `gap`),
+    holds what else the row checks."""
+
+    id: str | None
+    case: Callable
+    gap: float | None = None
+    tol: float = 1e-8
+    check: Callable | None = None
+
+
+_SHIFT_GRIDS = {"1d-one-node": ((3.0,), (2,)), "1d": ((3.0,), (8,)),
+                "2d-one-node": ((3.0, 4.0), (2, 2)), "2d": ((3.0, 4.0), (6, 6)),
+                "3d": ((3.0, 3.0, 4.0), (4, 4, 4))}
+
+
+def _small_grid_case(res):
+    # 1-4 unknowns, which scipy's lobpcg hands to a dense eigensolver
+    grid = Grid(box=((0.0, 1.0),) * len(res), res=res)
+    u = GridField.from_function(grid, lambda *xs: 1.0 + 0.3 * np.prod(xs, axis=0))
+    return _as_written(u, NonlinearityEval.mixed_power(1.0, 2.0), (2.0,) * len(res))
+
+
+def _box3_case(res, p):
+    # a sine candidate on [0, 3]^N with delta = 1, gamma = 1.5
+    grid = Grid(box=((0.0, 3.0),) * len(res), res=res)
+    return _as_written(_sine_candidate(grid, 0.2, (0.1,) * len(res)),
+                       NonlinearityEval.mixed_power(1.0, 1.5), p)
+
+
+# Every stability index oracle, one row per run, under the name of the test
+# that runs it: rows without an id run as one item
+INDEX_CASES: dict[str, list[IndexRow]] = {
+    "test_stability_index_nonnegative_for_frozen_zero": [
+        IndexRow(None, lambda: _constant_slope_case(48, 0.0), gap=_lowest_sine_eigenvalue(48))],
+    # f' = lambda_1 + d: the index changes sign at the discrete eigenvalue
+    "test_stability_index_sign_crossing_at_discrete_eigenvalue": [
+        IndexRow(None, lambda d=d: _constant_slope_case(64, _lowest_sine_eigenvalue(64) + d),
+                 gap=-d, tol=1e-9) for d in (-1e-4, 1e-4, 0.0)],
+    "test_stability_index_matches_dense_eigensolve": [IndexRow(None, lambda: _weighted_case(
+        ((0.0, 1.0),) * 2, (16, 16), (2.0, 2.0),
+        lambda x, y: 2.0 + np.sin(np.pi * x) * np.sin(2 * np.pi * y),
+        lambda x, y: 1.0 + 0.5 * x * y))],
+    "test_stability_shift_keeps_the_pencil_definite_past_2_53": [
+        IndexRow(f"{c}-{name}", lambda p=p, res=res, c=c: _shift_case(p, res, c),
+                 gap=-2.0 / c ** 2, tol=1e-12)
+        for c in (1e-8, 1e-100) for name, (p, res) in _SHIFT_GRIDS.items()],
+    "test_stability_index_minimizer_reproduces_gap": [IndexRow(
+        None, lambda: _constant_slope_case(40, 0.7), gap=_lowest_sine_eigenvalue(40) - 0.7)],
+    # p = (2,3,4) on an unequal box
+    "test_stability_index_3d_anisotropic_matches_dense_eigensolve": [IndexRow(
+        None, lambda: _weighted_case(
+            ((0.0, 1.0), (0.0, 1.5), (0.0, 2.0)), (8, 8, 8), (2.0, 3.0, 4.0),
+            lambda x, y, z: 1.5 + np.sin(np.pi * x) * y * (2.0 - z) + 0.3 * x,
+            lambda x, y, z: 1.0 + 0.5 * x * y + 0.2 * z))],
+    # the p = (2,3,4) point at 12^3 whose two lowest eigenvalues are 4e-4
+    # apart, where a Rayleigh-quotient-change stop used to stagnate
+    "test_stability_index_resolves_clustered_spectrum": [IndexRow(
+        None, lambda: _as_written(
+            _sine_candidate(Grid(box=((0.0, np.pi),) * 3, res=(12, 12, 12)), 0.2, (0.0,) * 3),
+            NonlinearityEval.mixed_power(1.0, 1.0), (2.0, 3.0, 4.0)),
+        check=lambda rep, eigs: eigs[1] - eigs[0] < 1e-3)],
+    "test_stability_index_small_grid_takes_dense_path": [
+        IndexRow(f"res{i}", lambda res=res: _small_grid_case(res), tol=1e-10)
+        for i, res in enumerate([(3, 3), (2,), (5,), (2, 4), (2, 2, 3)])],
+    "test_stability_index_matches_dense_oracle_on_seeded_pencils": [
+        IndexRow(str(seed), lambda seed=seed: _as_written(*_random_pencil_case(seed)))
+        for seed in [*range(12), *(f"1d-{k}" for k in range(6))]] + [
+        IndexRow("close-pair", lambda: _as_written(*_close_pair_case()),
+                 check=lambda rep, eigs: eigs[1] - eigs[0] < 0.1 * (eigs[2] - eigs[0]))],
+    "test_stability_index_on_a_grid_with_one_interior_node_along_an_axis": [
+        IndexRow(f"res{i}", lambda res=res: _box3_case(res, (2.0, 3.0, 2.5)[:len(res)]))
+        for i, res in enumerate([(8, 2), (2, 8), (6, 6, 2)])],
+    "test_stability_index_restart_case_matches_dense_oracle": [IndexRow(None, lambda: _as_written(
+        _restart_case(), NonlinearityEval.mixed_power(1.0, 1.0), (2.0, 3.0)),
+        check=_restart_keeps_the_start_profile)],
+    "test_stability_index_on_five_interior_nodes_counts_factor_solves": [IndexRow(
+        None, lambda: _box3_case((6,), (3.0,)), check=lambda rep, eigs: rep.iterations > 0)],
+}
+
+
+def _check_index(row):
+    """`stability_index` against the row's oracle, its residual against the
+    bound, and its minimizer: zero on the boundary, unit mass, the sign of
+    its largest entry, and a Rayleigh quotient through `stability_gap` (the
+    face-quadrature form) equal to the gap."""
+    u, nl, g, p, variant = row.case()
+    rep = stability_index(u, nl, g, p, variant=variant)
+    eigs = None
+    if row.gap is None:
+        last = min(2, math.prod(u.grid.interior_shape()) - 1)
+        eigs = scipy.linalg.eigvalsh(dense_gap_pencil(u, nl, g, p, variant),
+                                     subset_by_index=[0, last])
+    oracle = eigs[0] if row.gap is None else row.gap
+    assert rep.gap == pytest.approx(oracle, abs=row.tol * max(1.0, abs(oracle)))
     assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
+    phi = rep.minimizer
+    assert phi.is_zero_on_boundary()
+    mass = integrate(GridField(u.grid, phi.values ** 2))
+    assert mass == pytest.approx(1.0, rel=1e-12)
+    assert phi.values.ravel()[np.argmax(np.abs(phi.values))] > 0
+    quotient = stability_gap(u, phi, nl, g, p, variant) / mass
+    assert quotient == pytest.approx(rep.gap, abs=1e-12 * abs(rep.shift))  # |shift| >= 1
+    assert rep.to_dict()["stable"] == (rep.gap >= 0.0)
+    assert row.check is None or row.check(rep, eigs)
+
+
+def _index_test(rows):
+    if rows[0].id is None:
+        def test():
+            for row in rows:
+                _check_index(row)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(row):
+        _check_index(row)
+    return test
+
+
+for _name, _rows in INDEX_CASES.items():
+    globals()[_name] = _index_test(_rows)
+
+
+@pytest.mark.parametrize("res", [8, 12, 16])
+def test_stability_index_3d_separable_candidate_is_a_1d_index_plus_laplacian_modes(res):
+    # u varies along z only and p_x = p_y = 2, so the 3D pencil is the
+    # Kronecker sum of the 1D p = (4,) pencil along z and the Dirichlet
+    # Laplacians along x and y: its index is the 1D index (preconditioned
+    # by a SuperLU factor) plus the lowest Laplacian eigenvalues
+    # (4/h^2) sin^2(pi/(2 res)), an oracle for the DST-preconditioned loop
+    # with anisotropic p and a non-constant candidate
+    nl = NonlinearityEval.mixed_power(1.0, 1.0)
+
+    def index(dim, p):
+        grid = Grid(box=((0.0, np.pi),) * dim, res=(res,) * dim)
+        u = GridField.from_function(grid, lambda *xs: 1.0 + 0.2 * np.sin(xs[-1] + 0.3))
+        return stability_index(u, nl, GridField.constant(grid, 1.0), p,
+                               variant=StabilityVariant.AS_WRITTEN).gap
+
+    h = np.pi / res
+    expected = index(1, (4.0,)) + 2.0 * 4.0 / h ** 2 * np.sin(np.pi / (2 * res)) ** 2
+    assert index(3, (2.0, 2.0, 4.0)) == pytest.approx(expected, rel=1e-10)
+
+
+def test_stability_index_minimizer_is_reproducible():
+    g = Grid(box=((0.0, np.pi), (0.0, np.pi)), res=(24, 20))
+    u = GridField.from_function(g, lambda x, y: 1.0 + 0.2 * np.sin(x + 0.1) * np.sin(y))
+    ones = GridField.constant(g, 1.0)
+    nl = NonlinearityEval.mixed_power(1.0, 1.0)
+
+    def minimizer():
+        return stability_index(
+            u, nl, ones, (2.0, 3.0), variant=StabilityVariant.AS_WRITTEN
+        ).minimizer.values
+
+    first = minimizer()
+    assert first.tobytes() == minimizer().tobytes()
+    # unit mass norm, sign fixed by the largest-magnitude entry
+    assert integrate(GridField(g, first ** 2)) == pytest.approx(1.0, rel=1e-12)
+    assert first.ravel()[np.argmax(np.abs(first))] > 0
+    # the lowest eigenvalue is simple: the dense eigenvector, scaled alike
+    _, vecs = scipy.linalg.eigh(
+        dense_gap_pencil(u, nl, ones, (2.0, 3.0), StabilityVariant.AS_WRITTEN),
+        subset_by_index=[0, 0],
+    )
+    dense = embed_interior(g, vecs[:, 0]).values
+    dense *= np.copysign(1.0 / np.sqrt(g.cell_volume), dense.ravel()[np.argmax(np.abs(dense))])
+    assert np.max(np.abs(dense - first)) <= 1e-5
 
 
 def test_stability_index_stops_when_the_lowest_pair_converges():
@@ -486,19 +482,6 @@ def test_stability_index_stops_when_the_lowest_pair_converges():
     assert rep.iterations <= 30
     assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
     assert rep.stable
-
-
-@pytest.mark.parametrize("res", [(8, 2), (2, 8), (6, 6, 2)])
-def test_stability_index_on_a_grid_with_one_interior_node_along_an_axis(res):
-    dim = len(res)
-    g = Grid(box=((0.0, 3.0),) * dim, res=res)
-    u = _sine_candidate(g, 0.2, (0.1,) * dim)
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.mixed_power(1.0, 1.5)
-    p = (2.0, 3.0, 2.5)[:dim]
-    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
-    eigs = scipy.linalg.eigvalsh(dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN))
-    assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
 
 
 def _index_and_scipy_lobpcg(monkeypatch, u, nl, p, max_iter=1000):
@@ -592,29 +575,26 @@ def test_lobpcg_loop_matches_scipy_lobpcg_on_seeded_pencils(monkeypatch):
         assert gap == pytest.approx(rho, rel=1e-12), seed
 
 
-def test_stability_index_3d_iteration_cap_ends_in_nonconvergence(monkeypatch):
-    # the resolved 8^3 p = (2,3,4) candidate, whose iterate at the cap has a
-    # larger residual than an earlier one: the cap returns the iterate of
-    # the smallest residual, as scipy's lobpcg does
-    u = _sine_candidate(Grid(box=((0.0, np.pi),) * 3, res=(8, 8, 8)), 0.2, (0.0,) * 3)
+@pytest.mark.parametrize("p, n, phases", [
+    ((3.0,), 64, (0.0,)), ((2.0, 4.0), 24, (0.0, 0.1)), ((2.0, 3.0, 4.0), 8, (0.0,) * 3),
+], ids=["1d", "2d", "3d"])
+def test_stability_index_iteration_cap_ends_in_nonconvergence(monkeypatch, p, n, phases):
+    # sine candidates that take more than 3 preconditioner applications; the
+    # 3D iterate at the cap has a larger residual than an earlier one, and
+    # the cap returns the iterate of the smallest residual, as scipy's
+    # lobpcg does
+    u = _sine_candidate(Grid(box=((0.0, np.pi),) * len(p), res=(n,) * len(p)), 0.2, phases)
     nl = NonlinearityEval.mixed_power(1.0, 1.0)
     with pytest.raises(NonConvergenceError, match="LOBPCG") as exc:
-        stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 3.0, 4.0),
+        stability_index(u, nl, GridField.constant(u.grid, 1.0), p,
                         variant=StabilityVariant.AS_WRITTEN, max_iter=3)
     diag = exc.value.diagnostics
     assert set(diag) == {"rho", "iterations", "bound"}
     assert diag["iterations"] == 3
     assert np.isfinite(diag["rho"]) and exc.value.residual > diag["bound"] > 0
-    gap, _, _, _, count, rho = _index_and_scipy_lobpcg(monkeypatch, u, nl, (2.0, 3.0, 4.0), 3)
+    gap, _, _, _, count, rho = _index_and_scipy_lobpcg(monkeypatch, u, nl, p, 3)
     assert count == 3
     assert gap == pytest.approx(rho, rel=1e-12)
-
-
-def _sine_p24_case(n):
-    """The 2D p = (2, 4) candidate 1 + 0.2 sin(x) sin(y + 0.1) on [0, pi]^2
-    with delta = gamma = 1 and weight 1."""
-    grid = Grid(box=((0.0, np.pi),) * 2, res=(n, n))
-    return _sine_candidate(grid, 0.2, (0.0, 0.1)), NonlinearityEval.mixed_power(1.0, 1.0)
 
 
 def test_stability_index_solve_count_does_not_grow_with_the_2d_grid():
@@ -635,33 +615,6 @@ def test_stability_index_solve_count_does_not_grow_with_the_2d_grid():
             )
             assert rep.gap == pytest.approx(lowest, abs=1e-8 * max(1.0, abs(lowest)))
         assert not rep.stable
-
-
-def _restart_case():
-    """The 24^2 candidate 1 + 0.2 sin(pi x / 3) on [0, 3]^2, constant along
-    the p = 3 axis y: its lines along x decouple, all with one pencil."""
-    grid = Grid(box=((0.0, 3.0),) * 2, res=(24, 24))
-    return GridField.from_function(grid, lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x / 3.0) + 0 * y)
-
-
-def test_stability_index_restart_case_matches_dense_oracle():
-    # the sine start spans only the lines' shared profile along y, where a
-    # Krylov space turns invariant; the loop stays in that profile, so the
-    # minimizer's lines along y are the start's sine
-    u = _restart_case()
-    ones = GridField.constant(u.grid, 1.0)
-    nl, p = NonlinearityEval.mixed_power(1.0, 1.0), (2.0, 3.0)
-    rep = stability_index(u, nl, ones, p, variant=StabilityVariant.AS_WRITTEN)
-    (lowest,) = scipy.linalg.eigvalsh(
-        dense_gap_pencil(u, nl, ones, p, StabilityVariant.AS_WRITTEN), subset_by_index=[0, 0]
-    )
-    assert rep.gap == pytest.approx(lowest, abs=1e-8 * max(1.0, abs(lowest)))
-    assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
-    assert rep.iterations <= 10
-    lines = rep.minimizer.values[1:-1, 1:-1]
-    sine = np.sin(np.pi * np.arange(1, 24) / 24)
-    amplitude = lines @ sine / (sine @ sine)
-    assert np.max(np.abs(lines - amplitude[:, None] * sine)) <= 1e-10 * np.max(np.abs(lines))
 
 
 def test_stability_index_certifies_a_tiny_box_by_the_roundoff_floor():
@@ -688,18 +641,6 @@ def test_stability_index_certifies_a_tiny_box_by_the_roundoff_floor():
     assert rep.stable
 
 
-def test_stability_index_on_five_interior_nodes_counts_factor_solves():
-    g = Grid(box=((0.0, 3.0),), res=(6,))
-    u = _sine_candidate(g, 0.2, (0.1,))
-    ones = GridField.constant(g, 1.0)
-    nl = NonlinearityEval.mixed_power(1.0, 1.5)
-    rep = stability_index(u, nl, ones, (3.0,), variant=StabilityVariant.AS_WRITTEN)
-    eigs = scipy.linalg.eigvalsh(dense_gap_pencil(u, nl, ones, (3.0,),
-                                                  StabilityVariant.AS_WRITTEN))
-    assert rep.iterations > 0
-    assert rep.gap == pytest.approx(eigs[0], abs=1e-8 * max(1.0, abs(eigs[0])))
-
-
 @pytest.mark.parametrize("res", [(16, 16), (6, 6, 6)], ids=["2d", "3d"])
 @pytest.mark.parametrize("max_iter", [0, -5])
 def test_stability_index_refuses_an_iteration_cap_below_one(res, max_iter):
@@ -709,17 +650,6 @@ def test_stability_index_refuses_an_iteration_cap_below_one(res, max_iter):
         stability_index(_sine_candidate(g, 0.2, (0.1,) * dim),
                         NonlinearityEval.mixed_power(1.0, 1.0), GridField.constant(g, 1.0),
                         (2.0,) * dim, max_iter=max_iter)
-
-
-def test_stability_index_2d_solve_budget_ends_in_nonconvergence():
-    u, nl = _sine_p24_case(24)
-    with pytest.raises(NonConvergenceError, match="LOBPCG") as exc:
-        stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 4.0),
-                        variant=StabilityVariant.AS_WRITTEN, max_iter=3)
-    diag = exc.value.diagnostics
-    assert set(diag) == {"rho", "iterations", "bound"}
-    assert diag["iterations"] == 3
-    assert np.isfinite(diag["rho"]) and exc.value.residual > diag["bound"] > 0
 
 
 class _NanFactor:
@@ -737,8 +667,8 @@ def _singular_splu(*args, **kwargs):
     (_singular_splu, "could not factor", 0),
     (lambda *args, **kwargs: _NanFactor(), "did not reach", 1),
 ], ids=["singular-factor", "non-finite-solve"])
-def test_stability_index_lanczos_failures_end_in_nonconvergence(monkeypatch, splu, message,
-                                                                 solves):
+def test_stability_index_factor_failures_end_in_nonconvergence(monkeypatch, splu, message,
+                                                                solves):
     # a failed factor or factor solve of the 1D/2D preconditioner; the
     # diagnostics are those of the sine start
     import scipy.sparse.linalg as spla
