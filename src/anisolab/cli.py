@@ -136,7 +136,6 @@ KEYS: dict[str, Key] = {
     "truncation.alpha": Key("--alpha", float),
     "solve.nmax": Key("--nmax", int),
     "solve.tolFix": Key("--tol-fix", float),
-    "solve.innerTol": Key("--inner-tol", float),
     "solve.maxOuter": Key("--max-outer", int),
     "stability.u": Key("--u", _descriptor("constant", "file"), "constant:c | file:path"),
     "stability.variant": Key("--variant", StabilityVariant, "AsWritten | WeightedByG"),
@@ -172,17 +171,18 @@ def _read_config(path: str | None) -> dict[str, str]:
 
 def _configure(name: str, args: argparse.Namespace) -> tuple[dict, Path]:
     """Merge defaults < config file < flags for subcommand `name` (an empty
-    value counts as absent), parse every value, and write the merged text to
-    `resolved_config.txt` in the run's outdir; return the typed values and
-    the outdir."""
+    value counts as absent, also to the unknown-key check, so that an empty
+    line of a dropped key replays), parse every value, and write the merged
+    text to `resolved_config.txt` in the run's outdir; return the typed
+    values and the outdir."""
     keys = SUBCOMMANDS[name].keys
-    cfg = _read_config(args.config)
+    cfg = {k: v for k, v in _read_config(args.config).items() if v != ""}
     unknown = sorted(set(cfg) - set(keys) - {"run.subcommand"})
     if unknown:
         raise ValidationError(f"unknown config key(s) for {name}: {', '.join(unknown)}")
-    flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    flags = {k: getattr(args, k) for k in keys if getattr(args, k) not in (None, "")}
     resolved = {k: d for k, d in keys.items() if isinstance(d, str)}
-    resolved.update({k: v for k, v in {**cfg, **flags}.items() if v != ""})
+    resolved.update({**cfg, **flags})
     resolved["run.subcommand"] = name
     values: dict[str, object] = {}
     for key, default in keys.items():
@@ -270,7 +270,6 @@ def _run_solve(v: dict, outdir: Path) -> int:
         w,
         e,
         tol_fix=v["solve.tolFix"],
-        inner_tol=v["solve.innerTol"],
         max_outer=v["solve.maxOuter"],
         seed=v["run.seed"],
     )
@@ -348,7 +347,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
     "solve": Subcommand(
         _run_solve, "run the regularization ladder",
         {"exponents.p": REQUIRED, **_GRID, "weight.m": "", "solve.nmax": "4",
-         "solve.tolFix": "1e-8", "solve.innerTol": "", "solve.maxOuter": "200",
+         "solve.tolFix": "1e-8", "solve.maxOuter": "200",
          "run.outdir": "solve-out", "run.seed": "0"},
     ),
     "stability": Subcommand(

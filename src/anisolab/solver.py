@@ -209,12 +209,12 @@ def _nonconvergence(message: str, residual: float, record: dict) -> NonConvergen
     )
 
 
-def _tolerance(name: str, tol: float | None, p) -> float:
-    """The Newton tolerance `tol`, or when None its default for exponents p:
-    1e-10 when all p_i = 2, else 1e-8.  A `tol` that is not finite and > 0
-    (a NaN passes every `gap > tol` test), or that is subnormal, is refused."""
+def _tolerance(name: str, tol: float | None) -> float:
+    """The Newton tolerance `tol`, or when None its default 1e-8.  A `tol`
+    that is not finite and > 0 (a NaN passes every `gap > tol` test), or
+    that is subnormal, is refused."""
     if tol is None:
-        return 1e-10 if all(p_i == 2.0 for p_i in p) else 1e-8
+        return 1e-8
     if not 0 < tol < math.inf:
         raise ValidationError(f"{name} must be finite and > 0, got {tol}")
     if tol < sys.float_info.min:
@@ -336,9 +336,9 @@ def solve_inner(
 
     One `_newton_krylov` minimization with the linear source G(x) = rhs.x,
     started from x0 (else 0 for all p_i = 2 or a zero rhs, else the linear
-    solve), to tol (default 1e-10 for all p_i = 2, 1e-8 otherwise) in at
-    most `max_iter` Newton steps.  For all p_i = 2 the DST preconditioner is
-    the exact inverse, so CG takes one iteration per step in 2D and 3D.
+    solve), to tol (default 1e-8) in at most `max_iter` Newton steps.  For
+    all p_i = 2 the DST preconditioner is the exact inverse, so CG takes one
+    iteration per step in 2D and 3D.
 
     `info`, when given, receives the solve's record (`_newton_krylov`):
     `residuals`, `iterations`, `steps`, `linear_iterations`, and as
@@ -346,7 +346,7 @@ def solve_inner(
     then.  A failed solve leaves its partial record there.
     """
     grid = rhs.grid
-    tol = _tolerance("the inner solve tolerance", tol, e.p)
+    tol = _tolerance("the inner solve tolerance", tol)
     rhs_int = extract_interior(rhs)
     x = _newton_krylov(
         grid, e, None if x0 is None else extract_interior(x0),
@@ -376,7 +376,6 @@ def solve_level(
     e: ExponentData,
     tol_fix: float = 1e-8,
     max_outer: int = 200,
-    inner_tol: float | None = None,
     u0: GridField | None = None,
     info: dict | None = None,
 ) -> GridField:
@@ -389,9 +388,8 @@ def solve_level(
 
     with s = 1/n, minimized by one `_newton_krylov` solve: the same start
     rule as `solve_inner` (u0, else 0 for all p_i = 2 or a zero weight, else
-    the linear solve), to inner_tol (default 1e-10 for all p_i = 2, 1e-8
-    otherwise; tightened below for the bound) in at most `max_outer` Newton
-    steps.  Its Newton system adds
+    the linear solve), to tol_fix (tightened below for the bound) in at most
+    `max_outer` Newton steps.  Its Newton system adds
     the nonnegative diagonal g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0 to
     the inner one.
 
@@ -412,31 +410,30 @@ def solve_level(
       satisfies J v >= 1, so |u - A(u)| = |J^{-1} F| <= sup|F| J^{-1} 1
       <= sup|F| v <= sup|F| L_k^2 / 8, with the smallest L_k over the
       p_k = 2 axes.  The Newton loop stops at
-      sup|F| <= min(inner_tol, 8 tol_fix / L_k^2) so that the bound
-      certifies; on the unit box that changes nothing.
-    - Otherwise A(u) is solved cold (from the linear start, not from u) and
-      the gap is measured.
+      sup|F| <= min(tol_fix, 8 tol_fix / L_k^2) so that the bound
+      certifies; on the unit box that is tol_fix.
+    - Otherwise A(u) is solved cold (from the linear start, not from u), to
+      tol_fix in at most `max_outer` Newton steps, and the gap is measured.
 
     The gap must be <= tol_fix.  `info`, when given, receives the level
     solve's record (`_newton_krylov`, without `energies`), then the gap as
     `residual` and the `certificate` used ("bound" or "solve").  A
     NonConvergenceError carries the residuals and step lengths in its
     diagnostics: those of the level solve, or of the certificate's inner
-    solve when that one fails.  A tol_fix, inner_tol or 8 tol_fix / L_k^2
-    that `_tolerance` refuses is a ValidationError.
+    solve when that one fails.  A tol_fix or 8 tol_fix / L_k^2 that
+    `_tolerance` refuses is a ValidationError.
     """
     grid = level.g_n.grid
     g_n = extract_interior(level.g_n)
     s = level.shift
-    _tolerance("tol_fix", tol_fix, e.p)
-    tol = _tolerance("inner_tol", inner_tol, e.p)
+    tol = tol_fix = _tolerance("tol_fix", tol_fix)
     # sup of the discrete torsion v of the shortest p_k = 2 axis, if any (a
     # product, which overflows to inf where a power raises)
     side = min((hi - lo for (lo, hi), p_k in zip(grid.box, e.p) if p_k == 2.0), default=None)
     v_sup = None if side is None else side * side / 8.0
     if v_sup is not None:
         tol = _tolerance(f"8 tol_fix / L^2 (tol_fix = {tol_fix}, p = 2 box side L = {side})",
-                         min(tol, tol_fix / v_sup), e.p)
+                         min(tol_fix, tol_fix / v_sup))
 
     def source(x):
         shifted = np.maximum(x, 0.0) + s
@@ -453,7 +450,7 @@ def solve_level(
         f = _gradient(grid, e.p, x, extract_interior(level.rhs(u)))[0]
         gap, certificate = float(np.max(np.abs(f))) * v_sup, "bound"
     else:
-        au = apply_A(u, level, e, tol=inner_tol)
+        au = solve_inner(level.rhs(u), e, tol=tol_fix, max_iter=max_outer)
         gap, certificate = float(np.max(np.abs(au.values - u.values))), "solve"
     if gap > tol_fix:
         raise _nonconvergence(
@@ -604,7 +601,6 @@ def run_ladder(
     w: WeightSpec,
     e: ExponentData,
     tol_fix: float = 1e-8,
-    inner_tol: float | None = None,
     max_outer: int = 200,
     seed: int = 0,
 ) -> LadderReport:
@@ -633,8 +629,7 @@ def run_ladder(
         level = RegularizationLevel.from_weight(n, w)
         inf = {}
         u_n = solve_level(
-            level, e, tol_fix=tol_fix, max_outer=max_outer,
-            inner_tol=inner_tol, u0=u_prev, info=inf,
+            level, e, tol_fix=tol_fix, max_outer=max_outer, u0=u_prev, info=inf,
         )
         defect = 0.0
         if u_prev is not None:

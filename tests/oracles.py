@@ -32,31 +32,37 @@ def kron_difference_matrix(grid, axis):
     return mat.tocsr()
 
 
-def collocation_oracle(res, shift):
-    """Solve -u'' = exp(1/(u + shift)) on (0,1), zero boundary, by damped
-    Newton on the tridiagonal 3-point collocation system; returns the nodal
-    values, boundary included."""
+def level_source(shift):
+    """The level source u -> exp(1/(u + shift)) and its derivative."""
+    return (lambda u: np.exp(1.0 / (u + shift)),
+            lambda u: -np.exp(1.0 / (u + shift)) / (u + shift) ** 2)
+
+
+def collocation_oracle(res, source, dsource, boundary=0.0):
+    """Solve -u'' = source(u) on (0,1), u = boundary at both ends, by damped
+    Newton from u = boundary on the tridiagonal 3-point collocation system;
+    `dsource` is the derivative of `source`.  Returns the nodal values,
+    boundary included."""
     h = 1.0 / res
     n = res - 1
-    u = np.zeros(n)
+    u = np.full(n, float(boundary))
 
     def resid(u):
-        full = np.concatenate([[0.0], u, [0.0]])
+        full = np.concatenate([[boundary], u, [boundary]])
         lap = (-full[:-2] + 2 * full[1:-1] - full[2:]) / h ** 2
-        return lap - np.exp(1.0 / (u + shift))
+        return lap - source(u)
 
     for _ in range(80):
         r = resid(u)
         if np.max(np.abs(r)) < 1e-12:
             break
-        fp = np.exp(1.0 / (u + shift)) / (u + shift) ** 2
         band = np.zeros((3, n))
         band[0, 1:] = -1.0 / h ** 2
-        band[1] = 2.0 / h ** 2 + fp
+        band[1] = 2.0 / h ** 2 - dsource(u)
         band[2, :-1] = -1.0 / h ** 2
         du = scipy.linalg.solve_banded((1, 1), band, -r)
         step, base = 1.0, np.linalg.norm(r)
         while step > 1e-12 and np.linalg.norm(resid(u + step * du)) >= base:
             step *= 0.5
         u = u + step * du
-    return np.concatenate([[0.0], u, [0.0]])
+    return np.concatenate([[boundary], u, [boundary]])

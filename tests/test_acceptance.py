@@ -49,7 +49,7 @@ from anisolab.stability import (
 )
 from anisolab.truncations import TruncationPair, a_eval, a_prime, b_eval, b_prime
 
-from oracles import collocation_oracle
+from oracles import collocation_oracle, kron_difference_matrix, level_source
 
 
 def _report(num, text):
@@ -181,7 +181,7 @@ def test_criterion_04_nonlinear_1d_oracle():
     w = WeightSpec(g=GridField.constant(g, 1.0))
     level = RegularizationLevel.from_weight(1, w)
     u = solve_level(level, ExponentData.from_p([2]))
-    oracle = collocation_oracle(8 * res, shift=1.0)
+    oracle = collocation_oracle(8 * res, *level_source(1.0))
     assert np.max(np.abs(u.values - oracle[::8])) <= 1e-3
     elapsed = time.time() - t0
     assert elapsed < 30.0
@@ -256,12 +256,8 @@ def test_criterion_07_stability_eigen_oracle():
         # the index matches the dense eigensolve at a generic potential
         lam_test = 0.8
         got = index(lam_test)
-        dense = (
-            np.diag(np.full(n - 1, 2 / h ** 2))
-            + np.diag(np.full(n - 2, -1 / h ** 2), 1)
-            + np.diag(np.full(n - 2, -1 / h ** 2), -1)
-            - lam_test * np.eye(n - 1)
-        )
+        k = kron_difference_matrix(g, 0).toarray()
+        dense = k.T @ k - lam_test * np.eye(n - 1)
         dense_min = scipy.linalg.eigvalsh(dense)[0]
         assert got == pytest.approx(dense_min, abs=1e-8 * max(1.0, abs(dense_min)))
         errors.append(abs(lam1 - 1.0))

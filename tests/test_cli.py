@@ -356,12 +356,30 @@ def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
     assert (out / "resolved_config.txt").exists()
 
 
-def test_solve_certificate_refusal_leaves_diagnostics(tmp_path):
-    message = "certified level gap 1.214e-10 exceeds tol_fix=1e-12"
-    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2 --tol-fix 1e-12 "
-                                       "--inner-tol 1e-5".split())
+def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, monkeypatch):
+    # no known input leaves a level more than tol_fix from its cold solve
+    # of A(u), so a cold solve shifted by 2 tol_fix stands in for one
+    def missed(rhs, e, tol, max_iter):
+        au = solve_inner(rhs, e, tol=tol, max_iter=max_iter)
+        return GridField(au.grid, au.values + 2.0 * tol)
+
+    monkeypatch.setattr(solver_module, "solve_inner", missed)
+    message = "certified level gap 2.000e-08 exceeds tol_fix=1e-08"
+    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2".split())
     assert code == 3 and _one_line(code, err).startswith(message)
-    assert _report(out, "nonconvergence.json")["message"] == message
+    doc = _report(out, "nonconvergence.json")
+    assert doc["message"] == message and doc["residual"] == pytest.approx(2e-8, rel=1e-3)
+    assert len(doc["diagnostics"]["residuals"]) == len(doc["diagnostics"]["steps"]) + 1
+
+
+def test_solve_max_outer_caps_the_cold_certificate_solve(tmp_path):
+    # the level solves of `--p 3` on 16 cells take 5 and 4 Newton steps, the
+    # cold solves of A(u) 5 and 6; with no cap it ran 6 steps and exited 0
+    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2 "
+                                       "--max-outer 5".split())
+    assert code == 3 and _one_line(code, err).startswith(
+        "inner solve did not reach tol=1e-08 in 5 Newton steps")
+    assert len(_report(out, "nonconvergence.json")["diagnostics"]["steps"]) == 5
 
 
 @pytest.mark.parametrize("m, expected", [("2", True), ("0.5", False)])
@@ -453,7 +471,6 @@ _FIXTURES = {
 # traceback, and one whose inverse square overflows in exit 3
 _BAD_P = "every p_i must be finite"
 _BAD_TOL_FIX = "tol_fix must be finite and > 0"
-_BAD_INNER_TOL = "inner_tol must be finite and > 0"
 _BAD_MAX_OUTER = "the level solve needs a Newton-step cap >= 1"
 _BAD_M = "integrability exponent m must be finite and > 0"
 _COUNT = re.compile(f".*count must lie in 1\\.\\.{MAX_NODES}$")
@@ -507,8 +524,8 @@ CLI_CASES: dict[str, list[Case]] = {
         # a subnormal tolerance is refused before any Newton step (it ran 200 and exited 3)
         Case("sub--tol-fix", "solve --p 2,3 --box 0,1,0,1 --res 8,8 --nmax 2 --tol-fix 1e-320", 2,
              "tol_fix = 1e-320 is below the smallest normal float"),
-        Case("sub--inner-tol", "solve --p 2,3 --box 0,1,0,1 --res 8,8 --nmax 2 --inner-tol 1e-320",
-             2, "inner_tol = 1e-320 is below the smallest normal float"),
+        # every Newton stop of a level derives from tol_fix: the flag is gone
+        Case("inner-tol-removed", f"{_SOLVE} --inner-tol 1e-8", 2),
         # a byte that is not UTF-8 in a snapshot or a config ended in a
         # UnicodeDecodeError traceback, exit 1
         Case("ff-header", "stability --p 2,2 --delta 1 --box 0,3,0,3 --res 8,8 "
@@ -598,8 +615,6 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("tol-fix-negative", f"{_SOLVE} --tol-fix=-1", 2, _BAD_TOL_FIX),
         Case("tol-fix-inf", f"{_SOLVE} --tol-fix inf", 2, _BAD_TOL_FIX),
         Case("tol-fix-config", _SOLVE, 2, _BAD_TOL_FIX, "solve.tolFix = nan\n"),
-        Case("inner-tol-zero", f"{_SOLVE} --inner-tol 0", 2, _BAD_INNER_TOL),
-        Case("inner-tol-nan", f"{_SOLVE} --inner-tol nan", 2, _BAD_INNER_TOL),
         Case("max-outer-zero", f"{_SOLVE} --max-outer 0", 2, _BAD_MAX_OUTER),
         Case("max-outer-negative", f"{_SOLVE} --max-outer=-1", 2, _BAD_MAX_OUTER),
         Case("alpha-inf", "truncation-check --k 2 --alpha inf", 2, "alpha must be finite"),
@@ -657,6 +672,11 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("tolfix", "solve --box 0,1,0,1 --res 8,8", 2,
              _line("unknown config key(s) for solve: solve.tolfix"),
              "exponents.p = 2,2\nsolve.tolfix = 1e-3\n", lambda out, _: not out.exists()),
+        # a value of the dropped `solve.innerTol` is refused; its empty line
+        # replays (test_legacy_solve_config_replays_identically)
+        Case("innertol", "solve --p 2,2 --box 0,1,0,1 --res 8,8", 2,
+             _line("unknown config key(s) for solve: solve.innerTol"),
+             "solve.innerTol = 1e-9\n", lambda out, _: not out.exists()),
     ],
     "test_removed_weight_floor_flag_is_rejected": [
         Case("weight-floor", "thresholds --p 2,3,4 --delta 10 --weight-floor 1", 2),
@@ -902,8 +922,7 @@ def test_every_key_of_every_subcommand_ends_in_a_documented_exit(argv):
 # the same draws, narrowed to the keys where solve's Newton loop and its
 # stopping tests live
 @settings(max_examples=60, deadline=timedelta(seconds=10))
-@given(argv=_command_lines(["solve"], ["solve.tolFix", "solve.innerTol", "solve.maxOuter",
-                                       "solve.nmax"]))
+@given(argv=_command_lines(["solve"], ["solve.tolFix", "solve.maxOuter", "solve.nmax"]))
 def test_solve_tolerance_and_step_keys_end_in_a_documented_exit(argv):
     _ends_in_a_documented_exit(argv)
 
@@ -929,9 +948,8 @@ def test_count_limits_are_inclusive(monkeypatch):
 # library calls that take the value, the CLI runs that pass it on, and the
 # values outside the domain.
 # Before the checks moved into the library, `run_ladder` certified every level
-# at tol_fix = nan or inf, ran 200 Newton steps and exited 3 at tol_fix = -1
-# or inner_tol = nan, accepted `WeightSpec(m=-1)` and raised numpy's bare
-# ValueError at seed = -1.
+# at tol_fix = nan or inf, ran 200 Newton steps and exited 3 at tol_fix = -1,
+# accepted `WeightSpec(m=-1)` and raised numpy's bare ValueError at seed = -1.
 _SMALL = Grid(box=((0.0, 1.0),) * 2, res=(4, 4))
 _ONES = GridField.constant(_SMALL, 1.0)
 _E23 = ExponentData.from_p((2.0, 3.0))
@@ -951,15 +969,14 @@ _DOMAINS = {
     "tol_fix": ("tol_fix must be finite and > 0",
                 [lambda v: _ladder(tol_fix=v)],
                 [lambda t: _SOLVE_SMALL + [f"--tol-fix={t}"]], _NON_POSITIVE),
-    "inner_tol": ("(inner_tol|the inner solve tolerance) must be finite and > 0",
-                  [lambda v: _ladder(inner_tol=v), lambda v: solve_inner(_ONES, _E23, tol=v)],
-                  [lambda t: _SOLVE_SMALL + [f"--inner-tol={t}"]], _NON_POSITIVE),
-    "tolerance floor": ("(tol_fix|inner_tol|the inner solve tolerance) = [^ ]+ is below the "
+    # `solve_inner`'s tol: no CLI key passes it, the level solves derive theirs
+    # from tol_fix
+    "inner_tol": ("the inner solve tolerance must be finite and > 0",
+                  [lambda v: solve_inner(_ONES, _E23, tol=v)], [], _NON_POSITIVE),
+    "tolerance floor": ("(tol_fix|the inner solve tolerance) = [^ ]+ is below the "
                         "smallest normal float",
-                        [lambda v: _ladder(tol_fix=v), lambda v: _ladder(inner_tol=v),
-                         lambda v: solve_inner(_ONES, _E23, tol=v)],
-                        [lambda t: _SOLVE_SMALL + [f"--tol-fix={t}"],
-                         lambda t: _SOLVE_SMALL + [f"--inner-tol={t}"]],
+                        [lambda v: _ladder(tol_fix=v), lambda v: solve_inner(_ONES, _E23, tol=v)],
+                        [lambda t: _SOLVE_SMALL + [f"--tol-fix={t}"]],
                         (1e-320, 5e-324, sys.float_info.min / 2)),
     "max_outer": ("needs a Newton-step cap >= 1",
                   [lambda v: _ladder(max_outer=v), lambda v: solve_inner(_ONES, _E23, max_iter=v)],
@@ -1007,10 +1024,9 @@ def test_each_domain_is_refused_by_the_library_and_the_cli(tmp_path, domain, val
 # steps and exited 3 at a residual of about 4e-15
 @pytest.mark.parametrize("argv, expected", [
     (_SOLVE_SMALL + ["--tol-fix", "1e-320"], "tol_fix = 1e-320 is below the smallest normal float"),
-    (_SOLVE_SMALL + ["--inner-tol", "1e-320"], "inner_tol = 1e-320 is below the smallest normal float"),
     (["solve", "--p", "2,3", "--box", "0,1e5,0,1e5", "--res", "4,4", "--nmax", "2",
       "--tol-fix", "1e-300"], "8 tol_fix / L^2 (tol_fix = 1e-300, p = 2 box side L = 100000.0)"),
-], ids=["tol-fix", "inner-tol", "derived"])
+], ids=["tol-fix", "derived"])
 def test_subnormal_tolerance_exits_2_before_any_newton_step(tmp_path, monkeypatch, argv, expected):
     def refuse(*args, **kwargs):
         raise AssertionError("a Newton step ran")
@@ -1097,8 +1113,10 @@ def test_legacy_solve_config_replays_identically(tmp_path):
                  "--weight", "power:0.8", "--nmax", "3", "--outdir", str(fresh)]) == 0
     for name in ("ladder_report.json", "u_final.txt", "u_final.csv"):
         assert (replay / name).read_bytes() == (fresh / name).read_bytes()
+    # the empty line of the dropped `solve.innerTol` counts as absent
     written = (replay / "resolved_config.txt").read_text()
-    assert written == _LEGACY_SOLVE_CONFIG.replace("legacy", str(replay))
+    assert written == _LEGACY_SOLVE_CONFIG.replace("legacy", str(replay)).replace(
+        "solve.innerTol = \n", "")
 
 
 @pytest.mark.parametrize("p, certificate", [((2.0, 3.0), "bound"), ((3.0, 4.0), "solve")])

@@ -54,7 +54,7 @@ from anisolab.stability import (
 )
 from anisolab.truncations import TruncationPair, b_eval
 
-from oracles import kron_difference_matrix
+from oracles import collocation_oracle, kron_difference_matrix
 
 
 def smoothstep(s):
@@ -94,24 +94,10 @@ def test_weak_residual_of_bvp_oracle_solution():
     # the discrete weak form must balance for compactly supported phi
     res = 128
     g = Grid(box=((0.0, 1.0),), res=(res,))
-    h = g.h[0]
     gscale = 0.05
     nl = NonlinearityEval.mixed_power(0.5, 0.5)
-    n = res - 1
-    u_int = np.ones(n)
-    for _ in range(40):
-        u_full = np.concatenate([[1.0], u_int, [1.0]])
-        lap = (-u_full[:-2] + 2 * u_full[1:-1] - u_full[2:]) / h ** 2
-        r = lap - gscale * nl.f(u_int)
-        if np.max(np.abs(r)) < 1e-12:
-            break
-        jac = (
-            np.diag(np.full(n, 2 / h ** 2) - gscale * nl.fprime(u_int))
-            + np.diag(np.full(n - 1, -1 / h ** 2), 1)
-            + np.diag(np.full(n - 1, -1 / h ** 2), -1)
-        )
-        u_int = u_int + np.linalg.solve(jac, -r)
-    u = GridField(g, np.concatenate([[1.0], u_int, [1.0]]))
+    u = GridField(g, collocation_oracle(res, lambda u: gscale * nl.f(u),
+                                        lambda u: gscale * nl.fprime(u), boundary=1.0))
     assert np.min(u.values) > 0
     rng = np.random.default_rng(8)
     for _ in range(5):
