@@ -356,14 +356,33 @@ def test_solve_nonconvergence_leaves_diagnostics(tmp_path):
     assert (out / "resolved_config.txt").exists()
 
 
-def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, monkeypatch):
-    # no known input leaves a level more than tol_fix from its cold solve
-    # of A(u), so a cold solve shifted by 2 tol_fix stands in for one
-    def missed(rhs, e, tol, max_iter):
-        au = solve_inner(rhs, e, tol=tol, max_iter=max_iter)
-        return GridField(au.grid, au.values + 2.0 * tol)
+def _after_the_level_solve(monkeypatch, name, replacement):
+    """Replace the solver module's `name` by `replacement` from the first
+    level solve's return on, to reach the gap estimate of that level."""
+    solved, original = [], getattr(solver_module, name)
+    newton_krylov = solver_module._newton_krylov
 
-    monkeypatch.setattr(solver_module, "solve_inner", missed)
+    def level_solve(*args, **kwargs):
+        solved.append(newton_krylov(*args, **kwargs))
+        return solved[-1]
+
+    def patched(*args, **kwargs):
+        return (replacement if solved else original)(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton_krylov", level_solve)
+    monkeypatch.setattr(solver_module, name, patched)
+
+
+def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, monkeypatch):
+    # no known input leaves a level's Newton correction of A(u) above
+    # tol_fix, so a correction shifted by 2 tol_fix stands in for one
+    floored_direction = solver_module._floored_direction
+
+    def missed(*args):
+        d, its = floored_direction(*args)
+        return d + 2e-8, its
+
+    _after_the_level_solve(monkeypatch, "_floored_direction", missed)
     message = "certified level gap 2.000e-08 exceeds tol_fix=1e-08"
     code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2".split())
     assert code == 3 and _one_line(code, err).startswith(message)
@@ -372,14 +391,40 @@ def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, monkeypatch):
     assert len(doc["diagnostics"]["residuals"]) == len(doc["diagnostics"]["steps"]) + 1
 
 
-def test_solve_max_outer_caps_the_cold_certificate_solve(tmp_path):
-    # the level solves of `--p 3` on 16 cells take 5 and 4 Newton steps, the
-    # cold solves of A(u) 5 and 6; with no cap it ran 6 steps and exited 0
-    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2 "
-                                       "--max-outer 5".split())
-    assert code == 3 and _one_line(code, err).startswith(
-        "inner solve did not reach tol=1e-08 in 5 Newton steps")
-    assert len(_report(out, "nonconvergence.json")["diagnostics"]["steps"]) == 5
+def _singular_band(*args, **kwargs):
+    raise np.linalg.LinAlgError("zero pivot")
+
+
+@pytest.mark.parametrize("name, replacement, message", [
+    ("_flux_weights", lambda diffs, p: None,
+     "a flux weight of the level gap estimate's Newton system overflows a float"),
+    ("_newton_direction", _singular_band,
+     "the level gap estimate's Newton system is singular in floats"),
+], ids=["weight-overflow", "singular-band"])
+def test_solve_gap_estimate_refusals_end_in_exit_3(tmp_path, monkeypatch, name, replacement,
+                                                   message):
+    # no known input makes the Newton correction of a level overflow or meet
+    # a singular 1D band where the level solve did not; each refusal stands
+    # in for one, and must end in exit 3, not a traceback
+    _after_the_level_solve(monkeypatch, name, replacement)
+    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2".split())
+    assert code == 3 and _one_line(code, err).startswith(message), err
+    doc = _report(out, "nonconvergence.json")
+    assert doc["message"] == message and doc["residual"] <= 1e-8
+    assert doc["diagnostics"]["residuals"][-1] == doc["residual"]
+
+
+def test_solve_max_outer_caps_only_the_level_solve(tmp_path):
+    # the level solves of `--p 3` on 16 cells take 5 and 4 Newton steps, of
+    # `(3,4)` on 16^2 5 and 5; the cold solve of A(u) that certified each
+    # level, gone now, took 5 and 6 at `--p 3` and exceeded the cap
+    for argv in ("--p 3 --box 0,1 --res 16", "--p 3,4 --box 0,1,0,1 --res 16,16"):
+        code, _, err, out = _run(tmp_path / argv.split()[1],
+                                 f"solve {argv} --nmax 2 --max-outer 5".split())
+        assert code == 0, err
+        levels = _report(out, "ladder_report.json")["levels"]
+        assert [lv["certificate"] for lv in levels] == ["newton"] * 2
+        assert all(lv["residual"] <= 1e-8 for lv in levels)
 
 
 @pytest.mark.parametrize("m, expected", [("2", True), ("0.5", False)])
@@ -426,9 +471,14 @@ def _line(text):
     return re.compile(re.escape(text) + "$")
 
 
-def _two_levels_within_tol_fix(outdir, stdout):
+def _levels_within_tol_fix(outdir, stdout):
     levels = _report(outdir, "ladder_report.json")["levels"]
-    return len(levels) == 2 and all(lv["residual"] <= 1e-8 for lv in levels)  # the default tol_fix
+    return all(lv["residual"] <= 1e-8 for lv in levels)  # the default tol_fix
+
+
+def _two_levels_within_tol_fix(outdir, stdout):
+    return len(_report(outdir, "ladder_report.json")["levels"]) == 2 and \
+        _levels_within_tol_fix(outdir, stdout)
 
 
 _UNIT8_HEADER = "anisofield 2 8 8 0 1 0 1\n"
@@ -492,9 +542,13 @@ CLI_CASES: dict[str, list[Case]] = {
         # a ValueError traceback from the 1D band solve, or RuntimeWarnings
         Case("p-1e6-1d", "solve --p 1e6 --box 0,1 --res 8", 3,
              "the start gradient of the level solve overflows a float"),
-        Case("p-20-1d", "solve --p 20 --box 0,1 --res 8", 3, "line search failed in the inner solve"),
-        Case("p-1e6-2d", "solve --p 3,1e6 --box 0,1,0,1 --res 4,4", 3,
-             "the start gradient of the inner solve overflows a float"),
+        # large p_i: the cold solve of A(u) that certified each level failed
+        Case("p-20-1d", "solve --p 20 --box 0,1 --res 8", 0, check=_levels_within_tol_fix),
+        Case("p-1e6-2d", "solve --p 3,1e6 --box 0,1,0,1 --res 4,4", 0,
+             check=_levels_within_tol_fix),
+        Case("p-50-50-2d", "solve --p 50,50 --box 0,1,0,1 --res 4,4", 0,
+             check=_levels_within_tol_fix),
+        Case("p-100-1d", "solve --p 100 --box 0,1 --res 8", 0, check=_levels_within_tol_fix),
         Case("p-1e6-3d", "solve --p 2,2,1e6 --box 0,1,0,1,0,1 --res 4,4,4", 0),
         # the limit battery evaluates g e^{1/u} next to a singular weight
         Case("power", "solve --p 2,3 --box 0,1,0,1 --res 12,12 --nmax 3 --weight power:1.5", 0),
@@ -919,6 +973,14 @@ def test_every_key_of_every_subcommand_ends_in_a_documented_exit(argv):
     _ends_in_a_documented_exit(argv)
 
 
+def test_zero_weight_sweep_ends_in_a_documented_exit():
+    # a draw of the test above: every lhs is 0, so no slope is fitted and
+    # `sweep.slope` is null
+    _ends_in_a_documented_exit(["sweep", "--p", "2.0,2.0", "--cap", "1.0", "--box",
+                                "0.0,1.0,0.0,1.0", "--res", "2,2", "--weight", "constant:0.0",
+                                "--u", "constant:0.5"])
+
+
 # the same draws, narrowed to the keys where solve's Newton loop and its
 # stopping tests live
 @settings(max_examples=60, deadline=timedelta(seconds=10))
@@ -1119,7 +1181,7 @@ def test_legacy_solve_config_replays_identically(tmp_path):
         "solve.innerTol = \n", "")
 
 
-@pytest.mark.parametrize("p, certificate", [((2.0, 3.0), "bound"), ((3.0, 4.0), "solve")])
+@pytest.mark.parametrize("p, certificate", [((2.0, 3.0), "bound"), ((3.0, 4.0), "newton")])
 def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate):
     """End-to-end oracle for `solve --weight file:`: u* = 0.5 sin(pi x) sin(pi y)
     on the unit square solves level n = 4 exactly for the weight
@@ -1128,7 +1190,7 @@ def test_solve_reproduces_a_manufactured_level_solution(tmp_path, p, certificate
     so the cap min(g, n) is inactive.  The nodal sup error of `u_final.txt`
     must fall strictly at an observed order >= 1.5; measured orders per
     refinement 16 -> 32 -> 64: p=(2,3) 1.58, 1.67 (certificate "bound");
-    p=(3,4) 1.77, 1.81 (the cold "solve" certificate)."""
+    p=(3,4) 1.77, 1.81 (the "newton" gap estimate)."""
     errors = []
     for r in (16, 32, 64):
         grid = Grid(box=((0.0, 1.0),) * 2, res=(r, r))
