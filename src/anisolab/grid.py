@@ -467,11 +467,11 @@ def embed_interior(grid: Grid, vec: np.ndarray) -> GridField:
     return GridField(grid, vals)
 
 
-def stencil_rows(grid: Grid, weights, diag=None):
+def stencil_rows(grid: Grid, weights, diag):
     """The DIA rows of sum_i K_i^T diag(w_i) K_i + diag(diag) on interior
     nodes in row-major order, K_i being `axis_diff` on zero-boundary fields:
     the one layout of every assembled matrix.  Returns (rows, offsets,
-    means).  Row 0, at offset 0, is the main diagonal, to which axis i adds
+    means).  Row 0, at offset 0, is the array `diag`, to which axis i adds
     (w_left + w_right)/h_i^2.  Each axis of more than one interior node adds
     the rows of its links -w/h_i^2 from each node to its successor (0 at
     the last one) at offsets +stride_i and -stride_i; an axis of one node
@@ -499,8 +499,7 @@ def stencil_rows(grid: Grid, weights, diag=None):
             stride = math.prod(shape[axis + 1:])
             up[stride:] = link[:-stride]
             offsets += [stride, -stride]
-    if diag is not None:
-        rows[0] += diag
+    rows[0] += diag
     return rows, offsets, means
 
 
@@ -516,16 +515,16 @@ def _median(x: np.ndarray) -> float:
     return float((np.max(part[:k]) + part[k]) / 2)
 
 
-def stiffness(grid: Grid, weights, diag=None):
+def stiffness(grid: Grid, weights, diag):
     """The `stencil_rows` matrix J as a DIA matrix and its preconditioner
     b -> s * P^-1(s * b), with P = sum_i mean(w_i) K_i^T K_i +
     median(diag) I inverted by `dst_solver` and the diagonal scaling
     s = sqrt(diag P / diag J) (Concus & Golub, SIAM J. Numer. Anal. 10,
     1973).  The preconditioner is symmetric positive definite, so CG and
     LOBPCG stay valid with it; it takes one interior vector like
-    `dst_solver`, and it is exact when weights and diagonal (0 if omitted)
-    are constant, since then s = 1.  `stability_index` factors the matrix
-    itself by SuperLU in 1D and 2D and uses the preconditioner only in 3D.
+    `dst_solver`, and it is exact when weights and diagonal are constant,
+    since then s = 1.  `stability_index` factors the matrix itself by
+    SuperLU in 1D and 2D and uses the preconditioner only in 3D.
 
     The scaling pays on smooth coefficients, as the ladder iterates and the
     stability candidates give: on 48^2 p = (2, 3) Jacobians of a smooth
@@ -537,7 +536,7 @@ def stiffness(grid: Grid, weights, diag=None):
     rows, offsets, means = stencil_rows(grid, weights, diag)
     n = rows.shape[1]
     matrix = sp.dia_matrix((rows, offsets), shape=(n, n))
-    shift = 0.0 if diag is None else _median(diag)
+    shift = _median(diag)
     inverse = dst_solver(grid, means, shift)
     scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / rows[0])
     return matrix, lambda b: scale * inverse(scale * b)

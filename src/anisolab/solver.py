@@ -120,6 +120,7 @@ class RegularizationLevel:
 def inner_energy(u: GridField, rhs: GridField, e: ExponentData) -> float:
     """E(u) = sum_i (1/p_i) int |D_i u|^{p_i} - int rhs * u."""
     grid = u.grid
+    grid.check_dim(e.p)
     total = 0.0
     for axis, p_i in enumerate(e.p):
         d = axis_diff(u, axis)
@@ -129,30 +130,26 @@ def inner_energy(u: GridField, rhs: GridField, e: ExponentData) -> float:
 
 def _flux_weights(faces, p) -> list[np.ndarray] | None:
     """Linearized flux weights (p_i - 1)|D_i u|^{p_i - 2} from the face
-    differences D_i u, floored to keep the Newton system positive definite
-    where a p_i > 2 flux degenerates; the floor only shapes the direction.
-    None when a weight overflows a float: the largest one is the scalar
-    (p_i - 1) max(sup|D_i u|, floor)^{p_i - 2}, as the power is nondecreasing."""
+    differences D_i u, floored at 1e-8 (1 + sup|D_i u|) to keep the Newton
+    system positive definite where a p_i > 2 flux degenerates; the floor
+    only shapes the direction.  None when a weight overflows a float."""
     weights = []
     for f, p_i in zip(faces, p):
-        scale = float(np.max(np.abs(f))) if f.size else 0.0
-        floor = 1e-8 * (1.0 + scale)
-        try:
-            largest = (p_i - 1.0) * max(scale, floor) ** (p_i - 2.0)
-        except OverflowError:  # a float power raises where numpy's gives inf
+        a = np.abs(f)
+        with np.errstate(over="ignore"):
+            w = (p_i - 1.0) * np.maximum(a, 1e-8 * (1.0 + float(np.max(a)))) ** (p_i - 2.0)
+        if not np.all(np.isfinite(w)):
             return None
-        if not math.isfinite(largest):
-            return None
-        weights.append((p_i - 1.0) * np.maximum(np.abs(f), floor) ** (p_i - 2.0))
+        weights.append(w)
     return weights
 
 
 def _newton_direction(
-    grid: Grid, weights, b, diag=None, rtol: float = _CG_RTOL
+    grid: Grid, weights, b, diag, rtol: float = _CG_RTOL
 ) -> tuple[np.ndarray, int]:
     """Solve (sum_i K_i^T diag(w_i) K_i + diag(diag)) d = b for full face
-    weight arrays w_i; returns d and the number of CG iterations (0 for the
-    direct solve).  `diag` is a nonnegative diagonal, zero when omitted.
+    weight arrays w_i and a nonnegative diagonal array `diag`; returns d
+    and the number of CG iterations (0 for the direct solve).
 
     In 1D the system is solved exactly as a band: the `stencil_rows` main
     and superdiagonal rows, a lone main row on a one-node grid.  In 2D and
@@ -245,14 +242,15 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
                    what: str, record: dict, energy=None) -> np.ndarray:
     """Minimize sum_i (1/p_i) |K_i x|^{p_i} - G(x) over interior vectors x,
     for a convex G given by `source(x) = (G'(x), -G''(x))`: the gradient of
-    G and its nonnegative curvature diagonal (None when G is linear).
+    G and its nonnegative curvature diagonal array (zeros when G is linear).
 
-    The start is `x`, else 0 when all p_i = 2 or G'(0) = 0, else the linear
-    (p = 2) solve with right-hand side G'(0), since a p_i > 2 flux
-    degenerates at zero gradient.  Each damped Newton step solves the
-    floored Jacobian system (`_flux_weights`, `_newton_direction`) to the
-    relative residual eta = min(1e-2, max(sup|F|, tol / (2 ||F||_2))) of the
-    current gradient F.  The term sup|F| makes Newton converge
+    The start is `x`, else the linear (p = 2) solve with right-hand side
+    G'(0) for every p (exact when all p_i = 2 and G is linear), as a p_i > 2
+    flux degenerates at zero gradient; a zero G'(0) starts at exact zeros,
+    as pocketfft's DST of zeros may hold -0.0.  Each damped Newton step
+    solves the floored Jacobian system (`_flux_weights`, `_newton_direction`)
+    to the relative residual eta = min(1e-2, max(sup|F|, tol / (2 ||F||_2)))
+    of the current gradient F.  The term sup|F| makes Newton converge
     superlinearly; the floor keeps the last step from oversolving, since a
     linear residual below tol/2 is all it needs (the safeguard of Kelley,
     Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 6).  A
@@ -290,8 +288,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
     if x is None:
         with np.errstate(over="ignore", invalid="ignore"):
             b = source(np.zeros(math.prod(grid.interior_shape())))[0]
-            linear = all(p_i == 2.0 for p_i in p) or not np.any(b)
-            x = np.zeros(b.size) if linear else dst_solver(grid, [1.0] * grid.dim)(b)
+            x = dst_solver(grid, [1.0] * grid.dim)(b) if np.any(b) else np.zeros(b.size)
     f, norm, diffs, diag = evaluate(x)
     if not math.isfinite(norm):
         raise _nonconvergence(f"the start gradient of the {what} overflows a float",
@@ -335,9 +332,10 @@ def solve_inner(
     """Minimize the inner energy; returns the zero-boundary field whose
     energy-gradient sup norm is <= tol.
 
-    One `_newton_krylov` minimization with the linear source G(x) = rhs.x,
-    started from x0 (else 0 for all p_i = 2 or a zero rhs, else the linear
-    solve), to tol (default 1e-8) in at most `max_iter` Newton steps.
+    One `_newton_krylov` minimization with the linear source G(x) = rhs.x
+    (zero curvature), started from x0, else the linear solve (exact at the
+    first check when all p_i = 2); to tol (default 1e-8) in at most
+    `max_iter` Newton steps.
 
     `info`, when given, receives the solve's record (`_newton_krylov`):
     `residuals`, `iterations`, `steps`, `linear_iterations`, and as
@@ -347,9 +345,10 @@ def solve_inner(
     grid = rhs.grid
     tol = _tolerance("the inner solve tolerance", tol)
     rhs_int = extract_interior(rhs)
+    zeros = np.zeros(rhs_int.size)
     x = _newton_krylov(
         grid, e, None if x0 is None else extract_interior(x0),
-        lambda x: (rhs_int, None), tol, max_iter, "inner solve", {} if info is None else info,
+        lambda x: (rhs_int, zeros), tol, max_iter, "inner solve", {} if info is None else info,
         energy=None if info is None else lambda x: inner_energy(embed_interior(grid, x), rhs, e),
     )
     return embed_interior(grid, x)
@@ -447,8 +446,8 @@ def solve_level(
     if v_sup is not None:
         gap, certificate = res * v_sup, "bound"
     else:
-        d, _ = _floored_direction(grid, e.p, diffs, -f, None, _CG_RTOL, "level gap estimate",
-                                  res, record)
+        d, _ = _floored_direction(grid, e.p, diffs, -f, np.zeros(f.size), _CG_RTOL,
+                                  "level gap estimate", res, record)
         gap, certificate = float(np.max(np.abs(d))), "newton"
     if not gap <= tol_fix:  # a NaN correction is refused too
         raise _nonconvergence(f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap,

@@ -81,8 +81,7 @@ class NonlinearityEval:
 
     @classmethod
     def mixed_power(cls, delta: float, gamma: float) -> "NonlinearityEval":
-        if not (0 < delta <= gamma):
-            raise ValidationError("mixed power needs 0 < delta <= gamma")
+        MixedPower(delta, gamma)  # the one check of the parameters
         return cls(
             f=lambda u: -(u ** -delta) - (u ** -gamma),
             fprime=lambda u: delta * u ** (-delta - 1.0) + gamma * u ** (-gamma - 1.0),
@@ -431,6 +430,7 @@ def apriori_sides(
     existential, not computable.
     """
     grid = u.grid
+    grid.check_dim(e.p)
     if not alpha > e.p_max - 1:
         raise ValidationError(f"alpha = {alpha} must exceed p_N - 1 = {e.p_max - 1}")
     coef = epsilon_coefficient(alpha, epsilon, e.N, e.q)
@@ -538,10 +538,11 @@ def corollary_sides(
     The candidate range on supp psi is checked and reported, never fatal:
     out-of-range candidates are legitimate exploratory inputs.
     """
-    if case is ApplicableTheorem.NONE:
-        raise ValidationError("case None has no cutoff corollary")
     grid = u.grid
     e = spec.exponents
+    grid.check_dim(e.p)
+    if case is ApplicableTheorem.NONE:
+        raise ValidationError("case None has no cutoff corollary")
     _require_in_window(beta, spec)
     _require_cutoff(psi)
     hyp = HYPOTHESES[case]

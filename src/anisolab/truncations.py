@@ -89,12 +89,6 @@ class TruncationPair:
             "b'": (0.0, b_slope, -al, -al - 1.0),
         }
 
-    # the linear pieces a_slope * t + a_icept of a_k and b_slope * t + b_icept of b_k
-    a_slope = property(lambda self: self.rows["a"][0])
-    a_icept = property(lambda self: self.rows["a"][1])
-    b_slope = property(lambda self: self.rows["b"][0])
-    b_icept = property(lambda self: self.rows["b"][1])
-
     @property
     def derivative_ratio(self) -> float:
         """The exact constant (alpha-1)^2/(4*alpha) of property (c)."""

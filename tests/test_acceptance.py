@@ -135,8 +135,9 @@ def test_criterion_02_truncation_identities():
         assert np.max(np.abs(margin[on_pow])) <= tol
 
         # continuity at the knot
-        lin_a = tp.a_slope * knot + tp.a_icept
-        lin_b = tp.b_slope * knot + tp.b_icept
+        (a_slope, a_icept, *_), (b_slope, b_icept, *_) = tp.rows["a"], tp.rows["b"]
+        lin_a = a_slope * knot + a_icept
+        lin_b = b_slope * knot + b_icept
         assert abs(lin_a - knot ** (0.5 * (1 - alpha))) <= tol * max(1.0, abs(lin_a))
         assert abs(lin_b - knot ** -alpha) <= tol * max(1.0, abs(lin_b))
 

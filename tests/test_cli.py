@@ -391,6 +391,24 @@ def test_solve_certificate_refusal_leaves_diagnostics(tmp_path, monkeypatch):
     assert len(doc["diagnostics"]["residuals"]) == len(doc["diagnostics"]["steps"]) + 1
 
 
+def test_solve_failed_line_search_leaves_diagnostics(tmp_path, monkeypatch):
+    # no known input fails a line search of the level solve; the negated
+    # Newton step, an ascent direction, stands in for one
+    floored_direction = solver_module._floored_direction
+
+    def ascent(*args):
+        d, its = floored_direction(*args)
+        return -d, its
+
+    monkeypatch.setattr(solver_module, "_floored_direction", ascent)
+    code, _, err, out = _run(tmp_path, "solve --p 3 --box 0,1 --res 16 --nmax 2".split())
+    message = "line search failed in the level solve"
+    assert code == 3 and _one_line(code, err).startswith(message), err
+    doc = _report(out, "nonconvergence.json")
+    assert doc["message"] == message and doc["residual"] == doc["diagnostics"]["residuals"][-1]
+    assert len(doc["diagnostics"]["residuals"]) == len(doc["diagnostics"]["steps"]) + 1
+
+
 def _singular_band(*args, **kwargs):
     raise np.linalg.LinAlgError("zero pivot")
 
@@ -550,6 +568,11 @@ CLI_CASES: dict[str, list[Case]] = {
              check=_levels_within_tol_fix),
         Case("p-100-1d", "solve --p 100 --box 0,1 --res 8", 0, check=_levels_within_tol_fix),
         Case("p-1e6-3d", "solve --p 2,2,1e6 --box 0,1,0,1,0,1 --res 4,4,4", 0),
+        # a zero G'(0) starts at exact zeros: the pocketfft DST (127 interior
+        # nodes) of a zero vector holds -0.0, which the snapshot wrote as -0
+        Case("zero-weight-128", "solve --p 2 --box 0,1 --res 128 --nmax 2 --weight constant:0", 0,
+             check=lambda out, stdout: set((out / "u_final.txt").read_text().splitlines()[1:])
+             == {"0"}),
         # the limit battery evaluates g e^{1/u} next to a singular weight
         Case("power", "solve --p 2,3 --box 0,1,0,1 --res 12,12 --nmax 3 --weight power:1.5", 0),
         Case("na-window", "thresholds --p 2,3,4 --cap 0.2222222222222222", 4,

@@ -95,6 +95,18 @@ def test_solve_inner_zero_rhs():
     assert np.all(u.values == 0.0)
 
 
+@pytest.mark.parametrize("res", [(64,), (24, 24), (10, 12, 8)], ids=["1d", "2d", "3d"])
+def test_solve_inner_with_all_p_2_returns_after_one_check(res):
+    # the linear start is the exact discrete solution; from 0 it took a
+    # second check, after one Newton step
+    g = Grid(box=((0.0, 1.0),) * len(res), res=res)
+    rhs = GridField.from_function(g, lambda *xs: 1.0 + 0.5 * np.prod([np.sin(3 * x) for x in xs], 0))
+    info = {}
+    solve_inner(rhs, ExponentData.from_p([2.0] * len(res)), info=info)
+    assert info["iterations"] == 1 and info["residuals"][0] <= 1e-11
+    assert info["steps"] == []
+
+
 def test_solve_inner_p4_against_brute_force():
     e = ExponentData.from_p([4])
     coarse = grid1d(64)
@@ -452,6 +464,15 @@ def test_failed_solve_carries_its_whole_newton_history():
                     info=info)
     assert len(info["steps"]) == 12
     assert exc.value.diagnostics == {"residuals": info["residuals"], "steps": info["steps"]}
+
+
+def test_flux_weights_are_none_only_past_the_largest_float():
+    # (p - 1) 2^(p - 2) overflows at p = 1100 (2^1098) and not at p = 1000
+    faces = [np.full((3, 4), 2.0), np.full((4, 3), 2.0)]
+    assert _flux_weights(faces, (2.0, 1100.0)) is None
+    weights = _flux_weights(faces, (2.0, 1000.0))
+    assert weights[0].shape == (3, 4) and np.all(weights[0] == 1.0)
+    assert np.all(weights[1] == 999.0 * 2.0 ** 998)
 
 
 def test_the_smallest_normal_tolerance_is_accepted():

@@ -39,6 +39,7 @@ from anisolab.grid import (
     make_cutoff,
     weak_form_gap,
 )
+from anisolab.solver import inner_energy
 from anisolab.stability import (
     NonlinearityEval,
     StabilityVariant,
@@ -871,6 +872,35 @@ def test_corollary_case_validation():
     rep = corollary_sides(GridField.constant(g, 1.7), psi, 1.0, mixed,
                           ApplicableTheorem.THM3_2)
     assert rep.range_ok is False  # out of range is reported, not fatal
+
+
+_EVALUATORS = {
+    "inner_energy": lambda u, psi, p: inner_energy(u, GridField.zeros(u.grid),
+                                                   ExponentData.from_p(p)),
+    "apriori_sides": lambda u, psi, p: apriori_sides(
+        u, psi, 3.5, 0.3, 2, NonlinearityEval.mixed_power(1.0, 2.0), ExponentData.from_p(p)),
+    "corollary_sides": lambda u, psi, p: corollary_sides(
+        u, psi, 1.0, ProblemSpec(kind=MixedPower(3.0, 4.0), exponents=ExponentData.from_p(p)),
+        ApplicableTheorem.THM3_2),
+}
+
+
+@pytest.mark.parametrize("p", [(2.0, 3.0), (2.0, 3.0, 3.0, 3.0)], ids=["shorter", "longer"])
+@pytest.mark.parametrize("name", _EVALUATORS)
+def test_evaluators_refuse_an_exponent_vector_of_another_dimension(name, p):
+    # a shorter p returned a number, a longer one ended in numpy's AxisError
+    g = Grid(box=((-1.0, 1.0),) * 3, res=(8, 8, 8))
+    psi = make_cutoff(CutoffSpec(R=0.25, center=(0.0, 0.0, 0.0)), g)
+    with pytest.raises(ValidationError, match=rf"^exponent dimension {len(p)} != grid dimension 3$"):
+        _EVALUATORS[name](GridField.constant(g, 0.5), psi, p)
+
+
+@pytest.mark.parametrize("delta, gamma", [(1.0, math.inf), (2.0, 1.0)],
+                         ids=["gamma-inf", "delta-above-gamma"])
+def test_mixed_power_refuses_the_parameters_mixed_power_kind_refuses(delta, gamma):
+    with pytest.raises(ValidationError, match=r"^mixed-power parameters need 0 < delta <= gamma "
+                                              rf"< inf, got \({delta}, {gamma}\)$"):
+        NonlinearityEval.mixed_power(delta, gamma)
 
 
 # --- radius sweeps ----------------------------------------------------------------

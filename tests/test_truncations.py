@@ -93,10 +93,10 @@ def test_derivative_pieces_k2_alpha3(tp23):
 def test_one_sided_derivatives_agree_at_knot(tp23):
     knot = tp23.knot
     # linear-piece slope equals the power-piece derivative at the knot
-    assert tp23.a_slope == pytest.approx(
+    assert tp23.rows["a"][0] == pytest.approx(
         0.5 * (1 - tp23.alpha) * knot ** (-0.5 * (1 + tp23.alpha)), rel=TOL
     )
-    assert tp23.b_slope == pytest.approx(-tp23.alpha * knot ** (-tp23.alpha - 1), rel=TOL)
+    assert tp23.rows["b"][0] == pytest.approx(-tp23.alpha * knot ** (-tp23.alpha - 1), rel=TOL)
 
 
 def test_property_a_examples(tp23):
