@@ -3,10 +3,11 @@
     - sum_i d/dx_i ( |du/dx_i|^(p_i - 2) du/dx_i ) = g(x) f(u),   u > 0,
 
 covering both sides of the theory: computing weak solutions of the
-regularized problems on bounded boxes (with the monotonicity, positivity,
-and uniform-bound properties checked numerically), and mechanizing the
-nonexistence machinery for stable solutions on large boxes (critical
-exponent regions, truncation identities, cutoff estimates, radius sweeps).
+regularized problems on bounded boxes (with the monotonicity and positivity
+properties checked numerically, and a report of whether the paper's
+hypothesis predicts a uniform bound), and mechanizing the nonexistence
+machinery for stable solutions on large boxes (critical exponent regions,
+truncation identities, cutoff estimates, radius sweeps).
 """
 
 from .errors import HypothesisNotApplicableError, NonConvergenceError, ValidationError

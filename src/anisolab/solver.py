@@ -1,6 +1,6 @@
 """Existence-side machinery: inner variational solves, the regularized
 fixed-point map, the level ladder with its provable properties, and the
-level-set extinction calculator.
+Stampacchia recursion's extinction level.
 
 The inner problem minimizes the strictly convex energy
 
@@ -52,7 +52,6 @@ from .grid import (
     embed_interior,
     face_integral,
     axis_diff,
-    level_set_measure,
     p_flux,
     report_dict,
     residual_integral,
@@ -472,34 +471,11 @@ class LevelRecord:
 
 
 @dataclass
-class LevelSetFit:
-    """Domination fit of the decay recursion measure(h) <= C*measure(k)^beta/(h-k)^r
-    on the superlevel-set measures of a field, with r held fixed.
-
-    The slope beta comes from least squares in log space; the constant C is
-    then raised until the bound dominates every measured pair.
-    `residual_halfwidth` is the half-range of the log-space residuals around
-    the least-squares line (the fit-quality metric)."""
-
-    levels: tuple[float, ...]
-    measures: tuple[float, ...]
-    r: float
-    beta: float
-    log_c: float
-    residual_halfwidth: float
-
-
-@dataclass
 class LadderReport:
     levels: list[LevelRecord]
     uniform_bound_expected: bool | None
-    sup_increment_ratio: float | None
     weak_residual_level_max: float
     weak_residual_limit_max: float
-    levelset_fit: LevelSetFit | None
-    epsilon_used: float
-    epsilon_support_margin: float
-    epsilon_energy: float
     final_field: GridField
 
     def to_dict(self) -> dict:
@@ -557,41 +533,6 @@ def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
     return GridField(grid, values)
 
 
-def level_set_decay_fit(u: GridField, e: ExponentData) -> LevelSetFit | None:
-    """Fit measure(h_{j+1}) = C * measure(h_j)^beta / (h_{j+1}-h_j)^r on 8
-    levels h_j from 0.2 to 0.9 sup u, with r fixed to p* (p_N + 2 when p* is
-    not defined); returns None when the field has too little level-set
-    structure."""
-    umax = float(np.max(u.values))
-    if umax <= 0:
-        return None
-    levels = np.linspace(0.2, 0.9, 8) * umax
-    measures = np.array([level_set_measure(u, h) for h in levels])
-    keep = measures > 0
-    levels, measures = levels[keep], measures[keep]
-    if len(levels) < 4:
-        return None
-    r = e.pstar if e.pstar is not None else e.p_max + 2.0
-    log_phi = np.log(measures)
-    log_gap = np.log(np.diff(levels))
-    # regress log phi_{j+1} + r log(dh_j) on [1, log phi_j], then push the
-    # intercept up so the bound dominates every measured pair
-    target = log_phi[1:] + r * log_gap
-    design = np.column_stack([np.ones(len(target)), log_phi[:-1]])
-    (log_c_ls, beta), *_ = np.linalg.lstsq(design, target, rcond=None)
-    residuals = target - (log_c_ls + beta * log_phi[:-1])
-    log_c = float(log_c_ls + np.max(residuals))
-    halfwidth = float(0.5 * (np.max(residuals) - np.min(residuals)))
-    return LevelSetFit(
-        levels=tuple(levels),
-        measures=tuple(measures),
-        r=float(r),
-        beta=float(beta),
-        log_c=log_c,
-        residual_halfwidth=halfwidth,
-    )
-
-
 def run_ladder(
     n_max: int,
     w: WeightSpec,
@@ -606,7 +547,9 @@ def run_ladder(
     that gave it (see `solve_level`), sup norm, interior minimum over
     the centered half box, and the monotonicity defect max(u_{n-1} - u_n)^+.
     The final level also gets a weak-form residual battery (against both the
-    level equation and the unregularized one) and a level-set decay fit.
+    level equation and the unregularized one).  `uniform_bound_expected`
+    states the paper's hypothesis for bounded solutions, m > m_bounded when
+    pbar < N and m > 1 otherwise; it is None when the weight carries no m.
 
     The battery is the largest |`grid.weak_form_gap`| of the final level,
     summed by parts, over `_N_TEST_FUNCTIONS` seeded `random_bump`s, for the
@@ -651,11 +594,6 @@ def run_ladder(
         expected = w.m > thresholds.m_bounded
     else:
         expected = w.m > 1.0
-    sups = [r.sup_norm for r in records]
-    ratio = None
-    if len(sups) >= 3:
-        d1, d2 = sups[-2] - sups[-3], sups[-1] - sups[-2]
-        ratio = d2 / d1 if d1 > 0 else 0.0
 
     # each equation's nodal residual Op(u) - rhs; g e^{1/u} is filled in on
     # each bump's support only (near the boundary a small u overflows exp), and
@@ -677,39 +615,17 @@ def run_ladder(
     if res_limit == math.inf:
         raise ValidationError("the limit term g e^{1/u} or its weak-form gap overflows a float")
 
-    interior_min_final = records[-1].interior_min
-    eps = 0.5 * max(interior_min_final, 0.0)
-    shifted = GridField(grid, np.maximum(final.values - eps, 0.0))
-    eps_energy = inner_energy(shifted, GridField.zeros(grid), e)
-    support_cells = shifted.values > 0
-    if np.any(support_cells):
-        margin = math.inf
-        for axis in range(grid.dim):
-            idx = np.any(
-                support_cells,
-                axis=tuple(j for j in range(grid.dim) if j != axis),
-            )
-            first, last = int(np.argmax(idx)), int(len(idx) - 1 - np.argmax(idx[::-1]))
-            margin = min(margin, first * grid.h[axis], (len(idx) - 1 - last) * grid.h[axis])
-    else:
-        margin = math.inf
-
     return LadderReport(
         levels=records,
         uniform_bound_expected=expected,
-        sup_increment_ratio=ratio,
         weak_residual_level_max=res_level,
         weak_residual_limit_max=res_limit,
-        levelset_fit=level_set_decay_fit(final, e=e),
-        epsilon_used=eps,
-        epsilon_support_margin=margin,
-        epsilon_energy=eps_energy,
         final_field=final,
     )
 
 
 # ---------------------------------------------------------------------------
-# level-set extinction
+# Stampacchia recursion
 # ---------------------------------------------------------------------------
 
 def stampacchia_extinction(

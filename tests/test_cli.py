@@ -445,11 +445,23 @@ def test_solve_max_outer_caps_only_the_level_solve(tmp_path):
         assert all(lv["residual"] <= 1e-8 for lv in levels)
 
 
-@pytest.mark.parametrize("m, expected", [("2", True), ("0.5", False)])
-def test_uniform_bound_expectation_when_pbar_reaches_n(tmp_path, m, expected):
-    """p = (3,) has pbar = 3 >= N = 1, so a bound is expected exactly when m > 1."""
+_PBAR_REACHES_N = "--p 3 --box 0,1 --res 16"
+_PBAR_BELOW_N = "--p 2,2,2 --box 0,1,0,1,0,1 --res 4,4,4"
+
+
+@pytest.mark.parametrize("problem, m, expected", [
+    (_PBAR_REACHES_N, "2", True),
+    (_PBAR_REACHES_N, "0.5", False),
+    (_PBAR_BELOW_N, "2", True),
+    (_PBAR_BELOW_N, "1.5", False),
+    (_PBAR_BELOW_N, "1", False),
+], ids=["p3-m2", "p3-m0.5", "p222-m2", "p222-m1.5", "p222-m1"])
+def test_uniform_bound_expectation(tmp_path, problem, m, expected):
+    """p = (3,) has pbar = 3 >= N = 1, so a bound is expected exactly when
+    m > 1; p = (2,2,2) has pbar = 2 < N = 3 and m_bounded = p*/(p* - pbar)
+    = 6/4, so exactly when m > 1.5 (a strict inequality)."""
     out = tmp_path / "solve-m"
-    assert main(["solve", "--p", "3", "--box", "0,1", "--res", "16", "--nmax", "2",
+    assert main(["solve", *problem.split(), "--nmax", "2",
                  "--weight-m", m, "--outdir", str(out)]) == 0
     doc = json.loads((out / "ladder_report.json").read_text())
     assert doc["uniformBoundExpected"] is expected
@@ -1366,11 +1378,8 @@ _THRESHOLD_KEYS = {
      ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "8,8", "--weight", "power:1",
       "--nmax", "3"],
      {"levels": [_LEVEL_KEYS],
-      "levelsetFit": {"levels": [None], "measures": [None], "r": None, "beta": None,
-                      "logC": None, "residualHalfwidth": None},
-      **{k: None for k in ("uniformBoundExpected", "supIncrementRatio", "weakResidualLevelMax",
-                           "weakResidualLimitMax", "epsilonUsed", "epsilonSupportMargin",
-                           "epsilonEnergy")}}),
+      **{k: None for k in ("uniformBoundExpected", "weakResidualLevelMax",
+                           "weakResidualLimitMax")}}),
     ("stability_report.json",
      ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3.14159,0,3.14159",
       "--res", "6,6", "--u", "constant:1.0"],

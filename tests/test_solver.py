@@ -23,7 +23,6 @@ from anisolab.grid import (
     cutoff_profile,
     dst_solver,
     face_integral,
-    level_set_measure,
     p_laplacian_apply,
     stiffness,
     weak_form_gap,
@@ -724,7 +723,6 @@ def test_run_ladder_properties():
     assert all(b >= a - 1e-10 for a, b in zip(sups, sups[1:]))
     assert rep.weak_residual_level_max <= 1e-6
     assert rep.uniform_bound_expected is True
-    assert rep.epsilon_used > 0 and rep.epsilon_support_margin > 0
     doc = rep.to_dict()
     assert len(doc["levels"]) == 5 and "finalField" not in doc
 
@@ -749,8 +747,8 @@ def test_run_ladder_1d_levels_match_ode_oracle():
 
 
 def test_run_ladder_exploratory_singular_weight():
-    # weight ~ |x - x0|^-1.8 in 2D is in L^m only for small m; the report
-    # flags the trend instead of asserting boundedness
+    # weight ~ |x - x0|^-1.8 in 2D is in L^m only for small m; at m = 1 the
+    # report expects no uniform bound (pbar = N = 2 asks for m > 1)
     g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(24, 24))
     e = ExponentData.from_p([2, 2])
     d = np.maximum(g.node_distances((0.5, 0.5)), 0.5 * min(g.h))
@@ -759,7 +757,6 @@ def test_run_ladder_exploratory_singular_weight():
     assert rep.uniform_bound_expected is False
     sups = [r.sup_norm for r in rep.levels]
     assert all(b >= a for a, b in zip(sups, sups[1:]))
-    assert rep.sup_increment_ratio is not None
 
 
 def test_run_ladder_3d_anisotropic():
@@ -810,7 +807,7 @@ def test_run_ladder_validation():
         WeightSpec(g=GridField.constant(g, float("nan")))
 
 
-# --- level-set machinery -----------------------------------------------------------
+# --- Stampacchia recursion -------------------------------------------------------
 
 def test_stampacchia_closed_form():
     assert stampacchia_extinction(1.0, 2.0, 2.0, 0.0, 1.0) == pytest.approx(4.0, abs=1e-12)
@@ -827,27 +824,6 @@ def test_stampacchia_verify_tracks_tight_bound():
     assert v.d == pytest.approx(4.0, abs=1e-12)
     assert v.converged and v.final_bound <= 1e-12
     assert v.max_ratio_deviation <= 1e-9
-
-
-def test_level_set_decay_fit_on_ladder_field():
-    g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(48, 48))
-    e = ExponentData.from_p([2, 2])
-    w = WeightSpec(g=GridField.constant(g, 1.0), m=10.0)
-    rep = run_ladder(4, w, e)
-    fit = rep.levelset_fit
-    assert fit is not None
-    assert fit.beta > 1.0
-    # the fitted bound C measure(h_j)^beta / (h_{j+1} - h_j)^r dominates every
-    # measured pair by construction; quality is the half-range of the residuals
-    levels, measures = np.array(fit.levels), np.array(fit.measures)
-    log_bound = fit.log_c + fit.beta * np.log(measures[:-1]) - fit.r * np.log(np.diff(levels))
-    assert np.all(np.log(measures[1:]) <= log_bound + 1e-9)
-    assert fit.residual_halfwidth < 0.5
-    # measures decrease along the level ladder
-    assert all(b <= a for a, b in zip(fit.measures, fit.measures[1:]))
-    # a direct recomputation of one measure agrees
-    mid = len(fit.levels) // 2
-    assert level_set_measure(rep.final_field, fit.levels[mid]) == fit.measures[mid]
 
 
 @pytest.mark.parametrize("p, res, weight", [
