@@ -89,6 +89,11 @@ class ExponentData:
         p = tuple(Fraction(p_i) for p_i in self.p)
         return p, self.N, sum(p) / self.N
 
+    @functools.cached_property
+    def inverse_sum(self) -> Fraction:
+        """S = sum_i 1/p_i = N/pbar as an exact rational."""
+        return sum(1 / p_i for p_i in self.exact[0])
+
 
 def sobolev_exponent(e: ExponentData) -> float:
     """N*pbar/(N - pbar); only defined in the regime pbar < N, and as a float
@@ -344,8 +349,10 @@ class IntegrabilityThresholds:
 
 def integrability_thresholds(e: ExponentData) -> IntegrabilityThresholds:
     if e.pstar is not None:
-        m_exist = e.pstar / (e.pstar - 1.0)
-        m_bounded = e.pstar / (e.pstar - e.pbar)
+        # pbar = N/S and pstar = N/(S - 1) for S = sum_i 1/p_i, so pstar/(pstar - 1)
+        # = N/(N + 1 - S) and pstar/(pstar - pbar) = S, exact and rounded once
+        s = e.inverse_sum
+        m_exist, m_bounded = float(e.N / (e.N + 1 - s)), float(s)
     else:
         m_exist = None
         m_bounded = None

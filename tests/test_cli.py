@@ -455,11 +455,17 @@ _PBAR_BELOW_N = "--p 2,2,2 --box 0,1,0,1,0,1 --res 4,4,4"
     (_PBAR_BELOW_N, "2", True),
     (_PBAR_BELOW_N, "1.5", False),
     (_PBAR_BELOW_N, "1", False),
-], ids=["p3-m2", "p3-m0.5", "p222-m2", "p222-m1.5", "p222-m1"])
+    (_PBAR_BELOW_N.replace("2,2,2", "2,2,2.6"), "1.3846153846153846", False),
+    (_PBAR_BELOW_N.replace("2,2,2", "2,2,2.125"), "1.4705882352941178", True),
+], ids=["p3-m2", "p3-m0.5", "p222-m2", "p222-m1.5", "p222-m1", "p2226-m-below-S",
+        "p222125-m-above-S"])
 def test_uniform_bound_expectation(tmp_path, problem, m, expected):
     """p = (3,) has pbar = 3 >= N = 1, so a bound is expected exactly when
     m > 1; p = (2,2,2) has pbar = 2 < N = 3 and m_bounded = p*/(p* - pbar)
-    = 6/4, so exactly when m > 1.5 (a strict inequality)."""
+    = 6/4, so exactly when m > 1.5 (a strict inequality).  In general
+    m_bounded = S = sum_i 1/p_i: the last two m lie 2.1e-17 below and
+    1.0e-16 above S, where a float m_bounded from the float pbar called
+    each the other way."""
     out = tmp_path / "solve-m"
     assert main(["solve", *problem.split(), "--nmax", "2",
                  "--weight-m", m, "--outdir", str(out)]) == 0
@@ -509,6 +515,12 @@ def _levels_within_tol_fix(outdir, stdout):
 def _two_levels_within_tol_fix(outdir, stdout):
     return len(_report(outdir, "ladder_report.json")["levels"]) == 2 and \
         _levels_within_tol_fix(outdir, stdout)
+
+
+def _three_keys_and_solution(outdir, stdout):
+    return sorted(_report(outdir, "ladder_report.json")) == \
+        ["levels", "uniformBoundExpected", "weakResidualLevelMax"] and \
+        (outdir / "u_final.txt").exists() and (outdir / "u_final.csv").exists()
 
 
 _UNIT8_HEADER = "anisofield 2 8 8 0 1 0 1\n"
@@ -585,7 +597,7 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("zero-weight-128", "solve --p 2 --box 0,1 --res 128 --nmax 2 --weight constant:0", 0,
              check=lambda out, stdout: set((out / "u_final.txt").read_text().splitlines()[1:])
              == {"0"}),
-        # the limit battery evaluates g e^{1/u} next to a singular weight
+        # a ladder on a singular weight
         Case("power", "solve --p 2,3 --box 0,1,0,1 --res 12,12 --nmax 3 --weight power:1.5", 0),
         Case("na-window", "thresholds --p 2,3,4 --cap 0.2222222222222222", 4,
              re.compile(r".*window .* holds no float$")),
@@ -732,11 +744,13 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("sweep", f"{_SWEEP} --radii 1:3:3 --weight constant:1e308", 2,
              _line("int g (psi/u)^E overflows a float")),
     ],
-    # g e^{1/u} overflowed in the limit battery: a RuntimeWarning, then
-    # "weakResidualLimitMax": null in ladder_report.json and exit 0
-    "test_overflowing_ladder_limit_battery_exits_2": [
-        Case("solve", "solve --p 2,2 --box 0,1,0,1 --res 6,6 --nmax 2 --weight constant:1e308", 2,
-             _line("the limit term g e^{1/u} or its weak-form gap overflows a float")),
+    # a huge or a small weight solved every level, then g e^{1/u}, sampled
+    # where u is small, overflowed a float: exit 2, and no solution written
+    "test_huge_and_small_weight_ladders_write_their_solution": [
+        Case("huge", "solve --p 2,2 --box 0,1,0,1 --res 6,6 --nmax 2 --weight constant:1e308", 0,
+             check=_three_keys_and_solution),
+        Case("small", "solve --p 2,2 --box 0,1,0,1 --res 32,32 --nmax 3 --weight constant:1e-3",
+             0, check=_three_keys_and_solution),
     ],
     # res 2 gives an axis one interior node: two axes shared a DIA offset in
     # `grid.stiffness`, and LAPACK's banded solve refused the 1x1 1D Newton
@@ -877,7 +891,8 @@ def _table_test(rows, one_item):
 
 # the tests that ran all their rows as one item still do
 _ONE_ITEM = {"test_validation_exit_code", "test_overflowing_sweep_integral_exits_2",
-             "test_overflowing_ladder_limit_battery_exits_2", "test_unknown_config_key_exits_2",
+             "test_huge_and_small_weight_ladders_write_their_solution",
+             "test_unknown_config_key_exits_2",
              "test_removed_weight_floor_flag_is_rejected"}
 for _name, _rows in CLI_CASES.items():
     globals()[_name] = _table_test(_rows, _name in _ONE_ITEM)
@@ -1378,8 +1393,7 @@ _THRESHOLD_KEYS = {
      ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "8,8", "--weight", "power:1",
       "--nmax", "3"],
      {"levels": [_LEVEL_KEYS],
-      **{k: None for k in ("uniformBoundExpected", "weakResidualLevelMax",
-                           "weakResidualLimitMax")}}),
+      **{k: None for k in ("uniformBoundExpected", "weakResidualLevelMax")}}),
     ("stability_report.json",
      ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3.14159,0,3.14159",
       "--res", "6,6", "--u", "constant:1.0"],

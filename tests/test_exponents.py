@@ -736,6 +736,13 @@ def test_integrability_examples():
     assert thr2.m_exist == pytest.approx(6 / 5, abs=TOL)
     assert thr2.m_bounded == pytest.approx(3 / 2, abs=TOL)
 
+    # rounded once from the exact values: the float pbar put m_bounded of
+    # (2, 2, 2.6) one float low
+    oracle = frac_thresholds([2, 2, 2.6])
+    thr26 = integrability_thresholds(ExponentData.from_p([2, 2, 2.6]))
+    assert (thr26.m_exist, thr26.m_bounded) == (float(oracle["m_exist"]),
+                                                float(oracle["m_bounded"]))
+
     e_high = ExponentData.from_p([3, 3])  # pbar = 3 >= N = 2
     thr3 = integrability_thresholds(e_high)
     assert thr3.m_exist is None and thr3.m_bounded is None

@@ -584,6 +584,49 @@ def test_stability_index_iteration_cap_ends_in_nonconvergence(monkeypatch, p, n,
     assert gap == pytest.approx(rho, rel=1e-12)
 
 
+def _singular_gram(monkeypatch, columns):
+    """Make `scipy.linalg.eigh` refuse, as a singular Gram matrix does, every
+    Gram pair of the given column counts; returns the list of the column
+    counts it was called on."""
+    calls, eigh = [], scipy.linalg.eigh
+
+    def refusing(a, b, **kwargs):
+        calls.append(a.shape[0])
+        if a.shape[0] in columns:
+            raise scipy.linalg.LinAlgError("the leading minor of b is not positive definite")
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refusing)
+    return calls
+
+
+def test_lobpcg_loop_drops_p_where_the_gram_pair_is_singular(monkeypatch):
+    # a refused 3-column Gram pair falls back to span{x, w}: preconditioned
+    # steepest descent, slower, to the same certified eigenvalue
+    u = _sine_candidate(Grid(box=((0.0, np.pi),), res=(64,)), 0.2, (0.0,))
+    nl, ones = NonlinearityEval.mixed_power(1.0, 1.0), GridField.constant(u.grid, 1.0)
+    ref = stability_index(u, nl, ones, (3.0,))
+    calls = _singular_gram(monkeypatch, {3})
+    rep = stability_index(u, nl, ones, (3.0,))
+    assert calls == [2] + [3, 2] * (rep.iterations - 1)
+    assert rep.iterations > ref.iterations
+    assert rep.gap == pytest.approx(ref.gap, rel=1e-12)
+    assert rep.residual <= 1e-7 * max(1.0, abs(rep.shift))
+
+
+def test_lobpcg_loop_with_no_regular_gram_pair_ends_in_nonconvergence(monkeypatch):
+    # every Gram pair refused: the loop returns its start after one
+    # preconditioner application, which the eigen residual bound refuses
+    u, nl = _sine_p24_case(12)
+    calls = _singular_gram(monkeypatch, {2, 3})
+    with pytest.raises(NonConvergenceError, match="LOBPCG did not reach") as exc:
+        stability_index(u, nl, GridField.constant(u.grid, 1.0), (2.0, 4.0))
+    assert calls == [2]
+    diag = exc.value.diagnostics
+    assert set(diag) == {"rho", "iterations", "bound"} and diag["iterations"] == 1
+    assert np.isfinite(diag["rho"]) and exc.value.residual > diag["bound"] > 0
+
+
 def test_stability_index_solve_count_does_not_grow_with_the_2d_grid():
     # LOBPCG on the SuperLU factor takes 51, 56 and 60 solves at 32^2, 64^2
     # and 96^2 (on the DST preconditioner: 107, 232 and 219 iterations)
