@@ -387,7 +387,7 @@ def solve_level(
         sum_i (1/p_i) int |D_i u|^{p_i}  -  int g_n G(u),   G' = exp(1/(u^+ + s)),
 
     with s = 1/n, minimized by one `_newton_krylov` solve from u0 (else its
-    default start), to tol_fix (tightened below for the bound) in at most
+    default start), to tol_fix (the bound's own stop below) in at most
     `max_outer` Newton steps.  Its Newton system adds the nonnegative
     diagonal g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0 to the inner one.
 
@@ -406,8 +406,8 @@ def solve_level(
       torsion v = x_k (L_k - x_k)/2 of axis k (box length L_k) satisfies
       J v >= 1, so |u - A(u)| = |J^{-1} F| <= sup|F| J^{-1} 1 <= sup|F| v
       <= sup|F| L_k^2 / 8, with the smallest L_k over the p_k = 2 axes.
-      The Newton loop stops at sup|F| <= min(tol_fix, 8 tol_fix / L_k^2)
-      so that the bound certifies; on the unit box that is tol_fix.
+      The Newton loop stops at sup|F| <= 8 tol_fix / L_k^2 (capped at the
+      largest float), exactly where the bound certifies.
     - Otherwise the gap is estimated, not bounded, by sup|d| for the Newton
       step d of A's problem from u: J d = -F, with J the floored flux
       Jacobian at u and no diagonal, as b(u) is fixed in A's problem
@@ -430,7 +430,7 @@ def solve_level(
     v_sup = None if side is None else side * side / 8.0
     if v_sup is not None:
         tol = _tolerance(f"8 tol_fix / L^2 (tol_fix = {tol_fix}, p = 2 box side L = {side})",
-                         min(tol_fix, tol_fix / v_sup))
+                         min(tol_fix / v_sup, sys.float_info.max))
 
     def source(x):
         shifted = np.maximum(x, 0.0) + s
@@ -482,17 +482,6 @@ class LadderReport:
 
     def to_dict(self) -> dict:
         return report_dict(self, final_field=None)
-
-
-def _centered_half_box_mask(grid: Grid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, ((lo, hi), ax) in enumerate(zip(grid.box, grid.axes())):
-        span = hi - lo
-        ok = (ax >= lo + 0.25 * span - 1e-12) & (ax <= hi - 0.25 * span + 1e-12)
-        shape = [1] * grid.dim
-        shape[axis] = ax.size
-        mask &= ok.reshape(shape)
-    return mask
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -547,7 +536,8 @@ def run_ladder(
 
     Per level: the bound or estimate of sup|A(u) - u| and the certificate
     that gave it (see `solve_level`), sup norm, interior minimum over
-    the centered half box, and the monotonicity defect max(u_{n-1} - u_n)^+.
+    the centered half box (nodes ceil(r/4) to floor(3r/4) of each axis of
+    r cells), and the monotonicity defect max(u_{n-1} - u_n)^+.
     `uniform_bound_expected` states the paper's hypothesis for bounded
     solutions, m > m_bounded when pbar < N and m > 1 otherwise, which is
     m > max(1, sum_i 1/p_i) decided in exact rationals; it is None when
@@ -562,7 +552,7 @@ def run_ladder(
     rng = seeded_rng(seed)
     grid = w.g.grid
     grid.check_dim(e.p)
-    omega_mask = _centered_half_box_mask(grid)
+    half_box = tuple(slice((r + 3) // 4, 3 * r // 4 + 1) for r in grid.res)
     records: list[LevelRecord] = []
     u_prev: GridField | None = None
     for n in range(1, n_max + 1):
@@ -579,7 +569,7 @@ def run_ladder(
                 n=n,
                 residual=inf["residual"],
                 sup_norm=u_n.sup_norm(),
-                interior_min=float(np.min(u_n.values[omega_mask])),
+                interior_min=float(np.min(u_n.values[half_box])),
                 mono_defect=defect,
                 outer_iterations=inf["iterations"],
                 certificate=inf["certificate"],

@@ -592,6 +592,13 @@ CLI_CASES: dict[str, list[Case]] = {
              check=_levels_within_tol_fix),
         Case("p-100-1d", "solve --p 100 --box 0,1 --res 8", 0, check=_levels_within_tol_fix),
         Case("p-1e6-3d", "solve --p 2,2,1e6 --box 0,1,0,1,0,1 --res 4,4,4", 0),
+        # a p_k = 2 level stops where its bound certifies, at sup|F| <= 8 tol_fix / L^2:
+        # the stricter min(tol_fix, .) stalled at 1.28e-8 after 200 steps, exit 3
+        Case("p2-8192", "solve --p 2 --box 0,1 --res 8192 --weight constant:1 --nmax 4", 0,
+             check=_levels_within_tol_fix),
+        # 8 tol_fix / L^2 overflows a float here: capped, not refused
+        Case("p2-stop-overflows", "solve --p 2 --box 0,1e-153 --res 2 --tol-fix 100 --nmax 2",
+             0),
         # a zero G'(0) starts at exact zeros: the pocketfft DST (127 interior
         # nodes) of a zero vector holds -0.0, which the snapshot wrote as -0
         Case("zero-weight-128", "solve --p 2 --box 0,1 --res 128 --nmax 2 --weight constant:0", 0,
