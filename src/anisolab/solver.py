@@ -27,10 +27,10 @@ A gradient tolerance below the smallest normal float is refused
 
 Each level solution u, from one Newton solve, is held within tol_fix of
 A(u), the fixed-point map of the paper (`apply_A`: one inner solve with
-right-hand side g_n exp(1/(|v| + 1/n))): by a discrete comparison bound
-when some p_k = 2, else by the estimate of one Newton step of A's problem
-from u.  The ladder runs levels n = 1..n_max and records monotonicity
-defects, interior minima, and sup norms.
+right-hand side g_n exp(1/(v^+ + 1/n)) on interior nodes only): by a
+discrete comparison bound when some p_k = 2, else by the estimate of one
+Newton step of A's problem from u.  The ladder runs levels n = 1..n_max and
+records monotonicity defects, interior minima, and sup norms.
 """
 
 from __future__ import annotations
@@ -107,10 +107,18 @@ class RegularizationLevel:
         capped = np.minimum(w.g.values, float(n))
         return cls(n=n, g_n=w.g.like(capped), shift=1.0 / n)
 
+    def source(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The level equation's right side G'(x) = g_n exp(1/(x^+ + 1/n)) on
+        interior vectors x, bounded by g_n e^n, and its curvature -G''(x) =
+        G'(x) / (x + 1/n)^2 where x > 0, else 0."""
+        shifted = np.maximum(x, 0.0) + self.shift
+        g = extract_interior(self.g_n) * np.exp(1.0 / shifted)
+        return g, np.where(x > 0.0, g / shifted ** 2, 0.0)
+
     def rhs(self, v: GridField) -> GridField:
-        """The right-hand side g_n exp(1/(|v| + 1/n)) of the level map at v,
-        bounded by g_n e^n."""
-        return v.like(self.g_n.values * np.exp(1.0 / (np.abs(v.values) + self.shift)))
+        """The right-hand side of the level map at v: `source` on the
+        interior nodes, 0 on the boundary ring, which is never exponentiated."""
+        return embed_interior(v.grid, self.source(extract_interior(v))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +240,8 @@ def _tolerance(name: str, tol: float | None) -> float:
     return tol
 
 
-def _gradient(grid: Grid, p, x, g) -> tuple[np.ndarray, list]:
-    """Op(x) - g on interior vectors, and the face differences D_i x."""
-    op, diffs = p_flux(embed_interior(grid, x).values, grid, p)
-    return op.ravel() - g, diffs
-
-
 def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps: int,
-                   what: str, record: dict, energy=None) -> np.ndarray:
+                   what: str, record: dict, energy=None) -> tuple[np.ndarray, np.ndarray, list]:
     """Minimize sum_i (1/p_i) |K_i x|^{p_i} - G(x) over interior vectors x,
     for a convex G given by `source(x) = (G'(x), -G''(x))`: the gradient of
     G and its nonnegative curvature diagonal array (zeros when G is linear).
@@ -259,7 +261,8 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
     backtracking test of Eisenstat & Walker (1994).  The loop stops when
     sup|F| <= tol, a tolerance `_tolerance` has resolved.
 
-    Returns x; `record` receives, as the solve goes, the gradient sup norm
+    Returns x, with the gradient F and the face differences D_i x of its
+    last check; `record` receives, as the solve goes, the gradient sup norm
     `residuals` at each check, their number `iterations`, the `steps`, the
     CG `linear_iterations` per step (0 in 1D) and, when `energy` is given,
     the `energies` energy(x) at each check.  A failed line search, more
@@ -279,7 +282,8 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
         an overflow leaves the norm inf or NaN, which no test accepts."""
         with np.errstate(over="ignore", invalid="ignore"):
             g, diag = source(x)
-            f, diffs = _gradient(grid, p, x, g)
+            op, diffs = p_flux(embed_interior(grid, x).values, grid, p)
+            f = op.ravel() - g
             return f, float(np.linalg.norm(f)), diffs, diag
 
     record.update(residuals=[], steps=[], linear_iterations=[])
@@ -300,7 +304,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
         if energy is not None:
             record["energies"].append(energy(x))
         if res <= tol:
-            return x
+            return x, f, diffs
         if len(record["steps"]) >= max_steps:
             raise _nonconvergence(
                 f"{what} did not reach tol={tol} in {max_steps} Newton steps", res, record
@@ -350,7 +354,7 @@ def solve_inner(
         grid, e, None if x0 is None else extract_interior(x0),
         lambda x: (rhs_int, zeros), tol, max_iter, "inner solve", {} if info is None else info,
         energy=None if info is None else lambda x: inner_energy(embed_interior(grid, x), rhs, e),
-    )
+    )[0]
     return embed_interior(grid, x)
 
 
@@ -364,10 +368,10 @@ def apply_A(
     e: ExponentData,
     tol: float | None = None,
 ) -> GridField:
-    """One application of the level map: solve with right-hand side
-    `level.rhs(v)`, started at v (a fixed point is its own start).  It
-    returns v itself when v's inner gradient is within `tol`, so it
-    measures the gap sup|A(v) - v| only down to `tol`."""
+    """One application of the level map, order-reversing for every v: solve
+    with right-hand side `level.rhs(v)`, started at v (a fixed point is its
+    own start).  It returns v itself when v's inner gradient is within
+    `tol`, so it measures the gap sup|A(v) - v| only down to `tol`."""
     return solve_inner(level.rhs(v), e, tol=tol, x0=v)
 
 
@@ -388,15 +392,13 @@ def solve_level(
 
     with s = 1/n, minimized by one `_newton_krylov` solve from u0 (else its
     default start), to tol_fix (the bound's own stop below) in at most
-    `max_outer` Newton steps.  Its Newton system adds the nonnegative
-    diagonal g_n e^{1/(u+s)}/(u+s)^2 on nodes with u > 0 to the inner one.
+    `max_outer` Newton steps, each point evaluating `level.source` once.
+    Its Newton system adds the nonnegative diagonal g_n e^{1/(u+s)}/(u+s)^2
+    on nodes with u > 0 to the inner one.
 
-    The energy uses u^+ where the map A uses |u|, so that it stays convex.
-    The level solution is nonnegative (its right-hand side is), and there
-    u^+ = |u|: the fixed points of A are the same.
-
-    A(u) is the exact discrete solution of Op(w) = b(u) = g_n exp(1/(|u| + s)),
-    and F = Op(u) - b(u) is A's own inner gradient at u.
+    A(u) is the exact discrete solution of Op(w) = b(u) = g_n exp(1/(u^+ + s)),
+    and F = Op(u) - b(u) is A's own inner gradient at u, the gradient of the
+    loop's last check, which the certificate reads with its differences.
 
     - When some axis k has p_k = 2, the gap is bounded.  Op(u) - Op(A(u))
       = J (u - A(u)) = F with J = sum_i K_i^T diag(m_i) K_i, where m_i >= 0
@@ -421,8 +423,6 @@ def solve_level(
     `_tolerance` refuses is a ValidationError.
     """
     grid = level.g_n.grid
-    g_n = extract_interior(level.g_n)
-    s = level.shift
     tol = tol_fix = _tolerance("tol_fix", tol_fix)
     # sup of the discrete torsion v of the shortest p_k = 2 axis, if any (a
     # product, which overflows to inf where a power raises)
@@ -432,19 +432,12 @@ def solve_level(
         tol = _tolerance(f"8 tol_fix / L^2 (tol_fix = {tol_fix}, p = 2 box side L = {side})",
                          min(tol_fix / v_sup, sys.float_info.max))
 
-    def source(x):
-        shifted = np.maximum(x, 0.0) + s
-        g = g_n * np.exp(1.0 / shifted)
-        return g, np.where(x > 0.0, g / shifted ** 2, 0.0)
-
     record = {} if info is None else info
-    x = _newton_krylov(
+    x, f, diffs = _newton_krylov(
         grid, e, None if u0 is None else extract_interior(u0),
-        source, tol, max_outer, "level solve", record,
+        level.source, tol, max_outer, "level solve", record,
     )
-    u = embed_interior(grid, x)
-    f, diffs = _gradient(grid, e.p, x, extract_interior(level.rhs(u)))
-    res = float(np.max(np.abs(f)))
+    res = record["residuals"][-1]
     if v_sup is not None:
         gap, certificate = res * v_sup, "bound"
     else:
@@ -455,7 +448,7 @@ def solve_level(
         raise _nonconvergence(f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap,
                               record)
     record.update(residual=gap, certificate=certificate)
-    return u
+    return embed_interior(grid, x)
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,10 @@ CLI_CASES: dict[str, list[Case]] = {
         # the stricter min(tol_fix, .) stalled at 1.28e-8 after 200 steps, exit 3
         Case("p2-8192", "solve --p 2 --box 0,1 --res 8192 --weight constant:1 --nmax 4", 0,
              check=_levels_within_tol_fix),
+        # e^n on the boundary ring, where the right side was evaluated too,
+        # overflowed from n = 710: 12 RuntimeWarnings
+        Case("nmax-720", "solve --p 3 --box 0,1 --res 8 --weight constant:1 --nmax 720", 0,
+             check=lambda out, stdout: (out / "u_final.txt").exists()),
         # 8 tol_fix / L^2 overflows a float here: capped, not refused
         Case("p2-stop-overflows", "solve --p 2 --box 0,1e-153 --res 2 --tol-fix 100 --nmax 2",
              0),

@@ -553,6 +553,27 @@ def test_apply_A_starts_at_its_argument(p, res):
     assert np.array_equal(apply_A(u, level, e).values, u.values)
 
 
+def test_level_map_exponentiates_no_boundary_node():
+    # at n = 10^16 the right side e^{1/(|v| + 1/n)} = e^n of the boundary
+    # ring overflowed, a RuntimeWarning; the ring now holds 0, and the
+    # interior takes v^+ where it took |v|
+    g = Grid(box=((0.0, 1.0),) * 2, res=(8, 8))
+    e = ExponentData.from_p([2, 2])
+    w = WeightSpec(g=GridField.constant(g, 1.0))
+    v = GridField.from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    v = v.zeroed_boundary()
+    level = RegularizationLevel.from_weight(10**16, w)
+    ring = np.ones(g.shape, dtype=bool)
+    ring[g.interior_slices()] = False
+    assert np.all(level.rhs(v).values[ring] == 0.0)
+    assert np.all(np.isfinite(apply_A(v, level, e).values))
+    signed = rand_zero_boundary(g, np.random.default_rng(3))
+    assert np.min(signed.values) < 0.0
+    level = RegularizationLevel.from_weight(2, w)
+    assert np.array_equal(level.rhs(signed).values,
+                          level.rhs(GridField(g, np.maximum(signed.values, 0.0))).values)
+
+
 # --- level solve -------------------------------------------------------------------
 
 def test_solve_level_zero_weight():
@@ -713,6 +734,27 @@ def test_run_ladder_runs_one_newton_solve_per_level(monkeypatch, p, res):
     assert [r.certificate for r in rep.levels] == ["newton"] * 3
 
 
+@pytest.mark.parametrize("p, res, n", [((2.0, 3.0), (12, 12), 3), ((3.0, 4.0), (12, 12), 3),
+                                       ((4.0,), (64,), 1)])
+def test_solve_level_evaluates_the_operator_once_per_newton_point(monkeypatch, p, res, n):
+    # the start and every line-search trial t = 2^-j of each step: the
+    # certificate reads the last check's gradient, where it evaluated the
+    # operator once more
+    calls = []
+    flux = solver_module.p_flux
+
+    def counted(*args):
+        calls.append(1)
+        return flux(*args)
+
+    monkeypatch.setattr(solver_module, "p_flux", counted)
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    info = {}
+    solve_level(RegularizationLevel.from_weight(n, WeightSpec(g=GridField.constant(g, 1.0))),
+                ExponentData.from_p(p), info=info)
+    assert len(calls) == 1 + sum(1 + math.log2(1.0 / t) for t in info["steps"])
+
+
 def test_solve_level_interior_positivity():
     g = Grid(box=((0.0, 1.0), (0.0, 1.0)), res=(24, 24))
     e = ExponentData.from_p([2, 2])
@@ -851,6 +893,11 @@ def test_stampacchia_verify_tracks_tight_bound():
     assert v.d == pytest.approx(4.0, abs=1e-12)
     assert v.converged and v.final_bound <= 1e-12
     assert v.max_ratio_deviation <= 1e-9
+
+
+def test_stampacchia_verify_at_zero_measure_stops_at_k0():
+    v = stampacchia_verify(1.0, 2.0, 2.0, 3.0, 0.0)
+    assert v.k_star == 3.0 and v.iterations == 0 and v.converged
 
 
 @pytest.mark.parametrize("p, res, weight", [
