@@ -143,7 +143,7 @@ KEYS: dict[str, Key] = {
     "sweep.radii": Key("--radii", _radii, "r1,r2,... or lo:hi:count (geometric)"),
     "sweep.cconst": Key("--cconst", float),
     "run.outdir": Key("--outdir", str),
-    "run.seed": Key("--seed", int),
+    "run.seed": Key("--seed", int, "accepted, with no effect"),
 }
 
 
@@ -271,7 +271,6 @@ def _run_solve(v: dict, outdir: Path) -> int:
         e,
         tol_fix=v["solve.tolFix"],
         max_outer=v["solve.maxOuter"],
-        seed=v["run.seed"],
     )
     _write_json(report.to_dict(), outdir / "ladder_report.json")
     # one formatting pass writes both files

@@ -47,7 +47,6 @@ from .exponents import ExponentData
 from .grid import (
     GridField,
     Grid,
-    cutoff_profile,
     dst_solver,
     extract_interior,
     embed_interior,
@@ -55,7 +54,6 @@ from .grid import (
     axis_diff,
     p_flux,
     report_dict,
-    residual_integral,
     stencil_rows,
     stiffness,
     weighted_integrate,
@@ -65,8 +63,6 @@ from .grid import (
 # a Newton system stops; the Newton loop, not the linear solve, decides
 # convergence
 _CG_RTOL = 1e-2
-# random bumps the final ladder level is tested against in its weak form
-_N_TEST_FUNCTIONS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -470,51 +466,10 @@ class LevelRecord:
 class LadderReport:
     levels: list[LevelRecord]
     uniform_bound_expected: bool | None
-    weak_residual_level_max: float
     final_field: GridField
 
     def to_dict(self) -> dict:
         return report_dict(self, final_field=None)
-
-
-def seeded_rng(seed: int) -> np.random.Generator:
-    """`np.random.default_rng(seed)`, refusing a negative seed as a ValidationError."""
-    if seed < 0:
-        raise ValidationError(f"the seed must be an integer >= 0, got {seed}")
-    return np.random.default_rng(seed)
-
-
-def random_bump(grid: Grid, rng: np.random.Generator) -> GridField:
-    """Random compactly supported smoothstep bump vanishing near the boundary:
-    cutoff_profile(|x - c| / rho) for a seeded radius rho and centre c.
-
-    Per axis c is drawn at least rho + 2 h from both ends (the box middle
-    when the axis is too short for that), then snapped to its nearest node,
-    at most h/2 away, so the bump is 1 there: on a box whose sides differ a
-    lot, a ball of radius rho around an unsnapped centre may hold no node.
-    The profile (which clips its argument to [0, 1]) is evaluated only on
-    the node window around the support ball, with a margin of at least one
-    node per side; every node outside it lies farther than rho from c,
-    where the profile is exactly 0, so the bump equals its full-grid
-    evaluation bit for bit."""
-    extents = [hi - lo for lo, hi in grid.box]
-    rho = (0.10 + 0.15 * rng.random()) * min(extents)
-    center = []
-    for (lo, hi), step, nodes in zip(grid.box, grid.h, grid.axes()):
-        margin = rho + 2.0 * step
-        if lo + margin >= hi - margin:
-            c = 0.5 * (lo + hi)
-        else:
-            c = lo + margin + (hi - lo - 2 * margin) * rng.random()
-        center.append(float(nodes[round((c - lo) / step)]))
-    window = tuple(
-        slice(max(math.floor((c - rho - lo) / step) - 1, 0),
-              min(math.ceil((c + rho - lo) / step) + 1, r) + 1)
-        for c, (lo, _), step, r in zip(center, grid.box, grid.h, grid.res)
-    )
-    values = np.zeros(grid.shape)
-    values[window] = cutoff_profile(grid.node_distances(center, window=window) / rho)
-    return GridField(grid, values)
 
 
 def run_ladder(
@@ -523,7 +478,6 @@ def run_ladder(
     e: ExponentData,
     tol_fix: float = 1e-8,
     max_outer: int = 200,
-    seed: int = 0,
 ) -> LadderReport:
     """Solve levels n = 1..n_max and record the ladder properties.
 
@@ -535,14 +489,9 @@ def run_ladder(
     solutions, m > m_bounded when pbar < N and m > 1 otherwise, which is
     m > max(1, sum_i 1/p_i) decided in exact rationals; it is None when
     the weight carries no m.
-
-    The final level also gets a weak-form residual battery: the largest
-    |`grid.weak_form_gap`| of the level equation, summed by parts, over
-    `_N_TEST_FUNCTIONS` `random_bump`s drawn from `seed`.
     """
     if n_max < 2:
         raise ValidationError("the ladder needs n_max >= 2")
-    rng = seeded_rng(seed)
     grid = w.g.grid
     grid.check_dim(e.p)
     half_box = tuple(slice((r + 3) // 4, 3 * r // 4 + 1) for r in grid.res)
@@ -570,23 +519,8 @@ def run_ladder(
         )
         u_prev = u_n
 
-    final = u_prev
     expected = None if w.m is None else Fraction(w.m) > max(1, e.inverse_sum)
-
-    # the level equation's nodal residual Op(u) - rhs, summed by parts
-    # against each bump
-    residual = p_flux(final.values, grid, e.p)[0] - \
-        level.rhs(final).values[grid.interior_slices()]
-    # np.max propagates a NaN gap; the builtin max would drop it
-    res_level = np.max([abs(residual_integral(residual, random_bump(grid, rng)))
-                        for _ in range(_N_TEST_FUNCTIONS)])
-
-    return LadderReport(
-        levels=records,
-        uniform_bound_expected=expected,
-        weak_residual_level_max=float(res_level),
-        final_field=final,
-    )
+    return LadderReport(levels=records, uniform_bound_expected=expected, final_field=u_prev)
 
 
 # ---------------------------------------------------------------------------

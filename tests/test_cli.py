@@ -517,10 +517,9 @@ def _two_levels_within_tol_fix(outdir, stdout):
         _levels_within_tol_fix(outdir, stdout)
 
 
-def _three_keys_and_solution(outdir, stdout):
-    return sorted(_report(outdir, "ladder_report.json")) == \
-        ["levels", "uniformBoundExpected", "weakResidualLevelMax"] and \
-        (outdir / "u_final.txt").exists() and (outdir / "u_final.csv").exists()
+def _two_keys_and_solution(outdir, stdout):
+    return sorted(_report(outdir, "ladder_report.json")) == ["levels", "uniformBoundExpected"] \
+        and (outdir / "u_final.txt").exists() and (outdir / "u_final.csv").exists()
 
 
 _UNIT8_HEADER = "anisofield 2 8 8 0 1 0 1\n"
@@ -630,8 +629,10 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("sine24", f"stability --p 2,3,4 --delta 1 --box {_PI},{_PI},{_PI} --res 24,24,24 "
              "--u file:{tmp}/sine24.txt --variant AsWritten", 0,
              check=lambda out, _: 0 < _report(out, "stability_report.json")["iterations"] <= 80),
-        Case("bad-seed", "solve --p 2,3 --box 0,1,0,1 --res 4,4 --seed=-1", 2,
-             "the seed must be an integer >= 0"),
+        # nothing draws from the seed: `--seed` is parsed and written to
+        # resolved_config.txt, and a negative one runs like any other
+        Case("bad-seed", "solve --p 2,3 --box 0,1,0,1 --res 4,4 --seed=-1", 0,
+             check=lambda out, _: "run.seed = -1\n" in (out / "resolved_config.txt").read_text()),
         Case("bad-tol", "solve --p 2,3 --box 0,1,0,1 --res 4,4 --tol-fix nan", 2, _BAD_TOL_FIX),
         # a subnormal tolerance is refused before any Newton step (it ran 200 and exited 3)
         Case("sub--tol-fix", "solve --p 2,3 --box 0,1,0,1 --res 8,8 --nmax 2 --tol-fix 1e-320", 2,
@@ -759,9 +760,9 @@ CLI_CASES: dict[str, list[Case]] = {
     # where u is small, overflowed a float: exit 2, and no solution written
     "test_huge_and_small_weight_ladders_write_their_solution": [
         Case("huge", "solve --p 2,2 --box 0,1,0,1 --res 6,6 --nmax 2 --weight constant:1e308", 0,
-             check=_three_keys_and_solution),
+             check=_two_keys_and_solution),
         Case("small", "solve --p 2,2 --box 0,1,0,1 --res 32,32 --nmax 3 --weight constant:1e-3",
-             0, check=_three_keys_and_solution),
+             0, check=_two_keys_and_solution),
     ],
     # res 2 gives an axis one interior node: two axes shared a DIA offset in
     # `grid.stiffness`, and LAPACK's banded solve refused the 1x1 1D Newton
@@ -795,13 +796,14 @@ CLI_CASES: dict[str, list[Case]] = {
     "test_removed_weight_floor_flag_is_rejected": [
         Case("weight-floor", "thresholds --p 2,3,4 --delta 10 --weight-floor 1", 2),
     ],
-    # a negative seed ended in numpy's ValueError from `default_rng` (exit 1);
-    # a p of another dimension than the grid ended in numpy's AxisError
-    # (stability, exit 1) or in a nonexistence verdict (sweep, exit 0); a p_i
-    # whose region A endpoint overflows a float ended in an OverflowError
-    # (exit 1); a p that `thresholds` refuses passed `truncation-check` (exit 0)
+    # a negative seed ended in numpy's ValueError from `default_rng` (exit 1),
+    # and now runs, since nothing draws from it; a p of another dimension
+    # than the grid ended in numpy's AxisError (stability, exit 1) or in a
+    # nonexistence verdict (sweep, exit 0); a p_i whose region A endpoint
+    # overflows a float ended in an OverflowError (exit 1); a p that
+    # `thresholds` refuses passed `truncation-check` (exit 0)
     "test_out_of_domain_inputs_exit_2_not_in_a_traceback": [
-        Case("solve-seed-negative", f"{_SOLVE} --seed=-1", 2, "the seed must be an integer >= 0"),
+        Case("solve-seed-negative", f"{_SOLVE} --seed=-1", 0),
         Case("stability-p-dim", "stability --p 2,3,4 --delta 1 --box 0,3,0,3 --res 8,8 "
              "--u constant:1.0", 2, "exponent dimension 3 != grid dimension 2"),
         Case("sweep-p-dim", "sweep --p 2,3,4 --delta 10 --box=-8,8,-8,8 --res 6,6 --u constant:1.0 "
@@ -1072,7 +1074,7 @@ def test_count_limits_are_inclusive(monkeypatch):
 # values outside the domain.
 # Before the checks moved into the library, `run_ladder` certified every level
 # at tol_fix = nan or inf, ran 200 Newton steps and exited 3 at tol_fix = -1,
-# accepted `WeightSpec(m=-1)` and raised numpy's bare ValueError at seed = -1.
+# and accepted `WeightSpec(m=-1)`.
 _SMALL = Grid(box=((0.0, 1.0),) * 2, res=(4, 4))
 _ONES = GridField.constant(_SMALL, 1.0)
 _E23 = ExponentData.from_p((2.0, 3.0))
@@ -1104,10 +1106,6 @@ _DOMAINS = {
     "max_outer": ("needs a Newton-step cap >= 1",
                   [lambda v: _ladder(max_outer=v), lambda v: solve_inner(_ONES, _E23, max_iter=v)],
                   [lambda t: _SOLVE_SMALL + [f"--max-outer={t}"]], (0, -1)),
-    "seed": ("the seed must be an integer >= 0",
-             [lambda v: _ladder(seed=v)],
-             [lambda t: _SOLVE_SMALL + [f"--seed={t}"]],
-             (-1,)),
     "weight.m": ("integrability exponent m must be finite and > 0",
                  [lambda v: WeightSpec(g=_ONES, m=v)],
                  [lambda t: _SOLVE_SMALL + [f"--weight-m={t}"]], _NON_POSITIVE),
@@ -1240,6 +1238,18 @@ def test_legacy_solve_config_replays_identically(tmp_path):
     written = (replay / "resolved_config.txt").read_text()
     assert written == _LEGACY_SOLVE_CONFIG.replace("legacy", str(replay)).replace(
         "solve.innerTol = \n", "")
+
+
+def test_solve_seed_has_no_effect(tmp_path):
+    # `--seed` / `run.seed` is still parsed and written to
+    # resolved_config.txt, but no output depends on it
+    argv = ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "12,12",
+            "--weight", "power:0.8", "--nmax", "3"]
+    outs = [tmp_path / "seed0", tmp_path / "seed12345"]
+    for seed, out in zip(("0", "12345"), outs):
+        assert main(argv + ["--seed", seed, "--outdir", str(out)]) == 0
+    for name in ("ladder_report.json", "u_final.txt", "u_final.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("p, certificate", [((2.0, 3.0), "bound"), ((3.0, 4.0), "newton")])
@@ -1404,7 +1414,7 @@ _THRESHOLD_KEYS = {
      ["solve", "--p", "2,3", "--box", "0,1,0,1", "--res", "8,8", "--weight", "power:1",
       "--nmax", "3"],
      {"levels": [_LEVEL_KEYS],
-      **{k: None for k in ("uniformBoundExpected", "weakResidualLevelMax")}}),
+      "uniformBoundExpected": None}),
     ("stability_report.json",
      ["stability", "--p", "2,3", "--delta", "1", "--box", "0,3.14159,0,3.14159",
       "--res", "6,6", "--u", "constant:1.0"],
