@@ -74,8 +74,8 @@ def _radii(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError("radii range must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0 < lo < hi and 1 <= count <= grid_module.MAX_NODES):
-        raise ValueError(f"needs 0 < lo < hi; count must lie in 1..{grid_module.MAX_NODES}")
+    if not (0 < lo < hi < np.inf and 1 <= count <= grid_module.MAX_NODES):
+        raise ValueError(f"needs 0 < lo < hi < inf; count must lie in 1..{grid_module.MAX_NODES}")
     return tuple(np.geomspace(lo, hi, count))
 
 

@@ -727,6 +727,9 @@ CLI_CASES: dict[str, list[Case]] = {
         Case("tol-fix-nan", f"{_SOLVE} --tol-fix nan", 2, _BAD_TOL_FIX),
         Case("tol-fix-negative", f"{_SOLVE} --tol-fix=-1", 2, _BAD_TOL_FIX),
         Case("tol-fix-inf", f"{_SOLVE} --tol-fix inf", 2, _BAD_TOL_FIX),
+        # geomspace toward an infinite hi warned and yielded NaN radii
+        Case("radii-hi-inf", f"{_SWEEP} --radii 1:inf:1", 2,
+             "bad sweep.radii '1:inf:1': needs 0 < lo < hi < inf"),
         Case("tol-fix-config", _SOLVE, 2, _BAD_TOL_FIX, "solve.tolFix = nan\n"),
         Case("max-outer-zero", f"{_SOLVE} --max-outer 0", 2, _BAD_MAX_OUTER),
         Case("max-outer-negative", f"{_SOLVE} --max-outer=-1", 2, _BAD_MAX_OUTER),
