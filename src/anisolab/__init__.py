@@ -36,7 +36,6 @@ from .grid import (
     export_field_csv,
     face_divergence,
     integrate,
-    level_set_measure,
     load_field,
     make_cutoff,
     p_laplacian_apply,

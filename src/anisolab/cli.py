@@ -9,8 +9,11 @@ from these two tables.  Every run writes its fully resolved configuration
 the library call that takes a value checks its domain, except for the count
 of a `--radii lo:hi:count` range, which is bounded before it is allocated.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 hypothesis not applicable; a stdout closed by its reader is no error.
+Each runner writes its JSON report last, so a report in the outdir means
+that every output of its run is there.  Exit codes: 0 success, 2
+validation error or an output that cannot be written, 3 numerical
+non-convergence, 4 hypothesis not applicable; a stdout closed by its
+reader is no error.
 """
 
 from __future__ import annotations
@@ -272,9 +275,9 @@ def _run_solve(v: dict, outdir: Path) -> int:
         tol_fix=v["solve.tolFix"],
         max_outer=v["solve.maxOuter"],
     )
-    _write_json(report.to_dict(), outdir / "ladder_report.json")
     # one formatting pass writes both files
     save_field(report.final_field, outdir / "u_final.txt", csv_path=outdir / "u_final.csv")
+    _write_json(report.to_dict(), outdir / "ladder_report.json")
     last = report.levels[-1]
     print(
         f"ladder done: {len(report.levels)} levels, sup={last.sup_norm:.6g}, "
@@ -291,8 +294,8 @@ def _run_stability(v: dict, outdir: Path) -> int:
     g = _build_field(v["weight.descriptor"], grid)
     nl = NonlinearityEval.from_problem(spec)
     report = stability_index(u, nl, g, spec.exponents.p, variant=v["stability.variant"])
-    _write_json(report.to_dict(), outdir / "stability_report.json")
     save_field(report.minimizer, outdir / "minimizer.txt")
+    _write_json(report.to_dict(), outdir / "stability_report.json")
     print(f"stability index = {report.gap:.9g} ({'stable' if report.stable else 'unstable'})")
     return 0
 
@@ -305,12 +308,12 @@ def _run_sweep(v: dict, outdir: Path) -> int:
     certificate = nonexistence_certificate(
         spec, u, g, c_const=v["sweep.cconst"], radii=v["sweep.radii"]
     )
-    _write_json(certificate.to_dict(), outdir / "certificate.json")
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in fields(SweepRow)])
         for row in certificate.sweep.rows:
             writer.writerow([f"{x:.17g}" for x in astuple(row)])
+    _write_json(certificate.to_dict(), outdir / "certificate.json")
     print(certificate.conclusion)
     return 0
 
@@ -387,7 +390,13 @@ def main(argv=None) -> int:
         return exc.code
     try:
         values, outdir = _configure(args.subcommand, args)
-        code = SUBCOMMANDS[args.subcommand].run(values, outdir)
+        try:
+            code = SUBCOMMANDS[args.subcommand].run(values, outdir)
+        except NonConvergenceError as exc:
+            doc = {"message": str(exc), "residual": exc.residual, "diagnostics": exc.diagnostics}
+            _write_json(doc, outdir / "nonconvergence.json")
+            print(f"non-convergence: {exc} (residual={exc.residual})", file=sys.stderr)
+            return 3
         sys.stdout.flush()  # a closed stdout shows here, after every report is written
         return code
     except BrokenPipeError:  # the reader left early (`| head`): not an error
@@ -395,14 +404,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())  # the flush at exit cannot fail again
         os.close(devnull)
         return 0
+    except OSError as exc:  # a report or snapshot write: every read maps its own
+        print(f"validation error: cannot write {exc.filename or outdir}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:  # only runners raise it: outdir is set
-        doc = {"message": str(exc), "residual": exc.residual, "diagnostics": exc.diagnostics}
-        _write_json(doc, outdir / "nonconvergence.json")
-        print(f"non-convergence: {exc} (residual={exc.residual})", file=sys.stderr)
-        return 3
     except HypothesisNotApplicableError as exc:
         print(f"hypothesis not applicable: {exc}", file=sys.stderr)
         return 4

@@ -5,16 +5,17 @@ Forward differences live on faces; the negative face divergence is the
 exact adjoint of the forward difference for zero-boundary fields.  That
 summation-by-parts identity is what makes the discrete weak form and the
 discrete energy gradient agree to machine precision, and everything in
-`solver` and `stability` relies on it (`weak_form_gap` sums by parts).  It
-is the only difference operator: `p_flux` applies the anisotropic operator
-with it, and `stencil_rows` lays out every linear system built from its
-stencil (Newton Jacobian, stability pencil) once, as DIA rows.  The 1D
-Newton step solves those rows as a band; `stiffness` wraps them in a DIA
-matrix with its preconditioner: the DST inverse `dst_solver` of the
-mean-coefficient operator, scaled on both sides by the diagonal ratio
-sqrt(diag P / diag J).  `dst_solver` is an exact inverse, applied to one
-interior vector: it transforms by dense sine matrices (BLAS) on interior
-axes of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on longer ones.
+`solver` and `stability` relies on it (`stability.weak_residual` sums by
+parts).  It is the only difference operator: `p_flux` applies the
+anisotropic operator with it, and `stencil_rows` lays out every linear
+system built from its stencil (Newton Jacobian, stability pencil) once, as
+DIA rows.  The 1D Newton step solves those rows as a band; `stiffness`
+wraps them in a DIA matrix with its preconditioner: the DST inverse
+`dst_solver` of the mean-coefficient operator, scaled on both sides by the
+diagonal ratio sqrt(diag P / diag J).  `dst_solver` is an exact inverse,
+applied to one interior vector: it transforms by dense sine matrices (BLAS)
+on interior axes of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on
+longer ones.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class Grid:
 
     def __post_init__(self):
         box = tuple((float(a), float(b)) for a, b in self.box)
+        # a fractional, NaN or infinite count fails `r % 1 == 0`
+        if not all(r % 1 == 0 for r in self.res):
+            raise ValidationError(f"cell counts must be integers, got {self.res}")
         res = tuple(int(r) for r in self.res)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "res", res)
@@ -83,15 +87,16 @@ class Grid:
             raise ValidationError(f"box endpoints must be finite, got {box}")
         if any(b <= a for a, b in box):
             raise ValidationError("each box axis needs lo < hi")
-        # the stencils divide by h_i^2: it and its inverse must be finite
-        if not all(0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf for h in self.h):
-            raise ValidationError(
-                f"cell widths {self.h} must have finite h_i^2 and 1/h_i^2"
-            )
+        # before the widths: a count past the float range has none
         nodes = math.prod(r + 1 for r in res)
         if nodes > MAX_NODES:
             raise ValidationError(
                 f"a grid of {nodes} nodes exceeds the limit of {MAX_NODES} nodes"
+            )
+        # the stencils divide by h_i^2: it and its inverse must be finite
+        if not all(0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf for h in self.h):
+            raise ValidationError(
+                f"cell widths {self.h} must have finite h_i^2 and 1/h_i^2"
             )
 
     @property
@@ -315,15 +320,11 @@ def face_average(f: GridField, axis: int) -> np.ndarray:
     return 0.5 * (v[tuple(lo)] + v[tuple(hi)])
 
 
-def level_set_measure(u: GridField, k: float) -> float:
-    """Cell-counting measure of the superlevel set {u > k}."""
-    indicator = (u.values > k).astype(float)
-    return integrate(GridField(u.grid, indicator))
-
-
-def ball_fraction_weights(grid: Grid, radius: float, center=None,
+def ball_fraction_weights(grid: Grid, radius: float,
                           distances: np.ndarray | None = None) -> np.ndarray:
-    """Per-node fractional coverage of the ball of given radius.
+    """Per-node fractional coverage of the ball of given radius around the
+    box center, on the nodes of `distances` (their distances to that
+    center, on a sub-box say) when given.
 
     A linear ramp of one cell width replaces the sharp indicator so that the
     measured volume converges at second order instead of first; weights are
@@ -331,7 +332,7 @@ def ball_fraction_weights(grid: Grid, radius: float, center=None,
     """
     if radius <= 0:
         raise ValidationError("ball radius must be positive")
-    d = grid.node_distances(center) if distances is None else distances
+    d = grid.node_distances() if distances is None else distances
     width = max(grid.h)
     return np.clip((radius - d) / width + 0.5, 0.0, 1.0)
 
@@ -540,36 +541,6 @@ def stiffness(grid: Grid, weights, diag):
     inverse = dst_solver(grid, means, shift)
     scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / rows[0])
     return matrix, lambda b: scale * inverse(scale * b)
-
-
-# ---------------------------------------------------------------------------
-# discrete weak form
-# ---------------------------------------------------------------------------
-
-def weak_form_gap(u: GridField, phi: GridField, rhs: GridField, p) -> float:
-    """LHS - RHS of the discrete weak form with the given right-hand side:
-
-        sum_i int |D_i u|^(p_i-2) D_i u * D_i phi  -  int rhs * phi
-
-    `phi` must vanish on the boundary ring (else a ValidationError): then by
-    summation by parts it is `residual_integral(Op(u) - rhs, phi)`.
-    """
-    grid = u.grid
-    grid.check_dim(p)
-    if not phi.is_zero_on_boundary():
-        raise ValidationError("test function must vanish on the boundary ring")
-    op = p_flux(u.values, grid, p)[0]
-    return residual_integral(op - rhs.values[grid.interior_slices()], phi)
-
-
-def residual_integral(residual: np.ndarray, phi: GridField) -> float:
-    """int r phi for a residual r on the interior nodes and a phi that is 0 on
-    the boundary ring, summed only where phi != 0 (an inf of r elsewhere makes
-    no NaN); every interior trapezoid weight is the cell volume."""
-    grid = phi.grid
-    inner = phi.values[grid.interior_slices()]
-    support = inner != 0
-    return grid.cell_volume * float(np.sum(residual[support] * inner[support]))
 
 
 # ---------------------------------------------------------------------------

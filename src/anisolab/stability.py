@@ -55,9 +55,9 @@ from .grid import (
     face_average,
     face_integral,
     integrate,
+    p_flux,
     report_dict,
     stiffness,
-    weak_form_gap,
 )
 from .solver import WeightSpec
 from .truncations import TruncationPair, b_eval
@@ -145,15 +145,22 @@ def weak_residual(
 
         sum_i int |D_i u|^{p_i-2} D_i u * D_i phi  -  int g f(u) phi
 
-    `phi` must vanish on the boundary ring (`weak_form_gap` refuses it
-    otherwise) and u must be positive on its support (the nonlinearity is
-    singular at zero).
+    `phi` must vanish on the boundary ring and u must be positive on its
+    support (the nonlinearity is singular at zero).  Then by summation by
+    parts it is the node sum of (Op(u) - g f(u)) phi, taken only where
+    phi != 0 (an inf of Op(u) elsewhere makes no NaN); every interior
+    trapezoid weight is the cell volume.
     """
+    grid = u.grid
+    grid.check_dim(p)
+    _require_compact_support(phi)
     support = phi.values != 0
     _require_positive_on_support(u, support)
-    rhs_vals = np.zeros(u.grid.shape)
-    rhs_vals[support] = g.values[support] * nl.f(u.values[support])
-    return weak_form_gap(u, phi, GridField(u.grid, rhs_vals), p)
+    # the support holds interior nodes only, so each mask below lists them
+    # in the same order
+    rhs = g.values[support] * nl.f(u.values[support])
+    op = p_flux(u.values, grid, p)[0][support[grid.interior_slices()]]
+    return grid.cell_volume * float(np.sum((op - rhs) * phi.values[support]))
 
 
 def stability_gap(
@@ -601,9 +608,9 @@ class SweepResult:
         return report_dict(self, big_e="E")
 
 
-def _sweep_balls(grid: Grid, spec: ProblemSpec, radii, c_const: float, center=None):
-    """The radii as floats and the ball center of a radius sweep, after the
-    checks that need no beta."""
+def _sweep_balls(grid: Grid, spec: ProblemSpec, radii, c_const: float):
+    """The radii of a radius sweep as floats, after the checks that need no
+    beta; the balls are centered at the box center."""
     grid.check_dim(spec.exponents.p)
     if not 0 < c_const < math.inf:
         raise ValidationError("the estimate constant C must be finite and positive")
@@ -614,13 +621,13 @@ def _sweep_balls(grid: Grid, spec: ProblemSpec, radii, c_const: float, center=No
         raise ValidationError("need at least one radius")
     if not all(r > 0 for r in radii):
         raise ValidationError("ball radius must be positive")
-    c = grid.center if center is None else tuple(center)
+    c = grid.center
     for (lo, hi), ci in zip(grid.box, c):
         if ci - 2.0 * radii[-1] < lo or ci + 2.0 * radii[-1] > hi:
             raise ValidationError(
                 f"2 * max radius = {2 * radii[-1]} around {c} does not fit the box {grid.box}"
             )
-    return radii, c
+    return radii
 
 
 def radius_sweep(
@@ -630,11 +637,10 @@ def radius_sweep(
     beta: float,
     radii,
     c_const: float = 1.0,
-    center=None,
     use_gamma: bool = False,
 ) -> SweepResult:
     """Evaluate int_{B_R} g (1/u)^E against C sum_i R^{N - p_i theta_i'}
-    over increasing radii.
+    over increasing radii, the balls centered at the box center.
 
     Returns the table, the first violating radius (if any), and the fitted
     log-log slope of LHS/RHS.  When every decay exponent is negative the
@@ -642,7 +648,7 @@ def radius_sweep(
     eventually violated; that is the contradiction the sweep exhibits.
     """
     grid = u.grid
-    radii, c = _sweep_balls(grid, spec, radii, c_const, center)
+    radii = _sweep_balls(grid, spec, radii, c_const)
     r_max = radii[-1]
     _require_in_window(beta, spec)
     big_e = lhs_power(beta, spec, use_gamma=use_gamma)
@@ -650,14 +656,16 @@ def radius_sweep(
 
     # A node is in a ball of radius r <= r_max only if its distance is below
     # r_max + width/2, so every ball lies in the sub-box `window` of nodes
-    # within r_max + width of c along each axis.  The quadrature runs there
-    # on the same node values as over the whole grid, so each lhs is bitwise
-    # the full-grid value.  On a 97^3 grid the windowed distances take
-    # 0.5 ms, slicing the full-grid distance and weight tensors 14 ms.
+    # within r_max + width of the box center along each axis.  The
+    # quadrature runs there on the same node values as over the whole grid,
+    # so each lhs is bitwise the full-grid value.  On a 97^3 grid the
+    # windowed distances take 0.5 ms, slicing the full-grid distance and
+    # weight tensors 14 ms.
     width = max(grid.h)
-    near = [np.flatnonzero(np.abs(x - ci) <= r_max + width) for x, ci in zip(grid.axes(), c)]
+    near = [np.flatnonzero(np.abs(x - ci) <= r_max + width)
+            for x, ci in zip(grid.axes(), grid.center)]
     window = tuple(slice(n[0], n[-1] + 1) for n in near)
-    distances = grid.node_distances(c, window)
+    distances = grid.node_distances(window=window)
     w = grid.node_weights(window)
     g_vals, u_vals = g.values[window], u.values[window]
     live = w > 0
@@ -672,7 +680,7 @@ def radius_sweep(
             rhs = math.inf
         if not math.isfinite(rhs):
             raise ValidationError(f"C * sum_i R^(decay_i) overflows a float at R = {r}")
-        ball = ball_fraction_weights(grid, r, center=c, distances=distances)
+        ball = ball_fraction_weights(grid, r, distances=distances)
         at = (ball > 0) & live
         lhs = _log_quotient_integral(w[at], g_vals[at] * ball[at], ones[at], u_vals[at], big_e)
         rows.append(SweepRow(R=r, lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0 else math.inf))

@@ -550,6 +550,9 @@ _FIXTURES = {
     "forged-row.txt": lambda path: path.write_text(_UNIT8_HEADER + "1.0 " * 2_000_000 + "\n"),
     "forged-token.txt": lambda path: path.write_text(
         _UNIT8_HEADER.replace("\n", " 7\n") + "0.0\n" * 81),
+    # outdirs holding a directory where a run writes its snapshot or report
+    "dir-u-final": lambda path: (path / "u_final.txt").mkdir(parents=True),
+    "dir-thresholds": lambda path: (path / "thresholds.json").mkdir(parents=True),
 }
 
 # a NaN p_i ended in a traceback or exit 3; a NaN tolerance passed every
@@ -656,6 +659,14 @@ CLI_CASES: dict[str, list[Case]] = {
              check=lambda out, _: out.read_text() == "1.0\n2.0\n"),
         Case("outdir-under-file", f"{_TRUNCATION} --outdir {{tmp}}/not-a-field.txt/out", 2,
              "cannot write to outdir {tmp}/not-a-field.txt/out: Not a directory"),
+        # a directory in place of an output ended in an IsADirectoryError
+        # traceback, exit 1
+        Case("u-final-is-a-directory",
+             "solve --p 2 --box 0,1 --res 8 --nmax 2 --outdir {tmp}/dir-u-final", 2,
+             "cannot write {tmp}/dir-u-final/u_final.txt: Is a directory"),
+        Case("thresholds-json-is-a-directory",
+             "thresholds --p 2,3,4 --delta 10 --outdir {tmp}/dir-thresholds", 2,
+             "cannot write {tmp}/dir-thresholds/thresholds.json: Is a directory"),
     ],
     "test_validation_exit_code": [
         Case("delta-negative", "thresholds --p 2,3,4 --delta -1", 2,
@@ -841,8 +852,9 @@ def _run(tmp: Path, argv: list[str], config: str | None = None) -> tuple[int, st
     """Run argv in-process, as `Case` describes, and assert what every run
     keeps: no warning and no traceback, nonconvergence.json iff exit 3, an
     empty stderr after exit 0, and after a non-zero exit no file in the
-    outdir but resolved_config.txt and nonconvergence.json.  Returns the
-    exit code, stdout, stderr and the outdir."""
+    outdir but resolved_config.txt, nonconvergence.json and those it held
+    before the run.  Returns the exit code, stdout, stderr and the
+    outdir."""
     tmp.mkdir(exist_ok=True)
     for name, write in _FIXTURES.items():
         if any("{tmp}/" + name in arg for arg in argv):
@@ -856,6 +868,7 @@ def _run(tmp: Path, argv: list[str], config: str | None = None) -> tuple[int, st
     else:
         out = tmp / "out"
         argv += ["--outdir", str(out)]
+    before = {p.name for p in out.glob("*")}
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
@@ -868,7 +881,8 @@ def _run(tmp: Path, argv: list[str], config: str | None = None) -> tuple[int, st
     if code == 0:
         assert err == "", argv
     else:
-        assert {p.name for p in out.glob("*")} <= {"resolved_config.txt", "nonconvergence.json"}
+        assert {p.name for p in out.glob("*")} - before <= {"resolved_config.txt",
+                                                            "nonconvergence.json"}
     return code, stdout.getvalue(), err, out
 
 

@@ -26,7 +26,6 @@ from anisolab.grid import (
     face_divergence,
     face_integral,
     integrate,
-    level_set_measure,
     dst_solver,
     load_field,
     make_cutoff,
@@ -83,6 +82,22 @@ def test_grid_refuses_cell_widths_without_finite_square(tmp_path, box):
         load_field(path)
 
 
+@pytest.mark.parametrize("count", [2.5, math.nan, math.inf, -math.inf],
+                         ids=["fractional", "nan", "inf", "minus-inf"])
+def test_grid_refuses_a_cell_count_that_is_not_an_integer(count):
+    # 2.5 built a grid of 2 cells; NaN and inf raised a bare ValueError or
+    # OverflowError from int()
+    with pytest.raises(ValidationError, match=r"cell counts must be integers, got \("):
+        Grid(box=((0, 1),), res=(count,))
+    with pytest.raises(ValidationError, match="cell counts must be integers"):
+        Grid(box=((0, 1), (0, 1)), res=(8, count))
+
+
+def test_grid_takes_an_integral_float_cell_count():
+    assert Grid(box=((0, 1),), res=(8.0,)).res == (8,)
+    assert Grid(box=((0, 1),), res=(np.int64(8),)).res == (8,)
+
+
 def test_grid_size_guard():
     # only the node count is checked; no array is allocated here
     with pytest.raises(ValidationError, match="exceeds the limit"):
@@ -90,6 +105,10 @@ def test_grid_size_guard():
     with pytest.raises(ValidationError, match="exceeds the limit"):
         Grid(box=((0, 1),) * 3, res=(256,) * 3)
     Grid(box=((0, 1),) * 3, res=(255,) * 3)  # 256^3 nodes, within the limit
+    # a count past the float range has no cell width: the OverflowError of
+    # the width check ended in a traceback
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        Grid(box=((0, 1),), res=(10 ** 400,))
 
 
 def test_axis_diff_basics():
@@ -235,21 +254,9 @@ def test_cutoff_geometry_error():
         make_cutoff(CutoffSpec(R=0.3, center=(0.5,)), g)  # 2R = 0.6 > distance to edge
 
 
-def test_level_set_measure():
-    g = Grid(box=((0.0, 1.0),), res=(100,))
-    assert level_set_measure(GridField.zeros(g), 1.0) == 0.0
-    linear = GridField.from_function(g, lambda x: x)
-    assert level_set_measure(linear, 0.5) == pytest.approx(0.5, abs=g.h[0])
-    rng = np.random.default_rng(2)
-    f = GridField(g, rng.standard_normal(g.shape))
-    cuts = np.linspace(-2, 2, 9)
-    meas = [level_set_measure(f, k) for k in cuts]
-    assert all(a >= b for a, b in zip(meas, meas[1:]))
-
-
 def test_ball_fraction_weights_volume():
     g = Grid(box=((-2.0, 2.0), (-2.0, 2.0)), res=(256, 256))
-    w = ball_fraction_weights(g, 1.0, center=(0.0, 0.0))
+    w = ball_fraction_weights(g, 1.0)
     vol = integrate(GridField(g, w))
     assert vol == pytest.approx(np.pi, rel=2e-3)
 

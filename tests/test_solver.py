@@ -24,7 +24,6 @@ from anisolab.grid import (
     face_integral,
     p_laplacian_apply,
     stiffness,
-    weak_form_gap,
     weighted_integrate,
 )
 from anisolab.solver import (
@@ -40,6 +39,7 @@ from anisolab.solver import (
     stampacchia_extinction,
     stampacchia_verify,
 )
+from anisolab.stability import NonlinearityEval, weak_residual
 
 from oracles import collocation_oracle, kron_difference_matrix, level_source, rand_zero_boundary
 
@@ -964,19 +964,22 @@ _SBP_CASES = pytest.mark.parametrize("p, res", [
 @_SBP_CASES
 def test_weak_form_gap_equals_face_integral_reference(p, res):
     # for a phi vanishing on the boundary ring, summation by parts makes the
-    # node sum of (Op(u) - rhs) phi the face-integral weak form
+    # node sum of (Op(u) - g f(u)) phi of `weak_residual` the face-integral
+    # weak form; with f = 1 its right side is the signed weight g itself
     g = Grid(box=tuple((0.0, 1.0 + 0.5 * axis) for axis in range(len(p))), res=res)
     rng = np.random.default_rng(5)
     u = GridField(g, 1.0 + rng.uniform(0.0, 0.5, g.shape))
-    weight = power_weight(g)
-    rhs = weight.like(weight.values * np.exp(1.0 / u.values))
     signed = rand_zero_boundary(g, rng)
+    weight = power_weight(g)
+    rhs = weight.like(weight.values * rng.uniform(-1.0, 1.0, g.shape))
+    assert np.min(rhs.values) < 0 < np.max(rhs.values)
+    f_one = NonlinearityEval(f=np.ones_like, fprime=np.zeros_like)
     for phi in centered_bumps(g) + [signed]:
         ref = face_weak_form_gap(u, phi, rhs, p)
-        assert weak_form_gap(u, phi, rhs, p) == pytest.approx(ref, rel=1e-12)
+        assert weak_residual(u, phi, f_one, rhs, p) == pytest.approx(ref, rel=1e-12)
     # the identity needs phi = 0 on the boundary ring: one node off it is refused
     bad = signed.values.copy()
     bad[(0,) * g.dim] = 1e-3
     with pytest.raises(ValidationError, match="vanish on the boundary ring"):
-        weak_form_gap(u, signed.like(bad), rhs, p)
+        weak_residual(u, signed.like(bad), f_one, rhs, p)
 

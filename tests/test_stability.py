@@ -37,7 +37,6 @@ from anisolab.grid import (
     face_integral,
     integrate,
     make_cutoff,
-    weak_form_gap,
 )
 from anisolab.solver import inner_energy
 from anisolab.stability import (
@@ -1061,7 +1060,7 @@ def test_log_quotient_sum_is_scipy_logsumexp_bit_for_bit(center, pool, picks, no
         assert _log_quotient_integral(ones, ones, ones, u, 1.0) == expected
 
 
-def _reference_sweep_rows(u, g, big_e, decay, radii, center):
+def _reference_sweep_rows(u, g, big_e, decay, radii):
     # every radius on the full grid: int g*ball (1/u)^E in log space, node
     # weights, checks and log terms in the order of the sweep's definition
     grid = u.grid
@@ -1072,7 +1071,7 @@ def _reference_sweep_rows(u, g, big_e, decay, radii, center):
         w = w * w1.reshape(shape) if axis else w1.reshape(shape)
     rows = []
     for r in radii:
-        ball = ball_fraction_weights(grid, r, center=center)
+        ball = ball_fraction_weights(grid, r)
         g_ball = g.values * ball
         mask = (w > 0) & (ball > 0)
         if not (np.all(np.isfinite(g_ball[mask])) and np.all(np.isfinite(u.values[mask]))):
@@ -1091,27 +1090,28 @@ def _reference_sweep_rows(u, g, big_e, decay, radii, center):
 
 
 def _sweep_setup(dim):
-    # odd cell counts, unequal steps, non-constant u and g, an off-centre
-    # centre; the largest radius is the 2R fit limit, 4.75, exactly
-    box = ((-10.0, 10.0), (-11.0, 9.5), (-10.0, 10.5))[:dim]
+    # odd cell counts, unequal steps, non-constant u and g, a box whose
+    # center (0.5, -1.0, 0.25) is not a node; the largest radius is the 2R
+    # fit limit, 4.75, exactly
+    box = ((-9.0, 10.0), (-11.25, 9.25), (-10.0, 10.5))[:dim]
     grid = Grid(box=box, res=(33, 35, 31)[:dim])
-    center = (0.5, -1.0, 0.25)[:dim]
+    assert grid.center == (0.5, -1.0, 0.25)[:dim]
     x = grid.meshgrid()
     u = GridField(grid, 0.9 + 0.2 * np.cos(x[0]) * np.sin(sum(x)) ** 2)
     g = GridField(grid, 1.0 + 0.5 * np.sin(x[0] * x[-1]) + 0.01 * x[-1])
     radii = list(np.geomspace(0.3, 4.75, 9))
-    return grid, center, u, g, radii
+    return grid, u, g, radii
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", [MixedPower(12.0, 15.0), ExpSingular(0.2)])
 def test_radius_sweep_matches_full_grid_reference(dim, kind):
-    grid, center, u, g, radii = _sweep_setup(dim)
+    grid, u, g, radii = _sweep_setup(dim)
     spec = ProblemSpec(kind=kind, exponents=ExponentData.from_p([2, 3, 4][:dim]))
     beta = 0.5 * sum(float(b) for b in beta_window(spec))  # any beta in the window
-    sweep = radius_sweep(u, g, spec, beta, radii, center=center)
+    sweep = radius_sweep(u, g, spec, beta, radii)
     expected = _reference_sweep_rows(u, g, lhs_power(beta, spec),
-                                     decay_exponents(beta, spec), radii, center)
+                                     decay_exponents(beta, spec), radii)
     assert [(r.R, r.lhs, r.rhs, r.ratio) for r in sweep.rows] == expected
 
 
@@ -1120,10 +1120,10 @@ def test_radius_sweep_checks_reach_exactly_the_balls(bad):
     # a bad node that only the largest ball reaches is refused; the same
     # node just outside every ball (inside the quadrature sub-box or far
     # from it) is not, and the sweep equals the reference
-    grid, center, u, g, radii = _sweep_setup(3)
+    grid, u, g, radii = _sweep_setup(3)
     spec = ProblemSpec(kind=MixedPower(12.0, 15.0), exponents=ExponentData.from_p([2, 3, 4]))
     beta, _ = select_beta(spec)
-    d = grid.node_distances(center)
+    d = grid.node_distances()
     half_cell = 0.5 * max(grid.h)
     only_largest = (d >= radii[-2] + half_cell) & (d < radii[-1] + half_cell)
     near_outside = (d >= radii[-1] + half_cell) & (d < radii[-1] + 2 * half_cell)
@@ -1140,14 +1140,14 @@ def test_radius_sweep_checks_reach_exactly_the_balls(bad):
         args = (GridField(grid, u_bad), GridField(grid, g_bad))
         if raises:
             with pytest.raises(ValidationError, match=match):
-                radius_sweep(*args, spec, beta, radii, center=center)
+                radius_sweep(*args, spec, beta, radii)
             with pytest.raises(ValidationError, match=match):
-                _reference_sweep_rows(*args, 1.0, (0.0,), radii, center)
+                _reference_sweep_rows(*args, 1.0, (0.0,), radii)
         else:
-            sweep = radius_sweep(*args, spec, beta, radii, center=center)
+            sweep = radius_sweep(*args, spec, beta, radii)
             assert [(r.R, r.lhs) for r in sweep.rows] == [
                 row[:2] for row in _reference_sweep_rows(
-                    *args, lhs_power(beta, spec), (0.0,), radii, center)]
+                    *args, lhs_power(beta, spec), (0.0,), radii)]
 
 
 # --- certificates -------------------------------------------------------------------
@@ -1209,5 +1209,3 @@ def test_weak_form_and_gap_refuse_p_of_another_dimension(p):
         stability_gap(u, phi, nl, u, p)
     with pytest.raises(ValidationError, match=message):
         weak_residual(u, phi, nl, u, p)
-    with pytest.raises(ValidationError, match=message):
-        weak_form_gap(u, phi, u, p)
