@@ -15,7 +15,8 @@ wraps them in a DIA matrix with its preconditioner: the DST inverse
 diagonal ratio sqrt(diag P / diag J).  `dst_solver` is an exact inverse,
 applied to one interior vector: it transforms by dense sine matrices (BLAS)
 on interior axes of at most `DENSE_DST_MAX` = 96 nodes and by pocketfft on
-longer ones.
+longer ones.  Each of these takes an `Orthant`, a grid's low half on its
+mirror-symmetric axes, in place of the grid.
 """
 
 from __future__ import annotations
@@ -173,11 +174,13 @@ class Grid:
     def node_distances(self, center=None, window=None) -> np.ndarray:
         """Euclidean distance from every node to `center` (default box
         center), on the sub-box `window` (one slice per axis) when given;
-        the squared offsets are summed axis by axis."""
+        the squared offsets are summed axis by axis.  Node j's offset to the
+        box center, (j - r/2) h, is the exact negative of its mirror's."""
         c = self.center if center is None else tuple(center)
         if len(c) != self.dim:
             raise ValidationError("center dimension mismatch")
-        offsets = [x - ci for x, ci in zip(self.axes(), c)]
+        offsets = [(np.arange(r + 1) - r / 2) * h if center is None else x - ci
+                   for x, ci, r, h in zip(self.axes(), c, self.res, self.h)]
         return np.sqrt(sum(x ** 2 for x in self._broadcast(offsets, window)))
 
 
@@ -226,6 +229,62 @@ class GridField:
         vals = self.values.copy()
         vals[self.grid.boundary_mask()] = 0.0
         return GridField(self.grid, vals)
+
+
+@dataclass(frozen=True)
+class Orthant:
+    """The low half of `grid` on the axes `fold`, for fields that equal
+    their mirror image under x_i -> L_i - x_i there.  A folded axis of r
+    cells keeps nodes 0..c, c = r // 2, and a ghost node c + 1 holding its
+    mirror: node c - 1 for even r (node c is on the mirror plane), node c
+    for odd r (the plane is a face that no flux crosses).  The grid's
+    matrices restricted to such fields, R J P, are symmetric in the grid's
+    inner product: each node weighted by its orbit size (`orbits`)."""
+
+    grid: Grid
+    fold: tuple[int, ...]
+    dim = property(lambda self: self.grid.dim)
+    h = property(lambda self: self.grid.h)
+    check_dim = property(lambda self: self.grid.check_dim)
+    interior_slices = property(lambda self: self.grid.interior_slices)
+
+    @functools.cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(r // 2 + 2 if axis in self.fold else r + 1
+                     for axis, r in enumerate(self.grid.res))
+
+    def interior_shape(self) -> tuple[int, ...]:
+        return tuple(n - 2 for n in self.shape)
+
+    def orbit_sizes(self, axis: int, faces: bool = False) -> np.ndarray:
+        """The orbit sizes of the interior nodes (or faces) of `axis`: 2 if
+        folded, but 1 on the mirror plane and 0 at an even axis's ghost face."""
+        r = self.grid.res[axis]
+        if axis not in self.fold:
+            return np.ones(r - 1 + faces, dtype=int)
+        return np.append(np.full(r // 2 - 1 + faces, 2), r % 2 + (not faces))
+
+    @functools.cached_property
+    def orbits(self) -> np.ndarray:
+        return math.prod(np.ix_(*map(self.orbit_sizes, range(self.dim)))).ravel()
+
+    @functools.cached_property
+    def face_orbits(self) -> list[np.ndarray]:
+        """Per axis, the orbit sizes of its faces at interior transverse nodes."""
+        return [math.prod(np.ix_(*(self.orbit_sizes(j, j == i) for j in range(self.dim))))
+                for i in range(self.dim)]
+
+    def inner(self, a, b) -> float:  # the grid's inner product
+        return np.dot(self.orbits * a, b)
+
+    def mirrored(self, values: np.ndarray, full: bool = False) -> np.ndarray:
+        """The orthant's nodes of a mirror-symmetric node array, or of its
+        own with the ghosts set; with `full` the grid's nodes."""
+        for axis in self.fold:
+            r = self.grid.res[axis]
+            j = np.arange(r + 1 if full else r // 2 + 2)
+            values = np.take(values, np.minimum(j, r - j), axis)
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +427,7 @@ def make_cutoff(spec: CutoffSpec, grid: Grid) -> GridField:
             raise ValidationError(
                 f"ball of radius 2R = {2.0 * spec.R} around {center} leaves the box {grid.box}"
             )
-    d = grid.node_distances(center)
+    d = grid.node_distances(spec.center)
     s = (d - spec.R) / spec.R
     return GridField(grid, cutoff_profile(s))
 
@@ -387,28 +446,32 @@ def sine_matrix(m: int) -> np.ndarray:
     return table[np.outer(k, k) % (2 * (m + 1))]
 
 
-# At most 16 axis lengths are kept: a run uses a few grids, and one entry
+# At most 16 axis parts are kept: a run uses a few grids, and one entry
 # holds at most a 96 x 96 sine matrix (72 KiB).
 @functools.lru_cache(maxsize=16)
-def _axis_modes(m: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _axis_modes(m: int, fold: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """The per-axis parts of `dst_solver` on an axis of m interior nodes,
     read-only: sin^2(k pi / (2 (m + 1))), k = 1..m, and `sine_matrix(m)`
-    when m <= `DENSE_DST_MAX` (else None)."""
+    when m <= `DENSE_DST_MAX` (else None); with `fold` its symmetric modes
+    k = 1, 3, .. and sine_matrix(m)[0::2, :c] on the half, c = (m + 1) // 2."""
     sin2 = np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
-    mat = sine_matrix(m) if m <= DENSE_DST_MAX else None
+    mat = sine_matrix(m) if m <= DENSE_DST_MAX or fold else None
+    if fold:
+        sin2, mat = sin2[::2], mat[::2, : (m + 1) // 2].copy()
     for a in (sin2, mat):
         if a is not None:
             a.flags.writeable = False
     return sin2, mat
 
 
-def _along(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """The symmetric `mat` applied along `axis` of the C-contiguous `y`, as
-    one GEMM (last axis) or a stack of them (earlier axes)."""
+def _along(mat: np.ndarray, y: np.ndarray, axis: int, mat_t: np.ndarray | None = None):
+    """`mat` applied along `axis` of the C-contiguous `y`, as one GEMM (last
+    axis, by `mat_t`: mat.T as a C-contiguous array, `mat` when symmetric)
+    or a stack of them (earlier axes)."""
     shape = y.shape
     pre, m, post = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
     if post == 1:
-        return (y.reshape(pre, m) @ mat).reshape(shape)
+        return (y.reshape(pre, m) @ (mat if mat_t is None else mat_t)).reshape(shape)
     return np.matmul(mat, y.reshape(pre, m, post)).reshape(shape)
 
 
@@ -428,30 +491,46 @@ def dst_solver(grid: Grid, c, shift: float = 0.0):
     orthonormal DST-I.  `solve` takes one interior vector (n,) and returns
     one.  `stiffness` scales it by the diagonal of the assembled matrix to
     precondition that matrix.
+
+    On an `Orthant` it inverts R M P: a folded axis takes the vector times
+    `orbits` to its odd modes by the `_axis_modes` matrix, back by its
+    transpose; one of over `DENSE_DST_MAX` nodes is solved on the grid.
     """
+    fold = grid.fold if isinstance(grid, Orthant) else ()
+    if any(grid.grid.res[axis] // 2 > DENSE_DST_MAX for axis in fold):
+        full, inner = dst_solver(grid.grid, c, shift), grid.interior_slices()
+
+        def across(side, b):  # interior values of one side on the other's interior
+            return grid.mirrored(embed_interior(side, b).values, side is grid)[inner].ravel()
+        return lambda b: across(grid.grid, full(across(grid, b)))
     shape = grid.interior_shape()
     lam = np.full(shape, float(shift))
     dense = {}
-    for axis, (c_i, m, h) in enumerate(zip(c, shape, grid.h)):
-        sin2, mat = _axis_modes(m)
+    for axis, (c_i, m, h) in enumerate(zip(c, (grid.grid if fold else grid).interior_shape(),
+                                          grid.h)):
+        sin2, mat = _axis_modes(m, axis in fold)
         mode = 4.0 / h ** 2 * sin2
         bshape = [1] * grid.dim
-        bshape[axis] = m
+        bshape[axis] = mode.size
         lam = lam + c_i * mode.reshape(bshape)
         if mat is not None:
-            dense[axis] = mat
+            dense[axis] = (mat, np.ascontiguousarray(mat.T)) if axis in fold else (mat, None)
     fft_axes = [axis for axis in range(grid.dim) if axis not in dense]
+    weights = grid.orbits if fold else None
 
-    def transform(y):
-        for axis, mat in dense.items():
-            y = _along(mat, y, axis)
+    def transform(y, back=False):
+        for axis, (mat, mat_t) in dense.items():
+            if back and mat_t is not None:
+                mat, mat_t = mat_t, mat
+            y = _along(mat, y, axis, mat_t)
         if not fft_axes:
             return y
         import scipy.fft
         return scipy.fft.dstn(y, type=1, norm="ortho", axes=fft_axes)
 
     def solve(b):
-        return transform(transform(np.reshape(b, shape)) / lam).ravel()
+        b = np.reshape(b if weights is None else weights * b, shape)
+        return transform(transform(b) / lam, True).ravel()
 
     return solve
 
@@ -461,37 +540,45 @@ def extract_interior(f: GridField) -> np.ndarray:
 
 
 def embed_interior(grid: Grid, vec: np.ndarray) -> GridField:
+    """The zero-boundary field of interior values `vec` (ghosts mirrored)."""
     vals = np.zeros(grid.shape)
     vals[grid.interior_slices()] = np.asarray(vec, dtype=float).reshape(
         grid.interior_shape()
     )
+    vals = grid.mirrored(vals) if isinstance(grid, Orthant) else vals
     return GridField(grid, vals)
 
 
 def stencil_rows(grid: Grid, weights, diag):
-    """The DIA rows of sum_i K_i^T diag(w_i) K_i + diag(diag) on interior
-    nodes in row-major order, K_i being `axis_diff` on zero-boundary fields:
-    the one layout of every assembled matrix.  Returns (rows, offsets,
-    means).  Row 0, at offset 0, is the array `diag`, to which axis i adds
-    (w_left + w_right)/h_i^2.  Each axis of more than one interior node adds
-    the rows of its links -w/h_i^2 from each node to its successor (0 at
-    the last one) at offsets +stride_i and -stride_i; an axis of one node
-    has none, and its stride would repeat the next axis's offset, which DIA
-    refuses.  A DIA row holds the entry of column j at index j, so the
-    -stride row is the links and the +stride row the links shifted by the
-    stride, its first stride entries 0.  In 1D, rows[1::-1] is the upper
-    band form of `scipy.linalg.solveh_banded`.  Only faces of the full face
-    arrays `weights[i]` at interior transverse positions enter; `means` are
-    their means.
+    """The DIA rows of J = sum_i K_i^T diag(w_i) K_i + diag(diag) on
+    interior nodes in row-major order, K_i being `axis_diff` on
+    zero-boundary fields: the one layout of every assembled matrix.
+    Returns (rows, offsets, means, diagonal).  Row 0, at offset 0, is the
+    array `diag`, to which axis i adds (w_left + w_right)/h_i^2.  Each axis
+    of more than one interior node adds the rows of its links -w/h_i^2 from
+    each node to its successor (0 at the last one) at offsets +stride_i and
+    -stride_i; an axis of one node has none, and its stride would repeat
+    the next axis's offset, which DIA refuses.  A DIA row holds the entry of
+    column j at index j, so the -stride row is the links and the +stride
+    row the links shifted by the stride, its first stride entries 0.  In
+    1D, rows[1::-1] is the upper band form of `scipy.linalg.solveh_banded`.
+    Only faces of the full face arrays `weights[i]` at interior transverse
+    positions enter; `means` are their means.  `diagonal` is J's, row 0
+    itself on a grid.  On an `Orthant` the rows are R J P's: the link of a
+    folded axis's last node c to its ghost lands on node c - 1 (even axis;
+    in row c only) or cancels the mirror face's part of row 0 but not of
+    `diagonal` (odd axis); `means` weigh each face by its orbit size.
     """
     shape = grid.interior_shape()
+    fold = grid.fold if isinstance(grid, Orthant) else ()
     rows = np.zeros((1 + 2 * sum(m > 1 for m in shape), math.prod(shape)))
     main = rows[0].reshape(shape)
-    offsets, means = [0], []
+    offsets, means, mirror_faces = [0], [], []
     for axis, (w, h) in enumerate(zip(weights, grid.h)):
         # views with axis i last; the faces at interior transverse positions
         w = w.swapaxes(axis, -1)[(slice(1, -1),) * (grid.dim - 1)]
-        means.append(float(np.mean(w)))
+        sizes = grid.face_orbits[axis].swapaxes(axis, -1) if fold else None
+        means.append(float(np.mean(w) if sizes is None else np.sum(sizes * w) / np.sum(sizes)))
         w = w / h ** 2
         main.swapaxes(axis, -1)[...] += w[..., :-1] + w[..., 1:]
         if shape[axis] > 1:
@@ -500,8 +587,15 @@ def stencil_rows(grid: Grid, weights, diag):
             stride = math.prod(shape[axis + 1:])
             up[stride:] = link[:-stride]
             offsets += [stride, -stride]
+        if axis in fold and grid.grid.res[axis] % 2:
+            mirror_faces.append((axis, w[..., -1]))
+        elif axis in fold and shape[axis] > 1:
+            link.reshape(shape).swapaxes(axis, -1)[..., -2] -= w[..., -1]
     rows[0] += diag
-    return rows, offsets, means
+    diagonal = rows[0].copy() if mirror_faces else rows[0]
+    for axis, w in mirror_faces:
+        rows[0].reshape(shape).swapaxes(axis, -1)[..., -1] -= w
+    return rows, offsets, means, diagonal
 
 
 def _median(x: np.ndarray) -> float:
@@ -524,8 +618,9 @@ def stiffness(grid: Grid, weights, diag):
     1973).  The preconditioner is symmetric positive definite, so CG and
     LOBPCG stay valid with it; it takes one interior vector like
     `dst_solver`, and it is exact when weights and diagonal are constant,
-    since then s = 1.  `stability_index` factors the matrix itself by
-    SuperLU in 1D and 2D and uses the preconditioner only in 3D.
+    since then s = 1; on an `Orthant` the median counts each entry orbit
+    size times.  `stability_index` factors the matrix itself by SuperLU in
+    1D and 2D and uses the preconditioner only in 3D.
 
     The scaling pays on smooth coefficients, as the ladder iterates and the
     stability candidates give: on 48^2 p = (2, 3) Jacobians of a smooth
@@ -534,12 +629,12 @@ def stiffness(grid: Grid, weights, diag):
     by node it took 39-50 against 17-22 (about 2.3x).
     """
     import scipy.sparse as sp
-    rows, offsets, means = stencil_rows(grid, weights, diag)
+    rows, offsets, means, diagonal = stencil_rows(grid, weights, diag)
     n = rows.shape[1]
     matrix = sp.dia_matrix((rows, offsets), shape=(n, n))
-    shift = _median(diag)
+    shift = _median(np.repeat(diag, grid.orbits) if isinstance(grid, Orthant) else diag)
     inverse = dst_solver(grid, means, shift)
-    scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / rows[0])
+    scale = np.sqrt((shift + sum(2.0 * c / h ** 2 for c, h in zip(means, grid.h))) / diagonal)
     return matrix, lambda b: scale * inverse(scale * b)
 
 

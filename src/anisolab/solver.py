@@ -22,8 +22,8 @@ operation for operation, which the tests hold it to bit for bit.  In 1D
 the tridiagonal Jacobian is solved exactly as a band.  The transform is a
 dense sine-matrix product on axes of at most 96 interior nodes and
 pocketfft on longer ones (`grid.dst_solver`), an exact inverse either way.
-A gradient tolerance below the smallest normal float is refused
-(`_tolerance`).
+A level with mirror-symmetric data is solved on one orthant.  A gradient
+tolerance below the smallest normal float is refused (`_tolerance`).
 
 Each level solution u, from one Newton solve, is held within tol_fix of
 A(u), the fixed-point map of the paper (`apply_A`: one inner solve with
@@ -45,8 +45,10 @@ import numpy as np
 from .errors import NonConvergenceError, ValidationError
 from .exponents import ExponentData
 from .grid import (
+    DENSE_DST_MAX,
     GridField,
     Grid,
+    Orthant,
     dst_solver,
     extract_interior,
     embed_interior,
@@ -162,34 +164,40 @@ def _newton_direction(
     scaled DST inverse.  It performs the recurrence of
     `scipy.sparse.linalg.cg` (scipy 1.17) operation for operation, its
     reference in the tests, without a LinearOperator: from x = 0 and
-    r = b, it stops once ||r||_2 < rtol ||b||_2, or after 10 n iterations,
-    and returns (b, 0) for b = 0.  CG started from zero keeps g.d < 0 at
-    every iterate (g = -b), so an inexact or unconverged step is still a
-    descent direction and no convergence status is kept; the Newton loop's
-    residual test decides convergence.
+    r = b, it stops once ||r||_2 < rtol ||b||_2 (sqrt of np.dot, which is
+    np.linalg.norm bit for bit; on an `Orthant` the grid's norm), or after
+    10 n iterations, and returns (b, 0) for b = 0.  CG started from zero
+    keeps g.d < 0 at every iterate (g = -b), so an inexact or unconverged
+    step is still a descent direction and no convergence status is kept;
+    the Newton loop's residual test decides convergence.
     """
     if grid.dim == 1:
         import scipy.linalg
-        return scipy.linalg.solveh_banded(stencil_rows(grid, weights, diag)[0][1::-1], b), 0
+        band = stencil_rows(grid, weights, diag)[0][1::-1]
+        if isinstance(grid, Orthant):  # W R J P = P^T J P is symmetric
+            w = grid.orbits
+            band, b = band * np.stack([np.roll(w, 1), w])[-len(band):], w * b
+        return scipy.linalg.solveh_banded(band, b), 0
     matrix, precond = stiffness(grid, weights, diag)
-    b_norm = float(np.linalg.norm(b))
+    dot = grid.inner if isinstance(grid, Orthant) else np.dot
+    b_norm = math.sqrt(dot(b, b))
     if b_norm == 0:
         return b, 0
     atol = rtol * b_norm
     x, r = np.zeros(b.size), b.copy()
     p = rho_prev = None
     for iteration in range(10 * b.size):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(dot(r, r)) < atol:
             return x, iteration
         z = precond(r)
-        rho = np.dot(r, z)
+        rho = dot(r, z)
         if p is None:
             p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
         q = matrix @ p
-        alpha = rho / np.dot(p, q)
+        alpha = rho / dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -270,6 +278,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
     """
     grid.check_dim(e.p)
     p = e.p
+    dot = grid.inner if isinstance(grid, Orthant) else np.dot
     if not max_steps >= 1:
         raise ValidationError(f"the {what} needs a Newton-step cap >= 1, got {max_steps}")
 
@@ -280,7 +289,7 @@ def _newton_krylov(grid: Grid, e: ExponentData, x, source, tol: float, max_steps
             g, diag = source(x)
             op, diffs = p_flux(embed_interior(grid, x).values, grid, p)
             f = op.ravel() - g
-            return f, float(np.linalg.norm(f)), diffs, diag
+            return f, math.sqrt(dot(f, f)), diffs, diag
 
     record.update(residuals=[], steps=[], linear_iterations=[])
     if energy is not None:
@@ -411,6 +420,12 @@ def solve_level(
       Jacobian at u and no diagonal, as b(u) is fixed in A's problem
       (`_floored_direction`, which names the "level gap estimate").
 
+    On the axes where g_n and u0 equal their mirror images bit for bit (in
+    2D and 3D those whose half has at most `DENSE_DST_MAX` nodes) the level
+    is solved on their `Orthant` with orbit-weighted norms and inner
+    products, in exact arithmetic the full-grid solve step for step, and
+    mirrored back.
+
     The gap must be <= tol_fix.  `info`, when given, receives the level
     solve's record (`_newton_krylov`, without `energies`), then the gap as
     `residual` and the `certificate` used ("bound" or "newton").  A
@@ -428,23 +443,33 @@ def solve_level(
         tol = _tolerance(f"8 tol_fix / L^2 (tol_fix = {tol_fix}, p = 2 box side L = {side})",
                          min(tol_fix / v_sup, sys.float_info.max))
 
+    bits = [v.values.view(np.int64) for v in (level.g_n, u0) if v is not None]
+    fold = tuple(axis for axis in range(grid.dim)
+                 if (grid.dim == 1 or grid.res[axis] // 2 <= DENSE_DST_MAX)
+                 and all(np.array_equal(b, np.flip(b, axis)) for b in bits))
+    half = Orthant(grid, fold) if fold else grid
+    if fold:
+        g_n, u0 = (None if v is None else GridField(half, half.mirrored(v.values))
+                   for v in (level.g_n, u0))
+        level = RegularizationLevel(level.n, g_n, level.shift)
     record = {} if info is None else info
     x, f, diffs = _newton_krylov(
-        grid, e, None if u0 is None else extract_interior(u0),
+        half, e, None if u0 is None else extract_interior(u0),
         level.source, tol, max_outer, "level solve", record,
     )
     res = record["residuals"][-1]
     if v_sup is not None:
         gap, certificate = res * v_sup, "bound"
     else:
-        d, _ = _floored_direction(grid, e.p, diffs, -f, np.zeros(f.size), _CG_RTOL,
+        d, _ = _floored_direction(half, e.p, diffs, -f, np.zeros(f.size), _CG_RTOL,
                                   "level gap estimate", res, record)
         gap, certificate = float(np.max(np.abs(d))), "newton"
     if not gap <= tol_fix:  # a NaN correction is refused too
         raise _nonconvergence(f"certified level gap {gap:.3e} exceeds tol_fix={tol_fix}", gap,
                               record)
     record.update(residual=gap, certificate=certificate)
-    return embed_interior(grid, x)
+    u = embed_interior(half, x)
+    return GridField(grid, half.mirrored(u.values, full=True)) if fold else u
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from anisolab.errors import ValidationError
 from anisolab.exponents import ExponentData
 from anisolab.grid import (
     _WRITE_VALUES,
     DENSE_DST_MAX,
+    _along,
     _axis_modes,
     _median,
     MAX_ROW_CHARS,
     CutoffSpec,
     Grid,
     GridField,
+    Orthant,
     axis_diff,
     ball_fraction_weights,
     export_field_csv,
@@ -362,6 +365,99 @@ def test_dst_preconditioner_inverts_constant_stiffness_on_long_axes(res):
     assert np.allclose(precond(matrix @ b), b, rtol=0.0, atol=1e-10)
 
 
+def mirror_extension(grid, fold):
+    """The 0/1 matrix P that copies an interior vector of the orthant of
+    `grid` folded on the axes `fold` onto every mirror image of its nodes:
+    full interior node j of a folded axis of r cells takes half node
+    min(j, r - j).  Kronecker products, axis 0 outermost."""
+    mat = sp.identity(1)
+    for axis, r in enumerate(grid.res):
+        j = np.arange(1, r)
+        half = np.minimum(j, r - j) if axis in fold else j
+        mat = sp.kron(mat, sp.csr_matrix((np.ones(r - 1), (j - 1, half - 1))))
+    return mat.tocsr()
+
+
+# folded axes of odd and even cell counts, axes left whole, a 2-cell axis
+# (its one node on the mirror plane) and a 1D axis whose half is longer
+# than DENSE_DST_MAX
+_ORTHANTS = {
+    "1d-odd": ((9,), (0,)), "1d-even": ((10,), (0,)), "1d-one-node": ((2,), (0,)),
+    "1d-long": ((200,), (0,)),
+    "2d": ((7, 8), (0, 1)), "2d-mixed": ((6, 9), (1,)), "2d-one-node-axis": ((2, 7), (0, 1)),
+    "3d": ((5, 6, 4), (0, 1, 2)), "3d-mixed": ((6, 5, 7), (0, 2)),
+    "3d-one-node-axis": ((4, 2, 5), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("res, fold", _ORTHANTS.values(), ids=_ORTHANTS.keys())
+def test_orthant_dst_solver_inverts_the_restricted_operator(res, fold):
+    # with M = sum_i c_i K_i^T K_i + shift I, the orthant's solve inverts
+    # R M P; on mirror-symmetric vectors R = W^-1 P^T with W = P^T P, the
+    # orbit sizes, so it is (P^T M P)^-1 W
+    rng = np.random.default_rng(7)
+    g = Grid(box=tuple((0.0, 1.0 + 0.5 * i) for i in range(len(res))), res=res)
+    half = Orthant(g, fold)
+    p = mirror_extension(g, fold)
+    w = (p.T @ p).diagonal()
+    assert np.array_equal(half.orbits, w)
+    c, shift = (1.0, 2.5, 0.7)[: g.dim], 0.3
+    m = shift * sp.identity(p.shape[0]) + sum(
+        c_i * (k.T @ k) for c_i, k in zip(c, (kron_difference_matrix(g, a) for a in range(g.dim))))
+    b = rng.standard_normal(p.shape[1])
+    want = np.linalg.solve((p.T @ m @ p).toarray(), w * b)
+    got = dst_solver(half, c, shift)(b)
+    assert got.shape == b.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("res, fold", _ORTHANTS.values(), ids=_ORTHANTS.keys())
+def test_orthant_stiffness_is_the_grid_stiffness_restricted(res, fold):
+    # face weights of a mirror-symmetric field on the grid, and on the
+    # orthant from its ghosted half array; a diagonal that is symmetric too
+    rng = np.random.default_rng(8)
+    g = Grid(box=tuple((0.0, 1.0 + 0.5 * i) for i in range(len(res))), res=res)
+    half = Orthant(g, fold)
+    p = mirror_extension(g, fold)
+    w = (p.T @ p).diagonal()
+    u = rng.uniform(0.0, 1.0, g.shape)
+    for axis in fold:
+        u = u + np.flip(u, axis)
+    u[g.boundary_mask()] = 0.0
+    u_half = half.mirrored(u)
+    assert np.array_equal(u_half, u[tuple(slice(n) for n in half.shape)])
+    assert np.array_equal(half.mirrored(u_half, full=True), u)
+    faces = [[0.5 + np.abs(np.diff(v, axis=a)) / h for a, h in enumerate(g.h)]
+             for v in (u, u_half)]
+    diag = rng.uniform(0.0, 2.0, p.shape[1])
+    matrix, precond = stiffness(g, faces[0], p @ diag)
+    matrix_h, precond_h = stiffness(half, faces[1], diag)
+    want = (p.T @ matrix @ p).toarray() / w[:, None]
+    assert np.allclose(matrix_h.toarray(), want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    b = rng.standard_normal(p.shape[1])
+    want = (p.T @ precond(p @ b)) / w
+    assert np.max(np.abs(precond_h(b) - want)) <= 1e-12 * np.max(np.abs(want))
+    if g.dim == 1:
+        # the band solve of the restricted Newton system
+        want = (p.T @ spla.spsolve(matrix.tocsc(), p @ b)) / w
+        got = _newton_direction(half, faces[1], b, diag)[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 5), (3, 5, 4)])
+def test_along_applies_a_nonsymmetric_matrix(shape):
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal(shape)
+    for axis, m in enumerate(shape):
+        mat = rng.standard_normal((m, m))
+        want = np.moveaxis(np.tensordot(mat, y, axes=([1], [axis])), 0, axis)
+        got = _along(mat, y, axis, np.ascontiguousarray(mat.T))
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+        sym = mat + mat.T
+        want = np.moveaxis(np.tensordot(sym, y, axes=([1], [axis])), 0, axis)
+        assert np.allclose(_along(sym, y, axis), want, rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("m", [1, 2, 11, 31, 32, DENSE_DST_MAX])
 def test_sine_matrix_is_symmetric_and_orthonormal(m):
     s = sine_matrix(m)
@@ -415,10 +511,19 @@ def test_median_is_np_median_bit_for_bit(n):
 def test_node_distances_match_the_meshgrid_formula(res):
     g = Grid(box=tuple((-1.0 + 0.3 * i, 2.0 + i) for i in range(len(res))), res=res)
     for center in (None, tuple(0.1 * (i + 1) for i in range(len(res)))):
-        c = g.center if center is None else center
         sq = np.zeros(g.shape)
-        for x, ci in zip(g.meshgrid(), c):
-            sq += (x - ci) ** 2
+        if center is None:
+            # to the box center, the offset of node j is (j - r/2) h: the
+            # mirror node r - j has its exact negative
+            for x, r, h in zip(np.meshgrid(*map(np.arange, g.shape), indexing="ij"),
+                               g.res, g.h):
+                sq += ((x - r / 2) * h) ** 2
+            d = g.node_distances()
+            for axis in range(g.dim):
+                assert np.array_equal(d, np.flip(d, axis))
+        else:
+            for x, ci in zip(g.meshgrid(), center):
+                sq += (x - ci) ** 2
         assert np.array_equal(g.node_distances(center), np.sqrt(sq))
         # on a sub-box, bit for bit the full-grid slice
         window = tuple(slice(1, r - 1) for r in res)

@@ -18,6 +18,7 @@ from anisolab.cli import main
 from anisolab.grid import (
     Grid,
     GridField,
+    Orthant,
     axis_diff,
     cutoff_profile,
     dst_solver,
@@ -249,6 +250,119 @@ def test_solve_level_matches_sparse_newton_reference_in_3d():
 
     ref = sparse_newton_reference(g, p, source)
     assert np.max(np.abs(u.values[inner].ravel() - ref)) <= (f_u + 1e-12) / 8.0
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The folded axes of each `Orthant` that `solve_level` builds, in order."""
+    made = []
+
+    class Recorded(Orthant):
+        def __init__(self, grid, fold):
+            made.append(fold)
+            super().__init__(grid, fold)
+
+    monkeypatch.setattr(solver_module, "Orthant", Recorded)
+    return made
+
+
+def _bump(values, node):
+    """A copy of `values` one ulp larger at `node`."""
+    out = values.copy()
+    out[node] = np.nextafter(out[node], np.inf)
+    return out
+
+
+# mirror-symmetric weights folded on odd and even cell counts, on some axes
+# only, and on 2-cell axes (one node, on the mirror plane)
+_SYMMETRIC_LEVELS = {
+    "1d-odd": ((2.0,), (9,), (0,)), "1d-even": ((2.0,), (10,), (0,)),
+    "1d-one-node": ((2.0,), (2,), (0,)),
+    "2d": ((2.0, 3.0), (7, 8), (0, 1)), "2d-mixed": ((2.0, 3.0), (12, 9), (1,)),
+    "2d-one-node-axis": ((2.0, 4.0), (9, 2), (0, 1)),
+    "3d": ((2.0, 3.0, 4.0), (6, 7, 2), (0, 1, 2)),
+    "3d-mixed": ((2.0, 3.0, 4.0), (5, 8, 9), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("p, res, axes", _SYMMETRIC_LEVELS.values(), ids=_SYMMETRIC_LEVELS.keys())
+def test_mirror_symmetric_level_matches_sparse_newton_reference(folds, p, res, axes):
+    # the weight is a sum with its mirror images, which IEEE addition keeps
+    # bitwise symmetric; below 3 everywhere, so level 3 leaves it uncapped
+    rng = np.random.default_rng(len(res) + sum(res))
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    vals = rng.uniform(0.05, 0.3, g.shape)
+    for axis in axes:
+        vals = vals + np.flip(vals, axis)
+    e = ExponentData.from_p(p)
+    level = RegularizationLevel.from_weight(3, WeightSpec(g=GridField(g, vals)))
+    info = {}
+    u = solve_level(level, e, info=info)
+    assert folds == [axes]
+    for axis in axes:
+        assert np.array_equal(u.values, np.flip(u.values, axis))
+    # the bound of test_solve_level_matches_sparse_newton_reference_in_3d
+    inner = g.interior_slices()
+    f_u = np.max(np.abs(p_laplacian_apply(u, e).values[inner] - level.rhs(u).values[inner]))
+    g_n = level.g_n.values[inner].ravel()
+
+    def source(x):
+        shifted = np.maximum(x, 0.0) + level.shift
+        b = g_n * np.exp(1.0 / shifted)
+        return b, np.where(x > 0.0, b / shifted ** 2, 0.0)
+
+    ref = sparse_newton_reference(g, p, source)
+    assert np.max(np.abs(u.values[inner].ravel() - ref)) <= (f_u + 1e-12) / 8.0
+    # the orbit sizes weigh only inner products, so a wrong one changes the
+    # path, not its end: the full-grid solve of the same level, which a
+    # one-ulp bump of the weight at a corner (a boundary node, which no
+    # equation reads) forces, takes the same Newton and CG steps
+    full = {}
+    solve_level(RegularizationLevel.from_weight(3, WeightSpec(g=GridField(g, _bump(
+        vals, (0,) * g.dim)))), e, info=full)
+    assert len(folds) == 1
+    assert info["linear_iterations"] == full["linear_iterations"]
+    assert np.allclose(info["residuals"], full["residuals"], rtol=1e-4, atol=0.0)
+
+
+# the (p, res, weight) of each ladder of bench/workloads.py, with a
+# constant weight that no level caps and the CLI's `power:1`
+_BENCH_LADDERS = {
+    "3d-p223": ((2.0, 2.0, 3.0), (16, 16, 16), "constant"),
+    "3d-p234": ((2.0, 3.0, 4.0), (16, 16, 16), "power"),
+    "2d-p22-64": ((2.0, 2.0), (64, 64), "constant"),
+    "2d-p22-96": ((2.0, 2.0), (96, 96), "power"),
+    "2d-p23-48": ((2.0, 3.0), (48, 48), "power"),
+    "2d-p23-64": ((2.0, 3.0), (64, 64), "constant"),
+    "1d-p3-256": ((3.0,), (256,), "constant"),
+}
+
+
+@pytest.mark.parametrize("p, res, kind", _BENCH_LADDERS.values(), ids=_BENCH_LADDERS.keys())
+def test_mirror_symmetric_ladder_equals_the_full_grid_ladder(folds, p, res, kind):
+    g = Grid(box=((0.0, 1.0),) * len(p), res=res)
+    if kind == "constant":
+        vals = np.full(g.shape, 0.7)
+    else:
+        vals = np.maximum(g.node_distances(), 0.5 * min(g.h)) ** -1.0
+    e = ExponentData.from_p(p)
+    folded = run_ladder(4, WeightSpec(g=GridField(g, vals)), e)
+    assert folds == [tuple(range(g.dim))] * 4
+    u = folded.final_field.values
+    for axis in range(g.dim):
+        assert np.array_equal(u, np.flip(u, axis))
+    # one ulp more at an off-plane node: each level whose capped weight
+    # keeps the bump runs on the full grid (the capped ones come first)
+    node = (1,) * g.dim
+    folds.clear()
+    full = run_ladder(4, WeightSpec(g=GridField(g, _bump(vals, node))), e)
+    assert len(folds) == sum(vals[node] >= n for n in range(1, 5))
+    for a, b in zip(folded.levels, full.levels):
+        assert abs(a.outer_iterations - b.outer_iterations) <= 1
+        assert a.certificate == b.certificate
+        for name in ("residual", "sup_norm", "interior_min", "mono_defect"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-10, (a.n, name)
+    assert np.max(np.abs(u - full.final_field.values)) <= 1e-10
 
 
 def _newton_system(seed, smooth=True, res=48, dim=2):
